@@ -8,8 +8,7 @@ conjugating diagonal's lower entry.
 
 from __future__ import annotations
 
-from . import scalars
-from .core import Multivector, mv_product
+from .core import Multivector, linear_combine, mv_product
 from .derivations import OrthogonalMap
 from .errors import NotInverseError, NotOrthogonalError
 
@@ -19,13 +18,13 @@ def bogolyubov_apply(phi: OrthogonalMap, a: Multivector) -> Multivector:
     if not phi.gram_preserving():
         raise NotOrthogonalError("map does not preserve the quadratic form")
     ctx = a.context
-    acc = Multivector.zero(ctx)
+    images = []
     for blade, coeff in a.terms.items():
         img = Multivector.unit(ctx)
         for k in blade.indices:
             img = mv_product(img, phi.image(k))
-        acc = acc + img.scale(coeff)
-    return acc
+        images.append((coeff, img))
+    return linear_combine(images, context=ctx)
 
 
 def conjugation_apply(u: Multivector, u_inv: Multivector,

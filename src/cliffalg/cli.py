@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage / syntax error.
+Exit codes: 0 success, 1 verification failure, 2 usage / syntax error,
+141 (128 + SIGPIPE) when stdout is closed early, as by `| head`.
 All failures go to stderr with an `error:` prefix.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from .trace_norm import norm, trace
 
 VERIFICATION_FAILURE = 1
 USAGE_ERROR = 2
+BROKEN_PIPE = 141
 
 
 def _load_json(value: str):
@@ -349,6 +352,8 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (ParseError, ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -358,7 +363,15 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away; say nothing, and point stdout at devnull so
+        # the interpreter's last flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -67,9 +68,6 @@ class Blade:
     def __contains__(self, k: int) -> bool:
         return k >= 1 and (self.bits >> (k - 1)) & 1 == 1
 
-    def disjoint(self, other: "Blade") -> bool:
-        return self.bits & other.bits == 0
-
     def sort_key(self):
         return (self.grade, self.indices)
 
@@ -82,6 +80,21 @@ class Blade:
 UNIT_BLADE = Blade(0)
 
 
+def _denominator(value) -> int:
+    """Smallest positive d with d * value integral (exact domains)."""
+    if isinstance(value, scalars.GaussianRational):
+        return math.lcm(value.re.denominator, value.im.denominator)
+    return value.denominator
+
+
+def _scaled(value, den: int):
+    """den * value as an int, or an (re, im) pair of ints for a Gaussian
+    value; `den` must clear value's denominator."""
+    if isinstance(value, scalars.GaussianRational):
+        return _scaled(value.re, den), _scaled(value.im, den)
+    return value.numerator * (den // value.denominator)
+
+
 @dataclass(frozen=True)
 class Signature:
     """Diagonal form values q_i = f(v_i): a default plus finite overrides."""
@@ -89,25 +102,39 @@ class Signature:
     domain: Domain = Domain.RATIONAL
     default: object = Fraction(1)
     overrides: tuple = ()
+    _table: dict = field(init=False, repr=False, compare=False)
+    # Exact domains: a common denominator of every q value, and each value
+    # times it (an int, or an (re, im) pair of ints for Gaussian values).
+    _qden: int = field(init=False, repr=False, compare=False)
+    _qnum: dict = field(init=False, repr=False, compare=False)
+    _qnum_default: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if scalars.is_zero(self.default):
+            raise DegenerateFormError("default signature value must be nonzero")
+        for k, v in self.overrides:
+            if scalars.is_zero(v):
+                raise DegenerateFormError(f"signature value q_{k} is zero")
+        # First override wins, as in a scan of the tuple.
+        table = dict(reversed(self.overrides))
+        den, nums, num_default = 1, None, None
+        if self.domain.is_exact:
+            den = math.lcm(_denominator(self.default),
+                           *map(_denominator, table.values()))
+            nums = {k: _scaled(v, den) for k, v in table.items()}
+            num_default = _scaled(self.default, den)
+        for name, value in (("_table", table), ("_qden", den), ("_qnum", nums),
+                            ("_qnum_default", num_default)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def build(domain: Domain, default=1, overrides: Mapping[int, object] | None = None):
-        default = scalars.coerce(domain, default)
-        if scalars.is_zero(default):
-            raise DegenerateFormError("default signature value must be nonzero")
-        items = []
-        for k, v in sorted((overrides or {}).items()):
-            v = scalars.coerce(domain, v)
-            if scalars.is_zero(v):
-                raise DegenerateFormError(f"signature value q_{k} is zero")
-            items.append((int(k), v))
-        return Signature(domain, default, tuple(items))
+        items = tuple((int(k), scalars.coerce(domain, v))
+                      for k, v in sorted((overrides or {}).items()))
+        return Signature(domain, scalars.coerce(domain, default), items)
 
     def q(self, k: int):
-        for i, v in self.overrides:
-            if i == k:
-                return v
-        return self.default
+        return self._table.get(k, self.default)
 
 
 @dataclass(frozen=True)
@@ -125,34 +152,63 @@ class Context:
         return self.signature.q(k)
 
 
+_ONE = {domain: scalars.one(domain) for domain in Domain}
+
+
+def _prefix_parity(bits: int) -> int:
+    """Mask with bit i set iff an odd number of `bits` lie strictly below i.
+
+    The reordering sign of v_A * v_B is (-1)**popcount(A & _prefix_parity(B)):
+    that popcount counts the pairs (i in A, j in B) with i > j.  Above the top
+    bit of `bits` the mask is constant, hence negative when the grade is odd.
+    """
+    mask = 0
+    while bits:
+        low = bits & -bits
+        mask ^= -(low << 1)
+        bits ^= low
+    return mask
+
+
+def _weight(sig: Signature, common: int, odd: int):
+    """(-1)**odd * prod of q_k over the bits of `common`, multiplied left to
+    right from +-1 in increasing k (the order float results depend on)."""
+    w = _ONE[sig.domain]
+    if odd:
+        w = -w
+    while common:
+        low = common & -common
+        w = w * sig.q(low.bit_length())
+        common ^= low
+    return w
+
+
+def _int_weight(sig: Signature, common: int, width: int):
+    """prod of q_k over the bits of `common` as a numerator over qden**width,
+    for an exact signature whose q values share the denominator qden and
+    width >= popcount(common); an (re, im) pair of ints for Gaussian values."""
+    nums, default = sig._qnum, sig._qnum_default
+    gaussian = sig.domain is Domain.GAUSSIAN
+    wr, wi = sig._qden ** (width - common.bit_count()), 0
+    while common:
+        low = common & -common
+        q = nums.get(low.bit_length(), default)
+        if gaussian:
+            wr, wi = wr * q[0] - wi * q[1], wr * q[1] + wi * q[0]
+        else:
+            wr *= q
+        common ^= low
+    return (wr, wi) if gaussian else wr
+
+
 def blade_product(a: Blade, b: Blade, sig: Signature) -> tuple[object, Blade]:
     """Multiply two basis blades: returns (coefficient, symmetric difference).
 
     The sign counts index inversions of the concatenation (a then b); each
     shared index contributes its signature value via v_k**2 = q_k.
     """
-    inversions = 0
-    bits = b.bits
-    t = 1
-    while bits:
-        if bits & 1:
-            inversions += (a.bits >> t).bit_count()
-        bits >>= 1
-        t += 1
-    coeff = scalars.one(sig.domain)
-    if inversions & 1:
-        coeff = -coeff
-    common = a.bits & b.bits
-    k = 1
-    while common:
-        if common & 1:
-            qk = sig.q(k)
-            if scalars.is_zero(qk):
-                raise DegenerateFormError(f"signature value q_{k} is zero")
-            coeff = coeff * qk
-        common >>= 1
-        k += 1
-    return coeff, Blade(a.bits ^ b.bits)
+    odd = (a.bits & _prefix_parity(b.bits)).bit_count() & 1
+    return _weight(sig, a.bits & b.bits, odd), Blade(a.bits ^ b.bits)
 
 
 class Multivector:
@@ -227,13 +283,7 @@ class Multivector:
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check(other)
         terms = dict(self.terms)
-        for blade, coeff in other.terms.items():
-            s = terms.get(blade)
-            s = coeff if s is None else s + coeff
-            if scalars.is_zero(s):
-                terms.pop(blade, None)
-            else:
-                terms[blade] = s
+        _accumulate(terms, other.terms.items())
         return Multivector(self.context, terms, _canonical=True)
 
     def __sub__(self, other: "Multivector") -> "Multivector":
@@ -274,38 +324,192 @@ class Multivector:
         return f"Multivector({render(self)})"
 
 
+def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
+    """Add (blade, value) pairs into `terms` in order; a sum that reaches zero
+    is dropped (and re-enters at the end if a later value revives it)."""
+    for blade, value in items:
+        s = terms.get(blade)
+        s = value if s is None else s + value
+        if scalars.is_zero(s):
+            terms.pop(blade, None)
+        else:
+            terms[blade] = s
+
+
+def _from_numerators(acc: dict, den: int, gaussian: bool) -> dict:
+    """{key: n / den} for int numerators n, (re, im) pairs for Gaussian."""
+    if gaussian:
+        return {key: scalars.GaussianRational(Fraction(re, den), Fraction(im, den))
+                for key, (re, im) in acc.items()}
+    return {key: Fraction(n, den) for key, n in acc.items()}
+
+
+def _common_denominator(a: Multivector) -> int:
+    """The lcm of a's coefficient denominators."""
+    return math.lcm(*map(_denominator, a.terms.values()))
+
+
 def linear_combine(pairs: Iterable[tuple[object, Multivector]],
                    context: Context | None = None) -> Multivector:
-    """Sum of scalar multiples; operands must share one context."""
+    """Sum of scalar multiples; operands must share one context.
+
+    Exact values are summed as integers over one common denominator.
+    """
     pairs = list(pairs)
     if context is None:
         if not pairs:
             raise ValueError("empty combination needs an explicit context")
         context = pairs[0][1].context
-    acc = Multivector.zero(context)
+    checked = []
     for value, mv in pairs:
         if mv.context != context:
             raise DomainMismatchError("mixed contexts in linear combination")
-        acc = acc + mv.scale(value)
-    return acc
+        checked.append((scalars.coerce(context.domain, value), mv))
+    if not context.domain.is_exact:
+        terms: dict[Blade, object] = {}
+        for value, mv in checked:
+            _accumulate(terms, ((blade, c * value) for blade, c in mv.terms.items()))
+        return Multivector(context, terms, _canonical=True)
+    gaussian = context.domain is Domain.GAUSSIAN
+    dens = [_common_denominator(mv) for _, mv in checked]
+    den = math.lcm(*(d * _denominator(value) for (value, _), d in zip(checked, dens)))
+    acc = {}
+    for (value, mv), d in zip(checked, dens):
+        f = _scaled(value, den // d)
+        for blade, c in mv.terms.items():
+            n = _scaled(c, d)
+            s = acc.get(blade)
+            if gaussian:
+                t = n[0] * f[0] - n[1] * f[1], n[0] * f[1] + n[1] * f[0]
+                if s is not None:
+                    t = s[0] + t[0], s[1] + t[1]
+                nonzero = t[0] or t[1]
+            else:
+                t = n * f if s is None else s + n * f
+                nonzero = t
+            if nonzero:
+                acc[blade] = t
+            else:
+                acc.pop(blade, None)
+    return Multivector(context, _from_numerators(acc, den, gaussian), _canonical=True)
 
 
 def mv_product(a: Multivector, b: Multivector) -> Multivector:
-    """Bilinear extension of the blade product."""
+    """Bilinear extension of the blade product.
+
+    A monomial operand permutes the other's blades, so its terms are scaled
+    one by one.  Otherwise exact coefficients are brought to integers over
+    one denominator per operand and summed as plain ints per output blade;
+    float domains keep the pairwise `ca * cb * coeff` sums of blade_product.
+    """
     a._check(b)
+    if len(a.terms) <= 1 or len(b.terms) <= 1:
+        terms = _monomial_product(a, b)
+    elif a.context.domain.is_exact:
+        terms = _exact_product(a, b)
+    else:
+        terms = _float_product(a, b)
+    return Multivector(a.context, terms, _canonical=True)
+
+
+def _monomial_product(a: Multivector, b: Multivector) -> dict:
     sig = a.context.signature
-    terms: dict[Blade, object] = {}
+    terms = {}
     for ba, ca in a.terms.items():
         for bb, cb in b.terms.items():
-            sign, blade = blade_product(ba, bb, sig)
-            c = ca * cb * sign
-            s = terms.get(blade)
+            coeff, blade = blade_product(ba, bb, sig)
+            c = ca * cb * coeff
+            if not scalars.is_zero(c):
+                terms[blade] = c
+    return terms
+
+
+def _float_product(a: Multivector, b: Multivector) -> dict:
+    sig = a.context.signature
+    tb = [(bb.bits, _prefix_parity(bb.bits), cb) for bb, cb in b.terms.items()]
+    weights = {}  # (common << 1 | odd) -> _weight
+    acc = {}
+    for ba, ca in a.terms.items():
+        A = ba.bits
+        for B, P, cb in tb:
+            key = (A & B) << 1 | (A & P).bit_count() & 1
+            w = weights.get(key)
+            if w is None:
+                w = weights[key] = _weight(sig, A & B, key & 1)
+            c = ca * cb * w
+            x = A ^ B
+            s = acc.get(x)
             s = c if s is None else s + c
-            if scalars.is_zero(s):
-                terms.pop(blade, None)
+            if s:
+                acc[x] = s
             else:
-                terms[blade] = s
-    return Multivector(a.context, terms, _canonical=True)
+                acc.pop(x, None)
+    return {Blade(x): s for x, s in acc.items()}
+
+
+def _exact_product(a: Multivector, b: Multivector) -> dict:
+    sig = a.context.signature
+    gaussian = sig.domain is Domain.GAUSSIAN
+    da, db = _common_denominator(a), _common_denominator(b)
+    ta = [(ba.bits, _scaled(ca, da)) for ba, ca in a.terms.items()]
+    tb = [(bb.bits, _prefix_parity(bb.bits), _scaled(cb, db))
+          for bb, cb in b.terms.items()]
+    # Every weight is a product of q_k over generators both operands touch.
+    ka = kb = 0
+    for A, _ in ta:
+        ka |= A
+    for B, _, _ in tb:
+        kb |= B
+    width = (ka & kb).bit_count()
+    weights = {}  # common -> weight numerator over sig._qden ** width
+    acc = {}
+    get = acc.get
+    if gaussian:
+        for A, (ar, ai) in ta:
+            for B, P, (br, bi) in tb:
+                common = A & B
+                w = weights.get(common)
+                if w is None:
+                    w = weights[common] = _int_weight(sig, common, width)
+                wr, wi = w
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                if wi:
+                    re, im = re * wr - im * wi, re * wi + im * wr
+                else:
+                    re *= wr
+                    im *= wr
+                if (A & P).bit_count() & 1:
+                    re = -re
+                    im = -im
+                x = A ^ B
+                s = get(x)
+                if s is not None:
+                    re += s[0]
+                    im += s[1]
+                if re or im:
+                    acc[x] = re, im
+                else:
+                    del acc[x]
+    else:
+        for A, na in ta:
+            for B, P, nb in tb:
+                common = A & B
+                w = weights.get(common)
+                if w is None:
+                    w = weights[common] = _int_weight(sig, common, width)
+                v = na * nb * w
+                if (A & P).bit_count() & 1:
+                    v = -v
+                x = A ^ B
+                s = get(x)
+                s = v if s is None else s + v
+                if s:
+                    acc[x] = s
+                else:
+                    del acc[x]
+    values = _from_numerators(acc, da * db * sig._qden ** width, gaussian)
+    return {Blade(x): v for x, v in values.items()}
 
 
 def reverse(a: Multivector) -> Multivector:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
-from .core import (Blade, Context, Multivector, linear_combine, mv_product,
-                   parity_project)
-from .errors import (ContractViolationError, NotAdSumError,
+from .core import (Blade, Context, Multivector, _accumulate, blade_product,
+                   linear_combine, mv_product, parity_project)
+from .errors import (ContractViolationError, DomainMismatchError, NotAdSumError,
                      NotBogolyubovError, NotSkewError, ParityError,
                      UnsupportedDomainError)
 
@@ -100,6 +100,23 @@ class AdStream:
         return self._memo[n:]
 
 
+def _ad_blade(blade: Blade, coeff, x: Multivector):
+    """The terms of ad(coeff * v_S)(x), one per term of x.
+
+    v_T v_S = (-1)**(|S||T| - |S & T|) v_S v_T, so the commutator with x_T v_T
+    is 2 coeff x_T v_S v_T when that exponent is odd and zero otherwise.
+    """
+    sig = x.context.signature
+    r = blade.grade
+    for bt, xt in x.terms.items():
+        if (r * bt.grade - (blade.bits & bt.bits).bit_count()) & 1:
+            w, out = blade_product(blade, bt, sig)
+            t = coeff * xt * w
+            t = t + t
+            if not scalars.is_zero(t):
+                yield out, t
+
+
 def family_apply(family, x: Multivector) -> Multivector:
     """Evaluate sum(alpha_S * ad(v_S)) on x, exactly and finitely.
 
@@ -113,15 +130,16 @@ def family_apply(family, x: Multivector) -> Multivector:
         n = family.cutoff(x.max_index())
         terms = family.prefix(n)
         tail = family.memoized_tail(n)
-    ctx = family.context
-    acc = Multivector.zero(ctx)
+    if x.context != family.context:
+        raise DomainMismatchError("operands built over different contexts")
+    acc = {}
     for blade, coeff in terms:
-        acc = acc + ad_apply(Multivector.blade(ctx, blade, coeff), x)
+        _accumulate(acc, _ad_blade(blade, coeff, x))
     for blade, coeff in tail:
-        if not ad_apply(Multivector.blade(ctx, blade, coeff), x).is_zero:
+        if next(_ad_blade(blade, coeff, x), None) is not None:
             raise ContractViolationError(
                 f"term {blade} past the declared cutoff acts nontrivially")
-    return acc
+    return Multivector(family.context, acc, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Grammar:
     factor := atom ('^' nat)?
     atom   := rational | 'i' | 'e' nat | 'rev' '(' expr ')' | '(' expr ')'
             | '-' atom
+
+Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from fractions import Fraction
 from . import scalars
 from .core import Context, Multivector, mv_product, reverse
 from .errors import DomainMismatchError, ParseError
+
+MAX_EXPONENT = 10 ** 6
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([+\-*^/()]))")
 
@@ -105,11 +109,11 @@ class _Parser:
             if exp_tok.kind != "nat":
                 raise ParseError("power must be a nonnegative integer",
                                  exp_tok.line, exp_tok.column)
-            power = int(exp_tok.text)
-            out = Multivector.unit(self.context)
-            for _ in range(power):
-                out = mv_product(out, value)
-            return out
+            digits = exp_tok.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}",
+                                 exp_tok.line, exp_tok.column)
+            return _power(value, int(digits))
         return value
 
     def atom(self) -> Multivector:
@@ -155,6 +159,19 @@ class _Parser:
                                  tok.line, tok.column)
             return Multivector.generator(self.context, k)
         raise ParseError(f"unknown atom {tok.text!r}", tok.line, tok.column)
+
+
+def _power(value: Multivector, n: int) -> Multivector:
+    """value^n by square-and-multiply over the bits of n from the top, so
+    n <= 3 multiplies in the same order as repeated multiplication."""
+    if n == 0:
+        return Multivector.unit(value.context)
+    out = value
+    for bit in bin(n)[3:]:
+        out = mv_product(out, out)
+        if bit == "1":
+            out = mv_product(out, value)
+    return out
 
 
 def parse(text: str, context: Context) -> Multivector:

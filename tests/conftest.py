@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from cliffalg import scalars
 from cliffalg.core import Blade, Context, Multivector
+from cliffalg.scalars import Domain, GaussianRational
 
 
 def naive_blade_product(s_indices, t_indices, q):
@@ -54,6 +56,37 @@ def random_multivector(rng, ctx, max_index=8, max_terms=4):
     for _ in range(rng.randint(0, max_terms)):
         terms[random_blade(rng, max_index)] = random_rational(rng)
     return Multivector(ctx, terms)
+
+
+def random_scalar(rng, domain):
+    """A nonzero value of `domain` built from small fractions."""
+    re = random_rational(rng)
+    im = random_rational(rng) if rng.random() < 0.7 else Fraction(0)
+    if domain is Domain.RATIONAL:
+        return re
+    if domain is Domain.GAUSSIAN:
+        return GaussianRational(re, im)
+    if domain is Domain.F64:
+        return float(re)
+    return complex(float(re), float(im))
+
+
+def random_dense(rng, ctx, n, count):
+    """`count` distinct blades on generators 1..n (at most 2**n of them)."""
+    return Multivector(ctx, {Blade(bits): random_scalar(rng, ctx.domain)
+                             for bits in rng.sample(range(1 << n), min(count, 1 << n))})
+
+
+def kernel_contexts(domain):
+    """Unit q; negative and fractional overrides; a non-unit fractional
+    default; and, in the complex domains, q_4 = i."""
+    over = {2: -1, 3: Fraction(1, 2), 5: Fraction(-3, 2), 9: Fraction(-1, 3)}
+    out = [Context.make(domain), Context.make(domain, overrides=over),
+           Context.make(domain, Fraction(-2, 3), over)]
+    if domain.has_i:
+        out.append(Context.make(domain, overrides={
+            **over, 4: scalars.imaginary_unit(domain)}))
+    return out
 
 
 @pytest.fixture

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from cliffalg.cli import run
-from cliffalg.core import Context
-from cliffalg.expr import parse
+import cliffalg
+from cliffalg.cli import BROKEN_PIPE, run
+from cliffalg.core import Context, mv_product
+from cliffalg.expr import MAX_EXPONENT, parse
 from cliffalg.render import render
 from cliffalg.scalars import Domain
 
@@ -93,6 +98,56 @@ class TestParsing:
     def test_i_rejected_in_rational_domain(self, capsys):
         assert run(["eval", "i"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestPowers:
+    def test_large_exponents_are_fast(self, capsys):
+        start = time.perf_counter()
+        assert run(["eval", f"e1^{MAX_EXPONENT}"]) == 0
+        assert run(["eval", f"e1^{MAX_EXPONENT - 1}"]) == 0
+        assert run(["eval", "(1+e1)^64"]) == 0
+        assert run(["--signature", '{"overrides":{"1":"-2"}}', "eval", "e1^7"]) == 0
+        # by repeated multiplication the first line alone is 10**6 products
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().out.split("\n")[:4] == [
+            "1", "e1", f"{2 ** 63} + {2 ** 63}*e1", "-8*e1"]
+
+    def test_exponent_cap(self, capsys):
+        assert run(["eval", f"e1^{MAX_EXPONENT + 1}"]) == 2
+        assert run(["eval", "e1^" + "9" * 5000]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("error: exponent exceeds the limit")
+                   for line in err)
+
+    def test_small_float_powers_multiply_in_order(self):
+        ctx = Context.make(Domain.F64, overrides={2: 0.3})
+        x = parse("1/3 + e1 + 7/5*e2 + e1*e2", ctx)
+        assert parse("(1/3 + e1 + 7/5*e2 + e1*e2)^3", ctx) == \
+            mv_product(mv_product(x, x), x)
+
+
+def _run_into_closed_pipe(argv):
+    """Run the CLI with stdout on a pipe whose reader has already gone."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cliffalg.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "cliffalg.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [["trace", "3 + 5*e1"],
+                                  ["witness", "--n", "400"]],
+                         ids=["at-exit", "mid-output"])
+def test_closed_stdout_exits_quietly(argv):
+    proc = _run_into_closed_pipe(argv)
+    assert proc.stderr == b""
+    assert proc.returncode == BROKEN_PIPE
 
 
 class TestExitCodes:

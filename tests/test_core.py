@@ -11,7 +11,8 @@ from cliffalg.core import (Blade, Context, Multivector, blade_product,
 from cliffalg.errors import (DegenerateFormError, DomainMismatchError)
 from cliffalg.scalars import Domain, GaussianRational
 
-from conftest import naive_blade_product, naive_reverse_sign, random_multivector
+from conftest import (kernel_contexts, naive_blade_product, naive_reverse_sign,
+                      random_dense, random_multivector, random_scalar)
 
 CTX = Context.make()
 
@@ -75,6 +76,22 @@ class TestLinearCombine:
                               (1, mv({(): 1, (1,): -1}))])
         assert got == mv({(): 2})
 
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_equals_ordered_sum_of_scaled_operands(self, domain):
+        rng = random.Random(f"combine-{domain.value}")
+        for ctx in kernel_contexts(domain):
+            mvs = [random_dense(rng, ctx, 5, rng.choice((0, 1, 9, 20)))
+                   for _ in range(6)]
+            values = [random_scalar(rng, domain) for _ in mvs]
+            # cancel the first operand, then revive some of its blades
+            pairs = list(zip(values, mvs)) + [(-values[0], mvs[0]), (0, mvs[1]),
+                                              (values[2], mvs[0])]
+            want = Multivector.zero(ctx)
+            for value, m in pairs:
+                want = want + m.scale(value)
+            got = linear_combine(pairs)
+            assert list(got.terms.items()) == list(want.terms.items())
+
     def test_mixed_contexts_rejected(self):
         other = Multivector(Context.make(Domain.GAUSSIAN),
                             {Blade(0): GaussianRational.of(1)})
@@ -114,6 +131,36 @@ class TestProduct:
                 prod = mv_product(parity_project(a, pa), parity_project(b, pb))
                 want = "even" if pa == pb else "odd"
                 assert parity_project(prod, want) == prod
+
+
+def pairwise_product(a, b) -> dict:
+    """The product by definition: blade products of a.terms x b.terms, summed
+    in that order, a sum that reaches zero dropped."""
+    terms = {}
+    for ba, ca in a.terms.items():
+        for bb, cb in b.terms.items():
+            coeff, blade = blade_product(ba, bb, a.context.signature)
+            c = ca * cb * coeff
+            s = terms.get(blade)
+            s = c if s is None else s + c
+            if s == 0:
+                terms.pop(blade, None)
+            else:
+                terms[blade] = s
+    return terms
+
+
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+def test_product_is_ordered_pairwise_blade_sum(domain):
+    rng = random.Random(f"kernel-{domain.value}")
+    sizes = ((0, 0), (0, 5), (1, 1), (1, 7), (7, 1), (2, 3), (30, 40))
+    for ctx in kernel_contexts(domain):
+        for n in (3, 8, 12):
+            for size_a, size_b in sizes:
+                a = random_dense(rng, ctx, n, size_a)
+                b = random_dense(rng, ctx, n, size_b)
+                got = mv_product(a, b)
+                assert list(got.terms.items()) == list(pairwise_product(a, b).items())
 
 
 class TestReverse:

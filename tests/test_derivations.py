@@ -10,8 +10,10 @@ from cliffalg.derivations import (AdFamily, AdStream, OrthogonalMap, SkewMap,
                                   extract_odd, family_apply, inner_witness)
 from cliffalg.errors import (ContractViolationError, NotAdSumError,
                              NotBogolyubovError, NotSkewError, ParityError)
+from cliffalg.scalars import Domain
 
-from conftest import random_blade, random_multivector, random_rational
+from conftest import (kernel_contexts, random_blade, random_dense,
+                      random_multivector, random_rational, random_scalar)
 
 CTX = Context.make()
 
@@ -94,6 +96,22 @@ class TestFamilyApply:
                 rhs = mv_product(family_apply(family, x), y) + \
                     mv_product(x, family_apply(family, y))
                 assert lhs == rhs
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_equals_sum_of_ad_terms(self, domain, rng):
+        for ctx in kernel_contexts(domain):
+            for parity in ("even", "odd"):
+                want_parity = 0 if parity == "even" else 1
+                blades = {random_blade(rng, 10, parity=want_parity) for _ in range(6)}
+                blades.discard(Blade(0))
+                family = AdFamily.finite(
+                    ctx, parity, [(blade, random_scalar(rng, domain)) for blade in blades])
+                for count in (0, 1, 12):
+                    x = random_dense(rng, ctx, 10, count)
+                    want = Multivector.zero(ctx)
+                    for blade, coeff in family.terms:
+                        want = want + ad_apply(Multivector.blade(ctx, blade, coeff), x)
+                    assert family_apply(family, x) == want
 
     def test_parity_action(self, rng):
         # even families preserve the grading; odd families swap it

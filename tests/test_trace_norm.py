@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffalg.core import Blade, Context, Multivector, mv_product
+from cliffalg.core import Blade, Context, Multivector, mv_product, reverse
 from cliffalg.derivations import OrthogonalMap
 from cliffalg.automorphisms import bogolyubov_apply
 from cliffalg.errors import UnsupportedDomainError
@@ -10,7 +10,7 @@ from cliffalg.matrix_rep import build_rep, normalized_trace, represent
 from cliffalg.scalars import Domain
 from cliffalg.trace_norm import norm, trace
 
-from conftest import random_multivector
+from conftest import kernel_contexts, random_dense, random_multivector
 
 CTX = Context.make()
 
@@ -72,6 +72,15 @@ class TestNorm:
         ctx = Context.make(Domain.RATIONAL, overrides={1: Fraction(3)})
         a = Multivector.blade(ctx, Blade.of(1), Fraction(2))
         assert norm(a) == 12  # alpha^2 * q_1
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.F64],
+                             ids=lambda d: d.value)
+    def test_equals_trace_of_full_product(self, domain, rng):
+        # the same values, added in the same order, so equal exactly in f64 too
+        for ctx in kernel_contexts(domain):
+            for count in (0, 1, 2, 9, 60):
+                a = random_dense(rng, ctx, 8, count)
+                assert norm(a) == trace(mv_product(a, reverse(a)))
 
     def test_refuses_complex_domains(self):
         gctx = Context.make(Domain.GAUSSIAN)
