@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage / syntax error,
-141 (128 + SIGPIPE) when stdout is closed early, as by `| head`.
+Exit codes: 0 success, 1 verification failure, 2 usage, syntax or size-limit
+error, 141 (128 + SIGPIPE) when stdout is closed early, as by `| head`.
 All failures go to stderr with an `error:` prefix.
 """
 
@@ -19,7 +19,7 @@ from .core import Blade, Context, Multivector
 from .derivations import (bogolyubov_derivation, derivation_restricts_to_V,
                           family_apply, extract_even, extract_odd,
                           inner_witness)
-from .errors import CliffordError, ParseError
+from .errors import CliffordError, DigitLimitError, ParseError
 from .expr import parse
 from .locmat import FactorShape, witness_sequence
 from .render import render
@@ -31,6 +31,19 @@ from .trace_norm import norm, trace
 VERIFICATION_FAILURE = 1
 USAGE_ERROR = 2
 BROKEN_PIPE = 141
+
+# Size limits for the checks whose work grows fast with their argument: each
+# takes about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k` builds
+# 2**k x 2**k matrices for every blade on up to 2k - 2 generators, and
+# `witness --n n` computes n pairs of exact norms.
+REP_CHECK_MAX_K = 6
+WITNESS_MAX_N = 5000
+
+
+def _in_range(flag: str, value: int, low: int, high: int) -> int:
+    if not low <= value <= high:
+        raise ValueError(f"{flag} must be between {low} and {high}, got {value}")
+    return value
 
 
 def _load_json(value: str):
@@ -229,18 +242,19 @@ def cmd_decomp_rewrite(args) -> int:
 
 
 def cmd_rep_check(args) -> int:
+    max_k = _in_range("--max-k", args.max_k, 1, REP_CHECK_MAX_K)
     ctx = Context.make(Domain.GAUSSIAN)
     failures = 0
-    for k_small in range(1, args.max_k):
+    for k_small in range(1, max_k):
         ok = True
         for bits in range(1 << (2 * k_small)):
             mv = Multivector.blade(ctx, Blade(bits))
-            if not matrix_rep.verify_trace_coherence(mv, k_small, args.max_k):
+            if not matrix_rep.verify_trace_coherence(mv, k_small, max_k):
                 ok = False
-        print(f"trace coherence k={k_small} vs k={args.max_k}: "
+        print(f"trace coherence k={k_small} vs k={max_k}: "
               f"{'OK' if ok else 'FAIL'}")
         failures += 0 if ok else 1
-    for k in range(1, args.max_k + 1):
+    for k in range(1, max_k + 1):
         ok = matrix_rep.blade_images_independent(matrix_rep.build_rep(k))
         print(f"faithfulness k={k}: {'OK' if ok else 'FAIL'}")
         failures += 0 if ok else 1
@@ -249,7 +263,7 @@ def cmd_rep_check(args) -> int:
 
 def cmd_witness(args) -> int:
     shape = FactorShape(Domain.RATIONAL, args.m)
-    pairs = witness_sequence(args.n, shape)
+    pairs = witness_sequence(_in_range("--n", args.n, 1, WITNESS_MAX_N), shape)
     for n, (before, after) in enumerate(pairs, start=1):
         print(f"n={n}: ({before}, {after})")
     decreasing = all(a > b for (a, _), (b, _) in zip(pairs, pairs[1:]))
@@ -333,11 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("rep", help="matrix representation checks")
     rsub = rep.add_subparsers(dest="rep_command", required=True)
     p = rsub.add_parser("check")
-    p.add_argument("--max-k", type=int, default=3, dest="max_k")
+    p.add_argument("--max-k", type=int, default=3, dest="max_k",
+                   help=f"largest k checked, 1..{REP_CHECK_MAX_K}")
     p.set_defaults(func=cmd_rep_check)
 
     p = sub.add_parser("witness", help="non-continuity witness table")
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=int, default=10,
+                   help=f"table length, 1..{WITNESS_MAX_N}")
     p.add_argument("--m", type=int, default=2)
     p.set_defaults(func=cmd_witness)
 
@@ -354,7 +370,8 @@ def run(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         raise
-    except (ParseError, ValueError, json.JSONDecodeError, OSError) as exc:
+    except (ParseError, DigitLimitError, ValueError, json.JSONDecodeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CliffordError as exc:

@@ -65,6 +65,10 @@ class InvalidAutomorphismError(CliffordError):
     """Per-factor conjugating matrix is singular."""
 
 
+class DigitLimitError(CliffordError):
+    """An exact value has more decimal digits than the interpreter will print."""
+
+
 class ParseError(CliffordError):
     """Expression syntax error; carries line/column information."""
 

@@ -8,6 +8,8 @@ Grammar:
             | '-' atom
 
 Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.
+Generator indices are at most MAX_GENERATOR: a blade is a bitmask, and
+rendering it walks every bit below its top index.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import Context, Multivector, mv_product, reverse
 from .errors import DomainMismatchError, ParseError
 
 MAX_EXPONENT = 10 ** 6
+MAX_GENERATOR = 10 ** 4
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([+\-*^/()]))")
 
@@ -109,11 +112,8 @@ class _Parser:
             if exp_tok.kind != "nat":
                 raise ParseError("power must be a nonnegative integer",
                                  exp_tok.line, exp_tok.column)
-            digits = exp_tok.text.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds the limit {MAX_EXPONENT}",
-                                 exp_tok.line, exp_tok.column)
-            return _power(value, int(digits))
+            return _power(value, _bounded(exp_tok.text, MAX_EXPONENT,
+                                          "exponent", exp_tok))
         return value
 
     def atom(self) -> Multivector:
@@ -125,7 +125,11 @@ class _Parser:
             self.expect(")")
             return value
         if tok.kind == "nat":
-            num = int(tok.text)
+            try:
+                num = int(tok.text)
+            except ValueError:
+                raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
+                                 tok.line, tok.column) from None
             if (nxt := self.peek()) and nxt.text == "/":
                 self.next()
                 den_tok = self.next()
@@ -153,12 +157,20 @@ class _Parser:
             return reverse(inner)
         m = re.fullmatch(r"e(\d+)", tok.text)
         if m:
-            k = int(m.group(1))
+            k = _bounded(m.group(1), MAX_GENERATOR, "generator index", tok)
             if k < 1:
                 raise ParseError("generator indices start at 1",
                                  tok.line, tok.column)
             return Multivector.generator(self.context, k)
         raise ParseError(f"unknown atom {tok.text!r}", tok.line, tok.column)
+
+
+def _bounded(digits: str, limit: int, what: str, tok: Token) -> int:
+    """int(digits), refusing a value above `limit` before converting it."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise ParseError(f"{what} exceeds the limit {limit}", tok.line, tok.column)
+    return int(digits)
 
 
 def _power(value: Multivector, n: int) -> Multivector:

@@ -9,8 +9,9 @@ automorphism that shrinks no norm while its input sequence tends to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from . import linalg, scalars
@@ -39,8 +40,12 @@ class FactorShape:
         return self.default_size
 
     def identity(self, i: int):
-        one, zero = scalars.one(self.domain), scalars.zero(self.domain)
-        return linalg.identity(self.size(i), one=one, zero=zero)
+        return _identity(self.domain, self.size(i))
+
+
+@lru_cache(maxsize=64)
+def _identity(domain: Domain, m: int):
+    return linalg.identity(m, one=scalars.one(domain), zero=scalars.zero(domain))
 
 
 def _check_matrix(shape: FactorShape, i: int, matrix):
@@ -52,12 +57,36 @@ def _check_matrix(shape: FactorShape, i: int, matrix):
     return matrix
 
 
+def _canonical(shape: FactorShape, terms) -> tuple:
+    """Merge terms by factor tuple; drop identity factors, terms with a zero
+    factor and zero coefficients.  Merged terms keep first-seen order."""
+    merged = {}
+    for coeff, factors in terms:
+        kept = []
+        for i, m in factors:
+            if not any(any(row) for row in m):
+                break
+            if m != shape.identity(i):
+                kept.append((i, m))
+        else:
+            key = tuple(kept)
+            merged[key] = merged[key] + coeff if key in merged else coeff
+    return tuple((c, f) for f, c in merged.items() if c)
+
+
 @dataclass(frozen=True)
 class TensorElement:
-    """Finite sum of (coefficient, finitely supported factor -> matrix) terms."""
+    """Finite sum of (coefficient, finitely supported factor -> matrix) terms.
+
+    Terms are kept canonical (see _canonical), so structurally equal elements
+    compare equal without expanding them.
+    """
 
     shape: FactorShape
     terms: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", _canonical(self.shape, self.terms))
 
     @staticmethod
     def build(shape: FactorShape, terms) -> "TensorElement":
@@ -103,15 +132,23 @@ class TensorElement:
         return acc
 
     def __eq__(self, other):
+        """Equal canonical terms, else equal Kronecker expansions (which also
+        catches A (x) B + A (x) C == A (x) (B + C))."""
         if not isinstance(other, TensorElement):
             return NotImplemented
         if self.shape != other.shape:
             return False
+        if {f: c for c, f in self.terms} == {f: c for c, f in other.terms}:
+            return True
         support = tuple(sorted(set(self.support()) | set(other.support())))
         return self.flatten(support) == other.flatten(support)
 
     def __hash__(self):
-        return hash((self.shape, self.support()))
+        # Equal elements have equal normalized traces.  Float traces depend on
+        # the term order, so float elements hash by shape alone.
+        if not self.shape.domain.is_exact:
+            return hash(self.shape)
+        return hash((self.shape, tp_trace(self)))
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         _check_shape(self, other)
@@ -137,18 +174,15 @@ def _check_shape(a: TensorElement, b: TensorElement):
 
 
 def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Termwise product: multiply matching factors, identity where absent."""
+    """Termwise product: multiply factors present in both, keep the others."""
     _check_shape(a, b)
     terms = []
     for ca, fa in a.terms:
-        fa = dict(fa)
         for cb, fb in b.terms:
-            fb = dict(fb)
-            merged = {}
-            for i in set(fa) | set(fb):
-                ma = fa.get(i, a.shape.identity(i))
-                mb = fb.get(i, a.shape.identity(i))
-                merged[i] = linalg.mat_mul(ma, mb)
+            merged = dict(fa)
+            for i, mb in fb:
+                ma = merged.get(i)
+                merged[i] = mb if ma is None else linalg.mat_mul(ma, mb)
             terms.append((ca * cb, tuple(sorted(merged.items()))))
     return TensorElement(a.shape, tuple(terms))
 
@@ -165,11 +199,31 @@ def tp_trace(a: TensorElement):
 
 
 def tp_norm(a: TensorElement):
-    """tr(a * adjoint(a)); real scalar domains only."""
+    """tr(a * adjoint(a)); real scalar domains only.
+
+    Sums c_s c_t prod_i <A_si, A_ti> / m_i over term pairs (s, t), where
+    <A, B> = tr(A B^T) is the Hilbert-Schmidt pairing and an absent factor is
+    the identity, so <A, I> = tr(A); a * adjoint(a) is never formed.
+    """
     if not a.shape.domain.is_real:
         raise UnsupportedDomainError(
             f"tp_norm is defined over real domains, not {a.shape.domain.value}")
-    return tp_trace(tp_product(a, a.adjoint()))
+    terms = [(c, dict(f)) for c, f in a.terms]
+    total = scalars.zero(a.shape.domain)
+    for cs, fs in terms:
+        for ct, ft in terms:
+            value = cs * ct
+            for i in sorted(fs.keys() | ft.keys()):
+                ms, mt = fs.get(i), ft.get(i)
+                if ms is None:
+                    pairing = linalg.mat_trace(mt)
+                elif mt is None:
+                    pairing = linalg.mat_trace(ms)
+                else:
+                    pairing = linalg.hs_pairing(ms, mt)
+                value = value * pairing / a.shape.size(i)
+            total = total + value
+    return total
 
 
 class LocalAutomorphism:

@@ -3,15 +3,19 @@
 The ladder construction sends generator 2j-1 to Z..Z X I..I and generator 2j
 to Z..Z Y I..I (Kronecker factors), giving 2k anticommuting square roots of
 the identity in dimension 2**k.
+
+Blade images are Pauli words i^p X^x Z^z stored as (p mod 4, x, z), bit k-j
+of a mask being factor j (the stabilizer tableau encoding of Aaronson and
+Gottesman, PRA 70, 052328, 2004): basis vector c goes to i^p (-1)^|z & c| e_{c^x}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
 from . import linalg, scalars
-from .core import Blade, Multivector, UNIT_BLADE
+from .core import Multivector
 from .errors import SupportRangeError, UnsupportedDomainError
 from .scalars import Domain, GaussianRational
 from .trace_norm import trace
@@ -19,58 +23,71 @@ from .trace_norm import trace
 _ZERO = GaussianRational.of(0)
 _ONE = GaussianRational.of(1)
 _I = GaussianRational.of(0, 1)
+_PHASES = (_ONE, _I, -_ONE, -_I)
 
 PAULI_X = ((_ZERO, _ONE), (_ONE, _ZERO))
 PAULI_Y = ((_ZERO, -_I), (_I, _ZERO))
 PAULI_Z = ((_ONE, _ZERO), (_ZERO, -_ONE))
 
 
+def word_product(a: tuple, b: tuple) -> tuple:
+    """(i^p X^x Z^z)(i^p' X^x' Z^z'): moving Z^z past X^x' costs (-1)^|z & x'|."""
+    pa, xa, za = a
+    pb, xb, zb = b
+    return ((pa + pb + 2 * (za & xb).bit_count()) % 4, xa ^ xb, za ^ zb)
+
+
 @dataclass
 class MatrixRep:
-    """2k generator matrices of size 2**k over the Gaussian rationals."""
+    """2k generator words acting in dimension 2**k over the Gaussian rationals."""
 
     k: int
-    gens: tuple
+    words: tuple
     dim: int
     _blade_cache: dict = field(default_factory=dict, repr=False)
 
     def identity(self):
         return linalg.identity(self.dim, one=_ONE, zero=_ZERO)
 
+    @cached_property
+    def gens(self) -> tuple:
+        """The generator matrices, written out from their words."""
+        return tuple(_dense(self.dim, ((w, _ONE),)) for w in self.words)
+
+    def blade_word(self, bits: int) -> tuple:
+        """Word of the ordered product of the generators in blade `bits`."""
+        word = self._blade_cache.get(bits)
+        if word is None:
+            low = bits & -bits
+            word = word_product(self.words[low.bit_length() - 1],
+                                self.blade_word(bits ^ low)) if bits else (0, 0, 0)
+            self._blade_cache[bits] = word
+        return word
+
 
 def build_rep(k: int) -> MatrixRep:
     """Ladder representation for k generator pairs; dim = 2**k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    gens = []
+    words = []
     for j in range(1, k + 1):
-        for pauli in (PAULI_X, PAULI_Y):
-            m = linalg.identity(1, one=_ONE, zero=_ZERO)
-            for pos in range(1, k + 1):
-                if pos < j:
-                    factor = PAULI_Z
-                elif pos == j:
-                    factor = pauli
-                else:
-                    factor = linalg.identity(2, one=_ONE, zero=_ZERO)
-                m = linalg.kron(m, factor)
-            gens.append(m)
-    return MatrixRep(k=k, gens=tuple(gens), dim=2 ** k)
+        x = 1 << (k - j)
+        z_above = (1 << k) - (x << 1)
+        words.append((0, x, z_above))          # Z..Z X I..I
+        words.append((1, x, z_above | x))      # Z..Z Y I..I, Y = i X Z
+    return MatrixRep(k=k, words=tuple(words), dim=2 ** k)
 
 
-def _blade_matrix(rep: MatrixRep, blade: Blade):
-    cached = rep._blade_cache.get(blade)
-    if cached is not None:
-        return cached
-    if blade == UNIT_BLADE:
-        m = rep.identity()
-    else:
-        indices = blade.indices
-        first = indices[0]
-        rest = Blade.from_indices(indices[1:])
-        m = linalg.mat_mul(rep.gens[first - 1], _blade_matrix(rep, rest))
-    rep._blade_cache[blade] = m
-    return m
+def _dense(dim: int, terms):
+    """Sum of coeff * word over (word, coeff) pairs, one entry per column."""
+    rows = [[_ZERO] * dim for _ in range(dim)]
+    for (p, x, z), coeff in terms:
+        units = tuple(coeff * phase for phase in _PHASES)
+        for c in range(dim):
+            row = rows[c ^ x]
+            value = units[(p + 2 * (z & c).bit_count()) % 4]
+            row[c] = value if row[c] is _ZERO else row[c] + value
+    return tuple(map(tuple, rows))
 
 
 def represent(rep: MatrixRep, a: Multivector):
@@ -86,11 +103,9 @@ def represent(rep: MatrixRep, a: Multivector):
     if a.context.domain not in (Domain.RATIONAL, Domain.GAUSSIAN):
         raise UnsupportedDomainError(
             "matrix representations are exact; use rational or gaussian domains")
-    acc = linalg.zeros(rep.dim, rep.dim, zero=_ZERO)
-    for blade, coeff in a.terms.items():
-        g = scalars.coerce(Domain.GAUSSIAN, coeff)
-        acc = linalg.mat_add(acc, linalg.mat_scale(_blade_matrix(rep, blade), g))
-    return acc
+    return _dense(rep.dim, [(rep.blade_word(blade.bits),
+                             scalars.coerce(Domain.GAUSSIAN, coeff))
+                            for blade, coeff in a.terms.items()])
 
 
 def diagonal_embed(small, copies: int):
@@ -119,34 +134,18 @@ def verify_trace_coherence(a: Multivector, k_small: int, k_large: int) -> bool:
 def blade_images_independent(rep: MatrixRep) -> bool:
     """Faithfulness: the 2**(2k) ordered generator products are independent.
 
-    Blade images are monomial (Pauli-word) matrices, so nonzero-ness plus
-    pairwise Hilbert-Schmidt orthogonality is an exact independence
-    certificate; a dense rank check is the fallback if any pairing is
-    nonzero.
+    Up to phase, a blade's word is the GF(2) sum of its generators' (x|z)
+    vectors, and the 4**k distinct Pauli words are Hilbert-Schmidt orthogonal,
+    so this is GF(2) independence of the 2k generator vectors.  Each basis
+    vector lacks the leading bits of those before it, so reducing in
+    insertion order clears them one by one.
     """
-    sparse = []
-    for bits in range(2 ** (2 * rep.k)):
-        m = _blade_matrix(rep, Blade(bits))
-        entries = {(r, c): v for r, row in enumerate(m)
-                   for c, v in enumerate(row) if v}
-        if not entries:
+    basis = []
+    for _, x, z in rep.words:
+        v = x << rep.k | z
+        for b in basis:
+            v = min(v, v ^ b)
+        if not v:
             return False
-        sparse.append(entries)
-    for i in range(len(sparse)):
-        for j in range(i + 1, len(sparse)):
-            a, b = sparse[i], sparse[j]
-            if len(b) < len(a):
-                a, b = b, a
-            hs = sum((a[pos] * b[pos].conjugate() for pos in a if pos in b),
-                     _ZERO)
-            if hs:
-                return _dense_independent(rep)
+        basis.append(v)
     return True
-
-
-def _dense_independent(rep: MatrixRep) -> bool:
-    rows = []
-    for bits in range(2 ** (2 * rep.k)):
-        m = _blade_matrix(rep, Blade(bits))
-        rows.append([x for row in m for x in row])
-    return linalg.rank(rows) == len(rows)

@@ -42,18 +42,19 @@ def render(mv: Multivector) -> str:
     if mv.is_zero:
         return "0"
     parts = []
-    for blade, coeff in mv.sorted_terms():
-        txt, negative = _scalar_expr(mv.context.domain, coeff)
-        if blade == UNIT_BLADE:
-            body = txt
-        elif _is_one(txt):
-            body = str(blade)
-        else:
-            body = f"{txt}*{blade}"
-        if not parts:
-            parts.append(f"-{body}" if negative else body)
-        else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
+    with scalars.digit_limit():
+        for blade, coeff in mv.sorted_terms():
+            txt, negative = _scalar_expr(mv.context.domain, coeff)
+            if blade == UNIT_BLADE:
+                body = txt
+            elif _is_one(txt):
+                body = str(blade)
+            else:
+                body = f"{txt}*{blade}"
+            if not parts:
+                parts.append(f"-{body}" if negative else body)
+            else:
+                parts.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(parts)
 
 

@@ -7,11 +7,13 @@ domains never mix silently.
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainMismatchError, UnsupportedDomainError
+from .errors import DigitLimitError, DomainMismatchError, UnsupportedDomainError
 
 
 class Domain(Enum):
@@ -209,12 +211,23 @@ def is_zero(value) -> bool:
     return not value
 
 
+@contextmanager
+def digit_limit():
+    """Raise Python's ValueError for printing an integer past the interpreter's
+    string-conversion digit limit as DigitLimitError."""
+    try:
+        yield
+    except ValueError:
+        raise DigitLimitError(
+            f"cannot print a value of more than {sys.get_int_max_str_digits()} "
+            f"decimal digits (the interpreter's integer conversion limit)") from None
+
+
 def format_scalar(domain: Domain, value) -> str:
     """Serialize for JSON / CLI output; inverse of parse_scalar."""
-    if domain is Domain.RATIONAL:
-        return str(value)
-    if domain is Domain.GAUSSIAN:
-        return str(value)
+    if domain.is_exact:
+        with digit_limit():
+            return str(value)
     if domain is Domain.F64:
         return repr(value)
     if domain is Domain.C64:

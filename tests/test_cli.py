@@ -8,11 +8,12 @@ from pathlib import Path
 import pytest
 
 import cliffalg
-from cliffalg.cli import BROKEN_PIPE, run
+from cliffalg.cli import BROKEN_PIPE, REP_CHECK_MAX_K, WITNESS_MAX_N, run
 from cliffalg.core import Context, mv_product
-from cliffalg.expr import MAX_EXPONENT, parse
+from cliffalg.errors import DigitLimitError
+from cliffalg.expr import MAX_EXPONENT, MAX_GENERATOR, parse
 from cliffalg.render import render
-from cliffalg.scalars import Domain
+from cliffalg.scalars import Domain, format_scalar
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,10 +128,93 @@ class TestPowers:
             mv_product(mv_product(x, x), x)
 
 
+class TestLimits:
+    def test_documented_values(self):
+        # README's "Size limits" gives these values
+        assert (MAX_GENERATOR, REP_CHECK_MAX_K, WITNESS_MAX_N) == (10 ** 4, 6, 5000)
+
+    def test_generator_index_cap(self, capsys):
+        assert run(["eval", f"e{MAX_GENERATOR}"]) == 0
+        assert capsys.readouterr().out.strip() == f"e{MAX_GENERATOR}"
+        start = time.perf_counter()
+        assert run(["eval", f"e{MAX_GENERATOR + 1}"]) == 2
+        assert run(["eval", "e1000000000"]) == 2
+        assert run(["eval", "e" + "9" * 5000]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert all(line.startswith("error: generator index exceeds the limit")
+                   for line in err)
+
+    def test_long_integer_literal(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert run(["eval", "1" * 5000]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().err.startswith(
+            "error: integer literal of 5000 digits is too long")
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_coefficient_past_the_digit_limit(self, as_json, capsys):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            # the coefficients are 2**19999, 6021 decimal digits
+            assert run(["--json"] * as_json + ["eval", "(1+e1)^20000"]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert sys.get_int_max_str_digits() == limit
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: cannot print a value of more than 4300 decimal "
+                       "digits (the interpreter's integer conversion limit)\n")
+
+    def test_digit_limit_is_a_library_error(self):
+        ctx = Context.make(Domain.GAUSSIAN)
+        big = parse("(1+i)^40000", ctx)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            with pytest.raises(DigitLimitError):
+                render(big)
+            with pytest.raises(DigitLimitError):
+                format_scalar(Domain.GAUSSIAN, big.terms[next(iter(big.terms))])
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("argv", [
+        ["rep", "check", "--max-k", "0"],
+        ["rep", "check", "--max-k", "-1"],
+        ["rep", "check", "--max-k", str(REP_CHECK_MAX_K + 1)],
+        ["witness", "--n", "0"],
+        ["witness", "--n", str(WITNESS_MAX_N + 1)],
+    ], ids=["max-k-0", "max-k-negative", "max-k-above", "n-0", "n-above"])
+    def test_size_flags_out_of_range(self, argv, capsys):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {argv[-2]} must be between 1 and ")
+
+
+def _cli_env():
+    return dict(os.environ,
+                PYTHONPATH=str(Path(cliffalg.__file__).resolve().parents[1]))
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "cliffalg", "eval", "e2*e1"],
+                          capture_output=True, text=True, env=_cli_env(),
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-e1*e2\n", "")
+
+
 def _run_into_closed_pipe(argv):
     """Run the CLI with stdout on a pipe whose reader has already gone."""
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(cliffalg.__file__).resolve().parents[1]))
+    env = _cli_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

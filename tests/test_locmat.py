@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from cliffalg.locmat import (FactorShape, LocalAutomorphism, TensorElement,
                              block_nilpotent, limit_automorphism_apply,
                              tp_norm, tp_product, tp_trace, witness_sequence)
 from cliffalg.matrix_rep import build_rep, represent
-from cliffalg.scalars import Domain
+from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
 
 SHAPE = FactorShape()
@@ -34,6 +35,106 @@ def random_element(rng, max_factor=3, max_terms=2):
     return TensorElement.build(SHAPE, terms)
 
 
+def matrix(*entries):
+    return tuple(tuple(Fraction(x) for x in entries[r:r + 2]) for r in (0, 2))
+
+
+def flat_equal(a, b):
+    """The dense oracle: both sides expanded on the union of their supports."""
+    support = tuple(sorted(set(a.support()) | set(b.support())))
+    return a.flatten(support) == b.flatten(support)
+
+
+def same_value(rng, a):
+    """`a` rebuilt with the same value and another structure: each term is
+    split in two, a factor is rescaled against the coefficient, and an
+    identity factor and a zero-coefficient term are added."""
+    terms = []
+    for coeff, factors in a.terms:
+        factors = dict(factors)
+        if factors:
+            i = rng.choice(sorted(factors))
+            factors[i] = linalg.mat_scale(factors[i], Fraction(2))
+            coeff = coeff / 2
+        factors.setdefault(7, SHAPE.identity(7))
+        part = Fraction(rng.randint(-3, 3), 4)
+        terms += [(coeff * part, factors), (coeff * (1 - part), factors)]
+    terms.append((0, {2: A1}))
+    rng.shuffle(terms)
+    return TensorElement.build(SHAPE, terms)
+
+
+class TestCanonicalEquality:
+    def test_zero_coefficient_term(self):
+        a = elem(3, {1: A1})
+        b = TensorElement.build(SHAPE, [(3, {1: A1}), (0, {2: E11})])
+        assert b.terms == a.terms
+        assert a == b and hash(a) == hash(b)
+
+    def test_identity_factor(self):
+        a = elem(Fraction(2, 3), {1: E11})
+        b = elem(Fraction(2, 3), {1: E11, 4: SHAPE.identity(4)})
+        assert b.support() == (1,)
+        assert a == b and hash(a) == hash(b)
+
+    def test_zero_factor_and_merged_terms(self):
+        zero2 = ((Fraction(0),) * 2,) * 2
+        a = TensorElement.build(SHAPE, [(1, {1: A1}), (2, {1: zero2}),
+                                        (Fraction(1, 2), {1: A1})])
+        assert a.terms == ((Fraction(3, 2), ((1, A1),)),)
+        assert TensorElement.build(SHAPE, [(1, {1: A1}), (-1, {1: A1})]) == \
+            TensorElement.zero(SHAPE)
+
+    def test_distributed_factor_uses_the_expansion(self):
+        b, c = matrix(1, 2, 0, 3), matrix(-1, 0, 5, 1)
+        left = elem(1, {1: A1, 2: b}) + elem(1, {1: A1, 2: c})
+        right = elem(1, {1: A1, 2: linalg.mat_add(b, c)})
+        assert {f for _, f in left.terms} != {f for _, f in right.terms}
+        assert left == right and hash(left) == hash(right)
+        assert left != elem(1, {1: A1, 2: b})
+        # equal values with different supports
+        split = elem(1, {1: A1, 2: E11}) + elem(1, {1: A1, 2: matrix(0, 0, 0, 1)})
+        assert split.support() == (1, 2)
+        assert split == elem(1, {1: A1}) and hash(split) == hash(elem(1, {1: A1}))
+
+    def test_matches_the_flatten_oracle(self, rng):
+        seen = set()
+        for _ in range(200):
+            a = random_element(rng)
+            b = same_value(rng, a) if rng.random() < 0.5 else random_element(rng)
+            assert (a == b) == flat_equal(a, b)
+            if a == b:
+                assert hash(a) == hash(b)
+            seen.add((a == b, a.terms == b.terms))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_float_elements_hash_by_shape(self):
+        fshape = FactorShape(Domain.F64)
+        a = TensorElement.single(fshape, 0.5, {1: ((0.0, 3.0), (0.0, 0.0))})
+        b = TensorElement.single(fshape, 1.5, {1: ((0.0, 1.0), (0.0, 0.0))})
+        assert a == b
+        assert hash(a) == hash(b) == hash(fshape)
+
+
+class TestLinalg:
+    def test_exact_mat_mul_matches_the_full_sum(self, rng):
+        for one in (Fraction(1), GaussianRational.of(1)):
+            for _ in range(30):
+                a, b = ([[one * rng.choice((0, 0, 1, -2, Fraction(1, 3)))
+                          for _ in range(3)] for _ in range(3)] for _ in range(2))
+                got = linalg.mat_mul(a, b)
+                want = [[sum((a[r][j] * b[j][c] for j in range(3)), one - one)
+                         for c in range(3)] for r in range(3)]
+                assert got == tuple(map(tuple, want))
+                assert all(type(x) is type(one) for row in got for x in row)
+
+    def test_float_mat_mul_forms_every_product(self):
+        got = linalg.mat_mul(((0.0, 1.0), (1.0, 0.0)), ((math.inf, 0.0), (0.0, 1.0)))
+        assert math.isnan(got[0][0])
+        assert got[1][0] == math.inf
+        assert math.isnan(linalg.hs_pairing(((0.0,),), ((math.inf,),)))
+
+
 class TestProduct:
     def test_nilpotent_squares_to_zero(self):
         a = elem(1, {1: A1})
@@ -47,6 +148,13 @@ class TestProduct:
         got = tp_product(elem(1, {1: A1}), elem(1, {2: A1}))
         assert got == elem(1, {1: A1, 2: A1})
         assert got.support() == (1, 2)
+
+    def test_matches_the_flatten_oracle(self, rng):
+        for _ in range(30):
+            a, b = random_element(rng), random_element(rng)
+            support = tuple(sorted(set(a.support()) | set(b.support())))
+            assert tp_product(a, b).flatten(support) == \
+                linalg.mat_mul(a.flatten(support), b.flatten(support))
 
     def test_shape_mismatch(self):
         other = TensorElement.identity(FactorShape(Domain.RATIONAL, 4))
@@ -88,6 +196,13 @@ class TestTrace:
 
 
 class TestNorm:
+    def test_equals_the_trace_of_a_times_its_adjoint(self, rng):
+        for _ in range(100):
+            a = random_element(rng, max_factor=4, max_terms=4)
+            assert tp_norm(a) == tp_trace(tp_product(a, a.adjoint()))
+        a = same_value(rng, random_element(rng))
+        assert tp_norm(a) == tp_trace(tp_product(a, a.adjoint()))
+
     def test_nilpotent(self):
         assert tp_norm(elem(1, {1: A1})) == Fraction(1, 2)
 

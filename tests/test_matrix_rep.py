@@ -5,10 +5,11 @@ import pytest
 from cliffalg import linalg
 from cliffalg.core import Blade, Context, Multivector, mv_product, reverse
 from cliffalg.errors import SupportRangeError, UnsupportedDomainError
-from cliffalg.matrix_rep import (PAULI_X, PAULI_Y, PAULI_Z,
-                                 blade_images_independent, build_rep,
-                                 diagonal_embed, normalized_trace, represent,
-                                 verify_trace_coherence)
+from cliffalg.matrix_rep import (PAULI_X, PAULI_Y, PAULI_Z, MatrixRep,
+                                 blade_images_independent,
+                                 build_rep, diagonal_embed, normalized_trace,
+                                 represent, verify_trace_coherence,
+                                 word_product)
 from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
 
@@ -53,6 +54,80 @@ def test_generator_relations_exhaustive():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_faithfulness(k):
     assert blade_images_independent(build_rep(k))
+
+
+def _dense_oracle(k):
+    """Generators as Kronecker products and blade images as ordered
+    generator products, both written out densely."""
+    zero, one = GaussianRational.of(0), GaussianRational.of(1)
+    gens = []
+    for j in range(1, k + 1):
+        for pauli in (PAULI_X, PAULI_Y):
+            m = linalg.identity(1, one=one, zero=zero)
+            for pos in range(1, k + 1):
+                factor = PAULI_Z if pos < j else pauli if pos == j else \
+                    linalg.identity(2, one=one, zero=zero)
+                m = linalg.kron(m, factor)
+            gens.append(m)
+    blades = {}
+    for bits in range(1 << (2 * k)):
+        m = linalg.identity(2 ** k, one=one, zero=zero)
+        for i in reversed(Blade(bits).indices):
+            m = linalg.mat_mul(gens[i - 1], m)
+        blades[bits] = m
+    return tuple(gens), blades
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_words_match_the_dense_oracle(k):
+    rep = build_rep(k)
+    gens, blades = _dense_oracle(k)
+    assert rep.gens == gens
+    for bits, want in blades.items():
+        got = represent(rep, Multivector.blade(GCTX, Blade(bits)))
+        assert got == want
+        assert all(type(x) is GaussianRational for row in got for x in row)
+
+
+def test_word_product_matches_matrix_product(rng):
+    # ascending blade products never move a Z past an X of the same factor,
+    # so random words are needed to exercise the sign of word_product
+    words = [(rng.randrange(4), rng.randrange(4), rng.randrange(4))
+             for _ in range(40)]
+    dense = MatrixRep(k=2, words=tuple(words), dim=4).gens
+    for a in range(0, 40, 2):
+        b = a + 1
+        product = MatrixRep(k=2, words=(word_product(words[a], words[b]),),
+                            dim=4).gens[0]
+        assert product == linalg.mat_mul(dense[a], dense[b])
+
+
+@pytest.mark.parametrize("k", [5, 6, 8])
+def test_faithfulness_at_large_k(k):
+    assert blade_images_independent(build_rep(k))
+
+
+@pytest.mark.parametrize("words", [
+    ((0, 0b01, 0b10), (0, 0b10, 0b11), (0, 0b11, 0b01), (0, 0b01, 0b00)),
+    ((0, 0b00, 0b00), (1, 0b01, 0b00), (0, 0b10, 0b00), (0, 0b00, 0b10)),
+    ((0, 0b10, 0b00), (1, 0b10, 0b10), (0, 0b01, 0b10), (2, 0b10, 0b00)),
+], ids=["sum-of-two", "identity-word", "repeated-up-to-phase"])
+def test_gf2_check_rejects_dependent_words(words):
+    rep = MatrixRep(k=2, words=words, dim=4)
+    assert not blade_images_independent(rep)
+    # the dense images are dependent too
+    images = [represent(rep, Multivector.blade(GCTX, Blade(bits)))
+              for bits in range(16)]
+    assert linalg.rank([[x for row in m for x in row] for m in images]) < 16
+
+
+def test_gf2_check_on_one_factor():
+    # X and i X on one factor: the blade e1*e2 maps to a multiple of 1
+    clash = MatrixRep(k=1, words=((0, 1, 0), (1, 1, 0)), dim=2)
+    assert not blade_images_independent(clash)
+    images = [represent(clash, Multivector.blade(GCTX, Blade(bits)))
+              for bits in range(4)]
+    assert linalg.rank([[x for row in m for x in row] for m in images]) < 4
 
 
 def test_represent_examples():
