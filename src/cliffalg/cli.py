@@ -11,21 +11,20 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import matrix_rep, scalars, serialize
+from . import scalars, serialize
 from .automorphisms import bogolyubov_apply, conjugation_apply
-from .core import Blade, Context, Multivector
-from .derivations import (bogolyubov_derivation, derivation_restricts_to_V,
-                          family_apply, extract_even, extract_odd,
-                          inner_witness)
+from .core import Context, Multivector
+from .derivations import (bogolyubov_derivation, family_apply, extract_even,
+                          extract_odd, inner_witness)
 from .errors import CliffordError, DigitLimitError, ParseError
 from .expr import parse
-from .locmat import FactorShape, witness_sequence
+from .locmat import FactorShape, witness_discontinuous, witness_sequence
+from .matrix_rep import rep_verify
 from .render import render
 from .scalars import Domain
-from .tensor_decomp import (chain_build, commutator_check, factor_basis,
-                            phi_apply, rewrite_generator, spanning_rank)
+from .tensor_decomp import (chain_build, chain_verify, ordered_product,
+                            rewrite_generator)
 from .trace_norm import norm, trace
 
 VERIFICATION_FAILURE = 1
@@ -35,9 +34,14 @@ BROKEN_PIPE = 141
 # Size limits for the checks whose work grows fast with their argument: each
 # takes about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k` builds
 # 2**k x 2**k matrices for every blade on up to 2k - 2 generators, and
-# `witness --n n` computes n pairs of exact norms.
+# `witness --n n` computes n pairs of exact norms.  `decomp check` multiplies
+# 4**w blade pairs for a block of w generators and about 2**n products for a
+# last cut n (gaussian `--cuts 6,12` is the slowest allowed); the bound holds
+# for every `decomp` subcommand.
 REP_CHECK_MAX_K = 6
 WITNESS_MAX_N = 5000
+DECOMP_MAX_BLOCK = 6
+DECOMP_MAX_CUT = 12
 
 
 def _in_range(flag: str, value: int, low: int, high: int) -> int:
@@ -46,52 +50,36 @@ def _in_range(flag: str, value: int, low: int, high: int) -> int:
     return value
 
 
-def _load_json(value: str):
-    """Accept a literal JSON string or @path-to-file."""
+def _load_json(value: str) -> dict:
+    """A JSON object, given literally or as @path-to-file."""
     if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(value)
+            value = fh.read()
+    obj = json.loads(value)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _context(args) -> Context:
-    domain = None
-    default = 1
-    overrides = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        domain = Domain(cfg["domain"]) if "domain" in cfg else None
-        sig = cfg.get("signature", {})
-        default = sig.get("default", 1)
-        overrides = sig.get("overrides", {})
+    """The --config file, then --domain, then the keys of --signature."""
+    cfg = _load_json("@" + args.config) if args.config else {}
     if args.domain:
-        domain = Domain(args.domain)
+        cfg["domain"] = args.domain
     if args.signature:
-        sig = _load_json(args.signature)
-        default = sig.get("default", default)
-        overrides = sig.get("overrides", overrides)
-    domain = domain or Domain.RATIONAL
-    default = scalars.parse_scalar(domain, default) \
-        if isinstance(default, str) else default
-    overrides = {int(k): scalars.parse_scalar(domain, v) if isinstance(v, str) else v
-                 for k, v in overrides.items()}
-    return Context.make(domain, default, overrides)
+        cfg["signature"] = {**cfg.get("signature", {}),
+                            **_load_json(args.signature)}
+    return serialize.context_from_json(cfg)
 
 
 def _emit_mv(args, mv: Multivector):
-    if args.json:
-        print(json.dumps(serialize.multivector_to_json(mv)))
-    else:
-        print(render(mv))
+    print(json.dumps(serialize.multivector_to_json(mv)) if args.json
+          else render(mv))
 
 
 def _emit_scalar(args, ctx: Context, value):
     text = scalars.format_scalar(ctx.domain, value)
-    if args.json:
-        print(json.dumps({"value": text}))
-    else:
-        print(text)
+    print(json.dumps({"value": text}) if args.json else text)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +113,7 @@ def cmd_deriv_apply(args) -> int:
 
 def cmd_deriv_extract(args) -> int:
     ctx = _context(args)
-    table_json = _load_json(args.table)
-    table = {int(k): parse(v, ctx) for k, v in table_json["actions"].items()}
+    table = serialize.table_from_json(_load_json(args.table), ctx)
     extractor = extract_even if args.parity == "even" else extract_odd
     terms = extractor(table, args.bound, ctx)
     print(json.dumps({
@@ -168,7 +155,19 @@ def cmd_auto_conjugate(args) -> int:
 
 
 def _cuts(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+    cuts = tuple(int(x) for x in text.split(","))
+    widest = max(b - a for a, b in zip((0,) + cuts, cuts))
+    if widest > DECOMP_MAX_BLOCK or cuts[-1] > DECOMP_MAX_CUT:
+        raise ValueError(
+            f"--cuts allows blocks of at most {DECOMP_MAX_BLOCK} generators "
+            f"and a last cut of at most {DECOMP_MAX_CUT}, got {text}")
+    return cuts
+
+
+def _report(checks) -> int:
+    for name, ok in checks:
+        print(f"{name}: {'OK' if ok else 'FAIL'}")
+    return 0 if all(ok for _, ok in checks) else VERIFICATION_FAILURE
 
 
 def cmd_decomp_build(args) -> int:
@@ -185,55 +184,14 @@ def cmd_decomp_build(args) -> int:
 
 
 def cmd_decomp_check(args) -> int:
-    ctx = _context(args)
-    chain = chain_build(_cuts(args.cuts), ctx)
-    t = len(chain.cuts)
-    failures = 0
-
-    def report(name: str, ok: bool):
-        nonlocal failures
-        print(f"{name}: {'OK' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-
-    from .core import mv_product
-    for i in range(1, t + 1):
-        basis = factor_basis(chain, i)
-        block = list(chain.block(i))
-        hom = True
-        for u_bits in range(1 << len(block)):
-            for w_bits in range(1 << len(block)):
-                u = Multivector.blade(ctx, Blade.from_indices(
-                    p for b, p in enumerate(block) if u_bits >> b & 1))
-                w = Multivector.blade(ctx, Blade.from_indices(
-                    p for b, p in enumerate(block) if w_bits >> b & 1))
-                if phi_apply(chain, i, mv_product(u, w)) != \
-                        mv_product(phi_apply(chain, i, u), phi_apply(chain, i, w)):
-                    hom = False
-        report(f"phi_{i} multiplicative", hom)
-        images = [next(iter(b.terms)) for b in basis if len(b.terms) == 1]
-        report(f"phi_{i} injective", len(set(images)) == len(basis))
-    for i in range(1, t + 1):
-        for j in range(i + 1, t + 1):
-            report(f"[A_{i}, A_{j}] = 0", commutator_check(chain, i, j))
-    for k in range(1, chain.cuts[-1] + 1):
-        factors = rewrite_generator(chain, k)
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = mv_product(prod, f)
-        report(f"rewrite v_{k}", prod == Multivector.generator(ctx, k))
-    n_t = chain.cuts[-1]
-    report(f"span rank 2^{n_t}", spanning_rank(chain) == 2 ** n_t)
-    return VERIFICATION_FAILURE if failures else 0
+    return _report(chain_verify(chain_build(_cuts(args.cuts), _context(args))))
 
 
 def cmd_decomp_rewrite(args) -> int:
     ctx = _context(args)
     chain = chain_build(_cuts(args.cuts), ctx)
     factors = rewrite_generator(chain, args.k)
-    from .core import mv_product
-    prod = factors[0]
-    for f in factors[1:]:
-        prod = mv_product(prod, f)
+    prod = ordered_product(factors)
     for pos, f in enumerate(factors, start=1):
         print(f"factor {pos}: {render(f)}")
     ok = prod == Multivector.generator(ctx, args.k)
@@ -242,23 +200,8 @@ def cmd_decomp_rewrite(args) -> int:
 
 
 def cmd_rep_check(args) -> int:
-    max_k = _in_range("--max-k", args.max_k, 1, REP_CHECK_MAX_K)
-    ctx = Context.make(Domain.GAUSSIAN)
-    failures = 0
-    for k_small in range(1, max_k):
-        ok = True
-        for bits in range(1 << (2 * k_small)):
-            mv = Multivector.blade(ctx, Blade(bits))
-            if not matrix_rep.verify_trace_coherence(mv, k_small, max_k):
-                ok = False
-        print(f"trace coherence k={k_small} vs k={max_k}: "
-              f"{'OK' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-    for k in range(1, max_k + 1):
-        ok = matrix_rep.blade_images_independent(matrix_rep.build_rep(k))
-        print(f"faithfulness k={k}: {'OK' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-    return VERIFICATION_FAILURE if failures else 0
+    return _report(rep_verify(
+        _in_range("--max-k", args.max_k, 1, REP_CHECK_MAX_K)))
 
 
 def cmd_witness(args) -> int:
@@ -266,9 +209,7 @@ def cmd_witness(args) -> int:
     pairs = witness_sequence(_in_range("--n", args.n, 1, WITNESS_MAX_N), shape)
     for n, (before, after) in enumerate(pairs, start=1):
         print(f"n={n}: ({before}, {after})")
-    decreasing = all(a > b for (a, _), (b, _) in zip(pairs, pairs[1:]))
-    constant = len({after for _, after in pairs}) == 1
-    if decreasing and constant:
+    if witness_discontinuous(pairs):
         print(f"NON-CONTINUOUS: ||b_n|| -> 0, ||phi(b_n)|| = {pairs[0][1]}")
         return 0
     print("verdict: INCONCLUSIVE")
@@ -288,17 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output where applicable")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="print the canonical form of EXPR")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("trace", help="normalized trace of EXPR")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("norm", help="tr(a * rev(a)) of EXPR")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_norm)
+    for name, func, text in (
+            ("eval", cmd_eval, "print the canonical form of EXPR"),
+            ("trace", cmd_trace, "normalized trace of EXPR"),
+            ("norm", cmd_norm, "tr(a * rev(a)) of EXPR")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("expr")
+        p.set_defaults(func=func)
 
     deriv = sub.add_parser("deriv", help="derivation operations")
     dsub = deriv.add_subparsers(dest="deriv_command", required=True)
@@ -312,12 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True,
                    help='JSON {"actions": {"k": "expr", ...}} or @file')
     p.set_defaults(func=cmd_deriv_extract)
-    p = dsub.add_parser("bogolyubov")
-    p.add_argument("--skew", required=True, help="skew-map JSON or @file")
-    p.set_defaults(func=cmd_deriv_bogolyubov)
-    p = dsub.add_parser("inner-witness")
-    p.add_argument("--skew", required=True, help="skew-map JSON or @file")
-    p.set_defaults(func=cmd_deriv_inner_witness)
+    for name, func in (("bogolyubov", cmd_deriv_bogolyubov),
+                       ("inner-witness", cmd_deriv_inner_witness)):
+        p = dsub.add_parser(name)
+        p.add_argument("--skew", required=True, help="skew-map JSON or @file")
+        p.set_defaults(func=func)
 
     auto = sub.add_parser("auto", help="automorphism operations")
     asub = auto.add_subparsers(dest="auto_command", required=True)
@@ -333,16 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     decomp = sub.add_parser("decomp", help="tensor factor chains")
     csub = decomp.add_subparsers(dest="decomp_command", required=True)
-    p = csub.add_parser("build")
-    p.add_argument("--cuts", required=True)
-    p.set_defaults(func=cmd_decomp_build)
-    p = csub.add_parser("check")
-    p.add_argument("--cuts", required=True)
-    p.set_defaults(func=cmd_decomp_check)
-    p = csub.add_parser("rewrite")
-    p.add_argument("--cuts", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_decomp_rewrite)
+    for name, func in (("build", cmd_decomp_build), ("check", cmd_decomp_check),
+                       ("rewrite", cmd_decomp_rewrite)):
+        p = csub.add_parser(name)
+        p.add_argument("--cuts", required=True)
+        p.set_defaults(func=func)
+    p.add_argument("--k", type=int, required=True)  # rewrite only
 
     rep = sub.add_parser("rep", help="matrix representation checks")
     rsub = rep.add_subparsers(dest="rep_command", required=True)

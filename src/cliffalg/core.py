@@ -45,12 +45,11 @@ class Blade:
     @property
     def indices(self) -> tuple[int, ...]:
         out = []
-        bits, k = self.bits, 1
+        bits = self.bits
         while bits:
-            if bits & 1:
-                out.append(k)
-            bits >>= 1
-            k += 1
+            low = bits & -bits
+            out.append(low.bit_length())
+            bits ^= low
         return tuple(out)
 
     @property

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
 from .core import (Blade, Context, Multivector, _accumulate, blade_product,
-                   linear_combine, mv_product, parity_project)
+                   linear_combine, mv_product)
 from .errors import (ContractViolationError, DomainMismatchError, NotAdSumError,
                      NotBogolyubovError, NotSkewError, ParityError,
                      UnsupportedDomainError)
@@ -56,9 +56,6 @@ class AdFamily:
     def finite(context: Context, parity: str,
                terms: Iterable[tuple[Blade, object]]) -> "AdFamily":
         return AdFamily(context, parity, _check_terms(context, parity, terms))
-
-    def as_multivector(self) -> Multivector:
-        return Multivector(self.context, dict(self.terms))
 
 
 class AdStream:
@@ -173,12 +170,17 @@ def _read_coefficients(table: Mapping[int, Multivector], context: Context,
     return coeffs
 
 
-def _verify_round_trip(family: AdFamily, table: Mapping[int, Multivector]):
-    for k, expected in table.items():
-        got = family_apply(family, Multivector.generator(family.context, k))
-        if got != expected:
+def _extract(table: Mapping[int, Multivector], context: Context, parity: str,
+             ks: range, keep) -> list[tuple[Blade, object]]:
+    """Read the family off the probes at ks, then check that it reproduces
+    the table there."""
+    family = AdFamily.finite(context, parity,
+                             _read_coefficients(table, context, ks, keep).items())
+    for k in ks:
+        if family_apply(family, Multivector.generator(context, k)) != table[k]:
             raise NotAdSumError(
                 f"table is not the action of a finite ad-sum (mismatch at v_{k})")
+    return list(family.terms)
 
 
 def extract_even(table: Mapping[int, Multivector], bound: int,
@@ -188,26 +190,16 @@ def extract_even(table: Mapping[int, Multivector], bound: int,
     At each k the probe reveals exactly the even blades containing k; merged
     over k this covers every even blade on indices <= bound.
     """
-    coeffs = _read_coefficients(
-        table, context, range(1, bound + 1),
-        keep=lambda blade, k: blade.parity == 0 and k in blade)
-    terms = sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
-    family = AdFamily.finite(context, "even", terms)
-    _verify_round_trip(family, {k: table[k] for k in range(1, bound + 1)})
-    return list(family.terms)
+    return _extract(table, context, "even", range(1, bound + 1),
+                    keep=lambda blade, k: blade.parity == 0 and k in blade)
 
 
 def extract_odd(table: Mapping[int, Multivector], bound: int,
                 context: Context) -> list[tuple[Blade, object]]:
     """Recover the unique odd ad-sum; probes k = 1..bound+1 since each odd
     blade on indices <= bound misses at least one such k."""
-    coeffs = _read_coefficients(
-        table, context, range(1, bound + 2),
-        keep=lambda blade, k: blade.parity == 1 and k not in blade)
-    terms = sorted(coeffs.items(), key=lambda kv: kv[0].sort_key())
-    family = AdFamily.finite(context, "odd", terms)
-    _verify_round_trip(family, {k: table[k] for k in range(1, bound + 2)})
-    return list(family.terms)
+    return _extract(table, context, "odd", range(1, bound + 2),
+                    keep=lambda blade, k: blade.parity == 1 and k not in blade)
 
 
 # ---------------------------------------------------------------------------

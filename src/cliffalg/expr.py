@@ -8,8 +8,8 @@ Grammar:
             | '-' atom
 
 Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.
-Generator indices are at most MAX_GENERATOR: a blade is a bitmask, and
-rendering it walks every bit below its top index.
+Generator indices are at most MAX_GENERATOR: a blade is a bitmask as wide
+as its top index, and every product works on the whole mask.
 """
 
 from __future__ import annotations

@@ -12,10 +12,6 @@ from typing import Sequence
 Matrix = tuple
 
 
-def from_rows(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(row) for row in rows)
-
-
 def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
@@ -26,10 +22,6 @@ def zeros(rows: int, cols: int, zero=Fraction(0)) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(a: Matrix, s) -> Matrix:
@@ -62,10 +54,6 @@ def hs_pairing(a: Matrix, b: Matrix):
         return sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
     return sum((x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb) if x and y),
                a[0][0] - a[0][0])
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def conj_transpose(a: Matrix) -> Matrix:

@@ -320,3 +320,9 @@ def witness_sequence(n_max: int, shape: FactorShape | None = None):
         b = block_nilpotent(shape, n).scale(Fraction(1, n))
         out.append((tp_norm(b), tp_norm(limit_automorphism_apply(phi, b))))
     return out
+
+
+def witness_discontinuous(pairs) -> bool:
+    """The witness verdict: ||b_n|| strictly decreases, ||phi(b_n)|| is constant."""
+    decreasing = all(a > b for (a, _), (b, _) in zip(pairs, pairs[1:]))
+    return decreasing and len({after for _, after in pairs}) == 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg, scalars
-from .core import Multivector
+from .core import Blade, Context, Multivector
 from .errors import SupportRangeError, UnsupportedDomainError
 from .scalars import Domain, GaussianRational
 from .trace_norm import trace
@@ -149,3 +149,20 @@ def blade_images_independent(rep: MatrixRep) -> bool:
             return False
         basis.append(v)
     return True
+
+
+def rep_verify(max_k: int) -> list[tuple[str, bool]]:
+    """The `rep check` certificate as (name, ok) pairs.
+
+    Trace coherence of every blade on 2k generators between k and max_k, for
+    each k < max_k, then faithfulness of every representation up to max_k.
+    """
+    if max_k < 1:
+        raise ValueError("max_k must be >= 1")
+    ctx = Context.make(Domain.GAUSSIAN)
+    coherence = [(f"trace coherence k={k} vs k={max_k}", all(
+        verify_trace_coherence(Multivector.blade(ctx, Blade(bits)), k, max_k)
+        for bits in range(1 << (2 * k)))) for k in range(1, max_k)]
+    return coherence + [(f"faithfulness k={k}",
+                         blade_images_independent(build_rep(k)))
+                        for k in range(1, max_k + 1)]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import scalars
 from .core import Multivector, UNIT_BLADE
 from .scalars import Domain, GaussianRational

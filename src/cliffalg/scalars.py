@@ -171,18 +171,6 @@ def coerce(domain: Domain, value):
     raise UnsupportedDomainError(str(domain))
 
 
-def matches(domain: Domain, value) -> bool:
-    if domain is Domain.RATIONAL:
-        return isinstance(value, Fraction)
-    if domain is Domain.GAUSSIAN:
-        return isinstance(value, GaussianRational)
-    if domain is Domain.F64:
-        return isinstance(value, float)
-    if domain is Domain.C64:
-        return isinstance(value, complex)
-    return False
-
-
 def zero(domain: Domain):
     return coerce(domain, 0)
 

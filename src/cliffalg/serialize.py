@@ -1,26 +1,46 @@
-"""JSON wire formats for multivectors, derivation families, and maps."""
+"""JSON wire formats: multivectors, derivation families, maps and tables.
+
+The readers validate their input in one place: a generator index must be an
+int in 1..MAX_GENERATOR, and a wrongly shaped document is a ValueError.
+"""
 
 from __future__ import annotations
 
+from functools import wraps
 from typing import Any
 
 from . import scalars
 from .core import Blade, Context, Multivector, Signature
+from .expr import MAX_GENERATOR, parse
 from .scalars import Domain
 
 
+def _index(k) -> int:
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"generator index must be an integer, got {k!r}")
+    if not 1 <= k <= MAX_GENERATOR:
+        raise ValueError(f"generator index must be between 1 and "
+                         f"{MAX_GENERATOR}, got {k}")
+    return k
+
+
+def _reader(fn):
+    """Turn the errors of a wrongly shaped document into ValueError."""
+    what = fn.__name__.removesuffix("_from_json")
+
+    @wraps(fn)
+    def read(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed {what} JSON: "
+                             f"{type(exc).__name__}: {exc}") from exc
+    return read
+
+
 def _scalar_out(domain: Domain, value) -> Any:
-    if domain.is_exact:
-        return scalars.format_scalar(domain, value)
-    if domain is Domain.F64:
-        return value
-    return scalars.format_scalar(domain, value)
-
-
-def _scalar_in(domain: Domain, value) -> Any:
-    if isinstance(value, str):
-        return scalars.parse_scalar(domain, value)
-    return scalars.coerce(domain, value)
+    """f64 values stay JSON numbers; every other domain writes a string."""
+    return value if domain is Domain.F64 else scalars.format_scalar(domain, value)
 
 
 def context_to_json(ctx: Context) -> dict:
@@ -34,11 +54,12 @@ def context_to_json(ctx: Context) -> dict:
     }
 
 
+@_reader
 def context_from_json(obj: dict) -> Context:
     domain = Domain(obj.get("domain", "rational"))
     sig = obj.get("signature", {})
-    default = _scalar_in(domain, sig.get("default", 1))
-    overrides = {int(k): _scalar_in(domain, v)
+    default = scalars.parse_scalar(domain, sig.get("default", 1))
+    overrides = {int(k): scalars.parse_scalar(domain, v)
                  for k, v in sig.get("overrides", {}).items()}
     return Context(domain, Signature.build(domain, default, overrides))
 
@@ -51,12 +72,13 @@ def multivector_to_json(mv: Multivector) -> dict:
     return out
 
 
+@_reader
 def multivector_from_json(obj: dict, context: Context | None = None) -> Multivector:
     ctx = context if context is not None else context_from_json(obj)
     terms = {}
     for item in obj.get("terms", []):
-        blade = Blade.from_indices(item["blade"])
-        terms[blade] = _scalar_in(ctx.domain, item["coeff"])
+        blade = Blade.from_indices(map(_index, item["blade"]))
+        terms[blade] = scalars.parse_scalar(ctx.domain, item["coeff"])
     return Multivector(ctx, terms)
 
 
@@ -70,42 +92,40 @@ def family_to_json(family) -> dict:
     }
 
 
+@_reader
 def family_from_json(obj: dict, context: Context):
     from .derivations import AdFamily
 
-    terms = [(Blade.from_indices(item["blade"]),
-              _scalar_in(context.domain, item["coeff"]))
+    terms = [(Blade.from_indices(map(_index, item["blade"])),
+              scalars.parse_scalar(context.domain, item["coeff"]))
              for item in obj.get("terms", [])]
     return AdFamily.finite(context, obj["parity"], terms)
 
 
-def skew_to_json(skew) -> dict:
-    domain = skew.context.domain
-    return {"entries": [{"i": i, "j": j, "value": _scalar_out(domain, v)}
-                        for (i, j), v in sorted(skew.entries.items())]}
-
-
+@_reader
 def skew_from_json(obj: dict, context: Context):
     from .derivations import SkewMap
 
-    pairs = {(item["i"], item["j"]): _scalar_in(context.domain, item["value"])
+    pairs = {(_index(item["i"]), _index(item["j"])):
+             scalars.parse_scalar(context.domain, item["value"])
              for item in obj.get("entries", [])}
     return SkewMap.from_pairs(context, pairs)
 
 
-def orthogonal_to_json(omap) -> dict:
-    domain = omap.context.domain
-    return {"active": list(omap.active),
-            "matrix": [[_scalar_out(domain, v) for v in row] for row in omap.matrix]}
-
-
+@_reader
 def orthogonal_from_json(obj: dict, context: Context):
     from .derivations import OrthogonalMap
 
-    active = tuple(obj["active"])
-    matrix = tuple(tuple(_scalar_in(context.domain, v) for v in row)
+    active = tuple(map(_index, obj["active"]))
+    matrix = tuple(tuple(scalars.parse_scalar(context.domain, v) for v in row)
                    for row in obj["matrix"])
     return OrthogonalMap.build(context, active, matrix)
+
+
+@_reader
+def table_from_json(obj: dict, context: Context) -> dict:
+    """The `deriv extract` table {"actions": {"k": "expr"}}: k -> D(v_k)."""
+    return {int(k): parse(v, context) for k, v in obj["actions"].items()}
 
 
 def chain_to_json(chain) -> dict:

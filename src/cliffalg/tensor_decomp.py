@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
-from . import linalg, scalars
+from . import scalars
 from .core import (Blade, Context, Multivector, mv_product, parity_project)
 from .errors import (InvalidChainError, MembershipError, SupportRangeError,
                      UnsupportedDomainError)
@@ -109,12 +110,10 @@ def factor_generators(chain: FactorChain, i: int) -> list[Multivector]:
 
 def factor_basis(chain: FactorChain, i: int) -> list[Multivector]:
     """Images of all basis blades of block i under phi_i."""
-    block = list(chain.block(i))
-    out = []
-    for mask in range(1 << len(block)):
-        blade = Blade.from_indices(p for b, p in enumerate(block) if mask >> b & 1)
-        out.append(phi_apply(chain, i, Multivector.blade(chain.context, blade)))
-    return out
+    block = chain.block(i)
+    return [phi_apply(chain, i, Multivector.blade(
+                chain.context, Blade(mask << (block[0] - 1))))
+            for mask in range(1 << len(block))]
 
 
 def commutator_check(chain: FactorChain, i: int, j: int) -> bool:
@@ -156,32 +155,59 @@ def rewrite_generator(chain: FactorChain, k: int) -> list[Multivector]:
     return factors
 
 
+def ordered_product(factors) -> Multivector:
+    """factors[0] * factors[1] * ..., multiplied from the left."""
+    return reduce(mv_product, factors)
+
+
 def spanning_rank(chain: FactorChain) -> int:
     """Exact rank of the products of per-factor basis images.
 
-    Every product is a single signed blade, so distinct result blades give
-    the rank directly; a dense elimination is the fallback otherwise.
+    Every basis image is a block blade or c_i times one, so every product is
+    a single signed blade and the distinct result blades give the rank.  Only
+    a hand-built chain can break this; it raises InvalidChainError.  Products
+    are multiplied from the left, each shared prefix once.
     """
     bases = [factor_basis(chain, i) for i in range(1, len(chain.cuts) + 1)]
-    products = []
-    monomial = True
-    for combo in itertools.product(*bases):
-        p = combo[0]
-        for f in combo[1:]:
-            p = mv_product(p, f)
-        products.append(p)
-        if len(p.terms) != 1:
-            monomial = False
-    if monomial:
-        return len({next(iter(p.terms)) for p in products})
-    blades = sorted({b for p in products for b in p.terms},
-                    key=lambda b: b.sort_key())
-    index = {b: pos for pos, b in enumerate(blades)}
-    zero = scalars.zero(chain.context.domain)
-    rows = []
-    for p in products:
-        row = [zero] * len(blades)
-        for b, c in p.terms.items():
-            row[index[b]] = c
-        rows.append(row)
-    return linalg.rank(rows)
+    products = bases[0]
+    for basis in bases[1:]:
+        products = [mv_product(p, f) for p in products for f in basis]
+    if any(len(p.terms) != 1 for p in products):
+        raise InvalidChainError(
+            "a product of factor basis images is not a single blade")
+    return len({next(iter(p.terms)) for p in products})
+
+
+def chain_verify(chain: FactorChain) -> list[tuple[str, bool]]:
+    """The `decomp check` certificate as (name, ok) pairs, in print order.
+
+    phi_i is multiplicative on every pair of block blades and injective, the
+    A_i commute pairwise, each v_k is the ordered product of its rewriting,
+    and the factor products span all 2^n_t blades.
+    """
+    ctx, t, n_t = chain.context, len(chain.cuts), chain.cuts[-1]
+    checks = []
+    for i in range(1, t + 1):
+        lo = chain.block(i)[0] - 1
+        images = factor_basis(chain, i)  # images[mask] = phi_i(v_(mask << lo))
+        blades = [Multivector.blade(ctx, Blade(mask << lo))
+                  for mask in range(len(images))]
+
+        def phi(uw: Multivector) -> Multivector:
+            # uw is a signed block blade and phi_i is linear
+            (blade, coeff), = uw.terms.items()
+            return images[blade.bits >> lo].scale(coeff)
+
+        pairs = itertools.product(range(len(images)), repeat=2)
+        checks.append((f"phi_{i} multiplicative", all(
+            phi(mv_product(blades[a], blades[b])) ==
+            mv_product(images[a], images[b]) for a, b in pairs)))
+        keys = {next(iter(img.terms)) for img in images if len(img.terms) == 1}
+        checks.append((f"phi_{i} injective", len(keys) == len(images)))
+    for i, j in itertools.combinations(range(1, t + 1), 2):
+        checks.append((f"[A_{i}, A_{j}] = 0", commutator_check(chain, i, j)))
+    for k in range(1, n_t + 1):
+        checks.append((f"rewrite v_{k}", ordered_product(
+            rewrite_generator(chain, k)) == Multivector.generator(ctx, k)))
+    checks.append((f"span rank 2^{n_t}", spanning_rank(chain) == 2 ** n_t))
+    return checks

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import cliffalg
-from cliffalg.cli import BROKEN_PIPE, REP_CHECK_MAX_K, WITNESS_MAX_N, run
+from cliffalg import serialize
+from cliffalg.cli import (BROKEN_PIPE, DECOMP_MAX_BLOCK, DECOMP_MAX_CUT,
+                          REP_CHECK_MAX_K, WITNESS_MAX_N, _context,
+                          build_parser, run)
 from cliffalg.core import Context, mv_product
 from cliffalg.errors import DigitLimitError
 from cliffalg.expr import MAX_EXPONENT, MAX_GENERATOR, parse
@@ -16,6 +19,7 @@ from cliffalg.render import render
 from cliffalg.scalars import Domain, format_scalar
 
 GOLDEN = Path(__file__).parent / "golden"
+CTX = Context.make()
 
 GOLDEN_CASES = {
     "eval.txt": ["--domain", "gaussian", "eval",
@@ -199,6 +203,132 @@ class TestLimits:
         assert out == ""
         assert err.startswith(f"error: {argv[-2]} must be between 1 and ")
 
+    def test_documented_cuts_limits(self):
+        # README's "Size limits" gives these values
+        assert (DECOMP_MAX_BLOCK, DECOMP_MAX_CUT) == (6, 12)
+
+    @pytest.mark.parametrize("argv", [
+        ["decomp", "check", "--cuts", str(DECOMP_MAX_BLOCK)],
+        ["--domain", "gaussian", "decomp", "build", "--cuts",
+         f"{DECOMP_MAX_CUT - DECOMP_MAX_BLOCK},{DECOMP_MAX_CUT}"],
+        ["--domain", "gaussian", "decomp", "rewrite", "--cuts",
+         f"{DECOMP_MAX_CUT - DECOMP_MAX_BLOCK},{DECOMP_MAX_CUT}", "--k", "12"],
+    ], ids=["widest-block", "last-cut", "rewrite-last-cut"])
+    def test_cuts_at_the_limits(self, argv, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("cuts", [
+        str(DECOMP_MAX_BLOCK + 1),
+        str(DECOMP_MAX_BLOCK + 2),
+        f"2,{DECOMP_MAX_CUT - 4},{DECOMP_MAX_CUT - 2},{DECOMP_MAX_CUT + 1}",
+        f"2,{DECOMP_MAX_CUT - 4},{DECOMP_MAX_CUT - 2},{DECOMP_MAX_CUT + 2}",
+    ], ids=["block-plus-one", "block-plus-two", "cut-plus-one", "cut-plus-two"])
+    @pytest.mark.parametrize("command", ["build", "check", "rewrite"])
+    def test_cuts_past_the_limits(self, command, cuts, capsys):
+        argv = ["--domain", "gaussian", "decomp", command, "--cuts", cuts]
+        start = time.perf_counter()
+        assert run(argv + ["--k", "1"] * (command == "rewrite")) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --cuts allows blocks of at most ")
+
+    def test_invalid_cuts_inside_the_limits_still_fail_verification(self, capsys):
+        assert run(["decomp", "check", "--cuts", "6,2"]) == 1
+        assert capsys.readouterr().err.startswith("error: cuts must be even")
+
+
+# One malformed document per reader and defect: an index past the limit, an
+# index that is not an integer, and a document of the wrong shape.
+_READERS = {
+    "multivector": (serialize.multivector_from_json,
+                    lambda k: {"terms": [{"blade": [1, k], "coeff": "1"}]}),
+    "family": (serialize.family_from_json,
+               lambda k: {"parity": "even",
+                          "terms": [{"blade": [1, k], "coeff": "1"}]}),
+    "skew": (serialize.skew_from_json,
+             lambda k: {"entries": [{"i": 1, "j": k, "value": "-2"}]}),
+    "orthogonal": (serialize.orthogonal_from_json,
+                   lambda k: {"active": [1, k],
+                              "matrix": [["0", "-1"], ["1", "0"]]}),
+}
+_WRONG_SHAPE = {"multivector": {"terms": [{"blade": 1, "coeff": "1"}]},
+                "family": [1],
+                "skew": {"entries": [{"i": 1, "value": "-2"}]},
+                "orthogonal": {"active": [1], "matrix": 3}}
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_index_past_the_limit(self, reader):
+        read, doc = _READERS[reader]
+        assert read(doc(2), CTX) is not None
+        start = time.perf_counter()
+        for k in (MAX_GENERATOR + 1, 300000, 10 ** 100):
+            with pytest.raises(ValueError, match=f"between 1 and {MAX_GENERATOR},"):
+                read(doc(k), CTX)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_index_not_an_integer(self, reader):
+        read, doc = _READERS[reader]
+        for k in ("2", 2.0, True, None, [2]):
+            with pytest.raises(ValueError, match="must be an integer"):
+                read(doc(k), CTX)
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    def test_wrong_shape(self, reader):
+        read, _ = _READERS[reader]
+        with pytest.raises(ValueError, match=f"malformed {reader} JSON"):
+            read(_WRONG_SHAPE[reader], CTX)
+
+    @pytest.mark.parametrize("argv", [
+        ["deriv", "apply", "--family",
+         '{"parity":"even","terms":[{"blade":[1,"2"],"coeff":"1"}]}', "e2"],
+        ["deriv", "apply", "--family",
+         '{"parity":"even","terms":[{"blade":[1,2.0],"coeff":"1"}]}', "e2"],
+        ["deriv", "apply", "--family",
+         '{"parity":"even","terms":[{"blade":[1,300000],"coeff":"1"}]}', "e2"],
+        ["deriv", "apply", "--family", "[1]", "e2"],
+        ["deriv", "bogolyubov", "--skew",
+         '{"entries":[{"i":1,"j":"x","value":"-2"}]}'],
+        ["deriv", "inner-witness", "--skew", '{"entries":[{"i":1}]}'],
+        ["auto", "bogolyubov", "--map",
+         '{"active":[1,20000],"matrix":[["0","-1"],["1","0"]]}', "e1"],
+        ["--config", "/dev/null", "eval", "e1"],
+        ["--signature", "[1]", "eval", "e1"],
+        ["deriv", "extract", "--parity", "even", "--bound", "2",
+         "--table", '["-2*e2"]'],
+        ["deriv", "extract", "--parity", "even", "--bound", "2",
+         "--table", '{"actions":["-2*e2"]}'],
+        ["deriv", "extract", "--parity", "even", "--bound", "2",
+         "--table", '{"actions":{"1":5}}'],
+        ["deriv", "extract", "--parity", "even", "--bound", "2",
+         "--table", '{"action":{"1":"-2*e2"}}'],
+        ["deriv", "apply", "--family",
+         '{"parity":"even","terms":[{"blade":[1,2],"coeff":null}]}', "e2"],
+    ], ids=["string-index", "float-index", "far-index", "list-family",
+            "string-skew-index", "skew-without-j", "far-active",
+            "empty-config", "list-signature", "list-table", "list-actions",
+            "number-action", "no-actions", "null-coeff"])
+    def test_cli_reports_a_usage_error(self, argv, capsys):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--domain", "gaussian"],
+                                       ["--signature", "{}"]])
+    def test_config_that_is_not_an_object(self, flags, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1]")
+        assert run(["--config", str(cfg), *flags, "eval", "e1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: expected a JSON object, got list\n"
+
 
 def _cli_env():
     return dict(os.environ,
@@ -289,6 +419,21 @@ class TestConfig:
         assert run(["--config", str(cfg), "--domain", "gaussian",
                     "eval", "i*i"]) == 0
         assert capsys.readouterr().out.strip() == "-1"
+
+    def test_config_then_domain_then_signature_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "domain": "rational",
+            "signature": {"default": "2", "overrides": {"1": "3"}}}))
+        args = build_parser().parse_args(
+            ["--config", str(cfg), "--domain", "gaussian",
+             "--signature", '{"overrides":{"2":"5"}}', "eval", "e1"])
+        # --domain replaces the file's domain; the flag's "overrides" replaces
+        # the file's as a whole, and the file's "default" stays
+        assert _context(args) == Context.make(Domain.GAUSSIAN, 2, {2: 5})
+        assert run(["--config", str(cfg), "--signature", '{"default":"7"}',
+                    "eval", "e1*e1 + e2*e2"]) == 0
+        assert capsys.readouterr().out.strip() == "10"
 
     def test_signature_flag(self, capsys):
         assert run(["--signature", '{"overrides":{"3":"5"}}',

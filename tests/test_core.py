@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -218,3 +219,17 @@ def test_blade_requires_increasing_indices():
         Blade.from_indices([2, 2])
     with pytest.raises(ValueError):
         Blade.from_indices([0])
+
+
+@given(st.lists(st.integers(min_value=1, max_value=300), unique=True, max_size=12))
+def test_blade_indices_are_the_sorted_index_list(indices):
+    assert Blade.from_indices(indices).indices == tuple(sorted(indices))
+
+
+def test_blade_indices_of_a_far_generator():
+    # one step per set bit, not one shift of the whole mask per bit position
+    start = time.perf_counter()
+    assert Blade.of(3, 10 ** 6).indices == (3, 10 ** 6)
+    assert Multivector.blade(CTX, Blade.of(10 ** 6, 3)).support() == \
+        frozenset({3, 10 ** 6})
+    assert time.perf_counter() - start < 1

@@ -1,0 +1,81 @@
+"""Source hygiene: no module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import cliffalg
+
+SRC = Path(cliffalg.__file__).resolve().parent
+
+
+def _imported(tree):
+    """(bound name, line) for every import outside `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree) -> set:
+    """Names read anywhere, in string annotations and in `__all__`."""
+    trees = [tree]
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    used = set()
+    for t in trees:
+        for node in ast.walk(t):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(x, ast.Name) and x.id == "__all__"
+                    for x in node.targets):
+                used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = _used(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in used]
+
+
+def test_no_unused_imports_in_the_package():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_scan_sees_annotations_and_all():
+    source = '''
+from __future__ import annotations
+import json
+from typing import Mapping, Sequence
+from fractions import Fraction as F
+from .core import Blade, Context
+
+__all__ = ["Context"]
+
+
+def f(x: Mapping[int, "Blade"]) -> None:
+    pass
+'''
+    assert unused_imports(source) == [("json", 3), ("Sequence", 4), ("F", 5)]

@@ -9,7 +9,8 @@ from cliffalg.errors import (InvalidAutomorphismError, ShapeMismatchError,
                              UnsupportedDomainError)
 from cliffalg.locmat import (FactorShape, LocalAutomorphism, TensorElement,
                              block_nilpotent, limit_automorphism_apply,
-                             tp_norm, tp_product, tp_trace, witness_sequence)
+                             tp_norm, tp_product, tp_trace,
+                             witness_discontinuous, witness_sequence)
 from cliffalg.matrix_rep import build_rep, represent
 from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
@@ -282,3 +283,14 @@ class TestWitness:
         assert firsts == [Fraction(1, 2 * n * n) for n in range(1, 11)]
         assert all(a > b for a, b in zip(firsts, firsts[1:]))
         assert {b for _, b in pairs} == {Fraction(1, 2)}
+
+    def test_verdict(self):
+        half = Fraction(1, 2)
+        assert witness_discontinuous(witness_sequence(10, SHAPE))
+        # the first components shrink overall but not strictly at every step
+        assert not witness_discontinuous(
+            [(half, half), (Fraction(1, 8), half), (Fraction(1, 8), half),
+             (Fraction(1, 18), half)])
+        assert not witness_discontinuous([(half, half), (Fraction(1, 8), half),
+                                          (Fraction(1, 18), Fraction(1, 4))])
+        assert not witness_discontinuous([])

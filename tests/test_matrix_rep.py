@@ -8,8 +8,8 @@ from cliffalg.errors import SupportRangeError, UnsupportedDomainError
 from cliffalg.matrix_rep import (PAULI_X, PAULI_Y, PAULI_Z, MatrixRep,
                                  blade_images_independent,
                                  build_rep, diagonal_embed, normalized_trace,
-                                 represent, verify_trace_coherence,
-                                 word_product)
+                                 rep_verify, represent,
+                                 verify_trace_coherence, word_product)
 from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
 
@@ -210,3 +210,17 @@ class TestTraceCoherence:
     def test_precondition(self):
         with pytest.raises(SupportRangeError):
             verify_trace_coherence(Multivector.generator(GCTX, 5), 1, 2)
+
+
+@pytest.mark.parametrize("max_k", [1, 2, 3])
+def test_rep_verify_names_and_verdicts(max_k):
+    checks = rep_verify(max_k)
+    assert [name for name, _ in checks] == \
+        [f"trace coherence k={k} vs k={max_k}" for k in range(1, max_k)] + \
+        [f"faithfulness k={k}" for k in range(1, max_k + 1)]
+    assert all(ok is True for _, ok in checks)
+
+
+def test_rep_verify_needs_a_representation():
+    with pytest.raises(ValueError):
+        rep_verify(0)

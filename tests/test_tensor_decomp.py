@@ -7,8 +7,9 @@ from cliffalg.core import Blade, Context, Multivector, mv_product
 from cliffalg.errors import (InvalidChainError, MembershipError,
                              SupportRangeError, UnsupportedDomainError)
 from cliffalg.scalars import Domain, GaussianRational
-from cliffalg.tensor_decomp import (chain_build, commutator_check,
-                                    factor_basis, phi_apply, phi_inverse,
+from cliffalg.tensor_decomp import (FactorChain, chain_build, chain_verify,
+                                    commutator_check, factor_basis,
+                                    ordered_product, phi_apply, phi_inverse,
                                     rewrite_generator, spanning_rank)
 
 CTX = Context.make()
@@ -177,3 +178,43 @@ class TestSpan:
     def test_factor_products_span_the_truncation(self, cuts, ctx):
         chain = chain_build(cuts, ctx)
         assert spanning_rank(chain) == 2 ** cuts[-1]
+
+
+def _check_names(cuts):
+    t, n_t = len(cuts), cuts[-1]
+    names = [name for i in range(1, t + 1)
+             for name in (f"phi_{i} multiplicative", f"phi_{i} injective")]
+    names += [f"[A_{i}, A_{j}] = 0"
+              for i, j in itertools.combinations(range(1, t + 1), 2)]
+    names += [f"rewrite v_{k}" for k in range(1, n_t + 1)]
+    return names + [f"span rank 2^{n_t}"]
+
+
+class TestChainVerify:
+    @pytest.mark.parametrize("cuts,ctx", [((2, 6), CTX), ((2, 6, 10), CTX),
+                                          ((4, 8), GCTX)])
+    def test_names_in_print_order_all_ok(self, cuts, ctx):
+        checks = chain_verify(chain_build(cuts, ctx))
+        assert [name for name, _ in checks] == _check_names(cuts)
+        assert all(ok is True for _, ok in checks)
+
+    def test_wrong_volume_element_fails(self):
+        # c_2 = v1 v2 squares to -1 but commutes with block 2, so
+        # phi_2(u) phi_2(w) = -u w on odd u, w
+        good = chain_build((2, 6), CTX)
+        bad = FactorChain(CTX, good.cuts, (good.c[0], good.c[0]),
+                          good.adjusted)
+        assert dict(chain_verify(bad))["phi_2 multiplicative"] is False
+
+    def test_non_monomial_chain_has_no_blade_rank(self):
+        good = chain_build((2, 6), CTX)
+        c2 = good.c[1] + Multivector.unit(CTX)
+        bad = FactorChain(CTX, good.cuts, (good.c[0], c2), good.adjusted)
+        with pytest.raises(InvalidChainError):
+            spanning_rank(bad)
+
+    def test_ordered_product_multiplies_from_the_left(self):
+        a, b, c = (blade_mv(CTX, 1), blade_mv(CTX, 2) + blade_mv(CTX, 3),
+                   blade_mv(CTX, 1, 3))
+        assert ordered_product([a, b, c]) == mv_product(mv_product(a, b), c)
+        assert ordered_product([b]) == b
