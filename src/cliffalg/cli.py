@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,12 +33,13 @@ USAGE_ERROR = 2
 BROKEN_PIPE = 141
 
 # Size limits for the checks whose work grows fast with their argument: each
-# takes about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k` builds
-# 2**k x 2**k matrices for every blade on up to 2k - 2 generators, and
-# `witness --n n` computes n pairs of exact norms.  `decomp check` multiplies
-# 4**w blade pairs for a block of w generators and about 2**n products for a
-# last cut n (gaussian `--cuts 6,12` is the slowest allowed); the bound holds
-# for every `decomp` subcommand.
+# takes at most about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k`
+# builds 2**k x 2**k matrices for every blade on up to 2k - 2 generators, and
+# `witness --n n --m m` computes n pairs of exact norms of m x m factors, so
+# n * m**2 may be at most 4 * WITNESS_MAX_N (every m = 2 table fits).
+# `decomp check` multiplies 4**w blade pairs for a block of w generators and
+# about 2**n products for a last cut n (gaussian `--cuts 6,12` is the slowest
+# allowed); the bound holds for every `decomp` subcommand.
 REP_CHECK_MAX_K = 6
 WITNESS_MAX_N = 5000
 DECOMP_MAX_BLOCK = 6
@@ -206,7 +208,9 @@ def cmd_rep_check(args) -> int:
 
 def cmd_witness(args) -> int:
     shape = FactorShape(Domain.RATIONAL, args.m)
-    pairs = witness_sequence(_in_range("--n", args.n, 1, WITNESS_MAX_N), shape)
+    n_max = _in_range("--n", args.n, 1, WITNESS_MAX_N)
+    _in_range("--m", args.m, 2, math.isqrt(4 * WITNESS_MAX_N // n_max) & ~1)
+    pairs = witness_sequence(n_max, shape)
     for n, (before, after) in enumerate(pairs, start=1):
         print(f"n={n}: ({before}, {after})")
     if witness_discontinuous(pairs):
@@ -286,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="non-continuity witness table")
     p.add_argument("--n", type=int, default=10,
                    help=f"table length, 1..{WITNESS_MAX_N}")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, default=2,
+                   help=f"factor size, even, with n * m^2 <= {4 * WITNESS_MAX_N}")
     p.set_defaults(func=cmd_witness)
 
     return parser

@@ -18,14 +18,14 @@ from .errors import DegenerateFormError, DomainMismatchError
 from .scalars import Domain
 
 
-@dataclass(frozen=True, order=True)
-class Blade:
-    """A strictly increasing set of generator indices, as a bitset.
+class Blade(int):
+    """A strictly increasing set of generator indices, as the int bitmask.
 
-    Bit k-1 set means generator index k is present; bits == 0 is the unit.
+    Bit k-1 set means generator index k is present; Blade(0) is the unit.
+    Hash, equality and ordering are those of the int.
     """
 
-    bits: int = 0
+    __slots__ = ()
 
     @staticmethod
     def of(*indices: int) -> "Blade":
@@ -45,7 +45,7 @@ class Blade:
     @property
     def indices(self) -> tuple[int, ...]:
         out = []
-        bits = self.bits
+        bits = self
         while bits:
             low = bits & -bits
             out.append(low.bit_length())
@@ -54,7 +54,7 @@ class Blade:
 
     @property
     def grade(self) -> int:
-        return self.bits.bit_count()
+        return self.bit_count()
 
     @property
     def parity(self) -> int:
@@ -62,16 +62,19 @@ class Blade:
 
     @property
     def max_index(self) -> int:
-        return self.bits.bit_length()
+        return self.bit_length()
 
     def __contains__(self, k: int) -> bool:
-        return k >= 1 and (self.bits >> (k - 1)) & 1 == 1
+        return k >= 1 and (self >> (k - 1)) & 1 == 1
 
     def sort_key(self):
         return (self.grade, self.indices)
 
+    def __repr__(self):
+        return f"Blade({int(self)})"
+
     def __str__(self):
-        if self.bits == 0:
+        if self == 0:
             return "1"
         return "*".join(f"e{k}" for k in self.indices)
 
@@ -109,10 +112,10 @@ class Signature:
     _qnum_default: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if scalars.is_zero(self.default):
+        if not self.default:
             raise DegenerateFormError("default signature value must be nonzero")
         for k, v in self.overrides:
-            if scalars.is_zero(v):
+            if not v:
                 raise DegenerateFormError(f"signature value q_{k} is zero")
         # First override wins, as in a scan of the tuple.
         table = dict(reversed(self.overrides))
@@ -206,8 +209,8 @@ def blade_product(a: Blade, b: Blade, sig: Signature) -> tuple[object, Blade]:
     The sign counts index inversions of the concatenation (a then b); each
     shared index contributes its signature value via v_k**2 = q_k.
     """
-    odd = (a.bits & _prefix_parity(b.bits)).bit_count() & 1
-    return _weight(sig, a.bits & b.bits, odd), Blade(a.bits ^ b.bits)
+    odd = (a & _prefix_parity(b)).bit_count() & 1
+    return _weight(sig, a & b, odd), Blade(a ^ b)
 
 
 class Multivector:
@@ -224,7 +227,7 @@ class Multivector:
             clean = {}
             for blade, coeff in (terms or {}).items():
                 coeff = scalars.coerce(context.domain, coeff)
-                if not scalars.is_zero(coeff):
+                if coeff:
                     clean[blade] = coeff
             self.terms = clean
 
@@ -264,7 +267,7 @@ class Multivector:
     def support(self) -> frozenset[int]:
         out = 0
         for blade in self.terms:
-            out |= blade.bits
+            out |= blade
         return frozenset(Blade(out).indices)
 
     def max_index(self) -> int:
@@ -294,7 +297,7 @@ class Multivector:
 
     def scale(self, value) -> "Multivector":
         value = scalars.coerce(self.context.domain, value)
-        if scalars.is_zero(value):
+        if not value:
             return Multivector.zero(self.context)
         return Multivector(self.context,
                            {b: c * value for b, c in self.terms.items()})
@@ -329,7 +332,7 @@ def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
     for blade, value in items:
         s = terms.get(blade)
         s = value if s is None else s + value
-        if scalars.is_zero(s):
+        if not s:
             terms.pop(blade, None)
         else:
             terms[blade] = s
@@ -396,40 +399,24 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
 def mv_product(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product.
 
-    A monomial operand permutes the other's blades, so its terms are scaled
-    one by one.  Otherwise exact coefficients are brought to integers over
-    one denominator per operand and summed as plain ints per output blade;
-    float domains keep the pairwise `ca * cb * coeff` sums of blade_product.
+    Exact coefficients are brought to integers over one denominator per
+    operand and summed as plain ints per output blade; float domains keep the
+    pairwise `ca * cb * coeff` sums of blade_product.
     """
     a._check(b)
-    if len(a.terms) <= 1 or len(b.terms) <= 1:
-        terms = _monomial_product(a, b)
-    elif a.context.domain.is_exact:
+    if a.context.domain.is_exact:
         terms = _exact_product(a, b)
     else:
         terms = _float_product(a, b)
     return Multivector(a.context, terms, _canonical=True)
 
 
-def _monomial_product(a: Multivector, b: Multivector) -> dict:
-    sig = a.context.signature
-    terms = {}
-    for ba, ca in a.terms.items():
-        for bb, cb in b.terms.items():
-            coeff, blade = blade_product(ba, bb, sig)
-            c = ca * cb * coeff
-            if not scalars.is_zero(c):
-                terms[blade] = c
-    return terms
-
-
 def _float_product(a: Multivector, b: Multivector) -> dict:
     sig = a.context.signature
-    tb = [(bb.bits, _prefix_parity(bb.bits), cb) for bb, cb in b.terms.items()]
+    tb = [(B, _prefix_parity(B), cb) for B, cb in b.terms.items()]
     weights = {}  # (common << 1 | odd) -> _weight
     acc = {}
-    for ba, ca in a.terms.items():
-        A = ba.bits
+    for A, ca in a.terms.items():
         for B, P, cb in tb:
             key = (A & B) << 1 | (A & P).bit_count() & 1
             w = weights.get(key)
@@ -450,9 +437,8 @@ def _exact_product(a: Multivector, b: Multivector) -> dict:
     sig = a.context.signature
     gaussian = sig.domain is Domain.GAUSSIAN
     da, db = _common_denominator(a), _common_denominator(b)
-    ta = [(ba.bits, _scaled(ca, da)) for ba, ca in a.terms.items()]
-    tb = [(bb.bits, _prefix_parity(bb.bits), _scaled(cb, db))
-          for bb, cb in b.terms.items()]
+    ta = [(A, _scaled(ca, da)) for A, ca in a.terms.items()]
+    tb = [(B, _prefix_parity(B), _scaled(cb, db)) for B, cb in b.terms.items()]
     # Every weight is a product of q_k over generators both operands touch.
     ka = kb = 0
     for A, _ in ta:

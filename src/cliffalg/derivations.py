@@ -33,11 +33,11 @@ def _check_terms(context: Context, parity: str, terms) -> tuple:
     out = []
     for blade, coeff in terms:
         coeff = scalars.coerce(context.domain, coeff)
-        if scalars.is_zero(coeff):
+        if not coeff:
             continue
         if blade.parity != want:
             raise ParityError(f"{blade} has the wrong parity for an {parity} family")
-        if blade.bits == 0:
+        if blade == 0:
             raise ParityError("the unit blade generates the zero derivation")
         out.append((blade, coeff))
     out.sort(key=lambda term: term[0].sort_key())
@@ -106,11 +106,11 @@ def _ad_blade(blade: Blade, coeff, x: Multivector):
     sig = x.context.signature
     r = blade.grade
     for bt, xt in x.terms.items():
-        if (r * bt.grade - (blade.bits & bt.bits).bit_count()) & 1:
+        if (r * bt.grade - (blade & bt).bit_count()) & 1:
             w, out = blade_product(blade, bt, sig)
             t = coeff * xt * w
             t = t + t
-            if not scalars.is_zero(t):
+            if t:
                 yield out, t
 
 
@@ -222,7 +222,7 @@ class SkewMap:
         for (i, j), value in pairs.items():
             value = scalars.coerce(context.domain, value)
             if i == j:
-                if not scalars.is_zero(value):
+                if value:
                     raise NotSkewError(f"diagonal entry psi[{i},{i}] must be zero")
                 continue
             key, stored = ((i, j), value) if i < j else ((j, i), -value)
@@ -230,7 +230,7 @@ class SkewMap:
                 raise NotSkewError(f"entries at {key} contradict skew-symmetry")
             entries[key] = stored
         return SkewMap(context, {k: v for k, v in entries.items()
-                                 if not scalars.is_zero(v)})
+                                 if v})
 
     def value(self, i: int, j: int):
         if i == j:
@@ -301,6 +301,10 @@ def inner_witness(psi: SkewMap) -> Multivector:
                         for (i, j), v in psi.entries.items()})
 
 
+# Absolute tolerance on each entry of M^T Q M - Q in the float domains.
+GRAM_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class OrthogonalMap:
     """Form-preserving map, identity off a finite active index set.
@@ -336,9 +340,9 @@ class OrthogonalMap:
                            {Blade.of(self.active[row]): self.matrix[row][col]
                             for row in range(len(self.active))})
 
-    def gram_preserving(self, tolerance: float = 1e-9) -> bool:
-        """Checks M^T Q M == Q on the active set (exact, or within tolerance
-        for float domains)."""
+    def gram_preserving(self) -> bool:
+        """Checks M^T Q M == Q on the active set (exact, or within the
+        absolute GRAM_TOLERANCE for float domains)."""
         n = len(self.active)
         ctx = self.context
         for a in range(n):
@@ -349,7 +353,7 @@ class OrthogonalMap:
                 if ctx.domain.is_exact:
                     if got != want:
                         return False
-                elif abs(got - want) > tolerance:
+                elif abs(got - want) > GRAM_TOLERANCE:
                     return False
         return True
 

@@ -57,11 +57,7 @@ def hs_pairing(a: Matrix, b: Matrix):
 
 
 def conj_transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(_conj(x) for x in col) for col in zip(*a))
-
-
-def _conj(x):
-    return x.conjugate() if hasattr(x, "conjugate") else x
+    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
 
 
 def mat_trace(a: Matrix):

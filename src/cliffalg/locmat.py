@@ -163,7 +163,7 @@ class TensorElement:
         """Conjugate coefficients, conjugate-transpose every factor."""
         terms = []
         for coeff, factors in self.terms:
-            terms.append((scalars.conjugate(self.shape.domain, coeff),
+            terms.append((coeff.conjugate(),
                           tuple((i, linalg.conj_transpose(m)) for i, m in factors)))
         return TensorElement(self.shape, tuple(terms))
 

@@ -103,7 +103,7 @@ def represent(rep: MatrixRep, a: Multivector):
     if a.context.domain not in (Domain.RATIONAL, Domain.GAUSSIAN):
         raise UnsupportedDomainError(
             "matrix representations are exact; use rational or gaussian domains")
-    return _dense(rep.dim, [(rep.blade_word(blade.bits),
+    return _dense(rep.dim, [(rep.blade_word(blade),
                              scalars.coerce(Domain.GAUSSIAN, coeff))
                             for blade, coeff in a.terms.items()])
 

@@ -1,4 +1,9 @@
-"""Canonical text rendering of multivectors, parseable by the CLI grammar."""
+"""Canonical text rendering of multivectors.
+
+Rational and Gaussian output parses back to the same value under the CLI
+grammar.  f64/c64 coefficients are written as float reprs (`0.5`, `1e-20`,
+`inf`), which the grammar, having no decimal literals, does not read.
+"""
 
 from __future__ import annotations
 

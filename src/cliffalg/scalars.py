@@ -133,9 +133,12 @@ def _as_gaussian(x):
 
 I_GAUSSIAN = GaussianRational(Fraction(0), Fraction(1))
 
-_GAUSSIAN_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?:(?P<sign>[+-])?\s*(?P<im>\d+(?:/\d+)?)?\s*i)?\s*$"
+# "re", "re +- im i", "+- im i" or "im i"; re and im are read by the domain's
+# own parser, so the number pattern is loose ("1/3", "2.5e-05", "inf").
+_NUMBER = r"(?:[\d./]+(?:[eE][+-]?\d+)?|inf|nan)"
+_COMPLEX_RE = re.compile(
+    rf"^\s*(?P<re>[+-]?{_NUMBER})?\s*"
+    rf"(?:(?P<sign>[+-])?\s*(?P<im>[+-]?{_NUMBER})?\s*(?P<i>i))?\s*$"
 )
 
 
@@ -187,18 +190,6 @@ def imaginary_unit(domain: Domain):
     raise UnsupportedDomainError(f"domain {domain.value} has no imaginary unit")
 
 
-def conjugate(domain: Domain, value):
-    if domain is Domain.GAUSSIAN:
-        return value.conjugate()
-    if domain is Domain.C64:
-        return value.conjugate()
-    return value
-
-
-def is_zero(value) -> bool:
-    return not value
-
-
 @contextmanager
 def digit_limit():
     """Raise Python's ValueError for printing an integer past the interpreter's
@@ -231,42 +222,39 @@ def parse_scalar(domain: Domain, text: str):
     if domain is Domain.RATIONAL:
         return Fraction(text)
     if domain is Domain.GAUSSIAN:
-        return _parse_gaussian(text)
+        return GaussianRational(*_parse_complex(text, _fraction_part,
+                                                "Gaussian rational"))
     if domain is Domain.F64:
         return float(text)
     if domain is Domain.C64:
-        g = _parse_gaussian_float(text)
-        return g
+        return complex(*_parse_complex(text, _float_part, "complex"))
     raise UnsupportedDomainError(str(domain))
 
 
-def _parse_gaussian(text: str) -> GaussianRational:
-    m = _GAUSSIAN_RE.match(text)
-    if not m or (m.group("re") is None and "i" not in text):
-        raise ValueError(f"bad Gaussian rational literal: {text!r}")
-    if "i" not in text:
-        return GaussianRational(Fraction(m.group("re")), Fraction(0))
-    re_part = Fraction(0)
-    if m.group("im") is not None or m.group("sign") is not None:
-        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-        im_mag = Fraction(m.group("im")) if m.group("im") else Fraction(1)
-        im_part = -im_mag if m.group("sign") == "-" else im_mag
-    else:
-        # bare "<frac> i": group re captured the magnitude
-        im_part = Fraction(m.group("re")) if m.group("re") else Fraction(1)
-    return GaussianRational(re_part, im_part)
+def _fraction_part(text: str) -> Fraction:
+    # Fraction reads "1e999999999" exactly, as a billion-digit integer.
+    if "e" in text or "E" in text:
+        raise ValueError(text)
+    return Fraction(text)
 
 
-def _parse_gaussian_float(text: str) -> complex:
-    g = _parse_gaussian(text.replace("e", "E")) if "/" in text else None
-    if g is not None:
-        return complex(float(g.re), float(g.im))
-    m = re.match(r"^\s*([+-]?[\d.eE+-]+?)\s*(?:([+-])\s*([\d.eE+-]*?)\s*i)?\s*$", text)
-    if not m:
-        raise ValueError(f"bad complex literal: {text!r}")
-    re_part = float(m.group(1))
-    im_part = 0.0
-    if m.group(2):
-        mag = float(m.group(3)) if m.group(3) else 1.0
-        im_part = -mag if m.group(2) == "-" else mag
-    return complex(re_part, im_part)
+def _float_part(text: str) -> float:
+    return float(Fraction(text)) if "/" in text else float(text)
+
+
+def _parse_complex(text: str, number, kind: str) -> tuple:
+    """(re, im) of a complex literal, each part read by `number`."""
+    m = _COMPLEX_RE.match(text)
+    try:
+        if not m or (m["re"] is None and m["i"] is None):
+            raise ValueError
+        re_part = number(m["re"] or "0")
+        if m["i"] is None:
+            return re_part, number("0")
+        if m["im"] is None and m["sign"] is None:
+            # bare "<number> i": group re captured the magnitude
+            return number("0"), number(m["re"] or "1")
+        im_mag = number(m["im"] or "1")
+        return re_part, -im_mag if m["sign"] == "-" else im_mag
+    except ValueError:
+        raise ValueError(f"bad {kind} literal: {text!r}") from None

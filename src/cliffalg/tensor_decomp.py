@@ -196,7 +196,7 @@ def chain_verify(chain: FactorChain) -> list[tuple[str, bool]]:
         def phi(uw: Multivector) -> Multivector:
             # uw is a signed block blade and phi_i is linear
             (blade, coeff), = uw.terms.items()
-            return images[blade.bits >> lo].scale(coeff)
+            return images[blade >> lo].scale(coeff)
 
         pairs = itertools.product(range(len(images)), repeat=2)
         checks.append((f"phi_{i} multiplicative", all(

@@ -36,6 +36,6 @@ def norm(a: Multivector):
         square, _ = blade_product(blade, blade, sig)
         term = coeff * rev * square
         total = term if total is None else total + term
-        if scalars.is_zero(total):
+        if not total:
             total = None
     return scalars.zero(a.context.domain) if total is None else total

@@ -4,8 +4,9 @@ import pytest
 
 from cliffalg.automorphisms import bogolyubov_apply, conjugation_apply
 from cliffalg.core import Blade, Context, Multivector, mv_product
-from cliffalg.derivations import OrthogonalMap
+from cliffalg.derivations import GRAM_TOLERANCE, OrthogonalMap
 from cliffalg.errors import NotInverseError, NotOrthogonalError
+from cliffalg.scalars import Domain
 from cliffalg.trace_norm import norm
 
 from conftest import random_multivector
@@ -59,6 +60,19 @@ class TestBogolyubovApply:
         stretch = OrthogonalMap.build(CTX, (1,), ((Fraction(2),),))
         with pytest.raises(NotOrthogonalError):
             bogolyubov_apply(stretch, gen(1))
+
+    @pytest.mark.parametrize("domain, q, shear, ok", [
+        (Domain.F64, 1, 0.9 * GRAM_TOLERANCE, True),
+        (Domain.F64, 1, 1.1 * GRAM_TOLERANCE, False),
+        (Domain.F64, 1000, 0.9 * GRAM_TOLERANCE / 1000, True),
+        (Domain.F64, 1000, 1.1 * GRAM_TOLERANCE / 1000, False),
+        (Domain.RATIONAL, 1, Fraction(1, 10 ** 12), False),
+    ])
+    def test_gram_tolerance_is_absolute_and_float_only(self, domain, q, shear, ok):
+        # the off-diagonal entries of M^T Q M - Q are q * shear
+        phi = OrthogonalMap.build(Context.make(domain, default=q), (1, 2),
+                                  ((1, 0), (shear, 1)))
+        assert phi.gram_preserving() is ok
 
     def test_multiplicative(self, rng):
         for _ in range(25):

@@ -6,17 +6,19 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cliffalg
 from cliffalg import serialize
 from cliffalg.cli import (BROKEN_PIPE, DECOMP_MAX_BLOCK, DECOMP_MAX_CUT,
                           REP_CHECK_MAX_K, WITNESS_MAX_N, _context,
                           build_parser, run)
-from cliffalg.core import Context, mv_product
-from cliffalg.errors import DigitLimitError
+from cliffalg.core import Blade, Context, Multivector, mv_product
+from cliffalg.errors import DigitLimitError, ParseError
 from cliffalg.expr import MAX_EXPONENT, MAX_GENERATOR, parse
 from cliffalg.render import render
-from cliffalg.scalars import Domain, format_scalar
+from cliffalg.scalars import Domain, GaussianRational, format_scalar
 
 GOLDEN = Path(__file__).parent / "golden"
 CTX = Context.make()
@@ -99,6 +101,20 @@ class TestParsing:
         ctx = Context.make(Domain.GAUSSIAN)
         canonical = render(parse(text, ctx))
         assert render(parse(canonical, ctx)) == canonical
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    @given(data=st.data())
+    def test_parse_inverts_render(self, domain, data):
+        fractions = st.fractions(max_denominator=1000)
+        coeffs = {Domain.RATIONAL: fractions,
+                  Domain.GAUSSIAN: st.builds(GaussianRational, fractions, fractions)}
+        blades = st.lists(st.integers(min_value=1, max_value=12), unique=True,
+                          max_size=5).map(Blade.from_indices)
+        ctx = Context.make(domain)
+        a = Multivector(ctx, data.draw(st.dictionaries(blades, coeffs[domain],
+                                                       max_size=6)))
+        assert parse(render(a), ctx) == a
 
     def test_i_rejected_in_rational_domain(self, capsys):
         assert run(["eval", "i"]) == 1
@@ -202,6 +218,24 @@ class TestLimits:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {argv[-2]} must be between 1 and ")
+
+    @pytest.mark.parametrize("n, m", [(1, 140), (10, 44)])
+    def test_witness_at_the_m_limit(self, n, m, capsys):
+        assert n * m * m <= 4 * WITNESS_MAX_N < n * (m + 2) ** 2
+        assert run(["witness", "--n", str(n), "--m", str(m)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("n, m", [(1, 142), (10, 46), (WITNESS_MAX_N, 4),
+                                      (1, 100000)])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_witness_past_the_m_limit(self, n, m, as_json, capsys):
+        start = time.perf_counter()
+        argv = ["--json"] * as_json + ["witness", "--n", str(n), "--m", str(m)]
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --m must be between 2 and ")
 
     def test_documented_cuts_limits(self):
         # README's "Size limits" gives these values
@@ -362,6 +396,27 @@ def test_closed_stdout_exits_quietly(argv):
     proc = _run_into_closed_pipe(argv)
     assert proc.stderr == b""
     assert proc.returncode == BROKEN_PIPE
+
+
+class TestFloatPolicy:
+    """README's "Float domains" section."""
+
+    def test_noise_term_is_kept(self, capsys):
+        assert run(["--domain", "f64", "eval", "1/10*e1 + 2/10*e1 - 3/10*e1"]) == 0
+        assert capsys.readouterr().out == "5.551115123125783e-17*e1\n"
+
+    def test_equality_is_exact(self):
+        ctx = Context.make(Domain.F64)
+        a = parse("1/10*e1 + 2/10*e1", ctx)
+        assert a.terms == {Blade.of(1): 0.1 + 0.2}
+        assert a != parse("3/10*e1", ctx)
+
+    def test_float_render_is_not_in_the_grammar(self):
+        ctx = Context.make(Domain.F64)
+        text = render(parse("1/2*e1", ctx))
+        assert text == "0.5*e1"
+        with pytest.raises(ParseError):
+            parse(text, ctx)
 
 
 class TestExitCodes:

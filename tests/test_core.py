@@ -226,6 +226,18 @@ def test_blade_indices_are_the_sorted_index_list(indices):
     assert Blade.from_indices(indices).indices == tuple(sorted(indices))
 
 
+@given(st.integers(min_value=0, max_value=2 ** 40),
+       st.integers(min_value=0, max_value=2 ** 40))
+def test_blade_is_its_bitmask(x, y):
+    a, b = Blade(x), Blade(y)
+    assert Blade.from_indices(a.indices) == a == x
+    assert a.grade == len(a.indices) == x.bit_count()
+    assert (a < b, a == b, hash(a)) == (x < y, x == y, hash(x))
+    assert sorted([b, a]) == sorted([x, y])
+    assert type(eval(repr(a))) is Blade and eval(repr(a)) == a
+    assert str(Blade(0)) == "1" and not Blade(0)
+
+
 def test_blade_indices_of_a_far_generator():
     # one step per set bit, not one shift of the whole mask per bit position
     start = time.perf_counter()

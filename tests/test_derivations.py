@@ -31,7 +31,7 @@ def random_family(rng, parity, max_index=10, max_terms=3):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         blade = random_blade(rng, max_index, parity=want)
-        if blade.bits:
+        if blade:
             terms[blade] = random_rational(rng)
     return AdFamily.finite(CTX, parity, terms.items())
 

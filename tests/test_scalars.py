@@ -1,0 +1,65 @@
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cliffalg.scalars import Domain, GaussianRational, format_scalar, parse_scalar
+
+fractions = st.fractions(max_denominator=10 ** 6)
+# exponents, +-inf and subnormals; nan is not == to itself
+floats = st.floats(allow_nan=False, allow_subnormal=True)
+
+VALUES = {
+    Domain.RATIONAL: fractions,
+    Domain.GAUSSIAN: st.builds(GaussianRational, fractions, fractions),
+    Domain.F64: floats,
+    Domain.C64: st.builds(complex, floats, floats),
+}
+
+
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+@given(data=st.data())
+def test_format_parse_round_trip(domain, data):
+    value = data.draw(VALUES[domain])
+    assert parse_scalar(domain, format_scalar(domain, value)) == value
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-20+2.0 i", complex(1e-20, 2.0)),
+    ("-2e-05+0.5 i", complex(-2e-05, 0.5)),
+    ("1e+30-2.0 i", complex(1e+30, -2.0)),
+    ("inf+0.0 i", complex(math.inf, 0.0)),
+    ("-inf-inf i", complex(-math.inf, -math.inf)),
+    ("5e-324+0.0 i", complex(5e-324, 0.0)),
+])
+def test_c64_reads_float_reprs(text, value):
+    assert parse_scalar(Domain.C64, text) == value
+
+
+@pytest.mark.parametrize("domain, text, value", [
+    (Domain.GAUSSIAN, "i", GaussianRational.of(0, 1)),
+    (Domain.GAUSSIAN, "-3/4 i", GaussianRational.of(0, Fraction(-3, 4))),
+    (Domain.GAUSSIAN, "1/2 - i", GaussianRational.of(Fraction(1, 2), -1)),
+    (Domain.GAUSSIAN, "2", GaussianRational.of(2)),
+    (Domain.C64, "1/3+1/2 i", complex(1 / 3, 1 / 2)),
+    (Domain.C64, "1.5-i", complex(1.5, -1.0)),
+    (Domain.C64, "1.5 + -2 i", complex(1.5, -2.0)),
+])
+def test_complex_literal_forms(domain, text, value):
+    assert parse_scalar(domain, text) == value
+
+
+@pytest.mark.parametrize("domain, text", [
+    (Domain.GAUSSIAN, ""),
+    (Domain.GAUSSIAN, "1+2"),
+    (Domain.GAUSSIAN, "inf"),
+    # an exact exponent would build a 10**9-digit integer
+    (Domain.GAUSSIAN, "1e999999999 i"),
+    (Domain.C64, "1e"),
+    (Domain.C64, "e1"),
+])
+def test_bad_complex_literals(domain, text):
+    with pytest.raises(ValueError, match="^bad (Gaussian rational|complex) literal"):
+        parse_scalar(domain, text)
