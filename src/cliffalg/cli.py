@@ -34,13 +34,14 @@ BROKEN_PIPE = 141
 
 # Size limits for the checks whose work grows fast with their argument: each
 # takes at most about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k`
-# builds 2**k x 2**k matrices for every blade on up to 2k - 2 generators, and
+# reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
+# from its Pauli words in two representations (about 1 s at k = 8), and
 # `witness --n n --m m` computes n pairs of exact norms of m x m factors, so
 # n * m**2 may be at most 4 * WITNESS_MAX_N (every m = 2 table fits).
 # `decomp check` multiplies 4**w blade pairs for a block of w generators and
 # about 2**n products for a last cut n (gaussian `--cuts 6,12` is the slowest
 # allowed); the bound holds for every `decomp` subcommand.
-REP_CHECK_MAX_K = 6
+REP_CHECK_MAX_K = 8
 WITNESS_MAX_N = 5000
 DECOMP_MAX_BLOCK = 6
 DECOMP_MAX_CUT = 12

@@ -7,7 +7,6 @@ plain Gaussian elimination is fine.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 Matrix = tuple
 
@@ -73,47 +72,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for rb in b:
             rows.append(tuple(x * y for x in ra for y in rb))
     return tuple(rows)
-
-
-def block_diag(a: Matrix, copies: int, zero=None) -> Matrix:
-    n = len(a)
-    if zero is None:
-        zero = a[0][0] - a[0][0]
-    rows = []
-    for c in range(copies):
-        for i in range(n):
-            row = [zero] * (n * copies)
-            for j in range(n):
-                row[c * n + j] = a[i][j]
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank by fraction-free-ish elimination (entries support / exactly)."""
-    m = [list(row) for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        for i in range(r + 1, len(m)):
-            if m[i][col]:
-                factor = m[i][col] / pv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
 
 
 def mat_inverse(a: Matrix) -> Matrix:

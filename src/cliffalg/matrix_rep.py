@@ -7,12 +7,15 @@ the identity in dimension 2**k.
 Blade images are Pauli words i^p X^x Z^z stored as (p mod 4, x, z), bit k-j
 of a mask being factor j (the stabilizer tableau encoding of Aaronson and
 Gottesman, PRA 70, 052328, 2004): basis vector c goes to i^p (-1)^|z & c| e_{c^x}.
+The certificates read words only: the normalized trace of a word is i^p when
+x == z == 0 and 0 otherwise, and faithfulness is GF(2) independence.
+`represent` writes the dense 2**k x 2**k matrix, the oracle the tests check
+the words against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import linalg, scalars
 from .core import Blade, Context, Multivector
@@ -48,11 +51,6 @@ class MatrixRep:
 
     def identity(self):
         return linalg.identity(self.dim, one=_ONE, zero=_ZERO)
-
-    @cached_property
-    def gens(self) -> tuple:
-        """The generator matrices, written out from their words."""
-        return tuple(_dense(self.dim, ((w, _ONE),)) for w in self.words)
 
     def blade_word(self, bits: int) -> tuple:
         """Word of the ordered product of the generators in blade `bits`."""
@@ -90,45 +88,61 @@ def _dense(dim: int, terms):
     return tuple(map(tuple, rows))
 
 
-def represent(rep: MatrixRep, a: Multivector):
-    """Evaluation homomorphism on multivectors supported in {1..2k}, q == 1."""
+def _check_representable(rep: MatrixRep, a: Multivector) -> None:
+    """`a` is exact, supported in {1..2k} and has q == 1 on its support."""
     if a.max_index() > 2 * rep.k:
         raise SupportRangeError(
             f"support reaches index {a.max_index()}, representation covers {2 * rep.k}")
-    one = scalars.one(a.context.domain)
-    for i in a.support():
-        if a.context.q(i) != one:
-            raise UnsupportedDomainError(
-                "matrix representations require q == 1 on the support")
+    sig, support = a.context.signature, a.support()
+    if sig.default == 1:
+        # off the overridden indices q is the default
+        support &= {i for i, _ in sig.overrides}
+    if any(sig.q(i) != 1 for i in support):
+        raise UnsupportedDomainError(
+            "matrix representations require q == 1 on the support")
     if a.context.domain not in (Domain.RATIONAL, Domain.GAUSSIAN):
         raise UnsupportedDomainError(
             "matrix representations are exact; use rational or gaussian domains")
+
+
+def represent(rep: MatrixRep, a: Multivector):
+    """Evaluation homomorphism on multivectors supported in {1..2k}, q == 1."""
+    _check_representable(rep, a)
     return _dense(rep.dim, [(rep.blade_word(blade),
                              scalars.coerce(Domain.GAUSSIAN, coeff))
                             for blade, coeff in a.terms.items()])
-
-
-def diagonal_embed(small, copies: int):
-    """diag(a, ..., a); preserves the normalized trace."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    return linalg.block_diag(small, copies, zero=_ZERO)
 
 
 def normalized_trace(m):
     return linalg.mat_trace(m) / len(m)
 
 
+def _word_trace(rep: MatrixRep, a: Multivector):
+    """normalized_trace(represent(rep, a)), read from the words: i^p X^x Z^z
+    has normalized trace i^p when x == z == 0 and 0 otherwise (an X factor
+    empties the diagonal, a Z factor balances its signs)."""
+    _check_representable(rep, a)
+    t = _ZERO
+    for blade, coeff in a.terms.items():
+        p, x, z = rep.blade_word(blade)
+        if not (x or z):
+            t = t + scalars.coerce(Domain.GAUSSIAN, coeff) * _PHASES[p]
+    return t
+
+
 def verify_trace_coherence(a: Multivector, k_small: int, k_large: int) -> bool:
-    """Normalized matrix traces agree across representation sizes and equal trace(a)."""
+    """Normalized matrix traces agree across representation sizes and equal
+    trace(a); each is read from the blade words, with no matrix written."""
     if not (a.max_index() <= 2 * k_small <= 2 * k_large):
         raise SupportRangeError(
             f"need support <= 2*k_small <= 2*k_large, got "
             f"{a.max_index()}, {2 * k_small}, {2 * k_large}")
-    t_small = normalized_trace(represent(build_rep(k_small), a))
-    t_large = normalized_trace(represent(build_rep(k_large), a))
-    expected = scalars.coerce(Domain.GAUSSIAN, trace(a))
-    return t_small == t_large == expected
+    return _traces_agree(a, build_rep(k_small), build_rep(k_large))
+
+
+def _traces_agree(a: Multivector, small: MatrixRep, large: MatrixRep) -> bool:
+    return _word_trace(small, a) == _word_trace(large, a) == \
+        scalars.coerce(Domain.GAUSSIAN, trace(a))
 
 
 def blade_images_independent(rep: MatrixRep) -> bool:
@@ -156,13 +170,14 @@ def rep_verify(max_k: int) -> list[tuple[str, bool]]:
 
     Trace coherence of every blade on 2k generators between k and max_k, for
     each k < max_k, then faithfulness of every representation up to max_k.
+    Each representation is built once, so each blade word is formed once.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     ctx = Context.make(Domain.GAUSSIAN)
-    coherence = [(f"trace coherence k={k} vs k={max_k}", all(
-        verify_trace_coherence(Multivector.blade(ctx, Blade(bits)), k, max_k)
-        for bits in range(1 << (2 * k)))) for k in range(1, max_k)]
-    return coherence + [(f"faithfulness k={k}",
-                         blade_images_independent(build_rep(k)))
-                        for k in range(1, max_k + 1)]
+    *smaller, large = reps = [build_rep(k) for k in range(1, max_k + 1)]
+    return [(f"trace coherence k={small.k} vs k={max_k}", all(
+        _traces_agree(Multivector.blade(ctx, Blade(bits)), small, large)
+        for bits in range(1 << (2 * small.k)))) for small in smaller] + \
+        [(f"faithfulness k={rep.k}", blade_images_independent(rep))
+         for rep in reps]

@@ -220,7 +220,10 @@ def parse_scalar(domain: Domain, text: str):
         return coerce(domain, text)
     text = text.strip()
     if domain is Domain.RATIONAL:
-        return Fraction(text)
+        try:
+            return _fraction_part(text)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad rational literal: {text!r}") from None
     if domain is Domain.GAUSSIAN:
         return GaussianRational(*_parse_complex(text, _fraction_part,
                                                 "Gaussian rational"))
@@ -256,5 +259,5 @@ def _parse_complex(text: str, number, kind: str) -> tuple:
             return number("0"), number(m["re"] or "1")
         im_mag = number(m["im"] or "1")
         return re_part, -im_mag if m["sign"] == "-" else im_mag
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad {kind} literal: {text!r}") from None

@@ -151,7 +151,7 @@ class TestPowers:
 class TestLimits:
     def test_documented_values(self):
         # README's "Size limits" gives these values
-        assert (MAX_GENERATOR, REP_CHECK_MAX_K, WITNESS_MAX_N) == (10 ** 4, 6, 5000)
+        assert (MAX_GENERATOR, REP_CHECK_MAX_K, WITNESS_MAX_N) == (10 ** 4, 8, 5000)
 
     def test_generator_index_cap(self, capsys):
         assert run(["eval", f"e{MAX_GENERATOR}"]) == 0
@@ -353,6 +353,30 @@ class TestJsonInputs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, literal", [
+        (["--signature", '{"default":"1/0"}', "eval", "e1"], "rational"),
+        (["deriv", "apply", "--family",
+          '{"parity":"even","terms":[{"blade":[1,2],"coeff":"1/0"}]}', "e1"],
+         "rational"),
+        (["--domain", "gaussian", "--signature", '{"default":"1/0+1 i"}',
+          "eval", "e1"], "Gaussian rational"),
+        (["--domain", "c64", "--signature", '{"default":"1/0+1 i"}',
+          "eval", "e1"], "complex"),
+    ], ids=["signature", "family-coeff", "gaussian-signature", "c64-signature"])
+    def test_zero_denominator_is_a_usage_error(self, argv, literal, capsys):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: bad {literal} literal: '1/0")
+        assert len(err.splitlines()) == 1
+
+    def test_exact_exponent_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        assert run(["--signature", '{"default":"1e1000000"}', "eval", "e1"]) == 2
+        assert time.perf_counter() - start < 0.2
+        assert capsys.readouterr().err == \
+            "error: bad rational literal: '1e1000000'\n"
 
     @pytest.mark.parametrize("flags", [[], ["--domain", "gaussian"],
                                        ["--signature", "{}"]])

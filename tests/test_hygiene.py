@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and the package imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import cliffalg
@@ -79,3 +81,42 @@ def f(x: Mapping[int, "Blade"]) -> None:
     pass
 '''
     assert unused_imports(source) == [("json", 3), ("Sequence", 4), ("F", 5)]
+
+
+def third_party_imports(source: str) -> list:
+    """(module, line) for every absolute import of a module outside the
+    standard library; relative imports and `__future__` are the package's."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [(m, node.lineno) for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_the_package_imports_only_the_standard_library():
+    found = {path.name: third_party_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_scan_sees_third_party_imports():
+    source = '''
+from __future__ import annotations
+import json, numpy.linalg
+from fractions import Fraction
+from . import core
+from .scalars import Domain
+from sympy import Rational
+
+
+def f():
+    import hypothesis
+'''
+    assert third_party_imports(source) == [("numpy.linalg", 3), ("sympy", 7),
+                                           ("hypothesis", 11)]

@@ -1,27 +1,38 @@
-from fractions import Fraction
-
 import pytest
 
-from cliffalg import linalg
+from cliffalg import linalg, matrix_rep
+from cliffalg.cli import REP_CHECK_MAX_K
 from cliffalg.core import Blade, Context, Multivector, mv_product, reverse
 from cliffalg.errors import SupportRangeError, UnsupportedDomainError
 from cliffalg.matrix_rep import (PAULI_X, PAULI_Y, PAULI_Z, MatrixRep,
-                                 blade_images_independent,
-                                 build_rep, diagonal_embed, normalized_trace,
+                                 _word_trace, blade_images_independent,
+                                 build_rep, normalized_trace,
                                  rep_verify, represent,
                                  verify_trace_coherence, word_product)
 from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
 
-from conftest import random_multivector
+from conftest import random_dense, random_multivector
 
 GCTX = Context.make(Domain.GAUSSIAN)
 I_UNIT = GaussianRational.of(0, 1)
 
 
+def _gens(rep):
+    """The dense generator images."""
+    return tuple(represent(rep, Multivector.generator(GCTX, j))
+                 for j in range(1, 2 * rep.k + 1))
+
+
+def _word_matrix(word, k):
+    """The dense matrix of one word: the image of e1 in a rep led by it."""
+    rep = MatrixRep(k=k, words=(word,), dim=2 ** k)
+    return represent(rep, Multivector.generator(GCTX, 1))
+
+
 def test_k1_generators_are_x_and_y():
     rep = build_rep(1)
-    assert rep.gens == (PAULI_X, PAULI_Y)
+    assert _gens(rep) == (PAULI_X, PAULI_Y)
     assert rep.dim == 2
     ident = rep.identity()
     assert linalg.mat_mul(PAULI_X, PAULI_X) == ident
@@ -43,11 +54,12 @@ def test_generator_relations_exhaustive():
         rep = build_rep(k)
         ident = rep.identity()
         zero = linalg.zeros(rep.dim, rep.dim, zero=GaussianRational.of(0))
+        gens = _gens(rep)
         for a in range(2 * k):
-            assert linalg.mat_mul(rep.gens[a], rep.gens[a]) == ident
+            assert linalg.mat_mul(gens[a], gens[a]) == ident
             for b in range(a + 1, 2 * k):
-                anti = linalg.mat_add(linalg.mat_mul(rep.gens[a], rep.gens[b]),
-                                      linalg.mat_mul(rep.gens[b], rep.gens[a]))
+                anti = linalg.mat_add(linalg.mat_mul(gens[a], gens[b]),
+                                      linalg.mat_mul(gens[b], gens[a]))
                 assert anti == zero
 
 
@@ -78,11 +90,28 @@ def _dense_oracle(k):
     return tuple(gens), blades
 
 
+def _rank(matrices):
+    """Exact rank of the matrices as vectors, by Gaussian elimination."""
+    rows = [[x for row in m for x in row] for m in matrices]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / top[col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_words_match_the_dense_oracle(k):
     rep = build_rep(k)
     gens, blades = _dense_oracle(k)
-    assert rep.gens == gens
+    assert _gens(rep) == gens
     for bits, want in blades.items():
         got = represent(rep, Multivector.blade(GCTX, Blade(bits)))
         assert got == want
@@ -94,11 +123,10 @@ def test_word_product_matches_matrix_product(rng):
     # so random words are needed to exercise the sign of word_product
     words = [(rng.randrange(4), rng.randrange(4), rng.randrange(4))
              for _ in range(40)]
-    dense = MatrixRep(k=2, words=tuple(words), dim=4).gens
+    dense = [_word_matrix(w, 2) for w in words]
     for a in range(0, 40, 2):
         b = a + 1
-        product = MatrixRep(k=2, words=(word_product(words[a], words[b]),),
-                            dim=4).gens[0]
+        product = _word_matrix(word_product(words[a], words[b]), 2)
         assert product == linalg.mat_mul(dense[a], dense[b])
 
 
@@ -118,7 +146,7 @@ def test_gf2_check_rejects_dependent_words(words):
     # the dense images are dependent too
     images = [represent(rep, Multivector.blade(GCTX, Blade(bits)))
               for bits in range(16)]
-    assert linalg.rank([[x for row in m for x in row] for m in images]) < 16
+    assert _rank(images) < 16
 
 
 def test_gf2_check_on_one_factor():
@@ -127,7 +155,15 @@ def test_gf2_check_on_one_factor():
     assert not blade_images_independent(clash)
     images = [represent(clash, Multivector.blade(GCTX, Blade(bits)))
               for bits in range(4)]
-    assert linalg.rank([[x for row in m for x in row] for m in images]) < 4
+    assert _rank(images) < 4
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rank_oracle_sees_the_ladder_images_independent(k):
+    rep = build_rep(k)
+    images = [represent(rep, Multivector.blade(GCTX, Blade(bits)))
+              for bits in range(1 << (2 * k))]
+    assert _rank(images) == 4 ** k
 
 
 def test_represent_examples():
@@ -173,27 +209,6 @@ def test_reversal_is_conjugate_transpose(rng):
             linalg.conj_transpose(represent(rep, a))
 
 
-class TestDiagonalEmbed:
-    def test_traceless_block(self):
-        big = diagonal_embed(PAULI_X, 2)
-        assert len(big) == 4
-        assert normalized_trace(big) == 0
-
-    def test_identity_copies(self):
-        ident = linalg.identity(2, one=GaussianRational.of(1),
-                                zero=GaussianRational.of(0))
-        big = diagonal_embed(ident, 3)
-        assert big == linalg.identity(6, one=GaussianRational.of(1),
-                                      zero=GaussianRational.of(0))
-        assert normalized_trace(big) == 1
-
-    def test_preserves_normalized_trace(self):
-        proj = ((GaussianRational.of(1), GaussianRational.of(0)),
-                (GaussianRational.of(0), GaussianRational.of(0)))
-        assert normalized_trace(diagonal_embed(proj, 2)) == \
-            normalized_trace(proj) == Fraction(1, 2)
-
-
 class TestTraceCoherence:
     def test_bivector(self):
         a = Multivector.blade(GCTX, Blade.of(1, 2))
@@ -211,6 +226,80 @@ class TestTraceCoherence:
         with pytest.raises(SupportRangeError):
             verify_trace_coherence(Multivector.generator(GCTX, 5), 1, 2)
 
+    def test_needs_q_one_on_the_support(self):
+        skew = Context.make(Domain.GAUSSIAN, overrides={2: -1})
+        with pytest.raises(UnsupportedDomainError, match="q == 1"):
+            verify_trace_coherence(Multivector.generator(skew, 2), 1, 2)
+        # q != 1 off the support is allowed
+        assert verify_trace_coherence(Multivector.generator(skew, 1), 1, 2)
+        scaled = Context.make(Domain.RATIONAL, default=2, overrides={1: 1})
+        assert verify_trace_coherence(Multivector.generator(scaled, 1), 1, 2)
+        with pytest.raises(UnsupportedDomainError, match="q == 1"):
+            verify_trace_coherence(Multivector.blade(scaled, Blade.of(1, 2)), 1, 2)
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64],
+                             ids=lambda d: d.value)
+    def test_needs_an_exact_domain(self, domain):
+        ctx = Context.make(domain)
+        for a in (Multivector.unit(ctx), Multivector.generator(ctx, 1)):
+            with pytest.raises(UnsupportedDomainError, match="exact"):
+                verify_trace_coherence(a, 1, 2)
+
+
+class TestWordTrace:
+    """The certificate's traces, read from words, against the dense oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_blade(self, k):
+        rep = build_rep(k)
+        for bits in range(1 << (2 * k)):
+            a = Multivector.blade(GCTX, Blade(bits))
+            assert _word_trace(rep, a) == normalized_trace(represent(rep, a))
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_random_multivectors(self, domain, rng):
+        ctx = Context.make(domain)
+        for _ in range(200):
+            k = rng.randint(1, 3)
+            rep = build_rep(k)
+            a = random_dense(rng, ctx, 2 * k, rng.randint(0, 10))
+            if rng.random() < 0.5:
+                a = a + Multivector.unit(ctx)
+            got = _word_trace(rep, a)
+            assert got == normalized_trace(represent(rep, a))
+            assert got == trace(a)
+
+    def test_phases_of_identity_words(self):
+        # every blade word of a ladder rep but the unit's is traceless, so
+        # only hand-built words reach the phases i, -1 and -i
+        one = GaussianRational.of(1)
+        for p, want in enumerate((one, I_UNIT, -one, -I_UNIT)):
+            rep = MatrixRep(k=1, words=((p, 0, 0),), dim=2)
+            a = Multivector.generator(GCTX, 1)
+            assert _word_trace(rep, a) == want == \
+                normalized_trace(represent(rep, a))
+
+    def test_random_words(self, rng):
+        # words i^p X^x Z^z of every kind, identity words among them
+        for _ in range(100):
+            words = tuple((rng.randrange(4), rng.randrange(4) * (rng.random() < 0.5),
+                           rng.randrange(4) * (rng.random() < 0.5))
+                          for _ in range(4))
+            rep = MatrixRep(k=2, words=words, dim=4)
+            a = random_dense(rng, GCTX, 4, rng.randint(1, 6))
+            assert _word_trace(rep, a) == normalized_trace(represent(rep, a))
+
+    def test_shares_the_guards_of_represent(self):
+        rep = build_rep(1)
+        with pytest.raises(SupportRangeError):
+            _word_trace(rep, Multivector.generator(GCTX, 3))
+        skew = Context.make(Domain.GAUSSIAN, overrides={1: 2})
+        with pytest.raises(UnsupportedDomainError):
+            _word_trace(rep, Multivector.generator(skew, 1))
+        with pytest.raises(UnsupportedDomainError):
+            _word_trace(rep, Multivector.unit(Context.make(Domain.F64)))
+
 
 @pytest.mark.parametrize("max_k", [1, 2, 3])
 def test_rep_verify_names_and_verdicts(max_k):
@@ -219,6 +308,21 @@ def test_rep_verify_names_and_verdicts(max_k):
         [f"trace coherence k={k} vs k={max_k}" for k in range(1, max_k)] + \
         [f"faithfulness k={k}" for k in range(1, max_k + 1)]
     assert all(ok is True for _, ok in checks)
+
+
+def test_rep_verify_at_the_cli_limit():
+    checks = rep_verify(REP_CHECK_MAX_K)
+    assert len(checks) == 2 * REP_CHECK_MAX_K - 1
+    assert all(ok is True for _, ok in checks)
+
+
+def test_rep_verify_writes_no_dense_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense matrix written")
+    monkeypatch.setattr(matrix_rep, "_dense", refuse)
+    with pytest.raises(AssertionError):
+        represent(build_rep(1), Multivector.unit(GCTX))
+    assert all(ok for _, ok in rep_verify(4))
 
 
 def test_rep_verify_needs_a_representation():

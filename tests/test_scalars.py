@@ -59,7 +59,23 @@ def test_complex_literal_forms(domain, text, value):
     (Domain.GAUSSIAN, "1e999999999 i"),
     (Domain.C64, "1e"),
     (Domain.C64, "e1"),
+    # Fraction("1e1000000") takes a third of a second; exact literals
+    # have no exponents
+    (Domain.RATIONAL, "1e1000000"),
 ])
 def test_bad_complex_literals(domain, text):
-    with pytest.raises(ValueError, match="^bad (Gaussian rational|complex) literal"):
+    with pytest.raises(ValueError,
+                       match="^bad (rational|Gaussian rational|complex) literal"):
         parse_scalar(domain, text)
+
+
+@pytest.mark.parametrize("domain, text, message", [
+    (Domain.RATIONAL, "1/0", "bad rational literal: '1/0'"),
+    (Domain.GAUSSIAN, "1+1/0 i", "bad Gaussian rational literal: '1+1/0 i'"),
+    (Domain.F64, "1/0", "could not convert string to float: '1/0'"),
+    (Domain.C64, "1/0+1 i", "bad complex literal: '1/0+1 i'"),
+], ids=["rational", "gaussian", "f64", "c64"])
+def test_zero_denominator_is_a_bad_literal(domain, text, message):
+    with pytest.raises(ValueError) as info:
+        parse_scalar(domain, text)
+    assert str(info.value) == message
