@@ -19,7 +19,7 @@ from .core import Context, Multivector
 from .derivations import (bogolyubov_derivation, family_apply, extract_even,
                           extract_odd, inner_witness)
 from .errors import CliffordError, DigitLimitError, ParseError
-from .expr import parse
+from .expr import MAX_GENERATOR, parse
 from .locmat import FactorShape, witness_discontinuous, witness_sequence
 from .matrix_rep import rep_verify
 from .render import render
@@ -117,8 +117,8 @@ def cmd_deriv_apply(args) -> int:
 def cmd_deriv_extract(args) -> int:
     ctx = _context(args)
     table = serialize.table_from_json(_load_json(args.table), ctx)
-    extractor = extract_even if args.parity == "even" else extract_odd
-    terms = extractor(table, args.bound, ctx)
+    extract = extract_even if args.parity == "even" else extract_odd
+    terms = extract(table, _in_range("--bound", args.bound, 0, MAX_GENERATOR), ctx)
     print(json.dumps({
         "parity": args.parity,
         "terms": [{"blade": list(b.indices),
@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deriv_apply)
     p = dsub.add_parser("extract")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=int, required=True,
+                   help=f"largest generator probed, 0..{MAX_GENERATOR}")
     p.add_argument("--table", required=True,
                    help='JSON {"actions": {"k": "expr", ...}} or @file')
     p.set_defaults(func=cmd_deriv_extract)

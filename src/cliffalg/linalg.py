@@ -1,7 +1,7 @@
 """Small dense-matrix helpers, exact over Fraction / Gaussian rational entries.
 
-Matrices are tuples of row tuples.  Sizes stay tiny (oracle use only), so
-plain Gaussian elimination is fine.
+Matrices are tuples of row tuples, no larger than a `locmat` factor, so plain
+Gaussian elimination is fine.
 """
 
 from __future__ import annotations
@@ -13,18 +13,6 @@ Matrix = tuple
 
 def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def zeros(rows: int, cols: int, zero=Fraction(0)) -> Matrix:
-    return tuple((zero,) * cols for _ in range(rows))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, s) -> Matrix:
-    return tuple(tuple(x * s for x in row) for row in a)
 
 
 def _floating(a: Matrix, b: Matrix) -> bool:
@@ -64,14 +52,6 @@ def mat_trace(a: Matrix):
     for i in range(1, len(a)):
         t = t + a[i][i]
     return t
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    rows = []
-    for ra in a:
-        for rb in b:
-            rows.append(tuple(x * y for x in ra for y in rb))
-    return tuple(rows)
 
 
 def mat_inverse(a: Matrix) -> Matrix:

@@ -24,6 +24,13 @@ def _index(k) -> int:
     return k
 
 
+def _key(k: str) -> int:
+    """A generator index as an object key: ASCII decimal digits, then _index."""
+    if not (k.isascii() and k.isdigit()):
+        raise ValueError(f"generator index must be decimal digits, got {k!r}")
+    return _index(int(k))
+
+
 def _reader(fn):
     """Turn the errors of a wrongly shaped document into ValueError."""
     what = fn.__name__.removesuffix("_from_json")
@@ -59,7 +66,7 @@ def context_from_json(obj: dict) -> Context:
     domain = Domain(obj.get("domain", "rational"))
     sig = obj.get("signature", {})
     default = scalars.parse_scalar(domain, sig.get("default", 1))
-    overrides = {int(k): scalars.parse_scalar(domain, v)
+    overrides = {_key(k): scalars.parse_scalar(domain, v)
                  for k, v in sig.get("overrides", {}).items()}
     return Context(domain, Signature.build(domain, default, overrides))
 
@@ -125,7 +132,7 @@ def orthogonal_from_json(obj: dict, context: Context):
 @_reader
 def table_from_json(obj: dict, context: Context) -> dict:
     """The `deriv extract` table {"actions": {"k": "expr"}}: k -> D(v_k)."""
-    return {int(k): parse(v, context) for k, v in obj["actions"].items()}
+    return {_key(k): parse(v, context) for k, v in obj["actions"].items()}
 
 
 def chain_to_json(chain) -> dict:

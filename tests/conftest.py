@@ -1,5 +1,6 @@
 """Shared oracles and random-input helpers for the test suite."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -87,6 +88,45 @@ def kernel_contexts(domain):
         out.append(Context.make(domain, overrides={
             **over, 4: scalars.imaginary_unit(domain)}))
     return out
+
+
+# The dense Kronecker oracle: matrices as tuples of row tuples, and a
+# TensorElement written out as one matrix on a given support.
+
+def zeros(n: int, zero):
+    return tuple((zero,) * n for _ in range(n))
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(a, s):
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
+def kron(a, b):
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def flatten(element, support):
+    """`element` as one matrix on `support` (Kronecker, ascending factors)."""
+    shape = element.shape
+    dim = math.prod(shape.size(i) for i in support)
+    acc = zeros(dim, scalars.zero(shape.domain))
+    for coeff, factors in element.terms:
+        fmap = dict(factors)
+        m = ((scalars.one(shape.domain),),)
+        for i in support:
+            m = kron(m, fmap.get(i, shape.identity(i)))
+        acc = mat_add(acc, mat_scale(m, coeff))
+    return acc
+
+
+def flat_equal(a, b):
+    """Both sides expanded on the union of their supports and compared."""
+    support = tuple(sorted(set(a.support()) | set(b.support())))
+    return flatten(a, support) == flatten(b, support)
 
 
 @pytest.fixture

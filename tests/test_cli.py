@@ -20,6 +20,8 @@ from cliffalg.expr import MAX_EXPONENT, MAX_GENERATOR, parse
 from cliffalg.render import render
 from cliffalg.scalars import Domain, GaussianRational, format_scalar
 
+from test_scalars import VALUES
+
 GOLDEN = Path(__file__).parent / "golden"
 CTX = Context.make()
 
@@ -165,6 +167,23 @@ class TestLimits:
         assert len(err) == 3
         assert all(line.startswith("error: generator index exceeds the limit")
                    for line in err)
+
+    def test_extract_bound_limit(self, capsys):
+        table = json.dumps({"actions": {str(k): "0"
+                                        for k in range(1, MAX_GENERATOR + 1)}})
+        argv = ["deriv", "extract", "--parity", "even", "--table", table]
+        assert run(argv + ["--bound", str(MAX_GENERATOR)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"parity": "even",
+                                                       "terms": []}
+
+    @pytest.mark.parametrize("bound", [MAX_GENERATOR + 1, -1],
+                             ids=["limit-plus-one", "negative"])
+    def test_extract_bound_out_of_range(self, bound, capsys):
+        assert run(["deriv", "extract", "--parity", "even", "--bound",
+                    str(bound), "--table", '{"actions":{}}']) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --bound must be between 0 and {MAX_GENERATOR}, "
+                f"got {bound}\n")
 
     def test_long_integer_literal(self, capsys):
         limit = sys.get_int_max_str_digits()
@@ -316,6 +335,62 @@ class TestJsonInputs:
         read, _ = _READERS[reader]
         with pytest.raises(ValueError, match=f"malformed {reader} JSON"):
             read(_WRONG_SHAPE[reader], CTX)
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    @given(data=st.data())
+    def test_multivector_round_trip(self, domain, data):
+        values = VALUES[domain]
+        nonzero = values.filter(bool)
+        indices = st.integers(min_value=1, max_value=MAX_GENERATOR)
+        ctx = Context.make(domain, data.draw(nonzero), data.draw(
+            st.dictionaries(indices, nonzero, max_size=3)))
+        blades = st.lists(indices, unique=True, max_size=4).map(Blade.from_indices)
+        a = Multivector(ctx, data.draw(st.dictionaries(blades, values,
+                                                       max_size=5)))
+        back = serialize.multivector_from_json(
+            json.loads(json.dumps(serialize.multivector_to_json(a))))
+        assert back.context == a.context
+        assert back == a
+
+    @pytest.mark.parametrize("key, message", [
+        ("0", "between 1 and"),
+        ("-3", "decimal digits"),
+        ("99999999999", "between 1 and"),
+        ("1_0", "decimal digits"),
+        (" 2 ", "decimal digits"),
+        ("+2", "decimal digits"),
+        ("2.0", "decimal digits"),
+        ("", "decimal digits"),
+        ("\u0663", "decimal digits"),
+    ], ids=["zero", "negative", "far", "underscore", "spaces", "plus", "float",
+            "empty", "arabic-indic-three"])
+    @pytest.mark.parametrize("reader", ["signature", "table"])
+    def test_object_keys_are_generator_indices(self, reader, key, message,
+                                               capsys):
+        # the library reader, then the CLI, with the key beside valid ones
+        if reader == "signature":
+            doc = {"overrides": {"1": "-1", key: "2"}}
+            read = lambda: serialize.context_from_json({"signature": doc})
+            argv = ["--signature", json.dumps(doc), "eval", "e1*e1"]
+        else:
+            doc = {"actions": {"1": "-2*e2", "2": "2*e1", key: "0"}}
+            read = lambda: serialize.table_from_json(doc, CTX)
+            argv = ["deriv", "extract", "--parity", "even", "--bound", "2",
+                    "--table", json.dumps(doc)]
+        with pytest.raises(ValueError, match=f"generator index .*{message}"):
+            read()
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: generator index ")
+
+    def test_object_keys_at_the_limit(self):
+        ctx = serialize.context_from_json(
+            {"signature": {"overrides": {"007": "2", str(MAX_GENERATOR): "3"}}})
+        assert (ctx.q(7), ctx.q(MAX_GENERATOR)) == (2, 3)
+        table = serialize.table_from_json(
+            {"actions": {str(MAX_GENERATOR): "e1"}}, CTX)
+        assert list(table) == [MAX_GENERATOR]
 
     @pytest.mark.parametrize("argv", [
         ["deriv", "apply", "--family",

@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and the package imports nothing outside the standard library."""
+the package imports nothing outside the standard library, and every public
+`linalg` helper has a caller in the package (test oracles live in tests/)."""
 
 import ast
 import sys
@@ -120,3 +121,57 @@ def f():
 '''
     assert third_party_imports(source) == [("numpy.linalg", 3), ("sympy", 7),
                                            ("hypothesis", 11)]
+
+
+def public_functions(source: str) -> set:
+    """Names of the top-level functions that do not start with `_`."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def linalg_names_used(source: str) -> set:
+    """Names read as `linalg.<name>` or imported `from .linalg`."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "linalg":
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "linalg" \
+                and node.level:
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_linalg_function_has_a_caller_in_the_package():
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "linalg.py":
+            used |= linalg_names_used(path.read_text(encoding="utf-8"))
+    defined = public_functions((SRC / "linalg.py").read_text(encoding="utf-8"))
+    assert defined - used == set()
+
+
+def test_the_scan_sees_linalg_callers():
+    library = '''
+Matrix = tuple
+
+
+def identity(n): ...
+def kron(a, b): ...
+def mat_trace(a): ...
+def _helper(): ...
+
+
+class Oracle:
+    def flatten(self): ...
+'''
+    caller = '''
+from . import linalg
+from .linalg import mat_trace as trace
+
+
+def f(m, rank):
+    return linalg.identity(2), trace(m), rank.kron, linalg
+'''
+    assert public_functions(library) == {"identity", "kron", "mat_trace"}
+    assert linalg_names_used(caller) == {"identity", "mat_trace"}

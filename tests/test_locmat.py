@@ -1,19 +1,22 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from cliffalg import linalg
+from cliffalg import linalg, scalars
 from cliffalg.core import Blade, Context, Multivector
 from cliffalg.errors import (InvalidAutomorphismError, ShapeMismatchError,
                              UnsupportedDomainError)
 from cliffalg.locmat import (FactorShape, LocalAutomorphism, TensorElement,
-                             block_nilpotent, limit_automorphism_apply,
-                             tp_norm, tp_product, tp_trace,
-                             witness_discontinuous, witness_sequence)
+                             _pairing, block_nilpotent,
+                             limit_automorphism_apply, tp_norm, tp_product,
+                             tp_trace, witness_discontinuous, witness_sequence)
 from cliffalg.matrix_rep import build_rep, represent
 from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
+
+from conftest import flat_equal, flatten, mat_add, mat_scale
 
 SHAPE = FactorShape()
 
@@ -40,12 +43,6 @@ def matrix(*entries):
     return tuple(tuple(Fraction(x) for x in entries[r:r + 2]) for r in (0, 2))
 
 
-def flat_equal(a, b):
-    """The dense oracle: both sides expanded on the union of their supports."""
-    support = tuple(sorted(set(a.support()) | set(b.support())))
-    return a.flatten(support) == b.flatten(support)
-
-
 def same_value(rng, a):
     """`a` rebuilt with the same value and another structure: each term is
     split in two, a factor is rescaled against the coefficient, and an
@@ -55,14 +52,30 @@ def same_value(rng, a):
         factors = dict(factors)
         if factors:
             i = rng.choice(sorted(factors))
-            factors[i] = linalg.mat_scale(factors[i], Fraction(2))
+            factors[i] = mat_scale(factors[i], Fraction(2))
             coeff = coeff / 2
-        factors.setdefault(7, SHAPE.identity(7))
+        factors.setdefault(7, a.shape.identity(7))
         part = Fraction(rng.randint(-3, 3), 4)
         terms += [(coeff * part, factors), (coeff * (1 - part), factors)]
     terms.append((0, {2: A1}))
     rng.shuffle(terms)
-    return TensorElement.build(SHAPE, terms)
+    return TensorElement.build(a.shape, terms)
+
+
+def small_element(rng, shape):
+    """Small integer (Gaussian integer) entries and quarter-integer
+    coefficients, so that float elements and their expansions are exact."""
+    def value(den=1):
+        re = Fraction(rng.randint(-3, 3), den)
+        if not shape.domain.has_i:
+            return re
+        return GaussianRational(re, Fraction(rng.randint(-3, 3), den))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = {i: tuple(tuple(value() for _ in range(2)) for _ in range(2))
+                   for i in rng.sample(range(1, 4), rng.randint(0, 2))}
+        terms.append((value(4), factors))
+    return TensorElement.build(shape, terms)
 
 
 class TestCanonicalEquality:
@@ -89,7 +102,7 @@ class TestCanonicalEquality:
     def test_distributed_factor_uses_the_expansion(self):
         b, c = matrix(1, 2, 0, 3), matrix(-1, 0, 5, 1)
         left = elem(1, {1: A1, 2: b}) + elem(1, {1: A1, 2: c})
-        right = elem(1, {1: A1, 2: linalg.mat_add(b, c)})
+        right = elem(1, {1: A1, 2: mat_add(b, c)})
         assert {f for _, f in left.terms} != {f for _, f in right.terms}
         assert left == right and hash(left) == hash(right)
         assert left != elem(1, {1: A1, 2: b})
@@ -108,6 +121,86 @@ class TestCanonicalEquality:
                 assert hash(a) == hash(b)
             seen.add((a == b, a.terms == b.terms))
         assert seen == {(True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_matches_the_kronecker_oracle_in_every_domain(self, domain, rng):
+        shape = FactorShape(domain)
+        seen = set()
+        for _ in range(300):
+            a = small_element(rng, shape)
+            pick = rng.random()
+            if pick < 0.2:
+                b = TensorElement(shape, a.terms[::-1])
+            elif pick < 0.6:
+                b = same_value(rng, a)
+            elif pick < 0.8:
+                b = same_value(rng, a) + small_element(rng, shape)
+            else:
+                b = small_element(rng, shape)
+            same_terms = {f: c for c, f in a.terms} == {f: c for c, f in b.terms}
+            assert (a == b) == flat_equal(a, b)
+            seen.add((a == b, same_terms))
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_gaussian_pairing_conjugates(self):
+        gshape = FactorShape(Domain.GAUSSIAN)
+        i, one, zero = (GaussianRational.of(0, 1), GaussianRational.of(1),
+                        GaussianRational.of(0))
+        # tr(A A^T) = 1 + i^2 = 0 but tr(A A*) = 2
+        a = TensorElement.single(gshape, 1, {1: ((one, i), (zero, zero))})
+        assert a != TensorElement.zero(gshape)
+        # sum c_s c_t over E11 + i E22 is 1 + i^2 = 0
+        e11, e22 = ((one, zero), (zero, zero)), ((zero, zero), (zero, one))
+        b = TensorElement.build(gshape, [(1, {1: e11}), (i, {1: e22})])
+        assert b != TensorElement.zero(gshape)
+        # <I, iI> = conj(tr(iI)): I == (-i)(iI) has an absent factor on one side
+        ii = ((i, zero), (zero, i))
+        assert TensorElement.identity(gshape) == \
+            TensorElement.single(gshape, -i, {1: ii})
+        assert TensorElement.identity(gshape) != \
+            TensorElement.single(gshape, i, {1: ii})
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64],
+                             ids=lambda d: d.value)
+    def test_floats_are_read_exactly_before_subtracting(self, domain):
+        fshape = FactorShape(domain)
+        one = scalars.one(domain)
+        upper = ((0 * one, one), (0 * one, 0 * one))
+
+        def single(coeff, scale):
+            m = tuple(tuple(x * scale for x in row) for row in upper)
+            return TensorElement.single(fshape, coeff, {1: m})
+
+        # the float product 0.1 * 3 is 0.30000000000000004; the exact one is not
+        a, b = single(0.1, 3), single(0.30000000000000004, 1)
+        assert flat_equal(a, b) and a != b
+        assert single(0.5, 3) == single(1.5, 1)
+        # 1 - 2**-60 rounds to 1 when the difference is formed in floats
+        c = single(1.0, 1)
+        d = single(2.0 ** -60, 1) + single(0.5, 2)
+        assert flat_equal(c, d) and c != d
+        # equal factors merge when an element is built, in floats
+        assert single(2.0 ** -60, 1) + single(1.0, 1) == c
+
+    def test_non_finite_elements_equal_only_their_terms(self):
+        fshape = FactorShape(Domain.F64)
+        a = TensorElement.single(fshape, math.inf, {1: ((0.0, 1.0), (0.0, 0.0))})
+        assert a == a
+        assert a == TensorElement.single(fshape, math.inf,
+                                         {1: ((0.0, 1.0), (0.0, 0.0))})
+        assert a != TensorElement.single(fshape, math.inf,
+                                         {1: ((0.0, 2.0), (0.0, 0.0))})
+        assert a != TensorElement.single(fshape, math.nan,
+                                         {1: ((0.0, 1.0), (0.0, 0.0))})
+
+    def test_distributed_factor_on_twelve_factors_is_fast(self):
+        b, c = matrix(1, 2, 0, 3), matrix(-1, 0, 5, 1)
+        head = {i: matrix(1, i, 0, 2) for i in range(1, 12)}
+        start = time.perf_counter()
+        left = elem(1, {**head, 12: b}) + elem(1, {**head, 12: c})
+        assert left == elem(1, {**head, 12: mat_add(b, c)})
+        assert left != elem(1, {**head, 12: b})
+        assert time.perf_counter() - start < 1
 
     def test_float_elements_hash_by_shape(self):
         fshape = FactorShape(Domain.F64)
@@ -154,8 +247,8 @@ class TestProduct:
         for _ in range(30):
             a, b = random_element(rng), random_element(rng)
             support = tuple(sorted(set(a.support()) | set(b.support())))
-            assert tp_product(a, b).flatten(support) == \
-                linalg.mat_mul(a.flatten(support), b.flatten(support))
+            assert flatten(tp_product(a, b), support) == \
+                linalg.mat_mul(flatten(a, support), flatten(b, support))
 
     def test_shape_mismatch(self):
         other = TensorElement.identity(FactorShape(Domain.RATIONAL, 4))
@@ -203,6 +296,14 @@ class TestNorm:
             assert tp_norm(a) == tp_trace(tp_product(a, a.adjoint()))
         a = same_value(rng, random_element(rng))
         assert tp_norm(a) == tp_trace(tp_product(a, a.adjoint()))
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_pairing_is_the_trace_of_a_times_the_adjoint_of_b(self, domain, rng):
+        shape = FactorShape(domain)
+        for _ in range(50):
+            a, b = small_element(rng, shape), small_element(rng, shape)
+            assert _pairing(a, b) == tp_trace(tp_product(a, b.adjoint()))
 
     def test_nilpotent(self):
         assert tp_norm(elem(1, {1: A1})) == Fraction(1, 2)

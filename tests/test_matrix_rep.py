@@ -12,7 +12,8 @@ from cliffalg.matrix_rep import (PAULI_X, PAULI_Y, PAULI_Z, MatrixRep,
 from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
 
-from conftest import random_dense, random_multivector
+from conftest import (kron, mat_add, mat_scale, random_dense,
+                      random_multivector, zeros)
 
 GCTX = Context.make(Domain.GAUSSIAN)
 I_UNIT = GaussianRational.of(0, 1)
@@ -37,15 +38,15 @@ def test_k1_generators_are_x_and_y():
     ident = rep.identity()
     assert linalg.mat_mul(PAULI_X, PAULI_X) == ident
     assert linalg.mat_mul(PAULI_Y, PAULI_Y) == ident
-    assert linalg.mat_add(linalg.mat_mul(PAULI_X, PAULI_Y),
-                          linalg.mat_mul(PAULI_Y, PAULI_X)) == \
-        linalg.zeros(2, 2, zero=GaussianRational.of(0))
+    assert mat_add(linalg.mat_mul(PAULI_X, PAULI_Y),
+                   linalg.mat_mul(PAULI_Y, PAULI_X)) == \
+        zeros(2, GaussianRational.of(0))
 
 
 def test_k1_product_of_generators_is_i_z():
     rep = build_rep(1)
     got = represent(rep, Multivector.blade(GCTX, Blade.of(1, 2)))
-    assert got == linalg.mat_scale(PAULI_Z, I_UNIT)
+    assert got == mat_scale(PAULI_Z, I_UNIT)
     assert linalg.mat_trace(got) == 0
 
 
@@ -53,13 +54,13 @@ def test_generator_relations_exhaustive():
     for k in (2, 3):
         rep = build_rep(k)
         ident = rep.identity()
-        zero = linalg.zeros(rep.dim, rep.dim, zero=GaussianRational.of(0))
+        zero = zeros(rep.dim, GaussianRational.of(0))
         gens = _gens(rep)
         for a in range(2 * k):
             assert linalg.mat_mul(gens[a], gens[a]) == ident
             for b in range(a + 1, 2 * k):
-                anti = linalg.mat_add(linalg.mat_mul(gens[a], gens[b]),
-                                      linalg.mat_mul(gens[b], gens[a]))
+                anti = mat_add(linalg.mat_mul(gens[a], gens[b]),
+                               linalg.mat_mul(gens[b], gens[a]))
                 assert anti == zero
 
 
@@ -79,7 +80,7 @@ def _dense_oracle(k):
             for pos in range(1, k + 1):
                 factor = PAULI_Z if pos < j else pauli if pos == j else \
                     linalg.identity(2, one=one, zero=zero)
-                m = linalg.kron(m, factor)
+                m = kron(m, factor)
             gens.append(m)
     blades = {}
     for bits in range(1 << (2 * k)):
