@@ -8,6 +8,7 @@ All failures go to stderr with an `error:` prefix.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -117,8 +118,12 @@ def cmd_deriv_apply(args) -> int:
 def cmd_deriv_extract(args) -> int:
     ctx = _context(args)
     table = serialize.table_from_json(_load_json(args.table), ctx)
-    extract = extract_even if args.parity == "even" else extract_odd
-    terms = extract(table, _in_range("--bound", args.bound, 0, MAX_GENERATOR), ctx)
+    # odd extraction also probes k = bound + 1, a table key <= MAX_GENERATOR
+    if args.parity == "even":
+        extract, high = extract_even, MAX_GENERATOR
+    else:
+        extract, high = extract_odd, MAX_GENERATOR - 1
+    terms = extract(table, _in_range("--bound", args.bound, 0, high), ctx)
     print(json.dumps({
         "parity": args.parity,
         "terms": [{"blade": list(b.indices),
@@ -223,7 +228,14 @@ def cmd_witness(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process.  Callers must not mutate it (no `set_defaults`,
+    `add_argument` or attribute writes): `run` reuses it for every request.
+    Reuse is safe because `parse_args` fills a fresh namespace each call,
+    every default is immutable, and help and usage text read `sys.stdout`,
+    `sys.stderr` and `COLUMNS` when they are written."""
     parser = argparse.ArgumentParser(
         prog="cliffalg",
         description="Exact Clifford algebra calculator and verifier.")
@@ -251,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = dsub.add_parser("extract")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
     p.add_argument("--bound", type=int, required=True,
-                   help=f"largest generator probed, 0..{MAX_GENERATOR}")
+                   help=f"largest generator index of the blades, "
+                        f"0..{MAX_GENERATOR} even, 0..{MAX_GENERATOR - 1} odd "
+                        f"(odd probes k = 1..bound+1)")
     p.add_argument("--table", required=True,
                    help='JSON {"actions": {"k": "expr", ...}} or @file')
     p.set_defaults(func=cmd_deriv_extract)

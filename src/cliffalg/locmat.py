@@ -196,16 +196,13 @@ def tp_trace(a: TensorElement):
     return total
 
 
-_COMPLEX = (Domain.GAUSSIAN, Domain.C64)  # Domain.has_i, at a tenth of the cost
-
-
 def _pairing(a: TensorElement, b: TensorElement):
     """tr(a * adjoint(b)) = sum over term pairs (s, t) of c_s conj(c_t)
     prod_i <A_si, B_ti> / m_i, with <A, B> = tr(A B*) and an absent factor the
     identity: <A, I> = tr(A), <I, B> = conj(tr(B)).  A complex domain
     conjugates b's coefficients and entries once; a real one, nothing."""
     left = [(c, dict(f)) for c, f in a.terms]
-    if a.shape.domain in _COMPLEX:
+    if a.shape.domain.has_i:
         right = [(c.conjugate(),
                   {i: tuple(tuple(x.conjugate() for x in row) for row in m)
                    for i, m in f})

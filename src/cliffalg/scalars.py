@@ -22,17 +22,12 @@ class Domain(Enum):
     F64 = "f64"
     C64 = "c64"
 
-    @property
-    def is_exact(self) -> bool:
-        return self in (Domain.RATIONAL, Domain.GAUSSIAN)
-
-    @property
-    def has_i(self) -> bool:
-        return self in (Domain.GAUSSIAN, Domain.C64)
-
-    @property
-    def is_real(self) -> bool:
-        return self in (Domain.RATIONAL, Domain.F64)
+    def __init__(self, value: str):
+        # plain attributes, set once per member: hot paths read them, and a
+        # property costs a class lookup per read
+        self.is_exact = value in ("rational", "gaussian")
+        self.has_i = value in ("gaussian", "c64")
+        self.is_real = not self.has_i
 
 
 @dataclass(frozen=True)

@@ -168,22 +168,29 @@ class TestLimits:
         assert all(line.startswith("error: generator index exceeds the limit")
                    for line in err)
 
+    # odd extraction probes k = 1..bound+1, so its bound stops one short
+    EXTRACT_LIMITS = {"even": MAX_GENERATOR, "odd": MAX_GENERATOR - 1}
+
     def test_extract_bound_limit(self, capsys):
         table = json.dumps({"actions": {str(k): "0"
                                         for k in range(1, MAX_GENERATOR + 1)}})
-        argv = ["deriv", "extract", "--parity", "even", "--table", table]
-        assert run(argv + ["--bound", str(MAX_GENERATOR)]) == 0
-        assert json.loads(capsys.readouterr().out) == {"parity": "even",
-                                                       "terms": []}
+        for parity, high in self.EXTRACT_LIMITS.items():
+            for bound in (0, high):
+                assert run(["deriv", "extract", "--parity", parity, "--table",
+                            table, "--bound", str(bound)]) == 0
+                assert json.loads(capsys.readouterr().out) == {
+                    "parity": parity, "terms": []}
 
-    @pytest.mark.parametrize("bound", [MAX_GENERATOR + 1, -1],
+    @pytest.mark.parametrize("above", [True, False],
                              ids=["limit-plus-one", "negative"])
-    def test_extract_bound_out_of_range(self, bound, capsys):
-        assert run(["deriv", "extract", "--parity", "even", "--bound",
-                    str(bound), "--table", '{"actions":{}}']) == 2
-        assert capsys.readouterr() == (
-            "", f"error: --bound must be between 0 and {MAX_GENERATOR}, "
-                f"got {bound}\n")
+    def test_extract_bound_out_of_range(self, above, capsys):
+        for parity, high in self.EXTRACT_LIMITS.items():
+            bound = high + 1 if above else -1
+            assert run(["deriv", "extract", "--parity", parity, "--bound",
+                        str(bound), "--table", '{"actions":{}}']) == 2
+            assert capsys.readouterr() == (
+                "", f"error: --bound must be between 0 and {high}, "
+                    f"got {bound}\n")
 
     def test_long_integer_literal(self, capsys):
         limit = sys.get_int_max_str_digits()
@@ -593,3 +600,74 @@ class TestConfig:
         assert run(["--signature", '{"overrides":{"3":"5"}}',
                     "eval", "e3^2"]) == 0
         assert capsys.readouterr().out.strip() == "5"
+
+
+class TestParserReuse:
+    """`run` shares one parser per process; no call may leave state in it."""
+
+    @staticmethod
+    def _argvs(config):
+        expr = "(1 + e1*e2)^2"
+        family = '{"parity":"even","terms":[{"blade":[1,2],"coeff":"1"}]}'
+        skew = '{"entries":[{"i":1,"j":2,"value":"-2"}]}'
+        omap = '{"active":[1,2],"matrix":[["0","-1"],["1","0"]]}'
+        table = '{"actions":{"1":"-2*e2","2":"2*e1"}}'
+        every_subcommand = [
+            ["eval", expr], ["trace", expr], ["norm", expr],
+            ["deriv", "apply", "--family", family, "e2"],
+            ["deriv", "extract", "--parity", "even", "--bound", "2",
+             "--table", table],
+            ["deriv", "bogolyubov", "--skew", skew],
+            ["deriv", "inner-witness", "--skew", skew],
+            ["auto", "bogolyubov", "--map", omap, "e1*e2 + e1"],
+            ["auto", "conjugate", "--u", "e1", "--u-inv", "e1", "e2"],
+            ["decomp", "build", "--cuts", "2,6"],
+            ["decomp", "check", "--cuts", "2,6"],
+            ["decomp", "rewrite", "--cuts", "2,6", "--k", "3"],
+            ["rep", "check", "--max-k", "2"],
+            ["witness", "--n", "3"],
+        ]
+        # each global flag, then the same command without it
+        carry_over = [
+            ["--json", "eval", expr], ["eval", expr],
+            ["--json", "decomp", "build", "--cuts", "2,6"],
+            ["decomp", "build", "--cuts", "2,6"],
+            ["--domain", "gaussian", "eval", "e1 + i"], ["eval", "e1 + i"],
+            ["--signature", '{"default":"3"}', "norm", "e1"], ["norm", "e1"],
+            ["--config", config, "eval", "e1*e1"], ["eval", "e1*e1"],
+        ]
+        failing = [
+            ["--help"], ["deriv", "extract", "--help"], ["eval"],
+            ["--domain", "quaternion", "eval", "e1"], ["nope"],
+            ["eval", "e1 +"], ["decomp", "check", "--cuts", "3,6"],
+        ]
+        return every_subcommand + carry_over + failing + every_subcommand
+
+    @staticmethod
+    def _outcomes(argvs, capsys, fresh):
+        outcomes = []
+        for argv in argvs:
+            if fresh:
+                build_parser.cache_clear()
+            code = run(argv)
+            outcomes.append((argv, code, *capsys.readouterr()))
+        return outcomes
+
+    def test_reused_parser_answers_like_a_fresh_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"signature": {"default": "5"}}))
+        argvs = self._argvs(str(cfg))
+        reused = self._outcomes(argvs, capsys, fresh=False)
+        assert reused == self._outcomes(argvs, capsys, fresh=True)
+        assert {code for _, code, _, _ in reused} == {0, 1, 2}
+        assert build_parser() is build_parser()
+
+    def test_help_reads_columns_when_written(self, monkeypatch, capsys):
+        run(["--help"])
+        wide = capsys.readouterr().out
+        monkeypatch.setenv("COLUMNS", "40")
+        run(["--help"])
+        narrow = capsys.readouterr().out
+        build_parser.cache_clear()
+        run(["--help"])
+        assert capsys.readouterr().out == narrow != wide

@@ -19,6 +19,15 @@ VALUES = {
 }
 
 
+def test_domain_flags():
+    assert {d: (d.is_exact, d.has_i, d.is_real) for d in Domain} == {
+        Domain.RATIONAL: (True, False, True),
+        Domain.GAUSSIAN: (True, True, False),
+        Domain.F64: (False, False, True),
+        Domain.C64: (False, True, False),
+    }
+
+
 @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
 @given(data=st.data())
 def test_format_parse_round_trip(domain, data):
