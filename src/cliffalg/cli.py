@@ -163,7 +163,11 @@ def cmd_auto_conjugate(args) -> int:
 
 
 def _cuts(text: str) -> tuple[int, ...]:
-    cuts = tuple(int(x) for x in text.split(","))
+    try:
+        cuts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--cuts must be integers separated by commas, got {text!r}") from None
     widest = max(b - a for a, b in zip((0,) + cuts, cuts))
     if widest > DECOMP_MAX_BLOCK or cuts[-1] > DECOMP_MAX_CUT:
         raise ValueError(
@@ -197,7 +201,9 @@ def cmd_decomp_check(args) -> int:
 
 def cmd_decomp_rewrite(args) -> int:
     ctx = _context(args)
-    chain = chain_build(_cuts(args.cuts), ctx)
+    cuts = _cuts(args.cuts)
+    _in_range("--k", args.k, 1, cuts[-1])
+    chain = chain_build(cuts, ctx)
     factors = rewrite_generator(chain, args.k)
     prod = ordered_product(factors)
     for pos, f in enumerate(factors, start=1):

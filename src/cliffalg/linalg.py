@@ -1,7 +1,6 @@
 """Small dense-matrix helpers, exact over Fraction / Gaussian rational entries.
 
-Matrices are tuples of row tuples, no larger than a `locmat` factor, so plain
-Gaussian elimination is fine.
+Matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -52,32 +51,3 @@ def mat_trace(a: Matrix):
     for i in range(1, len(a)):
         t = t + a[i][i]
     return t
-
-
-def mat_inverse(a: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse; raises ZeroDivisionError if singular."""
-    n = len(a)
-    one = a[0][0] / a[0][0] if a[0][0] else _find_one(a)
-    zero = one - one
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _find_one(a: Matrix):
-    for row in a:
-        for x in row:
-            if x:
-                return x / x
-    raise ZeroDivisionError("matrix is singular")

@@ -3,8 +3,9 @@
 Elements are finite sums of elementary tensors (identity off a finite set
 of factors).  The normalized trace multiplies per-factor normalized traces;
 the limit automorphism conjugates only the supported factors, which is the
-stabilization property made literal.  The witness sequence exhibits an
-automorphism that shrinks no norm while its input sequence tends to zero.
+stabilization property made literal, each by a diagonal, which scales its
+entries.  The witness sequence exhibits an automorphism that shrinks no norm
+while its input sequence tends to zero.
 """
 
 from __future__ import annotations
@@ -22,25 +23,17 @@ from .scalars import Domain
 
 @dataclass(frozen=True)
 class FactorShape:
-    """Per-factor matrix sizes (default constant 2) and a scalar domain."""
+    """One even matrix size for every factor (default 2) and a scalar domain."""
 
     domain: Domain = Domain.RATIONAL
-    default_size: int = 2
-    sizes: tuple = ()
+    size: int = 2
 
     def __post_init__(self):
-        for m in (self.default_size, *(m for _, m in self.sizes)):
-            if m < 2 or m % 2:
-                raise ValueError(f"factor sizes must be even and >= 2, got {m}")
+        if self.size < 2 or self.size % 2:
+            raise ValueError(f"factor sizes must be even and >= 2, got {self.size}")
 
-    def size(self, i: int) -> int:
-        for j, m in self.sizes:
-            if j == i:
-                return m
-        return self.default_size
-
-    def identity(self, i: int):
-        return _identity(self.domain, self.size(i))
+    def identity(self):
+        return _identity(self.domain, self.size)
 
 
 @lru_cache(maxsize=64)
@@ -49,7 +42,7 @@ def _identity(domain: Domain, m: int):
 
 
 def _check_matrix(shape: FactorShape, i: int, matrix):
-    m = shape.size(i)
+    m = shape.size
     matrix = tuple(tuple(scalars.coerce(shape.domain, v) for v in row)
                    for row in matrix)
     if len(matrix) != m or any(len(row) != m for row in matrix):
@@ -60,13 +53,14 @@ def _check_matrix(shape: FactorShape, i: int, matrix):
 def _canonical(shape: FactorShape, terms) -> tuple:
     """Merge terms by factor tuple; drop identity factors, terms with a zero
     factor and zero coefficients.  Merged terms keep first-seen order."""
+    identity = shape.identity()
     merged = {}
     for coeff, factors in terms:
         kept = []
         for i, m in factors:
             if not any(any(row) for row in m):
                 break
-            if m != shape.identity(i):
+            if m != identity:
                 kept.append((i, m))
         else:
             key = tuple(kept)
@@ -155,7 +149,7 @@ class TensorElement:
             for c, f in self.terms))
 
 
-def _check_shape(a: TensorElement, b: TensorElement):
+def _check_shape(a, b):
     if a.shape != b.shape:
         raise ShapeMismatchError("tensor elements built over different shapes")
 
@@ -186,19 +180,19 @@ def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
 
 
 def tp_trace(a: TensorElement):
-    """Normalized trace: per term, product of (1/m_i) * matrix trace."""
+    """Normalized trace: per term, product of (1/m) * matrix trace."""
     total = scalars.zero(a.shape.domain)
     for coeff, factors in a.terms:
         value = coeff
-        for i, m in factors:
-            value = value * linalg.mat_trace(m) / a.shape.size(i)
+        for _, m in factors:
+            value = value * linalg.mat_trace(m) / a.shape.size
         total = total + value
     return total
 
 
 def _pairing(a: TensorElement, b: TensorElement):
     """tr(a * adjoint(b)) = sum over term pairs (s, t) of c_s conj(c_t)
-    prod_i <A_si, B_ti> / m_i, with <A, B> = tr(A B*) and an absent factor the
+    prod_i <A_si, B_ti> / m, with <A, B> = tr(A B*) and an absent factor the
     identity: <A, I> = tr(A), <I, B> = conj(tr(B)).  A complex domain
     conjugates b's coefficients and entries once; a real one, nothing."""
     left = [(c, dict(f)) for c, f in a.terms]
@@ -221,7 +215,7 @@ def _pairing(a: TensorElement, b: TensorElement):
                     pairing = linalg.mat_trace(ms)
                 else:
                     pairing = linalg.hs_pairing(ms, mt)
-                value = value * pairing / a.shape.size(i)
+                value = value * pairing / a.shape.size
             total = total + value
     return total
 
@@ -235,77 +229,75 @@ def tp_norm(a: TensorElement):
 
 
 class LocalAutomorphism:
-    """Per-factor conjugation family, identity outside an element's support.
+    """Per-factor conjugation by a diagonal x_i, identity outside an
+    element's support.
 
-    The rule gives x_i for any factor index; inverses are computed (and
-    memoized) on demand, raising InvalidAutomorphismError when singular.
+    The rule gives the diagonal of x_i, m scalars, for any factor index.  It
+    is checked when the automorphism is applied: a wrong length raises
+    ShapeMismatchError and a zero entry InvalidAutomorphismError.
     """
 
-    def __init__(self, shape: FactorShape, rule: Callable[[int], object]):
+    def __init__(self, shape: FactorShape, rule: Callable[[int], tuple]):
         self.shape = shape
         self.rule = rule
-        self._inverses: dict[int, object] = {}
 
     @staticmethod
     def identity(shape: FactorShape) -> "LocalAutomorphism":
-        return LocalAutomorphism(shape, shape.identity)
+        return LocalAutomorphism.from_factors(shape, {})
 
     @staticmethod
-    def from_factors(shape: FactorShape, factors: Mapping[int, object]) -> "LocalAutomorphism":
-        factors = {i: _check_matrix(shape, i, m) for i, m in factors.items()}
-        return LocalAutomorphism(
-            shape, lambda i: factors.get(i, shape.identity(i)))
+    def from_factors(shape: FactorShape, factors: Mapping[int, tuple]) -> "LocalAutomorphism":
+        factors, ones = dict(factors), (1,) * shape.size
+        return LocalAutomorphism(shape, lambda i: factors.get(i, ones))
 
     @staticmethod
     def index_scaling(shape: FactorShape) -> "LocalAutomorphism":
         """x_i = diag(I_k, i * I_k) with the literal factor index i."""
-        def rule(i: int):
-            m = shape.size(i)
-            k = m // 2
-            one, zero = scalars.one(shape.domain), scalars.zero(shape.domain)
-            scale = scalars.coerce(shape.domain, i)
-            return tuple(tuple((one if r < k else scale) if r == c else zero
-                               for c in range(m)) for r in range(m))
-        return LocalAutomorphism(shape, rule)
+        k = shape.size // 2
+        return LocalAutomorphism(shape, lambda i: (1,) * k + (i,) * k)
 
-    def matrix(self, i: int):
-        return _check_matrix(self.shape, i, self.rule(i))
-
-    def inverse_matrix(self, i: int):
-        inv = self._inverses.get(i)
-        if inv is None:
-            try:
-                inv = linalg.mat_inverse(self.matrix(i))
-            except ZeroDivisionError as exc:
-                raise InvalidAutomorphismError(
-                    f"conjugating matrix at factor {i} is singular") from exc
-            self._inverses[i] = inv
-        return inv
+    def diagonal(self, i: int) -> tuple:
+        """The rule's diagonal at factor i, coerced and checked."""
+        d = tuple(scalars.coerce(self.shape.domain, x) for x in self.rule(i))
+        if len(d) != self.shape.size:
+            raise ShapeMismatchError(
+                f"factor {i} expects diagonals of length {self.shape.size}")
+        if not all(d):
+            raise InvalidAutomorphismError(
+                f"conjugating matrix at factor {i} is singular")
+        return d
 
     def inverted(self) -> "LocalAutomorphism":
-        return LocalAutomorphism(self.shape, self.inverse_matrix)
+        return LocalAutomorphism(
+            self.shape, lambda i: tuple(1 / x for x in self.diagonal(i)))
 
 
 def limit_automorphism_apply(phi: LocalAutomorphism,
                              a: TensorElement) -> TensorElement:
     """Conjugate each supported factor: m -> x_i^{-1} m x_i.
 
-    This orientation scales the upper block nilpotent at factor i by the
+    For x_i = diag(d) this scales entry (r, c) by d[c] / d[r], and leaves it
+    as it is where d[r] == d[c]: the diagonal, and every entry under the
+    identity rule, stays bit for bit in the float domains too.  This
+    orientation scales the upper block nilpotent at factor i by the
     index-scaling rule's lower diagonal entry.
     """
-    _check_shape(TensorElement(phi.shape), a)
+    _check_shape(phi, a)
     terms = []
     for coeff, factors in a.terms:
-        new = tuple((i, linalg.mat_mul(linalg.mat_mul(phi.inverse_matrix(i), m),
-                                       phi.matrix(i)))
-                    for i, m in factors)
-        terms.append((coeff, new))
+        new = []
+        for i, m in factors:
+            d = phi.diagonal(i)
+            new.append((i, tuple(tuple(x if dr == dc else x * (dc / dr)
+                                       for x, dc in zip(row, d))
+                                 for row, dr in zip(m, d))))
+        terms.append((coeff, tuple(new)))
     return TensorElement(a.shape, tuple(terms))
 
 
 def block_nilpotent(shape: FactorShape, i: int) -> TensorElement:
-    """[[0, I_k], [0, 0]] at factor i (k = m_i / 2), identity elsewhere."""
-    m = shape.size(i)
+    """[[0, I_k], [0, 0]] at factor i (k = m / 2), identity elsewhere."""
+    m = shape.size
     k = m // 2
     one, zero = scalars.one(shape.domain), scalars.zero(shape.domain)
     mat = tuple(tuple(one if c == r + k else zero for c in range(m))

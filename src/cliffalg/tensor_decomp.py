@@ -137,7 +137,7 @@ def rewrite_generator(chain: FactorChain, k: int) -> list[Multivector]:
     first factor).
     """
     if not 1 <= k <= chain.cuts[-1]:
-        raise SupportRangeError(f"index {k} exceeds the last cut {chain.cuts[-1]}")
+        raise SupportRangeError(f"index {k} outside 1..{chain.cuts[-1]}")
     ctx = chain.context
     i = next(idx for idx in range(1, len(chain.cuts) + 1)
              if k in chain.block(idx))

@@ -1,6 +1,5 @@
 """Shared oracles and random-input helpers for the test suite."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -112,13 +111,13 @@ def kron(a, b):
 def flatten(element, support):
     """`element` as one matrix on `support` (Kronecker, ascending factors)."""
     shape = element.shape
-    dim = math.prod(shape.size(i) for i in support)
+    dim = shape.size ** len(support)
     acc = zeros(dim, scalars.zero(shape.domain))
     for coeff, factors in element.terms:
         fmap = dict(factors)
         m = ((scalars.one(shape.domain),),)
         for i in support:
-            m = kron(m, fmap.get(i, shape.identity(i)))
+            m = kron(m, fmap.get(i, shape.identity()))
         acc = mat_add(acc, mat_scale(m, coeff))
     return acc
 

@@ -298,6 +298,29 @@ class TestLimits:
         assert run(["decomp", "check", "--cuts", "6,2"]) == 1
         assert capsys.readouterr().err.startswith("error: cuts must be even")
 
+    @pytest.mark.parametrize("k, code", [(0, 2), (1, 0), (6, 0), (7, 2)])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_rewrite_k_range(self, k, code, as_json, capsys):
+        argv = ["--json"] * as_json + ["decomp", "rewrite", "--cuts", "2,6",
+                                       "--k", str(k)]
+        assert run(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert err == f"error: --k must be between 1 and 6, got {k}\n"
+        else:
+            assert err == ""
+            assert out.endswith(f"product = e{k}: OK\n")
+
+    @pytest.mark.parametrize("command", ["build", "check", "rewrite"])
+    def test_cuts_that_are_not_integers(self, command, capsys):
+        argv = ["decomp", command, "--cuts", "2,,4"]
+        assert run(argv + ["--k", "1"] * (command == "rewrite")) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --cuts must be integers separated by commas, "
+                       "got '2,,4'\n")
+
 
 # One malformed document per reader and defect: an index past the limit, an
 # index that is not an integer, and a document of the wrong shape.

@@ -54,7 +54,7 @@ def same_value(rng, a):
             i = rng.choice(sorted(factors))
             factors[i] = mat_scale(factors[i], Fraction(2))
             coeff = coeff / 2
-        factors.setdefault(7, a.shape.identity(7))
+        factors.setdefault(7, a.shape.identity())
         part = Fraction(rng.randint(-3, 3), 4)
         terms += [(coeff * part, factors), (coeff * (1 - part), factors)]
     terms.append((0, {2: A1}))
@@ -70,9 +70,10 @@ def small_element(rng, shape):
         if not shape.domain.has_i:
             return re
         return GaussianRational(re, Fraction(rng.randint(-3, 3), den))
+    m = shape.size
     terms = []
     for _ in range(rng.randint(1, 3)):
-        factors = {i: tuple(tuple(value() for _ in range(2)) for _ in range(2))
+        factors = {i: tuple(tuple(value() for _ in range(m)) for _ in range(m))
                    for i in rng.sample(range(1, 4), rng.randint(0, 2))}
         terms.append((value(4), factors))
     return TensorElement.build(shape, terms)
@@ -87,7 +88,7 @@ class TestCanonicalEquality:
 
     def test_identity_factor(self):
         a = elem(Fraction(2, 3), {1: E11})
-        b = elem(Fraction(2, 3), {1: E11, 4: SHAPE.identity(4)})
+        b = elem(Fraction(2, 3), {1: E11, 4: SHAPE.identity()})
         assert b.support() == (1,)
         assert a == b and hash(a) == hash(b)
 
@@ -268,7 +269,7 @@ class TestTrace:
 
     def test_padding_invariance(self):
         a = elem(Fraction(2, 3), {1: E11})
-        padded = elem(Fraction(2, 3), {1: E11, 5: SHAPE.identity(5)})
+        padded = elem(Fraction(2, 3), {1: E11, 5: SHAPE.identity()})
         assert tp_trace(a) == tp_trace(padded)
         assert a == padded
 
@@ -358,10 +359,95 @@ class TestLimitAutomorphism:
                 inv, limit_automorphism_apply(phi, a)) == a
 
     def test_singular_rule_rejected(self):
-        zero2 = ((Fraction(0),) * 2,) * 2
-        phi = LocalAutomorphism.from_factors(SHAPE, {1: zero2})
+        phi = LocalAutomorphism.from_factors(SHAPE, {1: (Fraction(1), Fraction(0))})
         with pytest.raises(InvalidAutomorphismError):
             limit_automorphism_apply(phi, elem(1, {1: A1}))
+
+    def test_wrong_length_diagonal_rejected(self):
+        phi = LocalAutomorphism.from_factors(SHAPE, {1: (1, 2, 3)})
+        with pytest.raises(ShapeMismatchError):
+            limit_automorphism_apply(phi, elem(1, {1: A1}))
+
+
+def random_diagonal(rng, domain, m):
+    """Nonzero diagonal entries: negative and fractional (and multiples of i
+    in the Gaussian domain) when exact, +-2^j (times i in c64) in floats, so
+    that every float product and quotient is exact."""
+    if domain is Domain.RATIONAL:
+        return tuple(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+                     for _ in range(m))
+    if domain is Domain.GAUSSIAN:
+        return tuple(GaussianRational.of(rng.choice((-2, 0, 1, Fraction(1, 3))),
+                                         rng.choice((-1, 1, Fraction(3, 2))))
+                     for _ in range(m))
+    units = (1, -1) if domain is Domain.F64 else (1, -1, 1j, -1j)
+    return tuple(rng.choice(units) * 2.0 ** rng.randint(-3, 3) for _ in range(m))
+
+
+class TestDiagonalConjugation:
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_matches_the_dense_conjugation(self, domain, m, rng):
+        shape = FactorShape(domain, m)
+        one, zero = scalars.one(domain), scalars.zero(domain)
+        for _ in range(30):
+            diagonals = {i: random_diagonal(rng, domain, m) for i in range(1, 5)}
+            phi = LocalAutomorphism.from_factors(shape, diagonals)
+
+            def dense(i, mat):
+                d = [scalars.coerce(domain, x) for x in diagonals[i]]
+                x = tuple(tuple(d[r] if r == c else zero for c in range(m))
+                          for r in range(m))
+                x_inv = tuple(tuple(one / d[r] if r == c else zero
+                                    for c in range(m)) for r in range(m))
+                return linalg.mat_mul(linalg.mat_mul(x_inv, mat), x)
+
+            a = small_element(rng, shape)
+            want = TensorElement(shape, tuple(
+                (c, tuple((i, dense(i, mat)) for i, mat in f)) for c, f in a.terms))
+            assert limit_automorphism_apply(phi, a).terms == want.terms
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_inverted_round_trip(self, domain, m, rng):
+        shape = FactorShape(domain, m)
+        for _ in range(30):
+            phi = LocalAutomorphism.from_factors(
+                shape, {i: random_diagonal(rng, domain, m) for i in range(1, 5)})
+            a = small_element(rng, shape)
+            there = limit_automorphism_apply(phi, a)
+            assert limit_automorphism_apply(phi.inverted(), there).terms == a.terms
+            assert limit_automorphism_apply(phi, limit_automorphism_apply(
+                phi.inverted(), a)).terms == a.terms
+
+    def test_inverted_singular_rule_rejected(self):
+        phi = LocalAutomorphism.from_factors(SHAPE, {1: (Fraction(0), Fraction(1))})
+        with pytest.raises(InvalidAutomorphismError):
+            limit_automorphism_apply(phi.inverted(), elem(1, {1: A1}))
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64],
+                             ids=lambda d: d.value)
+    def test_float_identity_rule_and_diagonal_bit_for_bit(self, domain):
+        shape = FactorShape(domain, 4)
+        odd = [-0.0, math.inf, -math.inf, math.nan, 0.1, 1e-310, -3.0]
+        if domain is Domain.C64:
+            odd += [complex(-0.0, -1.0), complex(math.inf, 1.0),
+                    complex(0.1, -0.0)]
+        entries = iter(odd * 8)
+        mat = tuple(tuple(scalars.coerce(domain, next(entries)) for _ in range(4))
+                    for _ in range(4))
+        a = TensorElement.build(shape, [(0.5, {1: mat, 3: mat})])
+        got = limit_automorphism_apply(LocalAutomorphism.identity(shape), a)
+        assert repr(got.terms) == repr(a.terms)
+        diagonals = {1: (0.1, 0.3, 7.0, 1e-300)}
+        if domain is Domain.C64:
+            # a non-real d has d / d != 1 in floats: (49+1j) / (49+1j) is not 1
+            diagonals[3] = (49 + 1j,) * 2 + (3.0,) * 2
+        phi = LocalAutomorphism.from_factors(shape, diagonals)
+        scaled = dict(limit_automorphism_apply(phi, a).terms[0][1])
+        for i in (1, 3):
+            assert repr([scaled[i][r][r] for r in range(4)]) == \
+                repr([mat[r][r] for r in range(4)])
 
 
 class TestWitness:
