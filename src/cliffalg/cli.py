@@ -17,8 +17,8 @@ import sys
 from . import scalars, serialize
 from .automorphisms import bogolyubov_apply, conjugation_apply
 from .core import Context, Multivector
-from .derivations import (bogolyubov_derivation, family_apply, extract_even,
-                          extract_odd, inner_witness)
+from .derivations import (AdFamily, bogolyubov_derivation, family_apply,
+                          extract_even, extract_odd, inner_witness)
 from .errors import CliffordError, DigitLimitError, ParseError
 from .expr import MAX_GENERATOR, parse
 from .locmat import FactorShape, witness_discontinuous, witness_sequence
@@ -124,11 +124,8 @@ def cmd_deriv_extract(args) -> int:
     else:
         extract, high = extract_odd, MAX_GENERATOR - 1
     terms = extract(table, _in_range("--bound", args.bound, 0, high), ctx)
-    print(json.dumps({
-        "parity": args.parity,
-        "terms": [{"blade": list(b.indices),
-                   "coeff": scalars.format_scalar(ctx.domain, c)}
-                  for b, c in terms]}))
+    print(json.dumps(serialize.family_to_json(
+        AdFamily.finite(ctx, args.parity, terms))))
     return 0
 
 
@@ -219,10 +216,11 @@ def cmd_rep_check(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    shape = FactorShape(Domain.RATIONAL, args.m)
     n_max = _in_range("--n", args.n, 1, WITNESS_MAX_N)
     _in_range("--m", args.m, 2, math.isqrt(4 * WITNESS_MAX_N // n_max) & ~1)
-    pairs = witness_sequence(n_max, shape)
+    if args.m % 2:
+        raise ValueError(f"--m must be even, got {args.m}")
+    pairs = witness_sequence(n_max, FactorShape(Domain.RATIONAL, args.m))
     for n, (before, after) in enumerate(pairs, start=1):
         print(f"n={n}: ({before}, {after})")
     if witness_discontinuous(pairs):

@@ -9,59 +9,64 @@ Grammar:
 
 Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.
 Generator indices are at most MAX_GENERATOR: a blade is a bitmask as wide
-as its top index, and every product works on the whole mask.
+as its top index, and every product works on the whole mask.  One parse
+forms at most MAX_PRODUCT_PAIRS blade pairs over all its products, so a
+short text cannot ask for 2^30 terms.  Lexing and summing take time linear
+in the text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import scalars
-from .core import Context, Multivector, mv_product, reverse
+from .core import Context, Multivector, _accumulate, mv_product, reverse
 from .errors import DomainMismatchError, ParseError
 
 MAX_EXPONENT = 10 ** 6
 MAX_GENERATOR = 10 ** 4
+MAX_PRODUCT_PAIRS = 2 ** 18
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([+\-*^/()]))")
+# The last alternative catches any other character, so one scan covers the
+# text; leading whitespace belongs to the match that follows it.
+_TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<name>[A-Za-z]\w*)"
+                    r"|(?P<op>[+\-*^/()])|(?P<bad>\S))")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "nat" | "name" | "op"
     text: str
-    line: int
-    column: int
+    pos: int  # offset of the first character in the source text
+
+
+def _error(text: str, message: str, pos: int) -> ParseError:
+    """A ParseError at offset `pos`: lines count from 1, columns from 0."""
+    return ParseError(message, text.count("\n", 0, pos) + 1,
+                      pos - (text.rfind("\n", 0, pos) + 1))
 
 
 def _lex(text: str) -> list[Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            line = text.count("\n", 0, pos) + 1
-            column = pos - (text.rfind("\n", 0, pos) + 1)
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, column)
-        start = m.start(m.lastindex)
-        line = text.count("\n", 0, start) + 1
-        column = start - (text.rfind("\n", 0, start) + 1)
-        kind = ("nat", "name", "op")[m.lastindex - 1]
-        tokens.append(Token(kind, m.group(m.lastindex), line, column))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _error(text, f"unexpected character {m[kind]!r}", m.start())
+        tokens.append(Token(kind, m[kind], m.start(kind)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], context: Context):
+    def __init__(self, text: str, tokens: list[Token], context: Context):
+        self.text = text
         self.tokens = tokens
         self.pos = 0
         self.context = context
+        self.pairs = 0  # blade pairs of every product formed so far
+
+    def error(self, message: str, tok: Token) -> ParseError:
+        return _error(self.text, message, tok.pos)
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -69,39 +74,38 @@ class _Parser:
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("op", "", 1, 0)
-            raise ParseError("unexpected end of input", last.line,
-                             last.column + len(last.text))
+            last = self.tokens[-1]
+            raise _error(self.text, "unexpected end of input",
+                         last.pos + len(last.text))
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}",
-                             tok.line, tok.column)
-        return tok
+            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
 
     def parse(self) -> Multivector:
         value = self.expr()
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+            raise self.error(f"trailing input {tok.text!r}", tok)
         return value
 
     def expr(self) -> Multivector:
-        value = self.term()
+        terms = dict(self.term().terms)
         while (tok := self.peek()) and tok.text in "+-":
             self.next()
-            rhs = self.term()
-            value = value + rhs if tok.text == "+" else value - rhs
-        return value
+            items = self.term().terms.items()
+            _accumulate(terms, items if tok.text == "+"
+                        else ((blade, -c) for blade, c in items))
+        return Multivector(self.context, terms, _canonical=True)
 
     def term(self) -> Multivector:
         value = self.factor()
         while (tok := self.peek()) and tok.text == "*":
             self.next()
-            value = mv_product(value, self.factor())
+            value = self.product(value, self.factor(), tok)
         return value
 
     def factor(self) -> Multivector:
@@ -110,10 +114,9 @@ class _Parser:
             self.next()
             exp_tok = self.next()
             if exp_tok.kind != "nat":
-                raise ParseError("power must be a nonnegative integer",
-                                 exp_tok.line, exp_tok.column)
-            return _power(value, _bounded(exp_tok.text, MAX_EXPONENT,
-                                          "exponent", exp_tok))
+                raise self.error("power must be a nonnegative integer", exp_tok)
+            n = self.bounded(exp_tok.text, MAX_EXPONENT, "exponent", exp_tok)
+            return self.power(value, n, tok)
         return value
 
     def atom(self) -> Multivector:
@@ -128,20 +131,20 @@ class _Parser:
             try:
                 num = int(tok.text)
             except ValueError:
-                raise ParseError(f"integer literal of {len(tok.text)} digits is too long",
-                                 tok.line, tok.column) from None
+                raise self.error(f"integer literal of {len(tok.text)} digits "
+                                 f"is too long", tok) from None
             if (nxt := self.peek()) and nxt.text == "/":
                 self.next()
                 den_tok = self.next()
                 if den_tok.kind != "nat" or int(den_tok.text) == 0:
-                    raise ParseError("denominator must be a positive integer",
-                                     den_tok.line, den_tok.column)
+                    raise self.error("denominator must be a positive integer",
+                                     den_tok)
                 return Multivector.scalar(self.context,
                                           Fraction(num, int(den_tok.text)))
             return Multivector.scalar(self.context, num)
         if tok.kind == "name":
             return self.named(tok)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+        raise self.error(f"unexpected token {tok.text!r}", tok)
 
     def named(self, tok: Token) -> Multivector:
         if tok.text == "i":
@@ -157,33 +160,38 @@ class _Parser:
             return reverse(inner)
         m = re.fullmatch(r"e(\d+)", tok.text)
         if m:
-            k = _bounded(m.group(1), MAX_GENERATOR, "generator index", tok)
+            k = self.bounded(m.group(1), MAX_GENERATOR, "generator index", tok)
             if k < 1:
-                raise ParseError("generator indices start at 1",
-                                 tok.line, tok.column)
+                raise self.error("generator indices start at 1", tok)
             return Multivector.generator(self.context, k)
-        raise ParseError(f"unknown atom {tok.text!r}", tok.line, tok.column)
+        raise self.error(f"unknown atom {tok.text!r}", tok)
 
+    def bounded(self, digits: str, limit: int, what: str, tok: Token) -> int:
+        """int(digits), refusing a value above `limit` before converting it."""
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(limit)) or int(digits) > limit:
+            raise self.error(f"{what} exceeds the limit {limit}", tok)
+        return int(digits)
 
-def _bounded(digits: str, limit: int, what: str, tok: Token) -> int:
-    """int(digits), refusing a value above `limit` before converting it."""
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(limit)) or int(digits) > limit:
-        raise ParseError(f"{what} exceeds the limit {limit}", tok.line, tok.column)
-    return int(digits)
+    def product(self, a: Multivector, b: Multivector, tok: Token) -> Multivector:
+        """a * b, counted against MAX_PRODUCT_PAIRS; `tok` is the operator."""
+        self.pairs += len(a.terms) * len(b.terms)
+        if self.pairs > MAX_PRODUCT_PAIRS:
+            raise self.error(f"expression needs more than {MAX_PRODUCT_PAIRS} "
+                             f"blade products", tok)
+        return mv_product(a, b)
 
-
-def _power(value: Multivector, n: int) -> Multivector:
-    """value^n by square-and-multiply over the bits of n from the top, so
-    n <= 3 multiplies in the same order as repeated multiplication."""
-    if n == 0:
-        return Multivector.unit(value.context)
-    out = value
-    for bit in bin(n)[3:]:
-        out = mv_product(out, out)
-        if bit == "1":
-            out = mv_product(out, value)
-    return out
+    def power(self, value: Multivector, n: int, tok: Token) -> Multivector:
+        """value^n by square-and-multiply over the bits of n from the top, so
+        n <= 3 multiplies in the same order as repeated multiplication."""
+        if n == 0:
+            return Multivector.unit(value.context)
+        out = value
+        for bit in bin(n)[3:]:
+            out = self.product(out, out, tok)
+            if bit == "1":
+                out = self.product(out, value, tok)
+        return out
 
 
 def parse(text: str, context: Context) -> Multivector:
@@ -191,4 +199,4 @@ def parse(text: str, context: Context) -> Multivector:
     tokens = _lex(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(tokens, context).parse()
+    return _Parser(text, tokens, context).parse()

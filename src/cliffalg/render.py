@@ -9,35 +9,31 @@ from __future__ import annotations
 
 from . import scalars
 from .core import Multivector, UNIT_BLADE
-from .scalars import Domain, GaussianRational
+from .scalars import Domain
+
+
+def _real(text: str, value) -> tuple[str, bool]:
+    """A real coefficient's text; second slot marks a leading '-'."""
+    return (text[1:], True) if value < 0 else (text, False)
 
 
 def _scalar_expr(domain: Domain, value) -> tuple[str, bool]:
     """Render a coefficient as expression text; second slot marks a leading '-'."""
-    if domain is Domain.RATIONAL:
-        return (str(-value), True) if value < 0 else (str(value), False)
+    if domain.is_real:  # the str of a float is its repr
+        return _real(str(value), value)
     if domain is Domain.GAUSSIAN:
-        return _gaussian_expr(value)
-    if domain is Domain.F64:
-        return (repr(-value), True) if value < 0 else (repr(value), False)
-    # c64: always parenthesized composite
-    re_txt, im = repr(value.real), value.imag
+        re, im = value.re, value.im
+        if im == 0:
+            return _real(str(re), re)
+        imag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        if re == 0:
+            return (imag, im < 0)
+        return (f"({re}{'-' if im < 0 else '+'}{imag})", False)
+    # c64: a parenthesized composite unless the imaginary part is zero
+    re, im = value.real, value.imag
     if im == 0:
-        return (re_txt.lstrip("-"), value.real < 0) if value.real < 0 else (re_txt, False)
-    sign = "-" if im < 0 else "+"
-    return (f"({re_txt}{sign}{abs(im)!r}*i)", False)
-
-
-def _gaussian_expr(value: GaussianRational) -> tuple[str, bool]:
-    re, im = value.re, value.im
-    if im == 0:
-        return (str(-re), True) if re < 0 else (str(re), False)
-    if re == 0:
-        mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
-        return (mag, True) if im < 0 else (mag, False)
-    sign = "-" if im < 0 else "+"
-    imag = "i" if abs(im) == 1 else f"{abs(im)}*i"
-    return (f"({re}{sign}{imag})", False)
+        return _real(repr(re), re)
+    return (f"({re!r}{'-' if im < 0 else '+'}{abs(im)!r}*i)", False)
 
 
 def render(mv: Multivector) -> str:
@@ -50,7 +46,7 @@ def render(mv: Multivector) -> str:
             txt, negative = _scalar_expr(mv.context.domain, coeff)
             if blade == UNIT_BLADE:
                 body = txt
-            elif _is_one(txt):
+            elif txt in ("1", "1.0"):
                 body = str(blade)
             else:
                 body = f"{txt}*{blade}"
@@ -59,7 +55,3 @@ def render(mv: Multivector) -> str:
             else:
                 parts.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(parts)
-
-
-def _is_one(txt: str) -> bool:
-    return txt in ("1", "1.0")

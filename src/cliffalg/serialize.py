@@ -71,42 +71,40 @@ def context_from_json(obj: dict) -> Context:
     return Context(domain, Signature.build(domain, default, overrides))
 
 
+def _terms_to_json(domain: Domain, terms) -> list:
+    return [{"blade": list(blade.indices), "coeff": _scalar_out(domain, coeff)}
+            for blade, coeff in terms]
+
+
+def _terms_from_json(obj: dict, domain: Domain) -> list:
+    return [(Blade.from_indices(map(_index, item["blade"])),
+             scalars.parse_scalar(domain, item["coeff"]))
+            for item in obj.get("terms", [])]
+
+
 def multivector_to_json(mv: Multivector) -> dict:
     out = context_to_json(mv.context)
-    out["terms"] = [{"blade": list(blade.indices),
-                     "coeff": _scalar_out(mv.context.domain, coeff)}
-                    for blade, coeff in mv.sorted_terms()]
+    out["terms"] = _terms_to_json(mv.context.domain, mv.sorted_terms())
     return out
 
 
 @_reader
 def multivector_from_json(obj: dict, context: Context | None = None) -> Multivector:
     ctx = context if context is not None else context_from_json(obj)
-    terms = {}
-    for item in obj.get("terms", []):
-        blade = Blade.from_indices(map(_index, item["blade"]))
-        terms[blade] = scalars.parse_scalar(ctx.domain, item["coeff"])
-    return Multivector(ctx, terms)
+    return Multivector(ctx, dict(_terms_from_json(obj, ctx.domain)))
 
 
 def family_to_json(family) -> dict:
-    domain = family.context.domain
-    return {
-        "parity": family.parity,
-        "terms": [{"blade": list(blade.indices),
-                   "coeff": _scalar_out(domain, coeff)}
-                  for blade, coeff in family.terms],
-    }
+    return {"parity": family.parity,
+            "terms": _terms_to_json(family.context.domain, family.terms)}
 
 
 @_reader
 def family_from_json(obj: dict, context: Context):
     from .derivations import AdFamily
 
-    terms = [(Blade.from_indices(map(_index, item["blade"])),
-              scalars.parse_scalar(context.domain, item["coeff"]))
-             for item in obj.get("terms", [])]
-    return AdFamily.finite(context, obj["parity"], terms)
+    return AdFamily.finite(context, obj["parity"],
+                           _terms_from_json(obj, context.domain))
 
 
 @_reader

@@ -16,7 +16,8 @@ from cliffalg.cli import (BROKEN_PIPE, DECOMP_MAX_BLOCK, DECOMP_MAX_CUT,
                           build_parser, run)
 from cliffalg.core import Blade, Context, Multivector, mv_product
 from cliffalg.errors import DigitLimitError, ParseError
-from cliffalg.expr import MAX_EXPONENT, MAX_GENERATOR, parse
+from cliffalg.expr import (MAX_EXPONENT, MAX_GENERATOR, MAX_PRODUCT_PAIRS,
+                           parse)
 from cliffalg.render import render
 from cliffalg.scalars import Domain, GaussianRational, format_scalar
 
@@ -154,6 +155,7 @@ class TestLimits:
     def test_documented_values(self):
         # README's "Size limits" gives these values
         assert (MAX_GENERATOR, REP_CHECK_MAX_K, WITNESS_MAX_N) == (10 ** 4, 8, 5000)
+        assert MAX_PRODUCT_PAIRS == 2 ** 18
 
     def test_generator_index_cap(self, capsys):
         assert run(["eval", f"e{MAX_GENERATOR}"]) == 0
@@ -262,6 +264,16 @@ class TestLimits:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: --m must be between 2 and ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--m", "3"], "--m must be even, got 3"),
+        (["--m", "0"], "--m must be between 2 and 44, got 0"),
+        (["--n", "0", "--m", "3"], "--n must be between 1 and 5000, got 0"),
+    ], ids=["m-odd", "m-0", "n-before-m"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_witness_errors_name_the_flag(self, argv, message, as_json, capsys):
+        assert run(["--json"] * as_json + ["witness"] + argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_documented_cuts_limits(self):
         # README's "Size limits" gives these values
