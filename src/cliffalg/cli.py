@@ -125,7 +125,7 @@ def cmd_deriv_extract(args) -> int:
         extract, high = extract_odd, MAX_GENERATOR - 1
     terms = extract(table, _in_range("--bound", args.bound, 0, high), ctx)
     print(json.dumps(serialize.family_to_json(
-        AdFamily.finite(ctx, args.parity, terms))))
+        AdFamily(ctx, args.parity, tuple(terms)))))
     return 0
 
 

@@ -29,8 +29,9 @@ MAX_EXPONENT = 10 ** 6
 MAX_GENERATOR = 10 ** 4
 MAX_PRODUCT_PAIRS = 2 ** 18
 
-# The last alternative catches any other character, so one scan covers the
-# text; leading whitespace belongs to the match that follows it.
+# One scan: the last alternative catches any other character, and leading
+# whitespace belongs to the match that follows it.  The scan ends at the last
+# non-space: retrying `\s*` at each offset of trailing blanks is quadratic.
 _TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<name>[A-Za-z]\w*)"
                     r"|(?P<op>[+\-*^/()])|(?P<bad>\S))")
 
@@ -49,7 +50,7 @@ def _error(text: str, message: str, pos: int) -> ParseError:
 
 def _lex(text: str) -> list[Token]:
     tokens = []
-    for m in _TOKEN.finditer(text):
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
         kind = m.lastgroup
         if kind == "bad":
             raise _error(text, f"unexpected character {m[kind]!r}", m.start())
@@ -93,7 +94,10 @@ class _Parser:
         return value
 
     def expr(self) -> Multivector:
-        terms = dict(self.term().terms)
+        value = self.term()
+        if not ((tok := self.peek()) and tok.text in "+-"):
+            return value
+        terms = dict(value.terms)
         while (tok := self.peek()) and tok.text in "+-":
             self.next()
             items = self.term().terms.items()

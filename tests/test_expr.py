@@ -12,6 +12,7 @@ from cliffalg.cli import run
 from cliffalg.core import Blade, Context
 from cliffalg.errors import ParseError
 from cliffalg.expr import MAX_PRODUCT_PAIRS, _lex, parse
+from cliffalg.render import render
 
 CTX = Context.make()
 
@@ -90,6 +91,23 @@ class TestLinearTime:
         assert len(tokens) == 199_999
         assert tokens[-1].pos == len(text) - 2
 
+    @pytest.mark.parametrize("text, outcome", [
+        ("e1" + " " * 200_000, "e1"),
+        (" " * 200_000, "empty expression (line 1, column 0)"),
+        ("e1 +\n" + "\t\n " * 70_000,
+         "unexpected end of input (line 1, column 4)")],
+        ids=["after-a-token", "only", "after-an-operator"])
+    def test_trailing_whitespace(self, text, outcome):
+        # no token matches in a trailing run of whitespace; scanning it from
+        # every offset would be quadratic in its length
+        start = time.perf_counter()
+        try:
+            value = render(parse(text, CTX))
+        except ParseError as err:
+            value = str(err)
+        assert time.perf_counter() - start < 5
+        assert value == outcome
+
     def test_sum_of_20000_distinct_blades(self):
         pairs = [(i, j) for j in range(2, 202) for i in range(1, j)][:20_000]
         text = " + ".join(f"e{i}*e{j}" for i, j in pairs)
@@ -121,14 +139,19 @@ class TestProductBudget:
         err = parse_error(text)
         assert (err.line, err.column) == (1, text.rindex("^"))
 
-    @pytest.mark.parametrize("text", [chain(40), f"({chain(12)})^2",
-                                      f"({chain(9)})^3"],
+    # chain-40 forms the 16 allowed products (2^18 - 4 pairs) before it
+    # fails, about 1.1 s on an idle machine; the square and the cube fail at
+    # their first product, about 0.02 s
+    @pytest.mark.parametrize("text, seconds",
+                             [(chain(40), 10), (f"({chain(12)})^2", 2),
+                              (f"({chain(9)})^3", 2)],
                              ids=["chain-40", "square", "cube"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    def test_hostile_products_exit_two_quickly(self, text, as_json, capsys):
+    def test_hostile_products_exit_two_quickly(self, text, seconds, as_json,
+                                               capsys):
         start = time.perf_counter()
         assert run(["--json"] * as_json + ["eval", text]) == 2
-        assert time.perf_counter() - start < 2
+        assert time.perf_counter() - start < seconds
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: expression needs more than "
