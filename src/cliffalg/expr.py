@@ -11,8 +11,11 @@ Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.
 Generator indices are at most MAX_GENERATOR: a blade is a bitmask as wide
 as its top index, and every product works on the whole mask.  One parse
 forms at most MAX_PRODUCT_PAIRS blade pairs over all its products, so a
-short text cannot ask for 2^30 terms.  Lexing and summing take time linear
-in the text.
+short text cannot ask for 2^30 terms.  In the exact domains the largest
+coefficient sizes of a product's operands (numerator plus denominator bits,
+over both parts of a Gaussian value) add up to at most MAX_COEFF_BITS, so a
+short power cannot grow million-bit coefficients.  Lexing and summing take
+time linear in the text.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ from typing import NamedTuple
 from . import scalars
 from .core import Context, Multivector, _accumulate, mv_product, reverse
 from .errors import DomainMismatchError, ParseError
+from .scalars import GaussianRational
 
 MAX_EXPONENT = 10 ** 6
 MAX_GENERATOR = 10 ** 4
 MAX_PRODUCT_PAIRS = 2 ** 18
+MAX_COEFF_BITS = 2 ** 15
 
 # One scan: the last alternative catches any other character, and leading
 # whitespace belongs to the match that follows it.  The scan ends at the last
@@ -46,6 +51,14 @@ def _error(text: str, message: str, pos: int) -> ParseError:
     """A ParseError at offset `pos`: lines count from 1, columns from 0."""
     return ParseError(message, text.count("\n", 0, pos) + 1,
                       pos - (text.rfind("\n", 0, pos) + 1))
+
+
+def _coeff_bits(value) -> int:
+    """Numerator plus denominator bits of an exact value, over both parts of
+    a Gaussian one."""
+    parts = (value.re, value.im) if isinstance(value, GaussianRational) else (value,)
+    return sum(p.numerator.bit_length() + p.denominator.bit_length()
+               for p in parts)
 
 
 def _lex(text: str) -> list[Token]:
@@ -178,11 +191,18 @@ class _Parser:
         return int(digits)
 
     def product(self, a: Multivector, b: Multivector, tok: Token) -> Multivector:
-        """a * b, counted against MAX_PRODUCT_PAIRS; `tok` is the operator."""
+        """a * b, counted against MAX_PRODUCT_PAIRS and, in the exact domains,
+        refused before it is formed when the operands' largest coefficients
+        add up to more than MAX_COEFF_BITS; `tok` is the operator."""
         self.pairs += len(a.terms) * len(b.terms)
         if self.pairs > MAX_PRODUCT_PAIRS:
             raise self.error(f"expression needs more than {MAX_PRODUCT_PAIRS} "
                              f"blade products", tok)
+        if self.context.domain.is_exact and sum(
+                max(map(_coeff_bits, x.terms.values()), default=0)
+                for x in (a, b)) > MAX_COEFF_BITS:
+            raise self.error(f"expression needs coefficients of more than "
+                             f"{MAX_COEFF_BITS} bits", tok)
         return mv_product(a, b)
 
     def power(self, value: Multivector, n: int, tok: Token) -> Multivector:

@@ -1,21 +1,22 @@
 """Infinite tensor products of matrix algebras at finite support.
 
 Elements are finite sums of elementary tensors (identity off a finite set
-of factors).  The normalized trace multiplies per-factor normalized traces;
-the limit automorphism conjugates only the supported factors, which is the
-stabilization property made literal, each by a diagonal, which scales its
-entries.  The witness sequence exhibits an automorphism that shrinks no norm
-while its input sequence tends to zero.
+of factors).  A factor is the row-major tuple of its stored ((row, col),
+entry) pairs: no zero when exact, every entry (0.0 included, so 0 * inf is
+still nan) in f64 and c64.  The normalized trace multiplies per-factor
+normalized traces; the limit automorphism conjugates only the supported
+factors, the stabilization property made literal, each by a diagonal, which
+scales its stored entries.  The witness sequence exhibits an automorphism
+that shrinks no norm while its input sequence tends to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping
 
-from . import linalg, scalars
+from . import scalars
 from .errors import (InvalidAutomorphismError, ShapeMismatchError,
                      UnsupportedDomainError)
 from .scalars import Domain
@@ -32,36 +33,40 @@ class FactorShape:
         if self.size < 2 or self.size % 2:
             raise ValueError(f"factor sizes must be even and >= 2, got {self.size}")
 
-    def identity(self):
-        return _identity(self.domain, self.size)
+
+def _stored(domain: Domain, entries) -> tuple:
+    """The ((row, col), entry) pairs a factor keeps: the nonzero ones in an
+    exact domain, every one in a float domain."""
+    return tuple(e for e in entries if e[1]) if domain.is_exact else tuple(entries)
 
 
-@lru_cache(maxsize=64)
-def _identity(domain: Domain, m: int):
-    return linalg.identity(m, one=scalars.one(domain), zero=scalars.zero(domain))
-
-
-def _check_matrix(shape: FactorShape, i: int, matrix):
+def _factor(shape: FactorShape, i: int, rows) -> tuple:
+    """Dense rows as a factor, each entry coerced to the shape's domain."""
     m = shape.size
-    matrix = tuple(tuple(scalars.coerce(shape.domain, v) for v in row)
-                   for row in matrix)
-    if len(matrix) != m or any(len(row) != m for row in matrix):
+    rows = [[scalars.coerce(shape.domain, x) for x in row] for row in rows]
+    if len(rows) != m or any(len(row) != m for row in rows):
         raise ShapeMismatchError(f"factor {i} expects {m}x{m} matrices")
-    return matrix
+    return _stored(shape.domain, (((r, c), x) for r, row in enumerate(rows)
+                                  for c, x in enumerate(row)))
+
+
+def _trace(entries, zero):
+    return sum((x for (r, c), x in entries if r == c), zero)
 
 
 def _canonical(shape: FactorShape, terms) -> tuple:
-    """Merge terms by factor tuple; drop identity factors, terms with a zero
-    factor and zero coefficients.  Merged terms keep first-seen order."""
-    identity = shape.identity()
+    """Merge terms by factor tuple; drop identity factors (every diagonal
+    entry stored and 1, every other stored entry 0), terms with a zero factor
+    and zero coefficients.  Merged terms keep first-seen order."""
     merged = {}
     for coeff, factors in terms:
         kept = []
-        for i, m in factors:
-            if not any(any(row) for row in m):
+        for i, f in factors:
+            if not any(x for _, x in f):
                 break
-            if m != identity:
-                kept.append((i, m))
+            if sum(r == c for (r, c), _ in f) != shape.size or \
+                    any(x != (r == c) for (r, c), x in f):
+                kept.append((i, f))
         else:
             key = tuple(kept)
             merged[key] = merged[key] + coeff if key in merged else coeff
@@ -70,7 +75,7 @@ def _canonical(shape: FactorShape, terms) -> tuple:
 
 @dataclass(frozen=True)
 class TensorElement:
-    """Finite sum of (coefficient, finitely supported factor -> matrix) terms.
+    """Finite sum of (coefficient, ((factor index, factor), ...)) terms.
 
     Terms are kept canonical (see _canonical), so structurally equal elements
     compare equal without expanding them.
@@ -84,13 +89,11 @@ class TensorElement:
 
     @staticmethod
     def build(shape: FactorShape, terms) -> "TensorElement":
-        canon = []
-        for coeff, factors in terms:
-            coeff = scalars.coerce(shape.domain, coeff)
-            factors = tuple(sorted((int(i), _check_matrix(shape, i, m))
-                                   for i, m in dict(factors).items()))
-            canon.append((coeff, factors))
-        return TensorElement(shape, tuple(canon))
+        return TensorElement(shape, tuple(
+            (scalars.coerce(shape.domain, coeff),
+             tuple(sorted((int(i), _factor(shape, i, rows))
+                          for i, rows in dict(factors).items())))
+            for coeff, factors in terms))
 
     @staticmethod
     def identity(shape: FactorShape) -> "TensorElement":
@@ -145,8 +148,10 @@ class TensorElement:
     def adjoint(self) -> "TensorElement":
         """Conjugate coefficients, conjugate-transpose every factor."""
         return TensorElement(self.shape, tuple(
-            (c.conjugate(), tuple((i, linalg.conj_transpose(m)) for i, m in f))
-            for c, f in self.terms))
+            (c.conjugate(), tuple((i, tuple(sorted(((col, row), x.conjugate())
+                                                   for (row, col), x in f)))
+                                  for i, f in fs))
+            for c, fs in self.terms))
 
 
 def _check_shape(a, b):
@@ -160,9 +165,23 @@ def _exact(a: TensorElement) -> TensorElement:
     def read(x):
         return scalars.GaussianRational(Fraction(x.real), Fraction(x.imag))
     return TensorElement(replace(a.shape, domain=Domain.GAUSSIAN), tuple(
-        (read(c), tuple((i, tuple(tuple(map(read, row)) for row in m))
-                        for i, m in f))
-        for c, f in a.terms))
+        (read(c), tuple((i, _stored(Domain.GAUSSIAN, ((k, read(x)) for k, x in f)))
+                        for i, f in fs))
+        for c, fs in a.terms))
+
+
+def _mul(domain: Domain, a: tuple, b: tuple) -> tuple:
+    """Factor product over stored entries: entry (r, c) sums a[r, j] b[j, c]
+    in increasing j, and an exact sum that cancels is not stored."""
+    rows = {}
+    for (j, c), y in b:
+        rows.setdefault(j, []).append((c, y))
+    out = {}
+    for (r, j), x in a:
+        for c, y in rows.get(j, ()):
+            key = r, c
+            out[key] = out[key] + x * y if key in out else x * y
+    return _stored(domain, sorted(out.items()))
 
 
 def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -174,18 +193,18 @@ def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
             merged = dict(fa)
             for i, mb in fb:
                 ma = merged.get(i)
-                merged[i] = mb if ma is None else linalg.mat_mul(ma, mb)
+                merged[i] = mb if ma is None else _mul(a.shape.domain, ma, mb)
             terms.append((ca * cb, tuple(sorted(merged.items()))))
     return TensorElement(a.shape, tuple(terms))
 
 
 def tp_trace(a: TensorElement):
     """Normalized trace: per term, product of (1/m) * matrix trace."""
-    total = scalars.zero(a.shape.domain)
+    total = zero = scalars.zero(a.shape.domain)
     for coeff, factors in a.terms:
         value = coeff
-        for _, m in factors:
-            value = value * linalg.mat_trace(m) / a.shape.size
+        for _, f in factors:
+            value = value * _trace(f, zero) / a.shape.size
         total = total + value
     return total
 
@@ -193,28 +212,28 @@ def tp_trace(a: TensorElement):
 def _pairing(a: TensorElement, b: TensorElement):
     """tr(a * adjoint(b)) = sum over term pairs (s, t) of c_s conj(c_t)
     prod_i <A_si, B_ti> / m, with <A, B> = tr(A B*) and an absent factor the
-    identity: <A, I> = tr(A), <I, B> = conj(tr(B)).  A complex domain
-    conjugates b's coefficients and entries once; a real one, nothing."""
-    left = [(c, dict(f)) for c, f in a.terms]
+    identity: <A, I> = tr(A), <I, B> = conj(tr(B)).  <A, B> sums the products
+    of the entries both factors store.  A complex domain conjugates b's
+    coefficients and entries once; a real one, nothing."""
+    total = zero = scalars.zero(a.shape.domain)
+    left = [(c, {i: dict(f) for i, f in fs}) for c, fs in a.terms]
     if a.shape.domain.has_i:
         right = [(c.conjugate(),
-                  {i: tuple(tuple(x.conjugate() for x in row) for row in m)
-                   for i, m in f})
-                 for c, f in b.terms]
+                  {i: tuple((k, x.conjugate()) for k, x in f) for i, f in fs})
+                 for c, fs in b.terms]
     else:
-        right = left if b is a else [(c, dict(f)) for c, f in b.terms]
-    total = scalars.zero(a.shape.domain)
+        right = [(c, dict(fs)) for c, fs in b.terms]
     for cs, fs in left:
         for ct, ft in right:
             value = cs * ct
             for i in sorted(fs.keys() | ft.keys()):
                 ms, mt = fs.get(i), ft.get(i)
                 if ms is None:
-                    pairing = linalg.mat_trace(mt)
+                    pairing = _trace(mt, zero)
                 elif mt is None:
-                    pairing = linalg.mat_trace(ms)
+                    pairing = _trace(ms.items(), zero)
                 else:
-                    pairing = linalg.hs_pairing(ms, mt)
+                    pairing = sum((ms[k] * y for k, y in mt if k in ms), zero)
                 value = value * pairing / a.shape.size
             total = total + value
     return total
@@ -276,9 +295,9 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
                              a: TensorElement) -> TensorElement:
     """Conjugate each supported factor: m -> x_i^{-1} m x_i.
 
-    For x_i = diag(d) this scales entry (r, c) by d[c] / d[r], and leaves it
-    as it is where d[r] == d[c]: the diagonal, and every entry under the
-    identity rule, stays bit for bit in the float domains too.  This
+    For x_i = diag(d) this scales stored entry (r, c) by d[c] / d[r], and
+    leaves it as it is where d[r] == d[c]: the diagonal, and every entry under
+    the identity rule, stays bit for bit in the float domains too.  This
     orientation scales the upper block nilpotent at factor i by the
     index-scaling rule's lower diagonal entry.
     """
@@ -286,19 +305,17 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
     terms = []
     for coeff, factors in a.terms:
         new = []
-        for i, m in factors:
+        for i, f in factors:
             d = phi.diagonal(i)
-            new.append((i, tuple(tuple(x if dr == dc else x * (dc / dr)
-                                       for x, dc in zip(row, d))
-                                 for row, dr in zip(m, d))))
+            new.append((i, tuple(((r, c), x if d[r] == d[c] else x * (d[c] / d[r]))
+                                 for (r, c), x in f)))
         terms.append((coeff, tuple(new)))
     return TensorElement(a.shape, tuple(terms))
 
 
 def block_nilpotent(shape: FactorShape, i: int) -> TensorElement:
     """[[0, I_k], [0, 0]] at factor i (k = m / 2), identity elsewhere."""
-    m = shape.size
-    k = m // 2
+    m, k = shape.size, shape.size // 2
     one, zero = scalars.one(shape.domain), scalars.zero(shape.domain)
     mat = tuple(tuple(one if c == r + k else zero for c in range(m))
                 for r in range(m))

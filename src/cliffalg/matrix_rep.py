@@ -9,15 +9,15 @@ of a mask being factor j (the stabilizer tableau encoding of Aaronson and
 Gottesman, PRA 70, 052328, 2004): basis vector c goes to i^p (-1)^|z & c| e_{c^x}.
 The certificates read words only: the normalized trace of a word is i^p when
 x == z == 0 and 0 otherwise, and faithfulness is GF(2) independence.
-`represent` writes the dense 2**k x 2**k matrix, the oracle the tests check
-the words against.
+`represent` and `MatrixRep.identity` write dense 2**k x 2**k matrices, the
+oracle the tests check the words against, through `_dense` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import linalg, scalars
+from . import scalars
 from .core import Blade, Context, Multivector
 from .errors import SupportRangeError, UnsupportedDomainError
 from .scalars import Domain, GaussianRational
@@ -50,7 +50,7 @@ class MatrixRep:
     _blade_cache: dict = field(default_factory=dict, repr=False)
 
     def identity(self):
-        return linalg.identity(self.dim, one=_ONE, zero=_ZERO)
+        return _dense(self.dim, [((0, 0, 0), _ONE)])
 
     def blade_word(self, bits: int) -> tuple:
         """Word of the ordered product of the generators in blade `bits`."""
@@ -114,7 +114,7 @@ def represent(rep: MatrixRep, a: Multivector):
 
 
 def normalized_trace(m):
-    return linalg.mat_trace(m) / len(m)
+    return sum((row[r] for r, row in enumerate(m)), _ZERO) / len(m)
 
 
 def _word_trace(rep: MatrixRep, a: Multivector):

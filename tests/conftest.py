@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -96,6 +98,31 @@ def zeros(n: int, zero):
     return tuple((zero,) * n for _ in range(n))
 
 
+def identity(n: int, zero, one):
+    return tuple(tuple(one if r == c else zero for c in range(n))
+                 for r in range(n))
+
+
+def mat_mul(a, b):
+    """Plain dense product: each entry adds all of its products in order, so
+    a float 0 * inf is nan."""
+    return tuple(tuple(reduce(add, (x * y for x, y in zip(row, col)))
+                       for col in zip(*b)) for row in a)
+
+
+def conj_transpose(a):
+    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
+
+
+def dense(shape, factor):
+    """A TensorElement factor, its stored ((row, col), entry) pairs, as rows;
+    an entry it does not store is zero."""
+    rows = [[scalars.zero(shape.domain)] * shape.size for _ in range(shape.size)]
+    for (r, c), x in factor:
+        rows[r][c] = x
+    return tuple(map(tuple, rows))
+
+
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -111,13 +138,14 @@ def kron(a, b):
 def flatten(element, support):
     """`element` as one matrix on `support` (Kronecker, ascending factors)."""
     shape = element.shape
-    dim = shape.size ** len(support)
-    acc = zeros(dim, scalars.zero(shape.domain))
+    zero, one = scalars.zero(shape.domain), scalars.one(shape.domain)
+    acc = zeros(shape.size ** len(support), zero)
     for coeff, factors in element.terms:
         fmap = dict(factors)
-        m = ((scalars.one(shape.domain),),)
+        m = ((one,),)
         for i in support:
-            m = kron(m, fmap.get(i, shape.identity()))
+            m = kron(m, dense(shape, fmap[i]) if i in fmap
+                     else identity(shape.size, zero, one))
         acc = mat_add(acc, mat_scale(m, coeff))
     return acc
 

@@ -1,5 +1,5 @@
 """The text layer: error positions, linear-time scanning and summing, and
-the per-parse product budget."""
+the per-parse product and coefficient-size budgets."""
 
 import json
 import time
@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from cliffalg.cli import run
 from cliffalg.core import Blade, Context
 from cliffalg.errors import ParseError
-from cliffalg.expr import MAX_PRODUCT_PAIRS, _lex, parse
+from cliffalg.expr import MAX_COEFF_BITS, MAX_PRODUCT_PAIRS, _lex, parse
 from cliffalg.render import render
+from cliffalg.scalars import Domain
 
 CTX = Context.make()
 
@@ -156,6 +157,55 @@ class TestProductBudget:
         assert out == ""
         assert err.startswith(f"error: expression needs more than "
                               f"{MAX_PRODUCT_PAIRS} blade products (line 1, ")
+
+
+class TestCoefficientBudget:
+    # 2^k is k + 1 numerator bits over a 1-bit denominator
+    def test_product_at_the_budget_evaluates(self):
+        half = MAX_COEFF_BITS // 2 - 2
+        value = parse(f"2^{half} * 2^{half}", CTX)
+        assert value.terms == {Blade(0): 2 ** (2 * half)}
+        err = parse_error(f"2^{half} * 2^{half + 1}")
+        assert str(err) == (f"expression needs coefficients of more than "
+                            f"{MAX_COEFF_BITS} bits (line 1, column "
+                            f"{len(str(half)) + 3})")
+        # each operand counts its largest coefficient, wherever it stands
+        text = f"(1 + 2^{half}*e1) * (2^{half + 1}*e2 + 1)"
+        err = parse_error(text)
+        assert str(err).startswith("expression needs coefficients of more than")
+        assert (err.line, err.column) == (1, text.index(") * (") + 2)
+
+    def test_gaussian_sizes_count_both_parts(self):
+        gauss = Context.make(Domain.GAUSSIAN)
+        # (2^h + 2^h i) has 2 * (h + 2) bits, so its square is over by 2
+        h = MAX_COEFF_BITS // 4 - 1
+        text = f"(2^{h} + 2^{h}*i)^2"
+        with pytest.raises(ParseError, match="coefficients of more than"):
+            parse(text, gauss)
+        assert parse(f"(2^{h - 1} + 2^{h - 1}*i)^2", gauss).terms == \
+            {Blade(0): parse(f"2^{2 * h - 1}*i", gauss).terms[Blade(0)]}
+
+    def test_float_domains_skip_the_budget(self):
+        for domain in (Domain.F64, Domain.C64):
+            value = parse("(3/2*e1+2/3)^1000000", Context.make(domain))
+            assert set(value.terms) <= {Blade(0), Blade(1)}
+
+    # each took about a minute (the first) and more than two (the second)
+    # while the coefficients grew to millions of bits
+    @pytest.mark.parametrize("argv", [
+        ["eval", "(3/2*e1+2/3)^1000000"],
+        ["--signature", '{"default":"123456789/987654321"}',
+         "eval", "e1^1000000"]], ids=["sum-power", "signature-power"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_hostile_powers_exit_two_quickly(self, argv, as_json, capsys):
+        column = argv[-1].index("^")
+        start = time.perf_counter()
+        assert run(["--json"] * as_json + argv) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: expression needs coefficients of more than "
+                       f"{MAX_COEFF_BITS} bits (line 1, column {column})\n")
 
 
 def family_json(parity: str, domain: str) -> str:

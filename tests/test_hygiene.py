@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-the package imports nothing outside the standard library, and every public
-`linalg` helper has a caller in the package (test oracles live in tests/)."""
+the package imports nothing outside the standard library, and every module
+but `__init__` and `__main__` is imported by another package module, so no
+module lives on for the tests alone (test oracles live in tests/)."""
 
 import ast
 import sys
@@ -123,55 +124,39 @@ def f():
                                            ("hypothesis", 11)]
 
 
-def public_functions(source: str) -> set:
-    """Names of the top-level functions that do not start with `_`."""
-    return {node.name for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-
-
-def linalg_names_used(source: str) -> set:
-    """Names read as `linalg.<name>` or imported `from .linalg`."""
-    used = set()
+def package_imports(source: str) -> set:
+    """Package modules a source imports: `from .a import x` and
+    `from .a.b import x` name `a`, and `from . import a, b as c` names `a`
+    and `b`.  The package imports its own modules only relatively."""
+    found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id == "linalg":
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.module == "linalg" \
-                and node.level:
-            used.update(alias.name for alias in node.names)
-    return used
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+    return found
 
 
-def test_every_linalg_function_has_a_caller_in_the_package():
-    used = set()
-    for path in SRC.glob("*.py"):
-        if path.name != "linalg.py":
-            used |= linalg_names_used(path.read_text(encoding="utf-8"))
-    defined = public_functions((SRC / "linalg.py").read_text(encoding="utf-8"))
-    assert defined - used == set()
+def test_every_module_is_imported_by_another_package_module():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    imported = set()
+    for name, source in sources.items():
+        imported |= package_imports(source) - {name}
+    assert set(sources) - {"__init__", "__main__"} - imported == set()
 
 
-def test_the_scan_sees_linalg_callers():
-    library = '''
-Matrix = tuple
+def test_the_scan_sees_package_imports():
+    source = '''
+from __future__ import annotations
+import json
+from . import scalars, serialize as ser
+from .core import Blade
+from .tables.big import ROWS
+from fractions import Fraction
 
 
-def identity(n): ...
-def kron(a, b): ...
-def mat_trace(a): ...
-def _helper(): ...
-
-
-class Oracle:
-    def flatten(self): ...
+def f():
+    from .render import render
 '''
-    caller = '''
-from . import linalg
-from .linalg import mat_trace as trace
-
-
-def f(m, rank):
-    return linalg.identity(2), trace(m), rank.kron, linalg
-'''
-    assert public_functions(library) == {"identity", "kron", "mat_trace"}
-    assert linalg_names_used(caller) == {"identity", "mat_trace"}
+    assert package_imports(source) == {"scalars", "serialize", "core",
+                                       "tables", "render"}

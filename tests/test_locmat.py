@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffalg import linalg, scalars
+from cliffalg import scalars
 from cliffalg.core import Blade, Context, Multivector
 from cliffalg.errors import (InvalidAutomorphismError, ShapeMismatchError,
                              UnsupportedDomainError)
@@ -16,12 +16,14 @@ from cliffalg.matrix_rep import build_rep, represent
 from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
 
-from conftest import flat_equal, flatten, mat_add, mat_scale
+from conftest import (conj_transpose, dense, flat_equal, flatten, identity,
+                      kron, mat_add, mat_mul, mat_scale)
 
 SHAPE = FactorShape()
 
 A1 = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
 E11 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
+I2 = identity(2, Fraction(0), Fraction(1))
 
 
 def elem(coeff, factors):
@@ -43,18 +45,25 @@ def matrix(*entries):
     return tuple(tuple(Fraction(x) for x in entries[r:r + 2]) for r in (0, 2))
 
 
+def dense_terms(a):
+    """`a.terms` with every factor read as dense rows."""
+    return tuple((c, tuple((i, dense(a.shape, f)) for i, f in fs))
+                 for c, fs in a.terms)
+
+
 def same_value(rng, a):
     """`a` rebuilt with the same value and another structure: each term is
     split in two, a factor is rescaled against the coefficient, and an
     identity factor and a zero-coefficient term are added."""
+    one, zero = scalars.one(a.shape.domain), scalars.zero(a.shape.domain)
     terms = []
-    for coeff, factors in a.terms:
+    for coeff, factors in dense_terms(a):
         factors = dict(factors)
         if factors:
             i = rng.choice(sorted(factors))
             factors[i] = mat_scale(factors[i], Fraction(2))
             coeff = coeff / 2
-        factors.setdefault(7, a.shape.identity())
+        factors.setdefault(7, identity(a.shape.size, zero, one))
         part = Fraction(rng.randint(-3, 3), 4)
         terms += [(coeff * part, factors), (coeff * (1 - part), factors)]
     terms.append((0, {2: A1}))
@@ -62,9 +71,10 @@ def same_value(rng, a):
     return TensorElement.build(a.shape, terms)
 
 
-def small_element(rng, shape):
+def small_element(rng, shape, indices=range(1, 4)):
     """Small integer (Gaussian integer) entries and quarter-integer
-    coefficients, so that float elements and their expansions are exact."""
+    coefficients on at most two of the factor `indices`, so that float elements and
+    their expansions are exact."""
     def value(den=1):
         re = Fraction(rng.randint(-3, 3), den)
         if not shape.domain.has_i:
@@ -74,7 +84,7 @@ def small_element(rng, shape):
     terms = []
     for _ in range(rng.randint(1, 3)):
         factors = {i: tuple(tuple(value() for _ in range(m)) for _ in range(m))
-                   for i in rng.sample(range(1, 4), rng.randint(0, 2))}
+                   for i in rng.sample(indices, rng.randint(0, 2))}
         terms.append((value(4), factors))
     return TensorElement.build(shape, terms)
 
@@ -88,7 +98,7 @@ class TestCanonicalEquality:
 
     def test_identity_factor(self):
         a = elem(Fraction(2, 3), {1: E11})
-        b = elem(Fraction(2, 3), {1: E11, 4: SHAPE.identity()})
+        b = elem(Fraction(2, 3), {1: E11, 4: I2})
         assert b.support() == (1,)
         assert a == b and hash(a) == hash(b)
 
@@ -96,7 +106,7 @@ class TestCanonicalEquality:
         zero2 = ((Fraction(0),) * 2,) * 2
         a = TensorElement.build(SHAPE, [(1, {1: A1}), (2, {1: zero2}),
                                         (Fraction(1, 2), {1: A1})])
-        assert a.terms == ((Fraction(3, 2), ((1, A1),)),)
+        assert dense_terms(a) == ((Fraction(3, 2), ((1, A1),)),)
         assert TensorElement.build(SHAPE, [(1, {1: A1}), (-1, {1: A1})]) == \
             TensorElement.zero(SHAPE)
 
@@ -211,23 +221,40 @@ class TestCanonicalEquality:
         assert hash(a) == hash(b) == hash(fshape)
 
 
-class TestLinalg:
-    def test_exact_mat_mul_matches_the_full_sum(self, rng):
-        for one in (Fraction(1), GaussianRational.of(1)):
-            for _ in range(30):
-                a, b = ([[one * rng.choice((0, 0, 1, -2, Fraction(1, 3)))
-                          for _ in range(3)] for _ in range(3)] for _ in range(2))
-                got = linalg.mat_mul(a, b)
-                want = [[sum((a[r][j] * b[j][c] for j in range(3)), one - one)
-                         for c in range(3)] for r in range(3)]
-                assert got == tuple(map(tuple, want))
-                assert all(type(x) is type(one) for row in got for x in row)
+class TestStoredEntries:
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_exact_cancellation_stores_no_zero(self, domain):
+        shape = FactorShape(domain)
+        one = scalars.one(domain)
+        a = TensorElement.single(shape, 1, {1: ((one, one), (0 * one, one))})
+        b = TensorElement.single(shape, 1, {1: ((one, 0 * one), (-one, one))})
+        # [[1, 1], [0, 1]] [[1, 0], [-1, 1]] = [[0, 1], [-1, 1]]
+        (_, ((_, got),)), = tp_product(a, b).terms
+        assert got == (((0, 1), one), ((1, 0), -one), ((1, 1), one))
+        assert dense(shape, got) == ((0 * one, one), (-one, one))
+        # b's stored zero is dropped when it is built
+        assert [k for k, _ in b.terms[0][1][0][1]] == [(0, 0), (1, 0), (1, 1)]
 
-    def test_float_mat_mul_forms_every_product(self):
-        got = linalg.mat_mul(((0.0, 1.0), (1.0, 0.0)), ((math.inf, 0.0), (0.0, 1.0)))
+    def test_float_product_forms_every_product(self):
+        fshape = FactorShape(Domain.F64)
+        a = TensorElement.single(fshape, 1.0, {1: ((0.0, 1.0), (1.0, 0.0))})
+        b = TensorElement.single(fshape, 1.0, {1: ((math.inf, 0.0), (0.0, 1.0))})
+        got = dense(fshape, tp_product(a, b).terms[0][1][0][1])
         assert math.isnan(got[0][0])
         assert got[1][0] == math.inf
-        assert math.isnan(linalg.hs_pairing(((0.0,),), ((math.inf,),)))
+        assert len(a.terms[0][1][0][1]) == 4
+        # skipping the stored zeros would give 0.0, not nan, at (0, 0)
+        skipped = TensorElement.single(fshape, 1.0,
+                                       {1: ((0.0, 1.0), (math.inf, 0.0))})
+        assert tp_product(a, b) != skipped
+
+    def test_float_pairing_forms_every_product(self):
+        fshape = FactorShape(Domain.F64)
+        a = TensorElement.single(fshape, 1.0, {1: ((0.0, 1.0), (0.0, 0.0))})
+        b = TensorElement.single(fshape, 1.0, {1: ((math.inf, 0.0), (0.0, 0.0))})
+        assert math.isnan(_pairing(a, b))
+        assert math.isnan(_pairing(b, a))
 
 
 class TestProduct:
@@ -249,7 +276,7 @@ class TestProduct:
             a, b = random_element(rng), random_element(rng)
             support = tuple(sorted(set(a.support()) | set(b.support())))
             assert flatten(tp_product(a, b), support) == \
-                linalg.mat_mul(flatten(a, support), flatten(b, support))
+                mat_mul(flatten(a, support), flatten(b, support))
 
     def test_shape_mismatch(self):
         other = TensorElement.identity(FactorShape(Domain.RATIONAL, 4))
@@ -269,7 +296,7 @@ class TestTrace:
 
     def test_padding_invariance(self):
         a = elem(Fraction(2, 3), {1: E11})
-        padded = elem(Fraction(2, 3), {1: E11, 5: SHAPE.identity()})
+        padded = elem(Fraction(2, 3), {1: E11, 5: I2})
         assert tp_trace(a) == tp_trace(padded)
         assert a == padded
 
@@ -394,18 +421,18 @@ class TestDiagonalConjugation:
             diagonals = {i: random_diagonal(rng, domain, m) for i in range(1, 5)}
             phi = LocalAutomorphism.from_factors(shape, diagonals)
 
-            def dense(i, mat):
+            def conjugate(i, mat):
                 d = [scalars.coerce(domain, x) for x in diagonals[i]]
                 x = tuple(tuple(d[r] if r == c else zero for c in range(m))
                           for r in range(m))
                 x_inv = tuple(tuple(one / d[r] if r == c else zero
                                     for c in range(m)) for r in range(m))
-                return linalg.mat_mul(linalg.mat_mul(x_inv, mat), x)
+                return mat_mul(mat_mul(x_inv, mat), x)
 
             a = small_element(rng, shape)
-            want = TensorElement(shape, tuple(
-                (c, tuple((i, dense(i, mat)) for i, mat in f)) for c, f in a.terms))
-            assert limit_automorphism_apply(phi, a).terms == want.terms
+            want = tuple((c, tuple((i, conjugate(i, mat)) for i, mat in f))
+                         for c, f in dense_terms(a))
+            assert dense_terms(limit_automorphism_apply(phi, a)) == want
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
@@ -444,7 +471,7 @@ class TestDiagonalConjugation:
             # a non-real d has d / d != 1 in floats: (49+1j) / (49+1j) is not 1
             diagonals[3] = (49 + 1j,) * 2 + (3.0,) * 2
         phi = LocalAutomorphism.from_factors(shape, diagonals)
-        scaled = dict(limit_automorphism_apply(phi, a).terms[0][1])
+        scaled = dict(dense_terms(limit_automorphism_apply(phi, a))[0][1])
         for i in (1, 3):
             assert repr([scaled[i][r][r] for r in range(4)]) == \
                 repr([mat[r][r] for r in range(4)])
@@ -481,3 +508,87 @@ class TestWitness:
         assert not witness_discontinuous([(half, half), (Fraction(1, 8), half),
                                           (Fraction(1, 18), Fraction(1, 4))])
         assert not witness_discontinuous([])
+
+
+def dense_trace(a, zero):
+    return sum((a[r][r] for r in range(len(a))), zero)
+
+
+def diagonal_matrix(d, zero):
+    return tuple(tuple(x if r == c else zero for c, _ in enumerate(d))
+                 for r, x in enumerate(d))
+
+
+def assert_stored_form(a):
+    """Row-major keys in range; no stored zero when exact, every entry stored
+    in the float domains."""
+    m = a.shape.size
+    for _, factors in a.terms:
+        for _, f in factors:
+            keys = [k for k, _ in f]
+            assert keys == sorted(set(keys))
+            assert all(0 <= r < m and 0 <= c < m for r, c in keys)
+            if a.shape.domain.is_exact:
+                assert all(x for _, x in f)
+            else:
+                assert len(f) == m * m
+
+
+class TestDenseDifferential:
+    """Each operation on stored entries against the dense Kronecker oracle."""
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_operations_match_the_kronecker_oracle(self, domain, m, rng):
+        shape = FactorShape(domain, m)
+        zero, one = scalars.zero(domain), scalars.one(domain)
+        # at m = 4 two factors already expand to 16 x 16
+        indices, rounds = (range(1, 4), 25) if m == 2 else (range(1, 3), 10)
+        for _ in range(rounds):
+            a, b = (small_element(rng, shape, indices) for _ in range(2))
+            diagonals = {i: tuple(scalars.coerce(domain, x)
+                                  for x in random_diagonal(rng, domain, m))
+                         for i in indices}
+            phi = LocalAutomorphism.from_factors(shape, diagonals)
+            support = tuple(sorted(set(a.support()) | set(b.support())))
+            dim = m ** len(support)
+            big_a, big_b = flatten(a, support), flatten(b, support)
+            x, x_inv = ((one,),), ((one,),)
+            for i in support:
+                x = kron(x, diagonal_matrix(diagonals[i], zero))
+                x_inv = kron(x_inv, diagonal_matrix(
+                    [one / v for v in diagonals[i]], zero))
+            product = tp_product(a, b)
+            image = limit_automorphism_apply(phi, a)
+            assert flatten(product, support) == mat_mul(big_a, big_b)
+            assert flatten(a.adjoint(), support) == conj_transpose(big_a)
+            assert tp_trace(a) == dense_trace(big_a, zero) / dim
+            assert _pairing(a, b) == dense_trace(
+                mat_mul(big_a, conj_transpose(big_b)), zero) / dim
+            assert flatten(image, support) == \
+                mat_mul(mat_mul(x_inv, big_a), x)
+            for t in (a, b, product, a.adjoint(), image):
+                assert_stored_form(t)
+
+    def test_witness_element_at_m44(self):
+        shape = FactorShape(Domain.RATIONAL, 44)
+        zero, one, n = Fraction(0), Fraction(1), 3
+        b = block_nilpotent(shape, n).scale(Fraction(1, n))
+        image = limit_automorphism_apply(LocalAutomorphism.index_scaling(shape), b)
+        (_, ((_, f),)), = b.terms
+        assert len(f) == 22
+        assert_stored_form(image)
+        big_b, big_image = flatten(b, (n,)), flatten(image, (n,))
+        d = (one,) * 22 + (Fraction(n),) * 22
+        assert big_image == mat_mul(mat_mul(
+            diagonal_matrix([1 / v for v in d], zero), big_b),
+            diagonal_matrix(d, zero))
+        assert flatten(b.adjoint(), (n,)) == conj_transpose(big_b)
+        assert tp_product(b, image) == TensorElement.zero(shape)
+        assert mat_mul(big_b, big_image) == flatten(TensorElement.zero(shape), (n,))
+        assert tp_trace(b) == dense_trace(big_b, zero) / 44 == 0
+        assert tp_norm(b) == dense_trace(
+            mat_mul(big_b, conj_transpose(big_b)), zero) / 44 == Fraction(1, 18)
+        assert tp_norm(image) == dense_trace(
+            mat_mul(big_image, conj_transpose(big_image)), zero) / 44 \
+            == Fraction(1, 2)

@@ -1,6 +1,6 @@
 import pytest
 
-from cliffalg import linalg, matrix_rep
+from cliffalg import matrix_rep
 from cliffalg.cli import REP_CHECK_MAX_K
 from cliffalg.core import Blade, Context, Multivector, mv_product, reverse
 from cliffalg.errors import SupportRangeError, UnsupportedDomainError
@@ -12,8 +12,8 @@ from cliffalg.matrix_rep import (PAULI_X, PAULI_Y, PAULI_Z, MatrixRep,
 from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
 
-from conftest import (kron, mat_add, mat_scale, random_dense,
-                      random_multivector, zeros)
+from conftest import (conj_transpose, identity, kron, mat_add, mat_mul,
+                      mat_scale, random_dense, random_multivector, zeros)
 
 GCTX = Context.make(Domain.GAUSSIAN)
 I_UNIT = GaussianRational.of(0, 1)
@@ -36,10 +36,10 @@ def test_k1_generators_are_x_and_y():
     assert _gens(rep) == (PAULI_X, PAULI_Y)
     assert rep.dim == 2
     ident = rep.identity()
-    assert linalg.mat_mul(PAULI_X, PAULI_X) == ident
-    assert linalg.mat_mul(PAULI_Y, PAULI_Y) == ident
-    assert mat_add(linalg.mat_mul(PAULI_X, PAULI_Y),
-                   linalg.mat_mul(PAULI_Y, PAULI_X)) == \
+    assert mat_mul(PAULI_X, PAULI_X) == ident
+    assert mat_mul(PAULI_Y, PAULI_Y) == ident
+    assert mat_add(mat_mul(PAULI_X, PAULI_Y),
+                   mat_mul(PAULI_Y, PAULI_X)) == \
         zeros(2, GaussianRational.of(0))
 
 
@@ -47,7 +47,7 @@ def test_k1_product_of_generators_is_i_z():
     rep = build_rep(1)
     got = represent(rep, Multivector.blade(GCTX, Blade.of(1, 2)))
     assert got == mat_scale(PAULI_Z, I_UNIT)
-    assert linalg.mat_trace(got) == 0
+    assert normalized_trace(got) == 0
 
 
 def test_generator_relations_exhaustive():
@@ -57,10 +57,10 @@ def test_generator_relations_exhaustive():
         zero = zeros(rep.dim, GaussianRational.of(0))
         gens = _gens(rep)
         for a in range(2 * k):
-            assert linalg.mat_mul(gens[a], gens[a]) == ident
+            assert mat_mul(gens[a], gens[a]) == ident
             for b in range(a + 1, 2 * k):
-                anti = mat_add(linalg.mat_mul(gens[a], gens[b]),
-                               linalg.mat_mul(gens[b], gens[a]))
+                anti = mat_add(mat_mul(gens[a], gens[b]),
+                               mat_mul(gens[b], gens[a]))
                 assert anti == zero
 
 
@@ -76,17 +76,17 @@ def _dense_oracle(k):
     gens = []
     for j in range(1, k + 1):
         for pauli in (PAULI_X, PAULI_Y):
-            m = linalg.identity(1, one=one, zero=zero)
+            m = identity(1, zero, one)
             for pos in range(1, k + 1):
                 factor = PAULI_Z if pos < j else pauli if pos == j else \
-                    linalg.identity(2, one=one, zero=zero)
+                    identity(2, zero, one)
                 m = kron(m, factor)
             gens.append(m)
     blades = {}
     for bits in range(1 << (2 * k)):
-        m = linalg.identity(2 ** k, one=one, zero=zero)
+        m = identity(2 ** k, zero, one)
         for i in reversed(Blade(bits).indices):
-            m = linalg.mat_mul(gens[i - 1], m)
+            m = mat_mul(gens[i - 1], m)
         blades[bits] = m
     return tuple(gens), blades
 
@@ -128,7 +128,7 @@ def test_word_product_matches_matrix_product(rng):
     for a in range(0, 40, 2):
         b = a + 1
         product = _word_matrix(word_product(words[a], words[b]), 2)
-        assert product == linalg.mat_mul(dense[a], dense[b])
+        assert product == mat_mul(dense[a], dense[b])
 
 
 @pytest.mark.parametrize("k", [5, 6, 8])
@@ -182,7 +182,7 @@ def test_represent_is_homomorphism(rng):
         a = random_multivector(rng, GCTX, max_index=6, max_terms=3)
         b = random_multivector(rng, GCTX, max_index=6, max_terms=3)
         assert represent(rep, mv_product(a, b)) == \
-            linalg.mat_mul(represent(rep, a), represent(rep, b))
+            mat_mul(represent(rep, a), represent(rep, b))
 
 
 def test_represent_range_and_signature_errors():
@@ -207,7 +207,7 @@ def test_reversal_is_conjugate_transpose(rng):
     for _ in range(20):
         a = random_multivector(rng, GCTX, max_index=4, max_terms=3)
         assert represent(rep, reverse(a)) == \
-            linalg.conj_transpose(represent(rep, a))
+            conj_transpose(represent(rep, a))
 
 
 class TestTraceCoherence:
