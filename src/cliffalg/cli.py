@@ -36,14 +36,14 @@ BROKEN_PIPE = 141
 # Size limits for the checks whose work grows fast with their argument: each
 # takes at most about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k`
 # reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
-# from its Pauli words in two representations (about 1 s at k = 8), and
+# from its Pauli words in two representations (0.7 s at k = 10), and
 # `witness --n n --m m` reads n nilpotents from m x m rows, then computes n
 # pairs of exact norms over their m/2 stored entries, so n * m**2 may be at
 # most 4 * WITNESS_MAX_N (every m = 2 table fits; about 0.3 s at n = 5000).
 # `decomp check` multiplies 4**w blade pairs for a block of w generators and
 # about 2**n products for a last cut n (gaussian `--cuts 6,12` is the slowest
 # allowed); the bound holds for every `decomp` subcommand.
-REP_CHECK_MAX_K = 8
+REP_CHECK_MAX_K = 10
 WITNESS_MAX_N = 5000
 DECOMP_MAX_BLOCK = 6
 DECOMP_MAX_CUT = 12

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import scalars
-from .errors import DegenerateFormError, DomainMismatchError
+from .errors import (DegenerateFormError, DomainMismatchError,
+                     UnsupportedDomainError)
 from .scalars import Domain
 
 
@@ -138,6 +139,15 @@ class Signature:
     def q(self, k: int):
         return self._table.get(k, self.default)
 
+    def require_unit(self, indices, what: str) -> None:
+        """Raise UnsupportedDomainError naming the smallest k in `indices` (a
+        set or range) with q_k != 1; a unit default reads only the overrides."""
+        pool = self._table if self.default == 1 else indices
+        bad = [k for k in pool if k in indices and self.q(k) != 1]
+        if bad:
+            raise UnsupportedDomainError(
+                f"{what} requires q == 1 on the support (q_{min(bad)} != 1)")
+
 
 @dataclass(frozen=True)
 class Context:
@@ -152,6 +162,19 @@ class Context:
 
     def q(self, k: int):
         return self.signature.q(k)
+
+
+def check_context(a: Context, b: Context) -> None:
+    """Operands of one operation must share a context."""
+    if a is not b and a != b:
+        raise DomainMismatchError("operands built over different contexts")
+
+
+def parity_bit(parity: str) -> int:
+    """0 for "even", 1 for "odd": a blade's grade parity."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return 0 if parity == "even" else 1
 
 
 _ONE = {domain: scalars.one(domain) for domain in Domain}
@@ -278,12 +301,8 @@ class Multivector:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check(self, other: "Multivector"):
-        if self.context != other.context:
-            raise DomainMismatchError("operands built over different contexts")
-
     def __add__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
+        check_context(self.context, other.context)
         terms = dict(self.terms)
         _accumulate(terms, other.terms.items())
         return Multivector(self.context, terms, _canonical=True)
@@ -364,8 +383,7 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
         context = pairs[0][1].context
     checked = []
     for value, mv in pairs:
-        if mv.context != context:
-            raise DomainMismatchError("mixed contexts in linear combination")
+        check_context(mv.context, context)
         checked.append((scalars.coerce(context.domain, value), mv))
     if not context.domain.is_exact:
         terms: dict[Blade, object] = {}
@@ -403,7 +421,7 @@ def mv_product(a: Multivector, b: Multivector) -> Multivector:
     operand and summed as plain ints per output blade; float domains keep the
     pairwise `ca * cb * coeff` sums of blade_product.
     """
-    a._check(b)
+    check_context(a.context, b.context)
     if a.context.domain.is_exact:
         terms = _exact_product(a, b)
     else:
@@ -510,9 +528,7 @@ def reverse(a: Multivector) -> Multivector:
 
 def parity_project(a: Multivector, parity: str) -> Multivector:
     """Even or odd part by blade-grade parity."""
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    want = 0 if parity == "even" else 1
+    want = parity_bit(parity)
     return Multivector(a.context,
                        {b: c for b, c in a.terms.items() if b.parity == want},
                        _canonical=True)

@@ -15,10 +15,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
 from .core import (Blade, Context, Multivector, _accumulate, blade_product,
-                   linear_combine, mv_product)
-from .errors import (ContractViolationError, DomainMismatchError, NotAdSumError,
-                     NotBogolyubovError, NotSkewError, ParityError,
-                     UnsupportedDomainError)
+                   check_context, linear_combine, mv_product, parity_bit)
+from .errors import (ContractViolationError, NotAdSumError, NotBogolyubovError,
+                     NotSkewError, ParityError)
 
 
 def ad_apply(g: Multivector, x: Multivector) -> Multivector:
@@ -26,17 +25,19 @@ def ad_apply(g: Multivector, x: Multivector) -> Multivector:
     return mv_product(g, x) - mv_product(x, g)
 
 
+def _check_parity(blade: Blade, want: int, kind: str) -> None:
+    if blade.parity != want:
+        raise ParityError(f"{blade} has the wrong parity for an {kind}")
+
+
 def _check_terms(context: Context, parity: str, terms) -> tuple:
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    want = 0 if parity == "even" else 1
+    want = parity_bit(parity)
     out = []
     for blade, coeff in terms:
         coeff = scalars.coerce(context.domain, coeff)
         if not coeff:
             continue
-        if blade.parity != want:
-            raise ParityError(f"{blade} has the wrong parity for an {parity} family")
+        _check_parity(blade, want, f"{parity} family")
         if blade == 0:
             raise ParityError("the unit blade generates the zero derivation")
         out.append((blade, coeff))
@@ -71,8 +72,7 @@ class AdStream:
     def __init__(self, context: Context, parity: str,
                  generator: Iterator[tuple[Blade, object]],
                  cutoff: Callable[[int], int]):
-        if parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        self._want = parity_bit(parity)
         self.context = context
         self.parity = parity
         self.cutoff = cutoff
@@ -80,16 +80,13 @@ class AdStream:
         self._memo: list[tuple[Blade, object]] = []
 
     def prefix(self, n: int) -> list[tuple[Blade, object]]:
-        want = 0 if self.parity == "even" else 1
         while len(self._memo) < n:
             try:
                 blade, coeff = next(self._source)
             except StopIteration:
                 break
             coeff = scalars.coerce(self.context.domain, coeff)
-            if blade.parity != want:
-                raise ParityError(
-                    f"{blade} has the wrong parity for an {self.parity} stream")
+            _check_parity(blade, self._want, f"{self.parity} stream")
             self._memo.append((blade, coeff))
         return self._memo[:n]
 
@@ -127,8 +124,7 @@ def family_apply(family, x: Multivector) -> Multivector:
         n = family.cutoff(x.max_index())
         terms = family.prefix(n)
         tail = family.memoized_tail(n)
-    if x.context != family.context:
-        raise DomainMismatchError("operands built over different contexts")
+    check_context(x.context, family.context)
     acc = {}
     for blade, coeff in terms:
         _accumulate(acc, _ad_blade(blade, coeff, x))
@@ -260,20 +256,12 @@ class SkewMap:
         return not self.entries
 
 
-def _require_orthonormal(context: Context, indices: Iterable[int], what: str):
-    one = scalars.one(context.domain)
-    for k in indices:
-        if context.q(k) != one:
-            raise UnsupportedDomainError(
-                f"{what} requires q == 1 on the support (q_{k} != 1)")
-
-
 def bogolyubov_derivation(psi: SkewMap) -> AdFamily:
     """The even two-blade family with alpha_ij = psi_ij / 2.
 
     Its action restricted to V is exactly psi (orthonormal case only).
     """
-    _require_orthonormal(psi.context, psi.support(), "bogolyubov_derivation")
+    psi.context.signature.require_unit(psi.support(), "bogolyubov_derivation")
     terms = [(Blade.of(i, j), v / 2) for (i, j), v in sorted(psi.entries.items())]
     return AdFamily.finite(psi.context, "even", terms)
 
@@ -295,7 +283,7 @@ def derivation_restricts_to_V(family: AdFamily) -> SkewMap:
 def inner_witness(psi: SkewMap) -> Multivector:
     """Bivector u with ad(u) equal to the Bogolyubov derivation of psi; every
     finitely supported skew map yields an inner derivation this way."""
-    _require_orthonormal(psi.context, psi.support(), "inner_witness")
+    psi.context.signature.require_unit(psi.support(), "inner_witness")
     return Multivector(psi.context,
                        {Blade.of(i, j): v / 2
                         for (i, j), v in psi.entries.items()})

@@ -11,16 +11,18 @@ Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.
 Generator indices are at most MAX_GENERATOR: a blade is a bitmask as wide
 as its top index, and every product works on the whole mask.  One parse
 forms at most MAX_PRODUCT_PAIRS blade pairs over all its products, so a
-short text cannot ask for 2^30 terms.  In the exact domains the largest
-coefficient sizes of a product's operands (numerator plus denominator bits,
-over both parts of a Gaussian value) add up to at most MAX_COEFF_BITS, so a
-short power cannot grow million-bit coefficients.  Lexing and summing take
-time linear in the text.
+short text cannot ask for 2^30 terms; a pair counts once per interpreter
+digit of its coefficients.  In the exact domains the largest coefficient
+sizes of a product's operands (numerator plus denominator bits, over both
+parts of a Gaussian value) add up to at most MAX_COEFF_BITS, so a short
+power cannot grow million-bit coefficients.  Lexing and summing take time
+linear in the text.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -194,13 +196,14 @@ class _Parser:
         """a * b, counted against MAX_PRODUCT_PAIRS and, in the exact domains,
         refused before it is formed when the operands' largest coefficients
         add up to more than MAX_COEFF_BITS; `tok` is the operator."""
-        self.pairs += len(a.terms) * len(b.terms)
+        bits = sum(max(map(_coeff_bits, x.terms.values()), default=0)
+                   for x in (a, b)) if self.context.domain.is_exact else 0
+        self.pairs += len(a.terms) * len(b.terms) * max(
+            1, bits // sys.int_info.bits_per_digit)
         if self.pairs > MAX_PRODUCT_PAIRS:
             raise self.error(f"expression needs more than {MAX_PRODUCT_PAIRS} "
                              f"blade products", tok)
-        if self.context.domain.is_exact and sum(
-                max(map(_coeff_bits, x.terms.values()), default=0)
-                for x in (a, b)) > MAX_COEFF_BITS:
+        if bits > MAX_COEFF_BITS:
             raise self.error(f"expression needs coefficients of more than "
                              f"{MAX_COEFF_BITS} bits", tok)
         return mv_product(a, b)

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import scalars
-from .errors import (InvalidAutomorphismError, ShapeMismatchError,
-                     UnsupportedDomainError)
+from .errors import InvalidAutomorphismError, ShapeMismatchError
 from .scalars import Domain
 
 
@@ -241,9 +240,7 @@ def _pairing(a: TensorElement, b: TensorElement):
 
 def tp_norm(a: TensorElement):
     """tr(a * adjoint(a)) by _pairing, never forming it; real domains only."""
-    if not a.shape.domain.is_real:
-        raise UnsupportedDomainError(
-            f"tp_norm is defined over real domains, not {a.shape.domain.value}")
+    a.shape.domain.require_real("tp_norm")
     return _pairing(a, a)
 
 

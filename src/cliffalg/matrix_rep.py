@@ -7,10 +7,11 @@ the identity in dimension 2**k.
 Blade images are Pauli words i^p X^x Z^z stored as (p mod 4, x, z), bit k-j
 of a mask being factor j (the stabilizer tableau encoding of Aaronson and
 Gottesman, PRA 70, 052328, 2004): basis vector c goes to i^p (-1)^|z & c| e_{c^x}.
-The certificates read words only: the normalized trace of a word is i^p when
-x == z == 0 and 0 otherwise, and faithfulness is GF(2) independence.
-`represent` and `MatrixRep.identity` write dense 2**k x 2**k matrices, the
-oracle the tests check the words against, through `_dense` alone.
+The certificates read words only, `rep_verify` by blade bitmask: the
+normalized trace of a word is i^p when x == z == 0 and 0 otherwise, and
+faithfulness is GF(2) independence.  `represent` and `MatrixRep.identity`
+write dense 2**k x 2**k matrices, the oracle the tests check the words
+against, through `_dense` alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import scalars
-from .core import Blade, Context, Multivector
+from .core import Multivector
 from .errors import SupportRangeError, UnsupportedDomainError
 from .scalars import Domain, GaussianRational
 from .trace_norm import trace
@@ -88,18 +89,9 @@ def _dense(dim: int, terms):
     return tuple(map(tuple, rows))
 
 
-def _check_representable(rep: MatrixRep, a: Multivector) -> None:
-    """`a` is exact, supported in {1..2k} and has q == 1 on its support."""
-    if a.max_index() > 2 * rep.k:
-        raise SupportRangeError(
-            f"support reaches index {a.max_index()}, representation covers {2 * rep.k}")
-    sig, support = a.context.signature, a.support()
-    if sig.default == 1:
-        # off the overridden indices q is the default
-        support &= {i for i, _ in sig.overrides}
-    if any(sig.q(i) != 1 for i in support):
-        raise UnsupportedDomainError(
-            "matrix representations require q == 1 on the support")
+def _check_representable(a: Multivector) -> None:
+    """`a` is exact and has q == 1 on its support."""
+    a.context.signature.require_unit(a.support(), "a matrix representation")
     if a.context.domain not in (Domain.RATIONAL, Domain.GAUSSIAN):
         raise UnsupportedDomainError(
             "matrix representations are exact; use rational or gaussian domains")
@@ -107,7 +99,10 @@ def _check_representable(rep: MatrixRep, a: Multivector) -> None:
 
 def represent(rep: MatrixRep, a: Multivector):
     """Evaluation homomorphism on multivectors supported in {1..2k}, q == 1."""
-    _check_representable(rep, a)
+    if a.max_index() > 2 * rep.k:
+        raise SupportRangeError(
+            f"support reaches index {a.max_index()}, representation covers {2 * rep.k}")
+    _check_representable(a)
     return _dense(rep.dim, [(rep.blade_word(blade),
                              scalars.coerce(Domain.GAUSSIAN, coeff))
                             for blade, coeff in a.terms.items()])
@@ -117,15 +112,19 @@ def normalized_trace(m):
     return sum((row[r] for r, row in enumerate(m)), _ZERO) / len(m)
 
 
+def _trace_phase(word: tuple) -> int | None:
+    """p if the word i^p X^x Z^z has normalized trace i^p, None if 0: an X
+    factor empties the diagonal, a Z factor balances its signs."""
+    p, x, z = word
+    return None if x or z else p
+
+
 def _word_trace(rep: MatrixRep, a: Multivector):
-    """normalized_trace(represent(rep, a)), read from the words: i^p X^x Z^z
-    has normalized trace i^p when x == z == 0 and 0 otherwise (an X factor
-    empties the diagonal, a Z factor balances its signs)."""
-    _check_representable(rep, a)
+    """normalized_trace(represent(rep, a)) from the words; the caller checks a."""
     t = _ZERO
     for blade, coeff in a.terms.items():
-        p, x, z = rep.blade_word(blade)
-        if not (x or z):
+        p = _trace_phase(rep.blade_word(blade))
+        if p is not None:
             t = t + scalars.coerce(Domain.GAUSSIAN, coeff) * _PHASES[p]
     return t
 
@@ -137,12 +136,9 @@ def verify_trace_coherence(a: Multivector, k_small: int, k_large: int) -> bool:
         raise SupportRangeError(
             f"need support <= 2*k_small <= 2*k_large, got "
             f"{a.max_index()}, {2 * k_small}, {2 * k_large}")
-    return _traces_agree(a, build_rep(k_small), build_rep(k_large))
-
-
-def _traces_agree(a: Multivector, small: MatrixRep, large: MatrixRep) -> bool:
-    return _word_trace(small, a) == _word_trace(large, a) == \
-        scalars.coerce(Domain.GAUSSIAN, trace(a))
+    _check_representable(a)
+    return _word_trace(build_rep(k_small), a) == _word_trace(build_rep(k_large), a) \
+        == scalars.coerce(Domain.GAUSSIAN, trace(a))
 
 
 def blade_images_independent(rep: MatrixRep) -> bool:
@@ -170,14 +166,15 @@ def rep_verify(max_k: int) -> list[tuple[str, bool]]:
 
     Trace coherence of every blade on 2k generators between k and max_k, for
     each k < max_k, then faithfulness of every representation up to max_k.
+    Both word readings of v_S must be its trace: 1 if S is empty, else 0.
     Each representation is built once, so each blade word is formed once.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    ctx = Context.make(Domain.GAUSSIAN)
     *smaller, large = reps = [build_rep(k) for k in range(1, max_k + 1)]
     return [(f"trace coherence k={small.k} vs k={max_k}", all(
-        _traces_agree(Multivector.blade(ctx, Blade(bits)), small, large)
-        for bits in range(1 << (2 * small.k)))) for small in smaller] + \
+        _trace_phase(small.blade_word(bits)) == _trace_phase(large.blade_word(bits))
+        == (None if bits else 0) for bits in range(1 << (2 * small.k))))
+        for small in smaller] + \
         [(f"faithfulness k={rep.k}", blade_images_independent(rep))
          for rep in reps]

@@ -29,6 +29,11 @@ class Domain(Enum):
         self.has_i = value in ("gaussian", "c64")
         self.is_real = not self.has_i
 
+    def require_real(self, what: str) -> None:
+        if not self.is_real:
+            raise UnsupportedDomainError(
+                f"{what} is defined over real domains, not {self.value}")
+
 
 @dataclass(frozen=True)
 class GaussianRational:

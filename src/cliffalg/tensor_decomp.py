@@ -44,11 +44,7 @@ def chain_build(cuts, context: Context) -> FactorChain:
             b <= a for a, b in zip(cuts, cuts[1:])) or cuts[0] < 2:
         raise InvalidChainError(
             f"cuts must be even, positive, strictly increasing: {cuts}")
-    one = scalars.one(context.domain)
-    for k in range(1, cuts[-1] + 1):
-        if context.q(k) != one:
-            raise UnsupportedDomainError(
-                f"factor chains require q == 1 up to the last cut (q_{k} != 1)")
+    context.signature.require_unit(range(1, cuts[-1] + 1), "a factor chain")
     cs, adjusted = [], []
     minus_one = Multivector.scalar(context, -1)
     for n in cuts:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from . import scalars
 from .core import Multivector, UNIT_BLADE, blade_product, reverse
-from .errors import UnsupportedDomainError
 
 
 def trace(a: Multivector):
@@ -27,9 +26,7 @@ def norm(a: Multivector):
     c_S * rev(c_S) * (v_S v_S) over a's terms: the same values, added in the
     same order, as the trace of the full product.
     """
-    if not a.context.domain.is_real:
-        raise UnsupportedDomainError(
-            f"norm is defined over real domains, not {a.context.domain.value}")
+    a.context.domain.require_real("norm")
     sig = a.context.signature
     total = None
     for (blade, coeff), rev in zip(a.terms.items(), reverse(a).terms.values()):

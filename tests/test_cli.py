@@ -154,7 +154,7 @@ class TestPowers:
 class TestLimits:
     def test_documented_values(self):
         # README's "Size limits" gives these values
-        assert (MAX_GENERATOR, REP_CHECK_MAX_K, WITNESS_MAX_N) == (10 ** 4, 8, 5000)
+        assert (MAX_GENERATOR, REP_CHECK_MAX_K, WITNESS_MAX_N) == (10 ** 4, 10, 5000)
         assert MAX_PRODUCT_PAIRS == 2 ** 18
 
     def test_generator_index_cap(self, capsys):

@@ -142,11 +142,17 @@ class TestProductBudget:
 
     # chain-40 forms the 16 allowed products (2^18 - 4 pairs) before it
     # fails, about 1.1 s on an idle machine; the square and the cube fail at
-    # their first product, about 0.02 s
+    # their first product, about 0.02 s.  The last text would multiply
+    # 131,072 pairs of about 15,000-bit coefficients (about 6 s); as each
+    # pair counts once per interpreter digit of its coefficient sizes, it
+    # fails at its first product with a 15,000-bit scalar
     @pytest.mark.parametrize("text, seconds",
                              [(chain(40), 10), (f"({chain(12)})^2", 2),
-                              (f"({chain(9)})^3", 2)],
-                             ids=["chain-40", "square", "cube"])
+                              (f"({chain(9)})^3", 2),
+                              (f"({chain(9)}*(3/7)^3500)*({chain(8)}*(5/11)^3000)",
+                               1)],
+                             ids=["chain-40", "square", "cube",
+                                  "large-coefficients"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_hostile_products_exit_two_quickly(self, text, seconds, as_json,
                                                capsys):

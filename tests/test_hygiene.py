@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
-the package imports nothing outside the standard library, and every module
+the package imports nothing outside the standard library, every module
 but `__init__` and `__main__` is imported by another package module, so no
-module lives on for the tests alone (test oracles live in tests/)."""
+module lives on for the tests alone (test oracles live in tests/), and each
+precondition's error is raised by one function."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -160,3 +162,72 @@ def f():
 '''
     assert package_imports(source) == {"scalars", "serialize", "core",
                                        "tables", "render"}
+
+
+def _text(node):
+    """A string constant, or an f-string with `{}` for each field."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                       for v in node.values)
+    return None
+
+
+def raise_sites(source: str, pattern: str) -> list:
+    """The innermost function around each `raise` whose strings match
+    `pattern`, once per `raise`, in source order."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Raise) and any(
+                re.search(pattern, text) for sub in ast.walk(node)
+                if (text := _text(sub)) is not None):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+# a fragment of each guard's message, and the one function that raises it
+GUARDS = {
+    r"q == 1.*\(q_": ("core", "require_unit"),
+    "parity must be": ("core", "parity_bit"),
+    "defined over real domains": ("scalars", "require_real"),
+    "operands built over different contexts": ("core", "check_context"),
+}
+
+
+def test_each_guard_is_raised_in_one_function():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    found = {pattern: [(module, function) for module, source in sources.items()
+                       for function in raise_sites(source, pattern)]
+             for pattern in GUARDS}
+    assert found == {pattern: [site] for pattern, site in GUARDS.items()}
+
+
+def test_the_scan_sees_raise_sites():
+    source = '''
+def a(x):
+    if x:
+        raise ValueError(f"parity must be {x!r}")
+    return "parity must be"
+
+
+class C:
+    def b(self, k):
+        def inner():
+            raise KeyError("parity must be " + str(k))
+        raise ValueError(f"q == 1 fails (q_{k} != 1)")
+
+
+raise SystemExit("parity must be")
+'''
+    assert raise_sites(source, "parity must be") == ["a", "inner", None]
+    assert raise_sites(source, r"q == 1.*\(q_") == ["b"]
+    assert raise_sites(source, "q == 1 fails") == ["b"]

@@ -2,10 +2,13 @@ import pytest
 
 from cliffalg import matrix_rep
 from cliffalg.cli import REP_CHECK_MAX_K
-from cliffalg.core import Blade, Context, Multivector, mv_product, reverse
+from cliffalg.core import (Blade, Context, Multivector, Signature, mv_product,
+                           reverse)
 from cliffalg.errors import SupportRangeError, UnsupportedDomainError
-from cliffalg.matrix_rep import (PAULI_X, PAULI_Y, PAULI_Z, MatrixRep,
-                                 _word_trace, blade_images_independent,
+from cliffalg.matrix_rep import (_PHASES, _ZERO, PAULI_X, PAULI_Y, PAULI_Z,
+                                 MatrixRep, _check_representable,
+                                 _trace_phase, _word_trace,
+                                 blade_images_independent,
                                  build_rep, normalized_trace,
                                  rep_verify, represent,
                                  verify_trace_coherence, word_product)
@@ -250,12 +253,16 @@ class TestTraceCoherence:
 class TestWordTrace:
     """The certificate's traces, read from words, against the dense oracle."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_every_blade(self, k):
+        # rep_verify reads each blade's trace by bitmask through _trace_phase
         rep = build_rep(k)
         for bits in range(1 << (2 * k)):
             a = Multivector.blade(GCTX, Blade(bits))
-            assert _word_trace(rep, a) == normalized_trace(represent(rep, a))
+            want = normalized_trace(represent(rep, a))
+            assert _word_trace(rep, a) == want
+            p = _trace_phase(rep.blade_word(bits))
+            assert (_ZERO if p is None else _PHASES[p]) == want
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
                              ids=lambda d: d.value)
@@ -292,14 +299,21 @@ class TestWordTrace:
             assert _word_trace(rep, a) == normalized_trace(represent(rep, a))
 
     def test_shares_the_guards_of_represent(self):
+        # the word reading is unguarded: verify_trace_coherence checks its
+        # argument once, with the guard represent uses
         rep = build_rep(1)
         with pytest.raises(SupportRangeError):
-            _word_trace(rep, Multivector.generator(GCTX, 3))
+            represent(rep, Multivector.generator(GCTX, 3))
+        with pytest.raises(SupportRangeError):
+            verify_trace_coherence(Multivector.generator(GCTX, 3), 1, 1)
         skew = Context.make(Domain.GAUSSIAN, overrides={1: 2})
-        with pytest.raises(UnsupportedDomainError):
-            _word_trace(rep, Multivector.generator(skew, 1))
-        with pytest.raises(UnsupportedDomainError):
-            _word_trace(rep, Multivector.unit(Context.make(Domain.F64)))
+        f64 = Context.make(Domain.F64)
+        for a in (Multivector.generator(skew, 1), Multivector.unit(f64)):
+            for check in (lambda: _check_representable(a),
+                          lambda: represent(rep, a),
+                          lambda: verify_trace_coherence(a, 1, 1)):
+                with pytest.raises(UnsupportedDomainError):
+                    check()
 
 
 @pytest.mark.parametrize("max_k", [1, 2, 3])
@@ -324,6 +338,24 @@ def test_rep_verify_writes_no_dense_matrix(monkeypatch):
     with pytest.raises(AssertionError):
         represent(build_rep(1), Multivector.unit(GCTX))
     assert all(ok for _, ok in rep_verify(4))
+
+
+def test_certificates_check_their_argument_once(monkeypatch):
+    calls = []
+    check = matrix_rep._check_representable
+    monkeypatch.setattr(matrix_rep, "_check_representable",
+                        lambda a: calls.append(a) or check(a))
+    a = Multivector.unit(GCTX) + Multivector.generator(GCTX, 1)
+    assert verify_trace_coherence(a, 1, 3)
+    assert calls == [a]
+
+    # rep_verify reads words by bitmask: no multivector, no guard
+    def refuse(*args, **kwargs):
+        raise AssertionError("multivector built or checked")
+    monkeypatch.setattr(Multivector, "__init__", refuse)
+    monkeypatch.setattr(Signature, "require_unit", refuse)
+    assert all(ok for _, ok in rep_verify(4))
+    assert calls == [a]
 
 
 def test_rep_verify_needs_a_representation():
