@@ -40,13 +40,13 @@ BROKEN_PIPE = 141
 # `witness --n n --m m` reads n nilpotents from m x m rows, then computes n
 # pairs of exact norms over their m/2 stored entries, so n * m**2 may be at
 # most 4 * WITNESS_MAX_N (every m = 2 table fits; about 0.3 s at n = 5000).
-# `decomp check` multiplies 4**w blade pairs for a block of w generators and
-# about 2**n products for a last cut n (gaussian `--cuts 6,12` is the slowest
-# allowed); the bound holds for every `decomp` subcommand.
+# `decomp check` multiplies the words of 4**w blade pairs for a block of w
+# generators (0.3 s at w = 10, 16 times that at w = 12); `--cuts 10,20,30` is
+# the slowest allowed (1.4 s), and the bound holds for every `decomp` command.
 REP_CHECK_MAX_K = 10
 WITNESS_MAX_N = 5000
-DECOMP_MAX_BLOCK = 6
-DECOMP_MAX_CUT = 12
+DECOMP_MAX_BLOCK = 10
+DECOMP_MAX_CUT = 30
 
 
 def _in_range(flag: str, value: int, low: int, high: int) -> int:

@@ -195,6 +195,17 @@ def _prefix_parity(bits: int) -> int:
     return mask
 
 
+def _xor_rank(masks) -> int:
+    """GF(2) rank of bitmasks: each kept vector lacks the leading bits of those
+    kept before it, so reducing in insertion order sends their span to 0."""
+    basis = []
+    for v in masks:
+        for b in basis:
+            v = min(v, v ^ b)
+        basis += [v] if v else []
+    return len(basis)
+
+
 def _weight(sig: Signature, common: int, odd: int):
     """(-1)**odd * prod of q_k over the bits of `common`, multiplied left to
     right from +-1 in increasing k (the order float results depend on)."""

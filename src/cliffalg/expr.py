@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import scalars
 from .core import Context, Multivector, _accumulate, mv_product, reverse
-from .errors import DomainMismatchError, ParseError
+from .errors import ParseError
 from .scalars import GaussianRational
 
 MAX_EXPONENT = 10 ** 6
@@ -167,9 +167,6 @@ class _Parser:
 
     def named(self, tok: Token) -> Multivector:
         if tok.text == "i":
-            if not self.context.domain.has_i:
-                raise DomainMismatchError(
-                    f"'i' is not available in the {self.context.domain.value} domain")
             return Multivector.scalar(
                 self.context, scalars.imaginary_unit(self.context.domain))
         if tok.text == "rev":

@@ -187,7 +187,8 @@ def imaginary_unit(domain: Domain):
         return I_GAUSSIAN
     if domain is Domain.C64:
         return 1j
-    raise UnsupportedDomainError(f"domain {domain.value} has no imaginary unit")
+    raise UnsupportedDomainError(
+        f"domain {domain.value} has no imaginary unit; use gaussian or c64")
 
 
 @contextmanager

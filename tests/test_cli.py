@@ -151,6 +151,12 @@ class TestPowers:
             mv_product(mv_product(x, x), x)
 
 
+# blocks of DECOMP_MAX_BLOCK generators up to the last cut
+_WIDEST_LAST = ",".join(map(str, range(DECOMP_MAX_CUT % DECOMP_MAX_BLOCK or
+                                       DECOMP_MAX_BLOCK, DECOMP_MAX_CUT + 1,
+                                       DECOMP_MAX_BLOCK)))
+
+
 class TestLimits:
     def test_documented_values(self):
         # README's "Size limits" gives these values
@@ -277,15 +283,17 @@ class TestLimits:
 
     def test_documented_cuts_limits(self):
         # README's "Size limits" gives these values
-        assert (DECOMP_MAX_BLOCK, DECOMP_MAX_CUT) == (6, 12)
+        assert (DECOMP_MAX_BLOCK, DECOMP_MAX_CUT) == (10, 30)
 
     @pytest.mark.parametrize("argv", [
-        ["decomp", "check", "--cuts", str(DECOMP_MAX_BLOCK)],
-        ["--domain", "gaussian", "decomp", "build", "--cuts",
-         f"{DECOMP_MAX_CUT - DECOMP_MAX_BLOCK},{DECOMP_MAX_CUT}"],
-        ["--domain", "gaussian", "decomp", "rewrite", "--cuts",
-         f"{DECOMP_MAX_CUT - DECOMP_MAX_BLOCK},{DECOMP_MAX_CUT}", "--k", "12"],
-    ], ids=["widest-block", "last-cut", "rewrite-last-cut"])
+        ["--domain", "gaussian", "decomp", "check", "--cuts",
+         str(DECOMP_MAX_BLOCK)],
+        ["--domain", "gaussian", "decomp", "build", "--cuts", _WIDEST_LAST],
+        ["--domain", "gaussian", "decomp", "rewrite", "--cuts", _WIDEST_LAST,
+         "--k", str(DECOMP_MAX_CUT)],
+        ["--domain", "gaussian", "decomp", "check", "--cuts",
+         ",".join(map(str, range(2, DECOMP_MAX_CUT + 1, 2)))],
+    ], ids=["widest-block", "last-cut", "rewrite-last-cut", "check-last-cut"])
     def test_cuts_at_the_limits(self, argv, capsys):
         assert run(argv) == 0
         assert capsys.readouterr().err == ""
@@ -293,8 +301,8 @@ class TestLimits:
     @pytest.mark.parametrize("cuts", [
         str(DECOMP_MAX_BLOCK + 1),
         str(DECOMP_MAX_BLOCK + 2),
-        f"2,{DECOMP_MAX_CUT - 4},{DECOMP_MAX_CUT - 2},{DECOMP_MAX_CUT + 1}",
-        f"2,{DECOMP_MAX_CUT - 4},{DECOMP_MAX_CUT - 2},{DECOMP_MAX_CUT + 2}",
+        ",".join(map(str, range(2, DECOMP_MAX_CUT, 2))) + f",{DECOMP_MAX_CUT + 1}",
+        ",".join(map(str, range(2, DECOMP_MAX_CUT + 3, 2))),
     ], ids=["block-plus-one", "block-plus-two", "cut-plus-one", "cut-plus-two"])
     @pytest.mark.parametrize("command", ["build", "check", "rewrite"])
     def test_cuts_past_the_limits(self, command, cuts, capsys):

@@ -5,10 +5,12 @@ import pytest
 
 from cliffalg.core import (Blade, Context, Multivector, linear_combine,
                            mv_product)
+from cliffalg.cli import run
 from cliffalg.derivations import (AdFamily, AdStream, SkewMap,
                                   bogolyubov_derivation, family_apply,
                                   inner_witness)
 from cliffalg.errors import DomainMismatchError, UnsupportedDomainError
+from cliffalg.expr import parse
 from cliffalg.matrix_rep import build_rep, represent, verify_trace_coherence
 from cliffalg.scalars import Domain
 from cliffalg.tensor_decomp import chain_build
@@ -69,3 +71,23 @@ def test_mixed_contexts_raise_one_message(op):
     with pytest.raises(DomainMismatchError,
                        match="^operands built over different contexts$"):
         MIXED_CONTEXT_OPS[op]()
+
+
+
+# each caller needs the imaginary unit of its domain
+I_CALLERS = {
+    "chain_build": (lambda ctx: chain_build((2, 4), ctx),
+                    ["decomp", "check", "--cuts", "2,4"]),
+    "parse": (lambda ctx: parse("e1 + i", ctx), ["eval", "e1 + i"]),
+}
+
+
+@pytest.mark.parametrize("caller", I_CALLERS)
+@pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.F64])
+def test_imaginary_unit_guard(caller, domain, capsys):
+    call, argv = I_CALLERS[caller]
+    message = f"domain {domain.value} has no imaginary unit; use gaussian or c64"
+    with pytest.raises(UnsupportedDomainError, match=f"^{message}$"):
+        call(Context.make(domain))
+    assert run(["--domain", domain.value] + argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -199,6 +199,7 @@ GUARDS = {
     "parity must be": ("core", "parity_bit"),
     "defined over real domains": ("scalars", "require_real"),
     "operands built over different contexts": ("core", "check_context"),
+    "has no imaginary unit": ("scalars", "imaginary_unit"),
 }
 
 

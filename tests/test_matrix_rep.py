@@ -358,6 +358,36 @@ def test_certificates_check_their_argument_once(monkeypatch):
     assert calls == [a]
 
 
+def _coherent_by_bitmask(small, large):
+    """rep_verify's verdict read through the cached blade_word, blade by blade."""
+    return all(_trace_phase(small.blade_word(bits)) ==
+               _trace_phase(large.blade_word(bits)) == (None if bits else 0)
+               for bits in range(1 << (2 * small.k)))
+
+
+def test_depth_first_walk_matches_the_blade_words(rng):
+    # ladder reps, and hand-built ones whose words can be traceless or not
+    pairs = [(build_rep(k), build_rep(k + d)) for k in (1, 2, 3) for d in (0, 1, 2)]
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        reps = [MatrixRep(k=j, words=tuple(
+                    (rng.randrange(4), rng.randrange(1 << j) * (rng.random() < 0.8),
+                     rng.randrange(1 << j)) for _ in range(2 * j)), dim=2 ** j)
+                for j in (k, k + 1)]
+        pairs.append(tuple(reps))
+    verdicts = [matrix_rep._coherent(small, large) for small, large in pairs]
+    assert verdicts == [_coherent_by_bitmask(small, large) for small, large in pairs]
+    assert True in verdicts and False in verdicts
+
+
+def test_rep_verify_keeps_no_blade_words(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("blade word cached")
+    monkeypatch.setattr(MatrixRep, "blade_word", refuse)
+    checks = rep_verify(5)
+    assert len(checks) == 9 and all(ok for _, ok in checks)
+
+
 def test_rep_verify_needs_a_representation():
     with pytest.raises(ValueError):
         rep_verify(0)

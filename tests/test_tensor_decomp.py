@@ -7,10 +7,12 @@ from cliffalg.core import Blade, Context, Multivector, mv_product
 from cliffalg.errors import (InvalidChainError, MembershipError,
                              SupportRangeError, UnsupportedDomainError)
 from cliffalg.scalars import Domain, GaussianRational
+from cliffalg import scalars, tensor_decomp
 from cliffalg.tensor_decomp import (FactorChain, chain_build, chain_verify,
                                     commutator_check, factor_basis,
-                                    ordered_product, phi_apply, phi_inverse,
-                                    rewrite_generator, spanning_rank)
+                                    factor_generators, ordered_product,
+                                    phi_apply, phi_inverse, rewrite_generator,
+                                    spanning_rank)
 
 CTX = Context.make()
 GCTX = Context.make(Domain.GAUSSIAN)
@@ -218,3 +220,147 @@ class TestChainVerify:
                    blade_mv(CTX, 1, 3))
         assert ordered_product([a, b, c]) == mv_product(mv_product(a, b), c)
         assert ordered_product([b]) == b
+
+
+# ---------------------------------------------------------------------------
+# the word certificates against the multivector oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_commute(chain, i, j):
+    return all(mv_product(a, b) == mv_product(b, a)
+               for a in factor_generators(chain, i)
+               for b in factor_generators(chain, j))
+
+
+def _oracle_rank(chain):
+    """Distinct blades of the multivector products of per-factor images."""
+    products = factor_basis(chain, 1)
+    for i in range(2, len(chain.cuts) + 1):
+        products = [mv_product(p, f) for p in products
+                    for f in factor_basis(chain, i)]
+    if any(len(p.terms) != 1 for p in products):
+        raise InvalidChainError("a product of images is not a single blade")
+    return len({next(iter(p.terms)) for p in products})
+
+
+def _oracle_verify(chain):
+    """chain_verify through phi_apply and mv_product alone."""
+    ctx, t, n_t = chain.context, len(chain.cuts), chain.cuts[-1]
+    checks = []
+    for i in range(1, t + 1):
+        lo = chain.block(i)[0] - 1
+        images = factor_basis(chain, i)
+        blades = [Multivector.blade(ctx, Blade(m << lo))
+                  for m in range(len(images))]
+
+        def phi(uw):
+            # uw is a signed block blade and phi_i is linear
+            (blade, coeff), = uw.terms.items()
+            return images[blade >> lo].scale(coeff)
+
+        checks.append((f"phi_{i} multiplicative", all(
+            phi(mv_product(blades[a], blades[b])) ==
+            mv_product(images[a], images[b])
+            for a, b in itertools.product(range(len(images)), repeat=2))))
+        keys = {next(iter(img.terms)) for img in images if len(img.terms) == 1}
+        checks.append((f"phi_{i} injective", len(keys) == len(images)))
+    for i, j in itertools.combinations(range(1, t + 1), 2):
+        checks.append((f"[A_{i}, A_{j}] = 0", _oracle_commute(chain, i, j)))
+    for k in range(1, n_t + 1):
+        checks.append((f"rewrite v_{k}", ordered_product(
+            rewrite_generator(chain, k)) == Multivector.generator(ctx, k)))
+    checks.append((f"span rank 2^{n_t}", _oracle_rank(chain) == 2 ** n_t))
+    return checks
+
+
+def _word_mv(ctx, word):
+    """The multivector i^p v_S of the word (p, S)."""
+    p, mask = word
+    unit = scalars.imaginary_unit(ctx.domain) if p % 2 else scalars.one(ctx.domain)
+    return Multivector.blade(ctx, Blade(mask), -unit if p >= 2 else unit)
+
+
+def _chains_up_to_eight():
+    """Every chain with last cut <= 8, in each domain it builds in."""
+    for r in range(1, 5):
+        for cuts in itertools.combinations((2, 4, 6, 8), r):
+            for domain in Domain:
+                if domain.has_i or all(n % 4 for n in cuts):
+                    yield cuts, domain
+
+
+CHAINS = list(_chains_up_to_eight())
+
+
+class TestWordsAgainstTheOracle:
+    @pytest.mark.parametrize("cuts,domain", CHAINS,
+                             ids=[f"{','.join(map(str, c))}-{d.value}"
+                                  for c, d in CHAINS])
+    def test_certificates_match(self, cuts, domain):
+        ctx = Context.make(domain)
+        chain = chain_build(cuts, ctx)
+        images = tensor_decomp._phi_words(chain, basis=True)
+        gens = tensor_decomp._phi_words(chain, basis=False)
+        for i in range(1, len(cuts) + 1):
+            assert [_word_mv(ctx, w) for w in images[i - 1]] == \
+                factor_basis(chain, i)
+            assert [_word_mv(ctx, w) for w in gens[i - 1]] == \
+                factor_generators(chain, i)
+        for k in range(1, cuts[-1] + 1):
+            assert [_word_mv(ctx, w) for w in
+                    tensor_decomp._rewrite_words(chain, gens, k)] == \
+                rewrite_generator(chain, k)
+        for i, j in itertools.permutations(range(1, len(cuts) + 1), 2):
+            assert commutator_check(chain, i, j) == _oracle_commute(chain, i, j)
+        assert spanning_rank(chain) == _oracle_rank(chain)
+        assert chain_verify(chain) == _oracle_verify(chain)
+
+    def test_wrong_volume_element_fails_the_same_checks(self):
+        good = chain_build((2, 6), CTX)
+        bad = FactorChain(CTX, good.cuts, (good.c[0], good.c[0]),
+                          good.adjusted)
+        got = chain_verify(bad)
+        assert got == _oracle_verify(bad)
+        assert [name for name, ok in got if not ok] == \
+            ["phi_2 multiplicative",
+             "rewrite v_3", "rewrite v_4", "rewrite v_5", "rewrite v_6"]
+        assert spanning_rank(bad) == _oracle_rank(bad)
+        assert commutator_check(bad, 1, 2) == _oracle_commute(bad, 1, 2)
+
+    @pytest.mark.parametrize("cuts", [(2, 6), (2, 4, 6), (4, 6)])
+    def test_hand_built_monomial_chains(self, cuts, rng):
+        # any unit-phase monomials as volume elements: the blades of each
+        # factor's images still form a subspace, of full rank or not
+        n_t = cuts[-1]
+        phases = [scalars.one(Domain.GAUSSIAN), GaussianRational.of(0, 1)]
+        ranks = set()
+        for _ in range(40):
+            # blades reach past the last cut too
+            c = tuple(Multivector.blade(
+                GCTX, Blade(rng.randrange(1 << (n_t + 2))),
+                rng.choice(phases) * rng.choice((1, -1))) for _ in cuts)
+            chain = FactorChain(GCTX, cuts, c, tuple(n % 4 == 0 for n in cuts))
+            ranks.add(spanning_rank(chain))
+            assert spanning_rank(chain) == _oracle_rank(chain)
+            assert chain_verify(chain) == _oracle_verify(chain)
+        assert len(ranks) > 1
+
+    def test_non_monomial_volume_element_raises_in_both(self):
+        good = chain_build((2, 6), CTX)
+        c2 = good.c[1] + Multivector.unit(CTX)
+        bad = FactorChain(CTX, good.cuts, (good.c[0], c2), good.adjusted)
+        for certificate in (chain_verify, spanning_rank, _oracle_rank):
+            with pytest.raises(InvalidChainError):
+                certificate(bad)
+
+    @pytest.mark.parametrize("c2", [
+        blade_mv(CTX, 1, 2, 3, 4, 5, 6).scale(2),
+        Multivector.zero(CTX),
+    ], ids=["scaled", "zero"])
+    def test_volume_element_must_be_a_unit_word(self, c2):
+        good = chain_build((2, 6), CTX)
+        bad = FactorChain(CTX, good.cuts, (good.c[0], c2), good.adjusted)
+        for certificate in (chain_verify, spanning_rank,
+                            lambda chain: commutator_check(chain, 1, 2)):
+            with pytest.raises(InvalidChainError, match="^c_2 is not a unit-phase monomial$"):
+                certificate(bad)
