@@ -7,7 +7,7 @@ the identity in dimension 2**k.
 Blade images are Pauli words i^p X^x Z^z stored as (p mod 4, x, z), bit k-j
 of a mask being factor j (the stabilizer tableau encoding of Aaronson and
 Gottesman, PRA 70, 052328, 2004): basis vector c goes to i^p (-1)^|z & c| e_{c^x}.
-The certificates read words only, `rep_verify` by blade bitmask: the
+The certificates read words only, `rep_verify` walking blades depth first: the
 normalized trace of a word is i^p when x == z == 0 and 0 otherwise, and
 faithfulness is GF(2) independence.  `represent` and `MatrixRep.identity`
 write dense 2**k x 2**k matrices, the oracle the tests check the words

@@ -286,8 +286,7 @@ class TestLimits:
         assert (DECOMP_MAX_BLOCK, DECOMP_MAX_CUT) == (10, 30)
 
     @pytest.mark.parametrize("argv", [
-        ["--domain", "gaussian", "decomp", "check", "--cuts",
-         str(DECOMP_MAX_BLOCK)],
+        ["decomp", "check", "--cuts", str(DECOMP_MAX_BLOCK)],
         ["--domain", "gaussian", "decomp", "build", "--cuts", _WIDEST_LAST],
         ["--domain", "gaussian", "decomp", "rewrite", "--cuts", _WIDEST_LAST,
          "--k", str(DECOMP_MAX_CUT)],

@@ -345,6 +345,16 @@ class TestWordsAgainstTheOracle:
             assert chain_verify(chain) == _oracle_verify(chain)
         assert len(ranks) > 1
 
+    def test_certificates_build_no_multivector(self, monkeypatch):
+        chain = chain_build((2, 6, 10), CTX)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("multivector built")
+        monkeypatch.setattr(Multivector, "__init__", refuse)
+        assert all(ok for _, ok in chain_verify(chain))
+        assert spanning_rank(chain) == 2 ** 10
+        assert commutator_check(chain, 1, 3)
+
     def test_non_monomial_volume_element_raises_in_both(self):
         good = chain_build((2, 6), CTX)
         c2 = good.c[1] + Multivector.unit(CTX)
