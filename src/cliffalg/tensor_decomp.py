@@ -51,34 +51,52 @@ def chain_build(cuts, context: Context) -> FactorChain:
         raise InvalidChainError(
             f"cuts must be even, positive, strictly increasing: {cuts}")
     context.signature.require_unit(range(1, cuts[-1] + 1), "a factor chain")
-    adjusted = tuple(n % 4 == 0 for n in cuts)
-    cs = tuple(Multivector.blade(context, Blade((1 << n) - 1), scalars.imaginary_unit(
-        context.domain) if adj else scalars.one(context.domain))
-        for n, adj in zip(cuts, adjusted))
-    for n, c in zip(cuts, cs):
-        if mv_product(c, c) != Multivector.scalar(context, -1):
+    cs, adjusted = [], []
+    minus_one = Multivector.scalar(context, -1)
+    for n in cuts:
+        blade = Blade((1 << n) - 1)
+        needs_i = n % 4 == 0
+        coeff = scalars.imaginary_unit(context.domain) if needs_i \
+            else scalars.one(context.domain)
+        c = Multivector.blade(context, blade, coeff)
+        if mv_product(c, c) != minus_one:
             raise InvalidChainError(f"volume element for cut {n} does not square to -1")
-    return FactorChain(context, cuts, cs, adjusted)
+        cs.append(c)
+        adjusted.append(needs_i)
+    return FactorChain(context, cuts, tuple(cs), tuple(adjusted))
 
 
-def phi_apply(chain: FactorChain, i: int, u: Multivector) -> Multivector:
-    """Block isomorphism onto A_i: even part fixed, odd part times c_i."""
+def _check_block_support(chain: FactorChain, i: int, u: Multivector):
     block = set(chain.block(i))
     if not set(u.support()) <= block:
         raise SupportRangeError(
             f"support {sorted(u.support())} not inside block {i} = {sorted(block)}")
-    return parity_project(u, "even") + mv_product(chain.c[i - 1],
-                                                  parity_project(u, "odd"))
+
+
+def phi_apply(chain: FactorChain, i: int, u: Multivector) -> Multivector:
+    """Block isomorphism onto A_i: even part fixed, odd part times c_i."""
+    _check_block_support(chain, i, u)
+    even = parity_project(u, "even")
+    odd = parity_project(u, "odd")
+    return even + mv_product(chain.c[i - 1], odd)
 
 
 def phi_inverse(chain: FactorChain, i: int, a: Multivector) -> Multivector:
     """Inverse of phi_apply; raises MembershipError off A_i."""
     chain._check_index(i)
-    # c_i**2 == -1, so the c_i-component is recovered by -c_i * (odd part)
-    even = parity_project(a, "even")
-    odd = mv_product(-chain.c[i - 1], parity_project(a, "odd"))
-    if not even.support() | odd.support() <= set(chain.block(i)) or \
-            not parity_project(odd, "even").is_zero:
+    block = set(chain.block(i))
+    even_terms, rest_terms = {}, {}
+    for blade, coeff in a.terms.items():
+        if blade.parity == 0 and set(blade.indices) <= block:
+            even_terms[blade] = coeff
+        else:
+            rest_terms[blade] = coeff
+    even = Multivector(chain.context, even_terms, _canonical=True)
+    rest = Multivector(chain.context, rest_terms, _canonical=True)
+    # c_i**2 == -1, so the c_i-component is recovered by -c_i * rest
+    odd = mv_product(-chain.c[i - 1], rest)
+    if not set(odd.support()) <= block or parity_project(odd, "even") != \
+            Multivector.zero(chain.context):
         raise MembershipError(f"element is not in A_{i}")
     return even + odd
 
@@ -91,9 +109,10 @@ def factor_generators(chain: FactorChain, i: int) -> list[Multivector]:
 
 def factor_basis(chain: FactorChain, i: int) -> list[Multivector]:
     """Images of all basis blades of block i under phi_i."""
-    lo = chain.block(i)[0] - 1
-    return [phi_apply(chain, i, Multivector.blade(chain.context, Blade(m << lo)))
-            for m in range(1 << len(chain.block(i)))]
+    block = chain.block(i)
+    return [phi_apply(chain, i, Multivector.blade(
+                chain.context, Blade(mask << (block[0] - 1))))
+            for mask in range(1 << len(block))]
 
 
 def _word_product(a: tuple, b: tuple) -> tuple:
@@ -102,7 +121,11 @@ def _word_product(a: tuple, b: tuple) -> tuple:
 
 
 def _c_words(chain: FactorChain) -> list[tuple]:
-    """Each c_i as a word; a hand-built one may not be: InvalidChainError."""
+    """Each c_i as a word; a hand-built one may not be: InvalidChainError.
+
+    The words multiply by the q == 1 sign rule, so q must be 1 on every
+    generator up to the last cut and on every one a c_i reaches.
+    """
     domain, phase = chain.context.domain, {}
     for p in range(1 + domain.has_i):
         u = scalars.imaginary_unit(domain) if p else scalars.one(domain)
@@ -111,6 +134,8 @@ def _c_words(chain: FactorChain) -> list[tuple]:
     for i, (_, coeff) in enumerate(terms, start=1):
         if coeff not in phase:
             raise InvalidChainError(f"c_{i} is not a unit-phase monomial")
+    top = max(chain.cuts[-1], *(blade.bit_length() for blade, _ in terms))
+    chain.context.signature.require_unit(range(1, top + 1), "a factor chain")
     return [(phase[coeff], blade) for blade, coeff in terms]
 
 
@@ -145,16 +170,21 @@ def rewrite_generator(chain: FactorChain, k: int) -> list[Multivector]:
     """
     if not 1 <= k <= chain.cuts[-1]:
         raise SupportRangeError(f"index {k} outside 1..{chain.cuts[-1]}")
-    ctx, i = chain.context, next(j for j, n in enumerate(chain.cuts, start=1) if k <= n)
+    ctx = chain.context
+    i = next(idx for idx in range(1, len(chain.cuts) + 1)
+             if k in chain.block(idx))
     vk = Multivector.generator(ctx, k)
     if i == 1:
         return [vk]
-    factors = [Multivector.blade(ctx, Blade.from_indices(chain.block(j)))
-               for j in range(1, i + 1)]
+    factors = []
+    for j in range(1, i + 1):
+        block_blade = Blade.from_indices(chain.block(j))
+        factors.append(Multivector.blade(ctx, block_blade))
     lam = scalars.imaginary_unit(ctx.domain) if chain.adjusted[i - 1] \
         else scalars.one(ctx.domain)
     factors[0] = factors[0].scale(-lam)
-    return factors + [phi_apply(chain, i, vk)]
+    factors.append(phi_apply(chain, i, vk))
+    return factors
 
 
 def _rewrite_words(chain: FactorChain, gens: list, k: int) -> list[tuple]:

@@ -13,7 +13,7 @@ from cliffalg.errors import DomainMismatchError, UnsupportedDomainError
 from cliffalg.expr import parse
 from cliffalg.matrix_rep import build_rep, represent, verify_trace_coherence
 from cliffalg.scalars import Domain
-from cliffalg.tensor_decomp import chain_build
+from cliffalg.tensor_decomp import FactorChain, chain_build, chain_verify
 
 
 def _skew(ctx):
@@ -24,9 +24,15 @@ def _volume(ctx):
     return Multivector.blade(ctx, Blade.of(1, 2, 3, 4))
 
 
+def _hand_built_chain(ctx):
+    # one cut at 2, its volume element reaching generators 3 and 4
+    return FactorChain(ctx, (2,), (_volume(ctx),), (False,))
+
+
 # each caller needs q == 1 on generators 1..4 and on no other
 Q_ONE_CALLERS = {
     "chain_build": lambda ctx: chain_build((2, 4), ctx),
+    "chain_verify": lambda ctx: chain_verify(_hand_built_chain(ctx)),
     "bogolyubov_derivation": lambda ctx: bogolyubov_derivation(_skew(ctx)),
     "inner_witness": lambda ctx: inner_witness(_skew(ctx)),
     "represent": lambda ctx: represent(build_rep(2), _volume(ctx)),

@@ -374,3 +374,17 @@ class TestWordsAgainstTheOracle:
                             lambda chain: commutator_check(chain, 1, 2)):
             with pytest.raises(InvalidChainError, match="^c_2 is not a unit-phase monomial$"):
                 certificate(bad)
+
+    def test_non_unit_signature_is_refused(self):
+        # the words multiply by the q == 1 sign rule; with q_1 = -1 the oracle
+        # finds phi_1(v1 v1) = -1 but phi_1(v1)**2 = (v1 v1 v2)**2 = +1
+        ctx = Context.make(Domain.RATIONAL, overrides={1: -1})
+        c = (blade_mv(ctx, 1, 2), blade_mv(ctx, 1, 2, 3, 4, 5, 6))
+        chain = FactorChain(ctx, (2, 6), c, (False, False))
+        assert ("phi_1 multiplicative", False) in _oracle_verify(chain)
+        for certificate in (chain_verify, spanning_rank,
+                            lambda chain: commutator_check(chain, 1, 2)):
+            with pytest.raises(UnsupportedDomainError,
+                               match=r"^a factor chain requires q == 1 on the "
+                                     r"support \(q_1 != 1\)$"):
+                certificate(chain)

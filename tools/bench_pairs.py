@@ -1,13 +1,13 @@
 """Alternating parent/change benchmark pairs, written to BENCH_<tag>.json.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --tag NAME \
-        [--workload W ...] [--pairs 10] [--seconds 20] [--first-seed 101]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --tag NAME
 
-DIR is a checkout of the repository (its own src/ and cliffbench/).  For each
-workload, pair p runs `python3 cliffbench/run.py --workload W --seed S
---seconds T --trace 0` in both checkouts, one after the other, with seed
-S = first-seed + p; the parent runs first in even pairs and the change first
-in odd ones.  The file keeps every run's final JSON line and, per side and
+DIR is a checkout of the repository (its own src/ and cliffbench/).  The
+protocol is fixed: for every workload, pair p = 0..9 runs `python3
+cliffbench/run.py --workload W --seed S --seconds 20 --trace 0` in both
+checkouts, one after the other, with seed S = 101 + p; the parent runs first
+in even pairs and the change first in odd ones.  BENCH_<tag>.json is written
+to the current directory.  The file keeps every run's final JSON line and, per side and
 end-to-end metric of BENCHMARK.json, the median and quartiles
 (statistics.quantiles, n=4, inclusive), the change/parent ratio of the
 medians, the parent's spread (q3 - q1) / median and how many pairs the
@@ -25,6 +25,9 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("dense_kernel", "certify", "cli_mix")
+PAIRS = 10
+SECONDS = 20
+FIRST_SEED = 101
 
 
 def _args(argv):
@@ -32,13 +35,6 @@ def _args(argv):
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--tag", required=True, help="the output is BENCH_<tag>.json")
-    p.add_argument("--workload", action="append", choices=WORKLOADS,
-                   help="repeatable; default: every workload")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--first-seed", type=int, default=101)
-    p.add_argument("--out", type=Path, default=Path.cwd(),
-                   help="directory for the output file (default: .)")
     return p.parse_args(argv)
 
 
@@ -48,10 +44,10 @@ def _commit(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(checkout: Path, workload: str, seed: int) -> dict:
     """The final JSON line of one benchmark run."""
     cmd = [sys.executable, "cliffbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited "
@@ -91,32 +87,32 @@ def main(argv=None) -> int:
     args = _args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]
-    seeds = [args.first_seed + p for p in range(args.pairs)]
+    seeds = [FIRST_SEED + p for p in range(PAIRS)]
     result = {
         "parent_commit": _commit(args.parent),
         "change_commit": _commit(args.change),
         "python": platform.python_version(),
         "machine": f"{platform.system()} {platform.machine()}",
         "command": "python3 cliffbench/run.py --workload W --seed N "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "protocol": f"{args.pairs} alternating parent/change pairs per workload, "
+                   f"--seconds {SECONDS} --trace 0",
+        "protocol": f"{PAIRS} alternating parent/change pairs per workload, "
                     "parent first in even pairs; seed of pair p = first seed + p",
         "seeds": seeds,
         "workloads": {},
     }
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         runs = []
         for pair, seed in enumerate(seeds):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = args.parent if side == "parent" else args.change
-                final = _run(checkout, workload, seed, args.seconds)
+                final = _run(checkout, workload, seed)
                 runs.append({"pair": pair, "seed": seed, "side": side, "final": final})
                 print(f"{workload} pair {pair} {side}: ops_per_ref "
                       f"{final['metrics']['ops_per_ref']['value']:.4f}", flush=True)
         result["workloads"][workload] = {"summary": _summary(runs, metrics),
                                          "runs": runs}
-    path = args.out / f"BENCH_{args.tag}.json"
+    path = Path(f"BENCH_{args.tag}.json")
     path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     print(path)
     return 0
