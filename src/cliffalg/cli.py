@@ -37,9 +37,9 @@ BROKEN_PIPE = 141
 # takes at most about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k`
 # reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
 # from its Pauli words in two representations (0.7 s at k = 10), and
-# `witness --n n --m m` reads n nilpotents from m x m rows, then computes n
-# pairs of exact norms over their m/2 stored entries, so n * m**2 may be at
-# most 4 * WITNESS_MAX_N (every m = 2 table fits; about 0.3 s at n = 5000).
+# `witness --n n --m m` writes n nilpotents' m/2 entries and computes n pairs
+# of exact norms over them; n * m**2 may be at most 4 * WITNESS_MAX_N, the cap
+# from when each was read from m x m rows (about 0.3 s at n = 5000, m = 2).
 # `decomp check` multiplies the words of 4**w blade pairs for a block of w
 # generators (0.3 s at w = 10, 16 times that at w = 12); `--cuts 10,20,30` is
 # the slowest allowed (1.4 s), and the bound holds for every `decomp` command.

@@ -12,7 +12,7 @@ that shrinks no norm while its input sequence tends to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -77,14 +77,17 @@ class TensorElement:
     """Finite sum of (coefficient, ((factor index, factor), ...)) terms.
 
     Terms are kept canonical (see _canonical), so structurally equal elements
-    compare equal without expanding them.
+    compare equal without expanding them.  _canonical=True skips the pass for
+    terms that are canonical by construction.
     """
 
     shape: FactorShape
     terms: tuple = ()
+    _canonical: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical(self.shape, self.terms))
+    def __post_init__(self, canonical):
+        if not canonical:
+            object.__setattr__(self, "terms", _canonical(self.shape, self.terms))
 
     @staticmethod
     def build(shape: FactorShape, terms) -> "TensorElement":
@@ -140,9 +143,10 @@ class TensorElement:
         return TensorElement(self.shape, self.terms + other.terms)
 
     def scale(self, value) -> "TensorElement":
+        """Factors are unchanged: only coefficients that become zero drop."""
         value = scalars.coerce(self.shape.domain, value)
-        return TensorElement(self.shape,
-                             tuple((c * value, f) for c, f in self.terms))
+        return TensorElement(self.shape, tuple(
+            (p, f) for c, f in self.terms if (p := c * value)), _canonical=True)
 
     def adjoint(self) -> "TensorElement":
         """Conjugate coefficients, conjugate-transpose every factor."""
@@ -296,7 +300,9 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
     leaves it as it is where d[r] == d[c]: the diagonal, and every entry under
     the identity rule, stays bit for bit in the float domains too.  This
     orientation scales the upper block nilpotent at factor i by the
-    index-scaling rule's lower diagonal entry.
+    index-scaling rule's lower diagonal entry.  Exact conjugation is injective
+    and keeps entries nonzero, so terms stay canonical; a float entry can
+    underflow to 0.0 and leave an identity factor.
     """
     _check_shape(phi, a)
     terms = []
@@ -307,16 +313,19 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
             new.append((i, tuple(((r, c), x if d[r] == d[c] else x * (d[c] / d[r]))
                                  for (r, c), x in f)))
         terms.append((coeff, tuple(new)))
-    return TensorElement(a.shape, tuple(terms))
+    return TensorElement(a.shape, tuple(terms), _canonical=a.shape.domain.is_exact)
 
 
 def block_nilpotent(shape: FactorShape, i: int) -> TensorElement:
     """[[0, I_k], [0, 0]] at factor i (k = m / 2), identity elsewhere."""
     m, k = shape.size, shape.size // 2
     one, zero = scalars.one(shape.domain), scalars.zero(shape.domain)
-    mat = tuple(tuple(one if c == r + k else zero for c in range(m))
-                for r in range(m))
-    return TensorElement.single(shape, 1, {i: mat})
+    if shape.domain.is_exact:
+        f = tuple(((r, r + k), one) for r in range(k))
+    else:
+        f = tuple(((r, c), one if c == r + k else zero)
+                  for r in range(m) for c in range(m))
+    return TensorElement(shape, ((one, ((int(i), f),)),), _canonical=True)
 
 
 def witness_sequence(n_max: int, shape: FactorShape | None = None):

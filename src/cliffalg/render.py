@@ -29,8 +29,8 @@ def _scalar_expr(domain: Domain, value) -> tuple[str, bool]:
         if re == 0:
             return (imag, im < 0)
         return (f"({re}{'-' if im < 0 else '+'}{imag})", False)
-    # c64: a parenthesized composite unless the imaginary part is zero
-    re, im = value.real, value.imag
+    # c64: parenthesized unless the imaginary part is zero; zero parts unsigned
+    re, im = value.real or 0.0, value.imag
     if im == 0:
         return _real(repr(re), re)
     return (f"({re!r}{'-' if im < 0 else '+'}{abs(im)!r}*i)", False)

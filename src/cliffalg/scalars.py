@@ -210,8 +210,8 @@ def format_scalar(domain: Domain, value) -> str:
             return str(value)
     if domain is Domain.F64:
         return repr(value)
-    if domain is Domain.C64:
-        return f"{value.real!r}{'+' if value.imag >= 0 else '-'}{abs(value.imag)!r} i"
+    if domain is Domain.C64:  # an unsigned 0.0 for a zero part, as in "+0.0 i"
+        return f"{value.real or 0.0!r}{'+' if value.imag >= 0 else '-'}{abs(value.imag)!r} i"
     raise UnsupportedDomainError(str(domain))
 
 

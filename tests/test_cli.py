@@ -553,6 +553,15 @@ class TestFloatPolicy:
         assert run(["--domain", "f64", "eval", "1/10*e1 + 2/10*e1 - 3/10*e1"]) == 0
         assert capsys.readouterr().out == "5.551115123125783e-17*e1\n"
 
+    @pytest.mark.parametrize("text", ["0-i", "(0-1)*i"])
+    def test_c64_zero_real_part_prints_unsigned(self, text, capsys):
+        # 0 - i has real part -0.0; it equals (0-1)*i and prints alike
+        assert run(["--domain", "c64", "eval", "--", text]) == 0
+        assert capsys.readouterr().out == "(0.0-1.0*i)\n"
+        assert run(["--domain", "c64", "--json", "eval", "--", text]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["terms"] == [{"blade": [], "coeff": "0.0-1.0 i"}]
+
     def test_equality_is_exact(self):
         ctx = Context.make(Domain.F64)
         a = parse("1/10*e1 + 2/10*e1", ctx)

@@ -9,7 +9,7 @@ from cliffalg.core import Blade, Context, Multivector
 from cliffalg.errors import (InvalidAutomorphismError, ShapeMismatchError,
                              UnsupportedDomainError)
 from cliffalg.locmat import (FactorShape, LocalAutomorphism, TensorElement,
-                             _pairing, block_nilpotent,
+                             _canonical, _pairing, block_nilpotent,
                              limit_automorphism_apply, tp_norm, tp_product,
                              tp_trace, witness_discontinuous, witness_sequence)
 from cliffalg.matrix_rep import build_rep, represent
@@ -521,8 +521,10 @@ def diagonal_matrix(d, zero):
 
 def assert_stored_form(a):
     """Row-major keys in range; no stored zero when exact, every entry stored
-    in the float domains."""
+    in the float domains; canonical terms, which a second pass leaves as they
+    are."""
     m = a.shape.size
+    assert _canonical(a.shape, a.terms) == a.terms
     for _, factors in a.terms:
         for _, f in factors:
             keys = [k for k, _ in f]
@@ -567,7 +569,7 @@ class TestDenseDifferential:
                 mat_mul(big_a, conj_transpose(big_b)), zero) / dim
             assert flatten(image, support) == \
                 mat_mul(mat_mul(x_inv, big_a), x)
-            for t in (a, b, product, a.adjoint(), image):
+            for t in (a, b, product, a.adjoint(), image, a.scale(-one)):
                 assert_stored_form(t)
 
     def test_witness_element_at_m44(self):
@@ -577,6 +579,7 @@ class TestDenseDifferential:
         image = limit_automorphism_apply(LocalAutomorphism.index_scaling(shape), b)
         (_, ((_, f),)), = b.terms
         assert len(f) == 22
+        assert_stored_form(b)
         assert_stored_form(image)
         big_b, big_image = flatten(b, (n,)), flatten(image, (n,))
         d = (one,) * 22 + (Fraction(n),) * 22
@@ -592,3 +595,49 @@ class TestDenseDifferential:
         assert tp_norm(image) == dense_trace(
             mat_mul(big_image, conj_transpose(big_image)), zero) / 44 \
             == Fraction(1, 2)
+
+
+class TestCanonicalByConstruction:
+    """The operations that skip the canonical pass: scale, exact conjugation
+    and block_nilpotent."""
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_exact_scale_by_zero_is_the_zero_element(self, domain, rng):
+        shape = FactorShape(domain, 2)
+        for a in (block_nilpotent(shape, 2), small_element(rng, shape)):
+            assert a.scale(0).terms == ()
+            assert a.scale(0) == TensorElement.zero(shape)
+
+    def test_f64_scale_drops_the_terms_that_underflow(self):
+        shape = FactorShape(Domain.F64, 2)
+        a = TensorElement.build(shape, [(1e-200, {1: A1}), (1.0, {2: A1})])
+        scaled = a.scale(1e-200)
+        assert scaled.terms == ((1e-200, ((2, a.terms[1][1][0][1]),)),)
+        assert_stored_form(scaled)
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64],
+                             ids=lambda d: d.value)
+    def test_float_conjugation_that_underflows_to_the_identity(self, domain):
+        # the off-diagonal 1e-200 scales by 1e-200 to 0.0: the factor becomes
+        # the identity, is dropped, and its term merges with the other
+        shape = FactorShape(domain, 2)
+        near_identity = ((1, 1e-200), (0, 1))
+        a = TensorElement.build(shape, [(0.5, {1: near_identity}), (0.25, {})])
+        assert len(a.terms) == 2
+        phi = LocalAutomorphism.from_factors(shape, {1: (1.0, 1e-200)})
+        image = limit_automorphism_apply(phi, a)
+        assert image.terms == TensorElement.build(shape, [(0.75, {})]).terms
+        assert_stored_form(image)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_block_nilpotent_matches_the_dense_build(self, domain, m):
+        shape = FactorShape(domain, m)
+        one, zero = scalars.one(domain), scalars.zero(domain)
+        rows = tuple(tuple(one if c == r + m // 2 else zero for c in range(m))
+                     for r in range(m))
+        b = block_nilpotent(shape, 5)
+        assert repr(b.terms) == \
+            repr(TensorElement.single(shape, 1, {5: rows}).terms)
+        assert_stored_form(b)
