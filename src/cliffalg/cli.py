@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -37,14 +36,15 @@ BROKEN_PIPE = 141
 # takes at most about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k`
 # reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
 # from its Pauli words in two representations (0.7 s at k = 10), and
-# `witness --n n --m m` writes n nilpotents' m/2 entries and computes n pairs
-# of exact norms over them; n * m**2 may be at most 4 * WITNESS_MAX_N, the cap
-# from when each was read from m x m rows (about 0.3 s at n = 5000, m = 2).
+# `witness --n n --m m` writes n nilpotents' m/2 entries, reads n diagonals of
+# m entries and computes n pairs of exact norms, about 10 us per unit of n * m,
+# which may be at most WITNESS_MAX_NM (0.8 s at n = 5000, m = 16).
 # `decomp check` multiplies the words of 4**w blade pairs for a block of w
 # generators (0.3 s at w = 10, 16 times that at w = 12); `--cuts 10,20,30` is
 # the slowest allowed (1.4 s), and the bound holds for every `decomp` command.
 REP_CHECK_MAX_K = 10
 WITNESS_MAX_N = 5000
+WITNESS_MAX_NM = 80_000
 DECOMP_MAX_BLOCK = 10
 DECOMP_MAX_CUT = 30
 
@@ -218,7 +218,7 @@ def cmd_rep_check(args) -> int:
 
 def cmd_witness(args) -> int:
     n_max = _in_range("--n", args.n, 1, WITNESS_MAX_N)
-    _in_range("--m", args.m, 2, math.isqrt(4 * WITNESS_MAX_N // n_max) & ~1)
+    _in_range("--m", args.m, 2, WITNESS_MAX_NM // n_max & ~1)
     if args.m % 2:
         raise ValueError(f"--m must be even, got {args.m}")
     pairs = witness_sequence(n_max, FactorShape(Domain.RATIONAL, args.m))
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10,
                    help=f"table length, 1..{WITNESS_MAX_N}")
     p.add_argument("--m", type=int, default=2,
-                   help=f"factor size, even, with n * m^2 <= {4 * WITNESS_MAX_N}")
+                   help=f"factor size, even, with n * m <= {WITNESS_MAX_NM}")
     p.set_defaults(func=cmd_witness)
 
     return parser

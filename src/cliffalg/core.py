@@ -111,6 +111,11 @@ class Signature:
     _qden: int = field(init=False, repr=False, compare=False)
     _qnum: dict = field(init=False, repr=False, compare=False)
     _qnum_default: object = field(init=False, repr=False, compare=False)
+    # Generators whose q_k can change a weight: the override keys when the
+    # default is one, else all (-1).  A c64 product by 1+0j can flip a zero's
+    # sign or turn inf into nan, and it fixes only +-(1+0j), the weight before
+    # the lowest override: there it is every generator from that one up.
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.default:
@@ -126,8 +131,13 @@ class Signature:
                            *map(_denominator, table.values()))
             nums = {k: _scaled(v, den) for k, v in table.items()}
             num_default = _scaled(self.default, den)
+        keys, mask = [1 << (k - 1) for k in table if k > 0], -1
+        if self.default == 1 and self.domain is not Domain.C64:
+            mask = sum(keys)
+        elif self.default == 1 and math.copysign(1, self.default.imag) > 0:
+            mask = -min(keys, default=0)
         for name, value in (("_table", table), ("_qden", den), ("_qnum", nums),
-                            ("_qnum_default", num_default)):
+                            ("_qnum_default", num_default), ("_mask", mask)):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -208,10 +218,12 @@ def _xor_rank(masks) -> int:
 
 def _weight(sig: Signature, common: int, odd: int):
     """(-1)**odd * prod of q_k over the bits of `common`, multiplied left to
-    right from +-1 in increasing k (the order float results depend on)."""
+    right from +-1 in increasing k (the order float results depend on); the
+    bits outside sig._mask are skipped, as their factors change no bit."""
     w = _ONE[sig.domain]
     if odd:
         w = -w
+    common &= sig._mask
     while common:
         low = common & -common
         w = w * sig.q(low.bit_length())
@@ -368,12 +380,13 @@ def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
             terms[blade] = s
 
 
-def _from_numerators(acc: dict, den: int, gaussian: bool) -> dict:
-    """{key: n / den} for int numerators n, (re, im) pairs for Gaussian."""
+def _from_numerators(items: Iterable, den: int, gaussian: bool) -> dict:
+    """{blade: n / den} for (blade, n) pairs with int numerators n, (re, im)
+    pairs for Gaussian."""
     if gaussian:
-        return {key: scalars.GaussianRational(Fraction(re, den), Fraction(im, den))
-                for key, (re, im) in acc.items()}
-    return {key: Fraction(n, den) for key, n in acc.items()}
+        return {blade: scalars.GaussianRational(Fraction(re, den), Fraction(im, den))
+                for blade, (re, im) in items}
+    return {blade: Fraction(n, den) for blade, n in items}
 
 
 def _common_denominator(a: Multivector) -> int:
@@ -422,7 +435,7 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
                 acc[blade] = t
             else:
                 acc.pop(blade, None)
-    return Multivector(context, _from_numerators(acc, den, gaussian), _canonical=True)
+    return Multivector(context, _from_numerators(acc.items(), den, gaussian), _canonical=True)
 
 
 def mv_product(a: Multivector, b: Multivector) -> Multivector:
@@ -443,14 +456,15 @@ def mv_product(a: Multivector, b: Multivector) -> Multivector:
 def _float_product(a: Multivector, b: Multivector) -> dict:
     sig = a.context.signature
     tb = [(B, _prefix_parity(B), cb) for B, cb in b.terms.items()]
-    weights = {}  # (common << 1 | odd) -> _weight
+    weights = {}  # ((common & mask) << 1 | odd) -> _weight
     acc = {}
     for A, ca in a.terms.items():
+        Am = A & sig._mask
         for B, P, cb in tb:
-            key = (A & B) << 1 | (A & P).bit_count() & 1
+            key = (Am & B) << 1 | (A & P).bit_count() & 1
             w = weights.get(key)
             if w is None:
-                w = weights[key] = _weight(sig, A & B, key & 1)
+                w = weights[key] = _weight(sig, key >> 1, key & 1)
             c = ca * cb * w
             x = A ^ B
             s = acc.get(x)
@@ -468,20 +482,21 @@ def _exact_product(a: Multivector, b: Multivector) -> dict:
     da, db = _common_denominator(a), _common_denominator(b)
     ta = [(A, _scaled(ca, da)) for A, ca in a.terms.items()]
     tb = [(B, _prefix_parity(B), _scaled(cb, db)) for B, cb in b.terms.items()]
-    # Every weight is a product of q_k over generators both operands touch.
+    # Every weight is a product of q_k over masked generators both touch.
     ka = kb = 0
     for A, _ in ta:
         ka |= A
     for B, _, _ in tb:
         kb |= B
-    width = (ka & kb).bit_count()
-    weights = {}  # common -> weight numerator over sig._qden ** width
+    width = (ka & kb & sig._mask).bit_count()
+    weights = {}  # common & mask -> weight numerator over sig._qden ** width
     acc = {}
     get = acc.get
     if gaussian:
         for A, (ar, ai) in ta:
+            Am = A & sig._mask
             for B, P, (br, bi) in tb:
-                common = A & B
+                common = Am & B
                 w = weights.get(common)
                 if w is None:
                     w = weights[common] = _int_weight(sig, common, width)
@@ -507,8 +522,9 @@ def _exact_product(a: Multivector, b: Multivector) -> dict:
                     del acc[x]
     else:
         for A, na in ta:
+            Am = A & sig._mask
             for B, P, nb in tb:
-                common = A & B
+                common = Am & B
                 w = weights.get(common)
                 if w is None:
                     w = weights[common] = _int_weight(sig, common, width)
@@ -522,8 +538,8 @@ def _exact_product(a: Multivector, b: Multivector) -> dict:
                     acc[x] = s
                 else:
                     del acc[x]
-    values = _from_numerators(acc, da * db * sig._qden ** width, gaussian)
-    return {Blade(x): v for x, v in values.items()}
+    return _from_numerators(zip(map(Blade, acc), acc.values()),
+                            da * db * sig._qden ** width, gaussian)
 
 
 def reverse(a: Multivector) -> Multivector:

@@ -1,5 +1,6 @@
 """Shared oracles and random-input helpers for the test suite."""
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -79,15 +80,23 @@ def random_dense(rng, ctx, n, count):
                              for bits in rng.sample(range(1 << n), min(count, 1 << n))})
 
 
-def kernel_contexts(domain):
+def kernel_contexts(domain, infinite=True):
     """Unit q; negative and fractional overrides; a non-unit fractional
-    default; and, in the complex domains, q_4 = i."""
+    default; one override on generator 1, with unit generators after it in a
+    weight; in the complex domains, q_4 = i; and in c64, overrides with
+    signed-zero parts and, unless `infinite` is false, an infinite one."""
     over = {2: -1, 3: Fraction(1, 2), 5: Fraction(-3, 2), 9: Fraction(-1, 3)}
     out = [Context.make(domain), Context.make(domain, overrides=over),
-           Context.make(domain, Fraction(-2, 3), over)]
+           Context.make(domain, Fraction(-2, 3), over),
+           Context.make(domain, overrides={1: Fraction(-3, 7)})]
     if domain.has_i:
         out.append(Context.make(domain, overrides={
             **over, 4: scalars.imaginary_unit(domain)}))
+    if domain is Domain.C64:
+        out.append(Context.make(domain, overrides={2: complex(-0.0, -1.0),
+                                                   5: complex(0.5, -0.0)}))
+        if infinite:
+            out.append(Context.make(domain, overrides={2: math.inf}))
     return out
 
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import cliffalg
 from cliffalg import serialize
 from cliffalg.cli import (BROKEN_PIPE, DECOMP_MAX_BLOCK, DECOMP_MAX_CUT,
-                          REP_CHECK_MAX_K, WITNESS_MAX_N, _context,
+                          REP_CHECK_MAX_K, WITNESS_MAX_N, WITNESS_MAX_NM,
+                          _context,
                           build_parser, run)
 from cliffalg.core import Blade, Context, Multivector, mv_product
 from cliffalg.errors import DigitLimitError, ParseError
@@ -253,13 +254,19 @@ class TestLimits:
         assert out == ""
         assert err.startswith(f"error: {argv[-2]} must be between 1 and ")
 
-    @pytest.mark.parametrize("n, m", [(1, 140), (10, 44)])
-    def test_witness_at_the_m_limit(self, n, m, capsys):
-        assert n * m * m <= 4 * WITNESS_MAX_N < n * (m + 2) ** 2
-        assert run(["witness", "--n", str(n), "--m", str(m)]) == 0
+    def test_documented_witness_limits(self):
+        # README's "Size limits" gives these values
+        assert (WITNESS_MAX_N, WITNESS_MAX_NM) == (5000, 80_000)
+
+    @pytest.mark.parametrize("n, m", [(1, 80000), (13, 6152)])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_witness_at_the_m_limit(self, n, m, as_json, capsys):
+        assert n * m <= WITNESS_MAX_NM < n * (m + 2)
+        argv = ["--json"] * as_json + ["witness", "--n", str(n), "--m", str(m)]
+        assert run(argv) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("n, m", [(1, 142), (10, 46), (WITNESS_MAX_N, 4),
+    @pytest.mark.parametrize("n, m", [(1, 80002), (13, 6154), (WITNESS_MAX_N, 18),
                                       (1, 100000)])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_witness_past_the_m_limit(self, n, m, as_json, capsys):
@@ -267,13 +274,13 @@ class TestLimits:
         argv = ["--json"] * as_json + ["witness", "--n", str(n), "--m", str(m)]
         assert run(argv) == 2
         assert time.perf_counter() - start < 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: --m must be between 2 and ")
+        high = max(h for h in range(2, m, 2) if n * h <= WITNESS_MAX_NM)
+        assert capsys.readouterr() == (
+            "", f"error: --m must be between 2 and {high}, got {m}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--m", "3"], "--m must be even, got 3"),
-        (["--m", "0"], "--m must be between 2 and 44, got 0"),
+        (["--m", "0"], "--m must be between 2 and 8000, got 0"),
         (["--n", "0", "--m", "3"], "--n must be between 1 and 5000, got 0"),
     ], ids=["m-odd", "m-0", "n-before-m"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

@@ -1,14 +1,16 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliffalg.core import (Blade, Context, Multivector, blade_product,
-                           linear_combine, mv_product, parity_project,
-                           reverse)
+from cliffalg import scalars
+from cliffalg.core import (Blade, Context, Multivector, Signature, _weight,
+                           blade_product, linear_combine, mv_product,
+                           parity_project, reverse)
 from cliffalg.errors import (DegenerateFormError, DomainMismatchError)
 from cliffalg.scalars import Domain, GaussianRational
 
@@ -134,14 +136,26 @@ class TestProduct:
                 assert parity_project(prod, want) == prod
 
 
+def full_weight(sig, common: int, odd: int):
+    """(-1)**odd times q_k over every k in `common`, by definition: multiplied
+    left to right from +-1 in increasing k."""
+    w = scalars.one(sig.domain)
+    if odd:
+        w = -w
+    for k in Blade(common).indices:
+        w = w * sig.q(k)
+    return w
+
+
 def pairwise_product(a, b) -> dict:
-    """The product by definition: blade products of a.terms x b.terms, summed
-    in that order, a sum that reaches zero dropped."""
+    """The product by definition: full-weight blade products of a.terms x
+    b.terms, summed in that order, a sum that reaches zero dropped."""
     terms = {}
     for ba, ca in a.terms.items():
         for bb, cb in b.terms.items():
-            coeff, blade = blade_product(ba, bb, a.context.signature)
-            c = ca * cb * coeff
+            odd = sum(i > j for i in ba.indices for j in bb.indices) & 1
+            c = ca * cb * full_weight(a.context.signature, ba & bb, odd)
+            blade = Blade(ba ^ bb)
             s = terms.get(blade)
             s = c if s is None else s + c
             if s == 0:
@@ -161,7 +175,44 @@ def test_product_is_ordered_pairwise_blade_sum(domain):
                 a = random_dense(rng, ctx, n, size_a)
                 b = random_dense(rng, ctx, n, size_b)
                 got = mv_product(a, b)
-                assert list(got.terms.items()) == list(pairwise_product(a, b).items())
+                # repr tells -0.0 from 0.0 and matches nan
+                assert [(x, repr(c)) for x, c in got.terms.items()] == \
+                    [(x, repr(c)) for x, c in pairwise_product(a, b).items()]
+
+
+_Q_VALUES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 7), Fraction(3))
+_C64_VALUES = (complex(1.0, -0.0), complex(-0.0, -1.0), complex(0.5, -0.0),
+               complex(-1.0, 0.0), complex(math.inf, 0.0), 1e-300, 1e300)
+
+
+@st.composite
+def signatures(draw):
+    """Signatures over generators 1..12 in every domain; in c64 also with
+    signed-zero parts, inf and values whose products underflow or overflow."""
+    domain = draw(st.sampled_from(list(Domain)))
+    extra = (scalars.imaginary_unit(domain),) if domain.has_i else ()
+    if domain is Domain.C64:
+        extra += _C64_VALUES
+    values = st.sampled_from(_Q_VALUES + extra)
+    default = draw(st.one_of(st.just(Fraction(1)), values))
+    overrides = draw(st.dictionaries(st.integers(1, 12), values, max_size=4))
+    return Signature.build(domain, default, overrides)
+
+
+class TestWeightMask:
+    @given(signatures())
+    def test_every_non_unit_q_is_in_the_mask(self, sig):
+        for k in range(1, 15):
+            if sig.q(k) != 1:
+                assert sig._mask >> (k - 1) & 1, k
+
+    @given(signatures(), st.integers(0, (1 << 13) - 1), st.integers(0, 1))
+    # a c64 product by 1+0j turns inf+0j into inf+nanj and -1-0j times
+    # 1-0j is -1+0j, so neither factor may be skipped
+    @example(Signature.build(Domain.C64, 1, {1: math.inf}), 0b111, 0)
+    @example(Signature.build(Domain.C64, complex(1.0, -0.0)), 0b1, 1)
+    def test_weight_is_the_full_product_bit_for_bit(self, sig, common, odd):
+        assert repr(_weight(sig, common, odd)) == repr(full_weight(sig, common, odd))
 
 
 class TestReverse:

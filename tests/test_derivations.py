@@ -99,7 +99,9 @@ class TestFamilyApply:
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_equals_sum_of_ad_terms(self, domain, rng):
-        for ctx in kernel_contexts(domain):
+        # with q_k = inf the commutator a*x - x*a is inf - inf = nan where the
+        # parity rule gives an exact 0
+        for ctx in kernel_contexts(domain, infinite=False):
             for parity in ("even", "odd"):
                 want_parity = 0 if parity == "even" else 1
                 blades = {random_blade(rng, 10, parity=want_parity) for _ in range(6)}
