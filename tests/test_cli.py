@@ -13,8 +13,7 @@ import cliffalg
 from cliffalg import serialize
 from cliffalg.cli import (BROKEN_PIPE, DECOMP_MAX_BLOCK, DECOMP_MAX_CUT,
                           REP_CHECK_MAX_K, WITNESS_MAX_N, WITNESS_MAX_NM,
-                          _context,
-                          build_parser, run)
+                          _context, build_parser, run)
 from cliffalg.core import Blade, Context, Multivector, mv_product
 from cliffalg.errors import DigitLimitError, ParseError
 from cliffalg.expr import (MAX_EXPONENT, MAX_GENERATOR, MAX_PRODUCT_PAIRS,
