@@ -14,17 +14,24 @@ from .errors import NotInverseError, NotOrthogonalError
 
 
 def bogolyubov_apply(phi: OrthogonalMap, a: Multivector) -> Multivector:
-    """Extend phi over blades: v_{i1}...v_{ir} maps to phi(v_{i1})...phi(v_{ir})."""
+    """Extend phi over blades: v_{i1}...v_{ir} maps to phi(v_{i1})...phi(v_{ir}),
+    multiplied left to right from the unit.  Images are kept by blade, and a
+    blade's is its prefix's times phi(v_{ir}), so a shared prefix is
+    multiplied once."""
     if not phi.gram_preserving():
         raise NotOrthogonalError("map does not preserve the quadratic form")
     ctx = a.context
-    images = []
-    for blade, coeff in a.terms.items():
-        img = Multivector.unit(ctx)
-        for k in blade.indices:
-            img = mv_product(img, phi.image(k))
-        images.append((coeff, img))
-    return linear_combine(images, context=ctx)
+    images = {0: Multivector.unit(ctx)}
+
+    def image(bits: int) -> Multivector:
+        img = images.get(bits)
+        if img is None:
+            top = bits.bit_length()
+            img = images[bits] = mv_product(image(bits ^ 1 << top - 1), phi.image(top))
+        return img
+
+    return linear_combine([(coeff, image(blade)) for blade, coeff in a.terms.items()],
+                          context=ctx)
 
 
 def conjugation_apply(u: Multivector, u_inv: Multivector,

@@ -389,9 +389,9 @@ def _from_numerators(items: Iterable, den: int, gaussian: bool) -> dict:
     return {blade: Fraction(n, den) for blade, n in items}
 
 
-def _common_denominator(a: Multivector) -> int:
-    """The lcm of a's coefficient denominators."""
-    return math.lcm(*map(_denominator, a.terms.values()))
+def _common_denominator(pairs) -> int:
+    """The lcm of the denominators of the values in (blade, value) pairs."""
+    return math.lcm(*[_denominator(c) for _, c in pairs])
 
 
 def linear_combine(pairs: Iterable[tuple[object, Multivector]],
@@ -415,7 +415,7 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
             _accumulate(terms, ((blade, c * value) for blade, c in mv.terms.items()))
         return Multivector(context, terms, _canonical=True)
     gaussian = context.domain is Domain.GAUSSIAN
-    dens = [_common_denominator(mv) for _, mv in checked]
+    dens = [_common_denominator(mv.terms.items()) for _, mv in checked]
     den = math.lcm(*(d * _denominator(value) for (value, _), d in zip(checked, dens)))
     acc = {}
     for (value, mv), d in zip(checked, dens):
@@ -447,7 +447,7 @@ def mv_product(a: Multivector, b: Multivector) -> Multivector:
     """
     check_context(a.context, b.context)
     if a.context.domain.is_exact:
-        terms = _exact_product(a, b)
+        terms = _exact_product(a.context.signature, a.terms.items(), b.terms.items())
     else:
         terms = _float_product(a, b)
     return Multivector(a.context, terms, _canonical=True)
@@ -476,12 +476,21 @@ def _float_product(a: Multivector, b: Multivector) -> dict:
     return {Blade(x): s for x, s in acc.items()}
 
 
-def _exact_product(a: Multivector, b: Multivector) -> dict:
-    sig = a.context.signature
+def _anticommuting(A: int, tb: list) -> list:
+    """The entries of tb whose blade B anticommutes with A: v_B v_A =
+    (-1)**(|A||B| - |A & B|) v_A v_B."""
+    r = A.bit_count()
+    return [t for t in tb if (r * t[0].bit_count() - (A & t[0]).bit_count()) & 1]
+
+
+def _exact_product(sig: Signature, a, b, ad: bool = False) -> dict:
+    """The product of the (blade, nonzero coefficient) pairs a and b, or with
+    `ad` the commutator ab - ba: twice the anticommuting pairs alone."""
     gaussian = sig.domain is Domain.GAUSSIAN
     da, db = _common_denominator(a), _common_denominator(b)
-    ta = [(A, _scaled(ca, da)) for A, ca in a.terms.items()]
-    tb = [(B, _prefix_parity(B), _scaled(cb, db)) for B, cb in b.terms.items()]
+    fa = 2 * da if ad else da
+    ta = [(A, _scaled(ca, fa)) for A, ca in a]
+    tb = [(B, _prefix_parity(B), _scaled(cb, db)) for B, cb in b]
     # Every weight is a product of q_k over masked generators both touch.
     ka = kb = 0
     for A, _ in ta:
@@ -495,7 +504,7 @@ def _exact_product(a: Multivector, b: Multivector) -> dict:
     if gaussian:
         for A, (ar, ai) in ta:
             Am = A & sig._mask
-            for B, P, (br, bi) in tb:
+            for B, P, (br, bi) in _anticommuting(A, tb) if ad else tb:
                 common = Am & B
                 w = weights.get(common)
                 if w is None:
@@ -523,7 +532,7 @@ def _exact_product(a: Multivector, b: Multivector) -> dict:
     else:
         for A, na in ta:
             Am = A & sig._mask
-            for B, P, nb in tb:
+            for B, P, nb in _anticommuting(A, tb) if ad else tb:
                 common = Am & B
                 w = weights.get(common)
                 if w is None:

@@ -14,14 +14,19 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
-from .core import (Blade, Context, Multivector, _accumulate, blade_product,
-                   check_context, linear_combine, mv_product, parity_bit)
+from .core import (Blade, Context, Multivector, _accumulate, _exact_product,
+                   blade_product, check_context, linear_combine, mv_product,
+                   parity_bit)
 from .errors import (ContractViolationError, NotAdSumError, NotBogolyubovError,
                      NotSkewError, ParityError)
 
 
 def ad_apply(g: Multivector, x: Multivector) -> Multivector:
-    """ad(g)(x) = g*x - x*g; a derivation in x by the Leibniz rule."""
+    """ad(g)(x) = g*x - x*g; a derivation in x by the Leibniz rule.
+
+    Under a non-finite q_k this differs from family_apply: a commuting pair
+    whose products are infinite gives inf - inf, nan (nan+nan*i in c64),
+    where family_apply's parity rule gives 0."""
     return mv_product(g, x) - mv_product(x, g)
 
 
@@ -116,6 +121,8 @@ def family_apply(family, x: Multivector) -> Multivector:
 
     For a stream, only the declared cutoff prefix is consumed; any already
     materialized term past the cutoff is checked to act as zero on x.
+    Commuting pairs contribute nothing, also under a non-finite q_k, where
+    ad_apply's two products give nan (see ad_apply).
     """
     if isinstance(family, AdFamily):
         terms = family.terms
@@ -125,9 +132,13 @@ def family_apply(family, x: Multivector) -> Multivector:
         terms = family.prefix(n)
         tail = family.memoized_tail(n)
     check_context(x.context, family.context)
-    acc = {}
-    for blade, coeff in terms:
-        _accumulate(acc, _ad_blade(blade, coeff, x))
+    if x.context.domain.is_exact:
+        acc = _exact_product(x.context.signature, [(S, c) for S, c in terms if c],
+                             x.terms.items(), ad=True)
+    else:
+        acc = {}
+        for blade, coeff in terms:
+            _accumulate(acc, _ad_blade(blade, coeff, x))
     for blade, coeff in tail:
         if next(_ad_blade(blade, coeff, x), None) is not None:
             raise ContractViolationError(

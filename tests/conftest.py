@@ -159,6 +159,29 @@ def flatten(element, support):
     return acc
 
 
+def pairing_oracle(a, b):
+    """tr(a * adjoint(b)) in the domain's own arithmetic: per term pair,
+    c_s conj(c_t) times <A_si, B_ti> / m over the union of their factors in
+    increasing i, with <A, B> = tr(A B*) summed over the entries both store
+    and an absent factor the identity."""
+    total = zero = scalars.zero(a.shape.domain)
+    for cs, fs in a.terms:
+        for ct, ft in b.terms:
+            fs, ft = dict(fs), dict(ft)
+            value = cs * ct.conjugate()
+            for i in sorted(fs.keys() | ft.keys()):
+                ms = dict(fs.get(i, ()))
+                if i not in ft:
+                    pairing = sum((x for (r, c), x in ms.items() if r == c), zero)
+                elif i not in fs:
+                    pairing = sum((y.conjugate() for (r, c), y in ft[i] if r == c), zero)
+                else:
+                    pairing = sum((ms[k] * y.conjugate() for k, y in ft[i] if k in ms), zero)
+                value = value * pairing / a.shape.size
+            total = total + value
+    return total
+
+
 def flat_equal(a, b):
     """Both sides expanded on the union of their supports and compared."""
     support = tuple(sorted(set(a.support()) | set(b.support())))

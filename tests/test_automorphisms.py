@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from cliffalg.automorphisms import bogolyubov_apply, conjugation_apply
-from cliffalg.core import Blade, Context, Multivector, mv_product
+from cliffalg.core import (Blade, Context, Multivector, linear_combine,
+                           mv_product)
 from cliffalg.derivations import GRAM_TOLERANCE, OrthogonalMap
 from cliffalg.errors import NotInverseError, NotOrthogonalError
 from cliffalg.scalars import Domain
 from cliffalg.trace_norm import norm
 
-from conftest import random_multivector
+from conftest import random_dense, random_multivector
 
 CTX = Context.make()
 
@@ -95,6 +96,28 @@ class TestBogolyubovApply:
             phi = random_orthogonal(rng)
             a = random_multivector(rng, CTX, max_index=6)
             assert norm(bogolyubov_apply(phi, a)) == norm(a)
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_matches_the_per_blade_products(self, domain, rng):
+        # each blade's image multiplied left to right from the unit, alone
+        for ctx in (Context.make(domain), Context.make(domain, overrides={7: Fraction(-1, 2)})):
+            for _ in range(6):
+                rational = random_orthogonal(rng)
+                phi = OrthogonalMap.build(ctx, rational.active, rational.matrix)
+                a = random_dense(rng, ctx, 8, rng.choice((0, 1, 12, 40)))
+                want = []
+                for blade, coeff in a.terms.items():
+                    img = Multivector.unit(ctx)
+                    for k in blade.indices:
+                        img = mv_product(img, phi.image(k))
+                    want.append((coeff, img))
+                want = linear_combine(want, context=ctx).terms
+                got = bogolyubov_apply(phi, a).terms
+                if domain.is_exact:
+                    assert got == want
+                    assert list(map(type, got.values())) == list(map(type, want.values()))
+                else:
+                    assert repr(list(got.items())) == repr(list(want.items()))
 
     def test_parity_preserved(self, rng):
         from cliffalg.core import parity_project

@@ -178,6 +178,7 @@ def test_product_is_ordered_pairwise_blade_sum(domain):
                 # repr tells -0.0 from 0.0 and matches nan
                 assert [(x, repr(c)) for x, c in got.terms.items()] == \
                     [(x, repr(c)) for x, c in pairwise_product(a, b).items()]
+                assert all(type(x) is Blade for x in got.terms)
 
 
 _Q_VALUES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 7), Fraction(3))

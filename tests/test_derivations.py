@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from cliffalg.core import (Blade, Context, Multivector, mv_product,
+from cliffalg.core import (Blade, Context, Multivector, _accumulate, mv_product,
                            parity_project)
 from cliffalg.derivations import (AdFamily, AdStream, OrthogonalMap, SkewMap,
-                                  ad_apply, bogolyubov_derivation,
+                                  _ad_blade, ad_apply, bogolyubov_derivation,
                                   derivation_restricts_to_V, extract_even,
                                   extract_odd, family_apply, inner_witness)
 from cliffalg.errors import (ContractViolationError, NotAdSumError,
@@ -114,6 +115,59 @@ class TestFamilyApply:
                     for blade, coeff in family.terms:
                         want = want + ad_apply(Multivector.blade(ctx, blade, coeff), x)
                     assert family_apply(family, x) == want
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_matches_the_ad_blade_sum_in_value_and_order(self, domain, rng):
+        def check(source, x):
+            pairs = source.terms if isinstance(source, AdFamily) else source.prefix(10)
+            want = {}
+            for blade, coeff in pairs:
+                _accumulate(want, _ad_blade(blade, coeff, x))
+            got = family_apply(source, x).terms
+            assert list(got.items()) == list(want.items())
+            assert list(map(type, got.values())) == list(map(type, want.values()))
+
+        for ctx in kernel_contexts(domain):
+            # e1 cancels after e3 enters, then comes back after it
+            e12, e34 = Blade.of(1, 2), Blade.of(3, 4)
+            revived = [(e12, 1), (e34, 1), (e12, -1), (e12, 1)]
+            check(AdStream(ctx, "even", iter(revived), cutoff=lambda m: 4),
+                  Multivector(ctx, {Blade.of(2): 1, Blade.of(4): 1}))
+            for parity in ("even", "odd"):
+                # a stream repeats blades and keeps zero coefficients
+                want_parity = 0 if parity == "even" else 1
+                pool = sorted({random_blade(rng, 6, parity=want_parity)
+                               for _ in range(4)} - {Blade(0)})
+                terms = [(rng.choice(pool), rng.choice((-1, 0, 1, 2)) * random_scalar(rng, domain))
+                         for _ in range(8)]
+                stream = AdStream(ctx, parity, iter(terms), cutoff=lambda m: len(terms))
+                family = AdFamily.finite(ctx, parity, dict(terms).items())
+                for count in (0, 1, 5, 12):
+                    x = random_dense(rng, ctx, 6, count)
+                    check(stream, x)
+                    check(family, x)
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_memoized_tail_past_the_cutoff_still_raises(self, domain):
+        ctx = kernel_contexts(domain)[2]
+        stream = AdStream(ctx, "even", iter([(Blade.of(1, 2), 1), (Blade.of(3, 4), 1)]),
+                          cutoff=lambda m: 2 if m >= 4 else 1)
+        family_apply(stream, Multivector.generator(ctx, 4))
+        with pytest.raises(ContractViolationError):
+            family_apply(stream, Multivector.generator(ctx, 3))
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64], ids=lambda d: d.value)
+    def test_ad_apply_differs_from_the_parity_rule_under_infinite_q(self, domain):
+        # v1v2 commutes with itself; both of ad_apply's products are -inf, so
+        # their difference is nan, where family_apply's parity rule gives 0
+        ctx = Context.make(domain, overrides={2: math.inf})
+        g = Multivector.blade(ctx, Blade.of(1, 2))
+        (blade, value), = ad_apply(g, g).terms.items()
+        assert blade == 0 and math.isnan(value.real)
+        assert domain is Domain.F64 or math.isnan(value.imag)
+        assert family_apply(AdFamily.finite(ctx, "even", [(Blade.of(1, 2), 1)]), g).is_zero
 
     def test_parity_action(self, rng):
         # even families preserve the grading; odd families swap it

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 the package imports nothing outside the standard library, every module
 but `__init__` and `__main__` is imported by another package module, so no
-module lives on for the tests alone (test oracles live in tests/), and each
-precondition's error is raised by one function."""
+module lives on for the tests alone (test oracles live in tests/), each
+precondition's error is raised by one function, and the exact kernel's
+integer-numerator helpers are defined once, in `core`."""
 
 import ast
 import re
@@ -232,3 +233,52 @@ raise SystemExit("parity must be")
     assert raise_sites(source, "parity must be") == ["a", "inner", None]
     assert raise_sites(source, r"q == 1.*\(q_") == ["b"]
     assert raise_sites(source, "q == 1 fails") == ["b"]
+
+
+def definitions(source: str, names) -> list:
+    """The names in `names` that `source` defines, by `def`, `class` or
+    assignment at any depth, once per definition, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in defined if name in names]
+    return [name for _, name in sorted(found)]
+
+
+# the integer-numerator helpers other modules import from core
+NUMERATOR_HELPERS = ("_denominator", "_scaled", "_common_denominator",
+                     "_int_weight", "_from_numerators")
+
+
+def test_numerator_helpers_are_defined_in_core_alone():
+    found = {path.stem: sorted(definitions(path.read_text(encoding="utf-8"),
+                                           NUMERATOR_HELPERS))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == \
+        {"core": sorted(NUMERATOR_HELPERS)}
+
+
+def test_the_scan_sees_definitions():
+    source = '''
+from .core import _scaled, _denominator as _den
+
+
+class C:
+    def _scaled(self, x):
+        def _int_weight(y):
+            return y
+        return x
+
+
+_from_numerators = dict
+_den, (_common_denominator, z) = 1, (2, 3)
+'''
+    assert definitions(source, NUMERATOR_HELPERS) == [
+        "_scaled", "_int_weight", "_from_numerators", "_common_denominator"]
+    assert definitions("x = _scaled(1, 2)\n", NUMERATOR_HELPERS) == []

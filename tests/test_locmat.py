@@ -17,7 +17,7 @@ from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import trace
 
 from conftest import (conj_transpose, dense, flat_equal, flatten, identity,
-                      kron, mat_add, mat_mul, mat_scale)
+                      kron, mat_add, mat_mul, mat_scale, pairing_oracle)
 
 SHAPE = FactorShape()
 
@@ -347,6 +347,67 @@ class TestNorm:
         gshape = FactorShape(Domain.GAUSSIAN)
         with pytest.raises(UnsupportedDomainError):
             tp_norm(TensorElement.identity(gshape))
+
+
+def raw_element(rng, shape, max_terms=3):
+    """Terms as drawn, with no canonical pass: zero coefficients, explicit
+    identity factors, mixed denominators and terms with no factor."""
+    one = scalars.one(shape.domain)
+
+    def value():
+        x = Fraction(rng.randint(-4, 4) or 1, rng.choice((1, 2, 3, 4, 6)))
+        return x * (one if rng.random() < 0.5 else GaussianRational.of(1, 1)) \
+            if shape.domain.has_i else x
+
+    m, terms = shape.size, []
+    for _ in range(rng.randint(1, max_terms)):
+        factors = []
+        for i in sorted(rng.sample(range(1, 5), rng.randint(0, 3))):
+            if rng.random() < 0.2:
+                f = tuple(((r, r), one) for r in range(m))
+            else:
+                f = tuple(((r, c), value()) for r in range(m) for c in range(m)
+                          if rng.random() < 0.5) or (((0, 0), value()),)
+            factors.append((i, f))
+        coeff = 0 * one if rng.random() < 0.15 else value()
+        terms.append((coeff, tuple(factors)))
+    return TensorElement(shape, tuple(terms), _canonical=True)
+
+
+class TestIntegerPairing:
+    """The exact pairing on integer numerators against the Fraction formula."""
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_matches_the_fraction_oracle(self, domain, m, rng):
+        shape = FactorShape(domain, m)
+        zero_type = type(scalars.zero(domain))
+        for _ in range(150):
+            a, b = raw_element(rng, shape), raw_element(rng, shape)
+            copy = TensorElement(shape, a.terms, _canonical=True)
+            for left, right in ((a, b), (b, a), (a, a), (a, copy)):
+                got = _pairing(left, right)
+                assert got == pairing_oracle(left, right)
+                assert type(got) is zero_type
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_empty_elements_give_the_domain_zero(self, domain, rng):
+        shape = FactorShape(domain)
+        zero, a = TensorElement.zero(shape), raw_element(rng, shape)
+        for left, right in ((zero, zero), (zero, a), (a, zero)):
+            got = _pairing(left, right)
+            assert got == 0 and type(got) is type(scalars.zero(domain))
+
+    def test_witness_norms_match_the_oracle(self):
+        for m in (2, 6):
+            shape = FactorShape(size=m)
+            phi = LocalAutomorphism.index_scaling(shape)
+            for n in (1, 2, 7):
+                b = block_nilpotent(shape, n).scale(Fraction(1, n))
+                for x in (b, limit_automorphism_apply(phi, b)):
+                    assert tp_norm(x) == pairing_oracle(x, x)
 
 
 class TestLimitAutomorphism:
