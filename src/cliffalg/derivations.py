@@ -132,7 +132,7 @@ def family_apply(family, x: Multivector) -> Multivector:
         terms = family.prefix(n)
         tail = family.memoized_tail(n)
     check_context(x.context, family.context)
-    if x.context.domain.is_exact:
+    if x.context.domain.is_exact:  # the kernel takes nonzero coefficients only
         acc = _exact_product(x.context.signature, [(S, c) for S, c in terms if c],
                              x.terms.items(), ad=True)
     else:

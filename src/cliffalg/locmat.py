@@ -233,8 +233,9 @@ def _pairing(a: TensorElement, b: TensorElement):
     identity: <A, I> = tr(A), <I, B> = conj(tr(B)).  <A, B> sums the products
     of the entries both factors store.  A complex domain conjugates b's
     coefficients and entries once; a real one, nothing.  Exact domains sum
-    integers: a's values over da, b's over db and a trace times the other's,
-    so a pair with k factors is over da * db * (da * db * m)**k."""
+    integers: a's values over one denominator da, b's over db, and a factor
+    on one side only gives its trace times the other's, so a term pair with k
+    factors is an integer over da * db * (da * db * m)**k."""
     m, domain = a.shape.size, a.shape.domain
     if domain.is_exact:
         gaussian = domain is Domain.GAUSSIAN
@@ -246,7 +247,8 @@ def _pairing(a: TensorElement, b: TensorElement):
                                   for i, f in ft.items()}) for (cr, ci), ft in right]
             for (sr, si), fs in left:
                 for (tr, ti), ft in right:
-                    vr, vi, factors = sr * tr - si * ti, sr * ti + si * tr, fs.keys() | ft
+                    vr, vi = sr * tr - si * ti, sr * ti + si * tr
+                    factors = fs.keys() | ft.keys()
                     for i in factors:
                         f, g, pr, pi = fs.get(i), ft.get(i), 0, 0
                         if f is None or g is None:
@@ -261,12 +263,12 @@ def _pairing(a: TensorElement, b: TensorElement):
                                     u, w = f[key]
                                     pr, pi = pr + u * x - w * y, pi + u * y + w * x
                         vr, vi = vr * pr - vi * pi, vr * pi + vi * pr
-                    pr, pi = acc.get(len(factors), (0, 0))
-                    acc[len(factors)] = pr + vr, pi + vi
+                    ar, ai = acc.get(len(factors), (0, 0))
+                    acc[len(factors)] = ar + vr, ai + vi
         else:
             for cs, fs in left:
                 for ct, ft in right:
-                    v, factors = cs * ct, fs.keys() | ft
+                    v, factors = cs * ct, fs.keys() | ft.keys()
                     for i in factors:
                         f, g, p = fs.get(i), ft.get(i), 0
                         if f is None or g is None:
