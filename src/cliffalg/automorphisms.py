@@ -15,23 +15,23 @@ from .errors import NotInverseError, NotOrthogonalError
 
 def bogolyubov_apply(phi: OrthogonalMap, a: Multivector) -> Multivector:
     """Extend phi over blades: v_{i1}...v_{ir} maps to phi(v_{i1})...phi(v_{ir}),
-    multiplied left to right from the unit.  Images are kept by blade, and a
-    blade's is its prefix's times phi(v_{ir}), so a shared prefix is
+    multiplied left to right from the unit.  Images are kept by blade, and
+    each prefix's is its own prefix's times phi(v_k), so a shared prefix is
     multiplied once."""
     if not phi.gram_preserving():
         raise NotOrthogonalError("map does not preserve the quadratic form")
     ctx = a.context
     images = {0: Multivector.unit(ctx)}
-
-    def image(bits: int) -> Multivector:
-        img = images.get(bits)
-        if img is None:
-            top = bits.bit_length()
-            img = images[bits] = mv_product(image(bits ^ 1 << top - 1), phi.image(top))
-        return img
-
-    return linear_combine([(coeff, image(blade)) for blade, coeff in a.terms.items()],
-                          context=ctx)
+    pairs = []
+    for blade, coeff in a.terms.items():
+        img, bits = images[0], 0
+        for k in blade.indices:  # img becomes the image of the prefix up to v_k
+            bits |= 1 << k - 1
+            if (nxt := images.get(bits)) is None:
+                nxt = images[bits] = mv_product(img, phi.image(k))
+            img = nxt
+        pairs.append((coeff, img))
+    return linear_combine(pairs, context=ctx)
 
 
 def conjugation_apply(u: Multivector, u_inv: Multivector,

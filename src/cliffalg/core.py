@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import scalars
 from .errors import (DegenerateFormError, DomainMismatchError,
@@ -476,11 +476,11 @@ def _float_product(a: Multivector, b: Multivector) -> dict:
     return {Blade(x): s for x, s in acc.items()}
 
 
-def _anticommuting(A: int, tb: list) -> list:
-    """The entries of tb whose blade B anticommutes with A: v_B v_A =
+def _anticommuting(A: int, tb) -> Iterator:
+    """The entries of tb whose blade B anticommutes with A, lazily: v_B v_A =
     (-1)**(|A||B| - |A & B|) v_A v_B."""
     r = A.bit_count()
-    return [t for t in tb if (r * t[0].bit_count() - (A & t[0]).bit_count()) & 1]
+    return (t for t in tb if (r * t[0].bit_count() - (A & t[0]).bit_count()) & 1)
 
 
 def _exact_product(sig: Signature, a, b, ad: bool = False) -> dict:

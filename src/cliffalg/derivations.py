@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
-from .core import (Blade, Context, Multivector, _accumulate, _exact_product,
-                   blade_product, check_context, linear_combine, mv_product,
-                   parity_bit)
+from .core import (Blade, Context, Multivector, _accumulate, _anticommuting,
+                   _exact_product, blade_product, check_context, linear_combine,
+                   mv_product, parity_bit)
 from .errors import (ContractViolationError, NotAdSumError, NotBogolyubovError,
                      NotSkewError, ParityError)
 
@@ -132,9 +132,10 @@ def family_apply(family, x: Multivector) -> Multivector:
         terms = family.prefix(n)
         tail = family.memoized_tail(n)
     check_context(x.context, family.context)
-    if x.context.domain.is_exact:  # the kernel takes nonzero coefficients only
-        acc = _exact_product(x.context.signature, [(S, c) for S, c in terms if c],
-                             x.terms.items(), ad=True)
+    if x.context.domain.is_exact:  # the kernel gets the terms that act, or none
+        xs = x.terms.items()
+        acting = [(S, c) for S, c in terms if c and next(_anticommuting(S, xs), None)]
+        acc = _exact_product(x.context.signature, acting, xs, ad=True) if acting else {}
     else:
         acc = {}
         for blade, coeff in terms:

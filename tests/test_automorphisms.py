@@ -42,6 +42,26 @@ def random_orthogonal(rng, max_index=6):
     return signed_perm.compose(rotation(i, j, cos, sin))
 
 
+def assert_per_blade(phi, a):
+    """bogolyubov_apply(phi, a) against each blade's image multiplied left to
+    right from the unit, alone: repr-identical in f64/c64, equal in value and
+    type in the exact domains."""
+    ctx = a.context
+    want = []
+    for blade, coeff in a.terms.items():
+        img = Multivector.unit(ctx)
+        for k in blade.indices:
+            img = mv_product(img, phi.image(k))
+        want.append((coeff, img))
+    want = linear_combine(want, context=ctx).terms
+    got = bogolyubov_apply(phi, a).terms
+    if ctx.domain.is_exact:
+        assert got == want
+        assert list(map(type, got.values())) == list(map(type, want.values()))
+    else:
+        assert repr(list(got.items())) == repr(list(want.items()))
+
+
 class TestBogolyubovApply:
     def test_quarter_turn_fixes_its_bivector(self):
         phi = rotation(1, 2, Fraction(0), Fraction(1))  # v1 -> v2, v2 -> -v1
@@ -104,20 +124,16 @@ class TestBogolyubovApply:
             for _ in range(6):
                 rational = random_orthogonal(rng)
                 phi = OrthogonalMap.build(ctx, rational.active, rational.matrix)
-                a = random_dense(rng, ctx, 8, rng.choice((0, 1, 12, 40)))
-                want = []
-                for blade, coeff in a.terms.items():
-                    img = Multivector.unit(ctx)
-                    for k in blade.indices:
-                        img = mv_product(img, phi.image(k))
-                    want.append((coeff, img))
-                want = linear_combine(want, context=ctx).terms
-                got = bogolyubov_apply(phi, a).terms
-                if domain.is_exact:
-                    assert got == want
-                    assert list(map(type, got.values())) == list(map(type, want.values()))
-                else:
-                    assert repr(list(got.items())) == repr(list(want.items()))
+                assert_per_blade(phi, random_dense(rng, ctx, 8, rng.choice((0, 1, 12, 40))))
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_a_blade_of_grade_1200(self, domain):
+        # one loop step per generator, so no depth limit applies
+        ctx = Context.make(domain)
+        phi = OrthogonalMap.build(ctx, (1, 2), [[0, -1], [1, 0]])
+        top = Blade.of(*range(1, 1201))
+        assert_per_blade(phi, Multivector(ctx, {top: 3, Blade(top ^ 1): -1,
+                                                Blade(top ^ 1 << 1199): 2}))
 
     def test_parity_preserved(self, rng):
         from cliffalg.core import parity_project

@@ -600,6 +600,13 @@ class TestExitCodes:
         assert run(bad) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_auto_bogolyubov_maps_a_blade_of_grade_1000(self, capsys):
+        # v1 -> v2 and v2 -> -v1 fix v1 v2, so the blade maps to itself
+        omap = '{"active":[1,2],"matrix":[["0","-1"],["1","0"]]}'
+        expr = "*".join(f"e{k}" for k in range(1, 1001))
+        assert run(["auto", "bogolyubov", "--map", omap, expr]) == 0
+        assert capsys.readouterr().out == expr + "\n"
+
     def test_malformed_json(self, capsys):
         assert run(["deriv", "bogolyubov", "--skew", "{oops"]) == 2
         assert capsys.readouterr().err.startswith("error:")
