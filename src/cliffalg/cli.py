@@ -37,8 +37,8 @@ BROKEN_PIPE = 141
 # reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
 # from its Pauli words in two representations (0.7 s at k = 10), and
 # `witness --n n --m m` writes n nilpotents' m/2 entries, reads n diagonals of
-# m entries and computes n pairs of exact norms, about 6 us per unit of n * m,
-# which may be at most WITNESS_MAX_NM (0.5 s at n = 5000, m = 16).
+# m entries and computes n pairs of exact norms, about 7 us per unit of n * m,
+# which may be at most WITNESS_MAX_NM (0.6 s at n = 5000, m = 16).
 # `decomp check` multiplies the words of 4**w blade pairs for a block of w
 # generators (0.3 s at w = 10, 16 times that at w = 12); `--cuts 10,20,30` is
 # the slowest allowed (1.4 s), and the bound holds for every `decomp` command.
