@@ -439,41 +439,10 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
 
 
 def mv_product(a: Multivector, b: Multivector) -> Multivector:
-    """Bilinear extension of the blade product.
-
-    Exact coefficients are brought to integers over one denominator per
-    operand and summed as plain ints per output blade; float domains keep the
-    pairwise `ca * cb * coeff` sums of blade_product.
-    """
+    """Bilinear extension of the blade product, by `_product`."""
     check_context(a.context, b.context)
-    if a.context.domain.is_exact:
-        terms = _exact_product(a.context.signature, a.terms.items(), b.terms.items())
-    else:
-        terms = _float_product(a, b)
+    terms = _product(a.context.signature, a.terms.items(), b.terms.items())
     return Multivector(a.context, terms, _canonical=True)
-
-
-def _float_product(a: Multivector, b: Multivector) -> dict:
-    sig = a.context.signature
-    tb = [(B, _prefix_parity(B), cb) for B, cb in b.terms.items()]
-    weights = {}  # ((common & mask) << 1 | odd) -> _weight
-    acc = {}
-    for A, ca in a.terms.items():
-        Am = A & sig._mask
-        for B, P, cb in tb:
-            key = (Am & B) << 1 | (A & P).bit_count() & 1
-            w = weights.get(key)
-            if w is None:
-                w = weights[key] = _weight(sig, key >> 1, key & 1)
-            c = ca * cb * w
-            x = A ^ B
-            s = acc.get(x)
-            s = c if s is None else s + c
-            if s:
-                acc[x] = s
-            else:
-                acc.pop(x, None)
-    return {Blade(x): s for x, s in acc.items()}
 
 
 def _anticommuting(A: int, tb) -> Iterator:
@@ -483,72 +452,102 @@ def _anticommuting(A: int, tb) -> Iterator:
     return (t for t in tb if (r * t[0].bit_count() - (A & t[0]).bit_count()) & 1)
 
 
-def _exact_product(sig: Signature, a, b, ad: bool = False) -> dict:
+def _product(sig: Signature, a, b, ad: bool = False) -> dict:
     """The product of the (blade, nonzero coefficient) pairs a and b, or with
-    `ad` the commutator ab - ba: twice the anticommuting pairs alone."""
+    `ad` the commutator ab - ba: twice the anticommuting pairs alone.
+
+    Exact coefficients are brought to integers over one denominator per
+    operand (a's doubled under `ad`) and summed as plain ints per output
+    blade.  Float pairs are `ca * cb * w` summed in pair order, the sums of
+    blade_product terms; under `ad` each sum is doubled once, which is the sum
+    of the doubled pairs unless a partial sum passes half the largest float.
+    """
+    if not sig.domain.is_exact:
+        acc = _mac(a, b, sig._mask, ad, lambda key: _weight(sig, key >> 1, key & 1))
+        if ad:
+            return {Blade(x): s + s for x, s in acc.items()}
+        return {Blade(x): s for x, s in acc.items()}
     gaussian = sig.domain is Domain.GAUSSIAN
     da, db = _common_denominator(a), _common_denominator(b)
-    fa = 2 * da if ad else da
-    ta = [(A, _scaled(ca, fa)) for A, ca in a]
-    tb = [(B, _prefix_parity(B), _scaled(cb, db)) for B, cb in b]
+    ta = [(A, _scaled(ca, 2 * da if ad else da)) for A, ca in a]
+    tb = [(B, _scaled(cb, db)) for B, cb in b]
     # Every weight is a product of q_k over masked generators both touch.
     ka = kb = 0
     for A, _ in ta:
         ka |= A
-    for B, _, _ in tb:
+    for B, _ in tb:
         kb |= B
     width = (ka & kb & sig._mask).bit_count()
-    weights = {}  # common & mask -> weight numerator over sig._qden ** width
-    acc = {}
-    get = acc.get
-    if gaussian:
-        for A, (ar, ai) in ta:
-            Am = A & sig._mask
-            for B, P, (br, bi) in _anticommuting(A, tb) if ad else tb:
-                common = Am & B
-                w = weights.get(common)
-                if w is None:
-                    w = weights[common] = _int_weight(sig, common, width)
-                wr, wi = w
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                if wi:
-                    re, im = re * wr - im * wi, re * wi + im * wr
-                else:
-                    re *= wr
-                    im *= wr
-                if (A & P).bit_count() & 1:
-                    re = -re
-                    im = -im
-                x = A ^ B
-                s = get(x)
-                if s is not None:
-                    re += s[0]
-                    im += s[1]
-                if re or im:
-                    acc[x] = re, im
-                else:
-                    del acc[x]
-    else:
-        for A, na in ta:
-            Am = A & sig._mask
-            for B, P, nb in _anticommuting(A, tb) if ad else tb:
-                common = Am & B
-                w = weights.get(common)
-                if w is None:
-                    w = weights[common] = _int_weight(sig, common, width)
-                v = na * nb * w
-                if (A & P).bit_count() & 1:
-                    v = -v
-                x = A ^ B
-                s = get(x)
-                s = v if s is None else s + v
-                if s:
-                    acc[x] = s
-                else:
-                    del acc[x]
+
+    def weight(key):  # +-numerator over sig._qden ** width
+        w = _int_weight(sig, key >> 1, width)
+        if key & 1:
+            w = (-w[0], -w[1]) if gaussian else -w
+        return w
+
+    acc = (_gaussian_mac if gaussian else _mac)(ta, tb, sig._mask, ad, weight)
     return _from_numerators(zip(map(Blade, acc), acc.values()),
                             da * db * sig._qden ** width, gaussian)
+
+
+def _mac(a, b, mask: int, ad: bool, weight) -> dict:
+    """{A ^ B: sum of ca * cb * w} over the pairs of a and b (under `ad` the
+    anticommuting pairs alone), in pair order; w = weight(key), once per key =
+    (A & B & mask) << 1 | reordering sign.  A sum that reaches zero is dropped
+    (pop: a float pair can underflow to 0 before its blade has a sum)."""
+    tb = [(B, _prefix_parity(B), cb) for B, cb in b]
+    weights = {}
+    acc = {}
+    get = acc.get
+    for A, ca in a:
+        Am = A & mask
+        for B, P, cb in _anticommuting(A, tb) if ad else tb:
+            key = (Am & B) << 1 | (A & P).bit_count() & 1
+            w = weights.get(key)
+            if w is None:
+                w = weights[key] = weight(key)
+            v = ca * cb * w
+            x = A ^ B
+            s = get(x)
+            s = v if s is None else s + v
+            if s:
+                acc[x] = s
+            else:
+                acc.pop(x, None)
+    return acc
+
+
+def _gaussian_mac(a, b, mask: int, ad: bool, weight) -> dict:
+    """_mac on (re, im) integer pairs."""
+    tb = [(B, _prefix_parity(B), cb) for B, cb in b]
+    weights = {}
+    acc = {}
+    get = acc.get
+    for A, (ar, ai) in a:
+        Am = A & mask
+        for B, P, (br, bi) in _anticommuting(A, tb) if ad else tb:
+            key = (Am & B) << 1 | (A & P).bit_count() & 1
+            w = weights.get(key)
+            if w is None:
+                w = weights[key] = weight(key)
+            wr, wi = w
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            if wi:
+                re, im = re * wr - im * wi, re * wi + im * wr
+            else:
+                re *= wr
+                im *= wr
+            x = A ^ B
+            s = get(x)
+            if s is not None:
+                re += s[0]
+                im += s[1]
+            if re or im:
+                acc[x] = re, im
+            else:
+                acc.pop(x, None)
+    return acc
 
 
 def reverse(a: Multivector) -> Multivector:

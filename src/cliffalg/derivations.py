@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
-from .core import (Blade, Context, Multivector, _accumulate, _anticommuting,
-                   _exact_product, blade_product, check_context, linear_combine,
-                   mv_product, parity_bit)
+from .core import (Blade, Context, Multivector, _anticommuting, _product,
+                   check_context, linear_combine, mv_product, parity_bit)
 from .errors import (ContractViolationError, NotAdSumError, NotBogolyubovError,
                      NotSkewError, ParityError)
 
@@ -99,30 +98,14 @@ class AdStream:
         return self._memo[n:]
 
 
-def _ad_blade(blade: Blade, coeff, x: Multivector):
-    """The terms of ad(coeff * v_S)(x), one per term of x.
-
-    v_T v_S = (-1)**(|S||T| - |S & T|) v_S v_T, so the commutator with x_T v_T
-    is 2 coeff x_T v_S v_T when that exponent is odd and zero otherwise.
-    """
-    sig = x.context.signature
-    r = blade.grade
-    for bt, xt in x.terms.items():
-        if (r * bt.grade - (blade & bt).bit_count()) & 1:
-            w, out = blade_product(blade, bt, sig)
-            t = coeff * xt * w
-            t = t + t
-            if t:
-                yield out, t
-
-
 def family_apply(family, x: Multivector) -> Multivector:
     """Evaluate sum(alpha_S * ad(v_S)) on x, exactly and finitely.
 
     For a stream, only the declared cutoff prefix is consumed; any already
-    materialized term past the cutoff is checked to act as zero on x.
-    Commuting pairs contribute nothing, also under a non-finite q_k, where
-    ad_apply's two products give nan (see ad_apply).
+    materialized term past the cutoff must have a zero coefficient or commute
+    with every term of x.  Commuting pairs and zero coefficients contribute
+    nothing, also under a non-finite q_k, where ad_apply's two products give
+    nan (see ad_apply).
     """
     if isinstance(family, AdFamily):
         terms = family.terms
@@ -132,16 +115,11 @@ def family_apply(family, x: Multivector) -> Multivector:
         terms = family.prefix(n)
         tail = family.memoized_tail(n)
     check_context(x.context, family.context)
-    if x.context.domain.is_exact:  # the kernel gets the terms that act, or none
-        xs = x.terms.items()
-        acting = [(S, c) for S, c in terms if c and next(_anticommuting(S, xs), None)]
-        acc = _exact_product(x.context.signature, acting, xs, ad=True) if acting else {}
-    else:
-        acc = {}
-        for blade, coeff in terms:
-            _accumulate(acc, _ad_blade(blade, coeff, x))
+    xs = x.terms.items()
+    acting = [(S, c) for S, c in terms if c and next(_anticommuting(S, xs), None)]
+    acc = _product(x.context.signature, acting, xs, ad=True) if acting else {}
     for blade, coeff in tail:
-        if next(_ad_blade(blade, coeff, x), None) is not None:
+        if coeff and next(_anticommuting(blade, xs), None):
             raise ContractViolationError(
                 f"term {blade} past the declared cutoff acts nontrivially")
     return Multivector(family.context, acc, _canonical=True)

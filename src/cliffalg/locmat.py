@@ -416,6 +416,7 @@ def witness_sequence(n_max: int, shape: FactorShape | None = None):
 
 
 def witness_discontinuous(pairs) -> bool:
-    """The witness verdict: ||b_n|| strictly decreases, ||phi(b_n)|| is constant."""
+    """The witness verdict: over at least two pairs, ||b_n|| strictly
+    decreases and ||phi(b_n)|| is constant."""
     decreasing = all(a > b for (a, _), (b, _) in zip(pairs, pairs[1:]))
-    return decreasing and len({after for _, after in pairs}) == 1
+    return len(pairs) > 1 and decreasing and len({after for _, after in pairs}) == 1

@@ -257,13 +257,17 @@ class TestLimits:
         # README's "Size limits" gives these values
         assert (WITNESS_MAX_N, WITNESS_MAX_NM) == (5000, 80_000)
 
-    @pytest.mark.parametrize("n, m", [(1, 80000), (13, 6152)])
+    @pytest.mark.parametrize("n, m", [(2, 40000), (13, 6152)])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_witness_at_the_m_limit(self, n, m, as_json, capsys):
         assert n * m <= WITNESS_MAX_NM < n * (m + 2)
         argv = ["--json"] * as_json + ["witness", "--n", str(n), "--m", str(m)]
         assert run(argv) == 0
         assert capsys.readouterr().err == ""
+
+    def test_one_witness_pair_is_inconclusive(self, capsys):
+        assert run(["witness", "--n", "1"]) == 1
+        assert capsys.readouterr() == ("n=1: (1/2, 1/2)\nverdict: INCONCLUSIVE\n", "")
 
     @pytest.mark.parametrize("n, m", [(1, 80002), (13, 6154), (WITNESS_MAX_N, 18),
                                       (1, 100000)])

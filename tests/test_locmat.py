@@ -569,6 +569,9 @@ class TestWitness:
         assert not witness_discontinuous([(half, half), (Fraction(1, 8), half),
                                           (Fraction(1, 18), Fraction(1, 4))])
         assert not witness_discontinuous([])
+        # one value shows no trend
+        assert not witness_discontinuous(witness_sequence(1, SHAPE))
+        assert witness_discontinuous(witness_sequence(2, SHAPE))
 
 
 def dense_trace(a, zero):

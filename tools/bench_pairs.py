@@ -2,8 +2,11 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --tag NAME
 
-DIR is a checkout of the repository (its own src/ and cliffbench/).  The
-protocol is fixed: for every workload, pair p = 0..9 runs `python3
+DIR is a checkout of the repository (its own src/ and cliffbench/).  Both
+checkouts are first compiled with `python3 -m compileall -q src cliffbench
+tools`, so `setup_s` times warm imports on both sides whatever ran in them
+before (compileall writes the caches even under PYTHONDONTWRITEBYTECODE).
+The protocol is fixed: for every workload, pair p = 0..9 runs `python3
 cliffbench/run.py --workload W --seed S --seconds 20 --trace 0` in both
 checkouts, one after the other, with seed S = 101 + p; the parent runs first
 in even pairs and the change first in odd ones.  BENCH_<tag>.json is written
@@ -42,6 +45,14 @@ def _commit(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return proc.stdout.strip() or None
+
+
+def _compile(checkout: Path) -> None:
+    cmd = [sys.executable, "-m", "compileall", "-q", "src", "cliffbench", "tools"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited "
+                         f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
 
 
 def _run(checkout: Path, workload: str, seed: int) -> dict:
@@ -100,6 +111,8 @@ def main(argv=None) -> int:
         "seeds": seeds,
         "workloads": {},
     }
+    for checkout in (args.parent, args.change):
+        _compile(checkout)
     for workload in WORKLOADS:
         runs = []
         for pair, seed in enumerate(seeds):
