@@ -231,13 +231,16 @@ def _weight(sig: Signature, common: int, odd: int):
     return w
 
 
-def _int_weight(sig: Signature, common: int, width: int):
-    """prod of q_k over the bits of `common` as a numerator over qden**width,
-    for an exact signature whose q values share the denominator qden and
-    width >= popcount(common); an (re, im) pair of ints for Gaussian values."""
+def _int_weight(sig: Signature, common: int, odd: int, width: int):
+    """(-1)**odd * prod of q_k over the bits of `common` as a numerator over
+    qden**width, for an exact signature whose q values share the denominator
+    qden and width >= popcount(common); an (re, im) pair of ints for
+    Gaussian values."""
     nums, default = sig._qnum, sig._qnum_default
     gaussian = sig.domain is Domain.GAUSSIAN
     wr, wi = sig._qden ** (width - common.bit_count()), 0
+    if odd:
+        wr = -wr
     while common:
         low = common & -common
         q = nums.get(low.bit_length(), default)
@@ -456,46 +459,36 @@ def _product(sig: Signature, a, b, ad: bool = False) -> dict:
     """The product of the (blade, nonzero coefficient) pairs a and b, or with
     `ad` the commutator ab - ba: twice the anticommuting pairs alone.
 
-    Exact coefficients are brought to integers over one denominator per
-    operand (a's doubled under `ad`) and summed as plain ints per output
-    blade.  Float pairs are `ca * cb * w` summed in pair order, the sums of
-    blade_product terms; under `ad` each sum is doubled once, which is the sum
-    of the doubled pairs unless a partial sum passes half the largest float.
+    Rational and float pairs run one loop, summing ca * cb * w per output
+    blade in pair order, with w computed once per key = (A & B & mask) << 1
+    | reordering sign.  Exact coefficients are first brought to integers over
+    one denominator per operand (a's doubled under `ad`), so rational sums
+    are plain ints and Gaussian ones (re, im) pairs, in a loop of their own.
+    Float sums are those of blade_product terms; under `ad` each is doubled
+    once, which is the sum of the doubled pairs unless a partial sum passes
+    half the largest float.  A sum that reaches zero is dropped (pop: a float
+    pair can underflow to 0 before its blade has a sum).
     """
-    if not sig.domain.is_exact:
-        acc = _mac(a, b, sig._mask, ad, lambda key: _weight(sig, key >> 1, key & 1))
-        if ad:
-            return {Blade(x): s + s for x, s in acc.items()}
-        return {Blade(x): s for x, s in acc.items()}
-    gaussian = sig.domain is Domain.GAUSSIAN
-    da, db = _common_denominator(a), _common_denominator(b)
-    ta = [(A, _scaled(ca, 2 * da if ad else da)) for A, ca in a]
-    tb = [(B, _scaled(cb, db)) for B, cb in b]
-    # Every weight is a product of q_k over masked generators both touch.
-    ka = kb = 0
-    for A, _ in ta:
-        ka |= A
-    for B, _ in tb:
-        kb |= B
-    width = (ka & kb & sig._mask).bit_count()
-
-    def weight(key):  # +-numerator over sig._qden ** width
-        w = _int_weight(sig, key >> 1, width)
-        if key & 1:
-            w = (-w[0], -w[1]) if gaussian else -w
-        return w
-
-    acc = (_gaussian_mac if gaussian else _mac)(ta, tb, sig._mask, ad, weight)
-    return _from_numerators(zip(map(Blade, acc), acc.values()),
-                            da * db * sig._qden ** width, gaussian)
-
-
-def _mac(a, b, mask: int, ad: bool, weight) -> dict:
-    """{A ^ B: sum of ca * cb * w} over the pairs of a and b (under `ad` the
-    anticommuting pairs alone), in pair order; w = weight(key), once per key =
-    (A & B & mask) << 1 | reordering sign.  A sum that reaches zero is dropped
-    (pop: a float pair can underflow to 0 before its blade has a sum)."""
-    tb = [(B, _prefix_parity(B), cb) for B, cb in b]
+    exact = sig.domain.is_exact
+    if exact:
+        da, db = _common_denominator(a), _common_denominator(b)
+        fa = 2 * da if ad else da
+        a = [(A, _scaled(ca, fa)) for A, ca in a]
+        tb = [(B, _prefix_parity(B), _scaled(cb, db)) for B, cb in b]
+        # Every weight is a product of q_k over masked generators both touch.
+        ka = kb = 0
+        for A, _ in a:
+            ka |= A
+        for B, _, _ in tb:
+            kb |= B
+        width = (ka & kb & sig._mask).bit_count()
+        den = da * db * sig._qden ** width
+        if sig.domain is Domain.GAUSSIAN:
+            acc = _gaussian_loop(sig, a, tb, ad, width)
+            return _from_numerators(zip(map(Blade, acc), acc.values()), den, True)
+    else:
+        tb = [(B, _prefix_parity(B), cb) for B, cb in b]
+    mask = sig._mask
     weights = {}
     acc = {}
     get = acc.get
@@ -505,7 +498,8 @@ def _mac(a, b, mask: int, ad: bool, weight) -> dict:
             key = (Am & B) << 1 | (A & P).bit_count() & 1
             w = weights.get(key)
             if w is None:
-                w = weights[key] = weight(key)
+                w = weights[key] = (_int_weight(sig, key >> 1, key & 1, width) if exact
+                                    else _weight(sig, key >> 1, key & 1))
             v = ca * cb * w
             x = A ^ B
             s = get(x)
@@ -514,12 +508,16 @@ def _mac(a, b, mask: int, ad: bool, weight) -> dict:
                 acc[x] = s
             else:
                 acc.pop(x, None)
-    return acc
+    if exact:
+        return _from_numerators(zip(map(Blade, acc), acc.values()), den, False)
+    if ad:
+        return {Blade(x): s + s for x, s in acc.items()}
+    return {Blade(x): s for x, s in acc.items()}
 
 
-def _gaussian_mac(a, b, mask: int, ad: bool, weight) -> dict:
-    """_mac on (re, im) integer pairs."""
-    tb = [(B, _prefix_parity(B), cb) for B, cb in b]
+def _gaussian_loop(sig: Signature, a, tb, ad: bool, width: int) -> dict:
+    """_product's loop on (re, im) integer numerators."""
+    mask = sig._mask
     weights = {}
     acc = {}
     get = acc.get
@@ -529,7 +527,7 @@ def _gaussian_mac(a, b, mask: int, ad: bool, weight) -> dict:
             key = (Am & B) << 1 | (A & P).bit_count() & 1
             w = weights.get(key)
             if w is None:
-                w = weights[key] = weight(key)
+                w = weights[key] = _int_weight(sig, key >> 1, key & 1, width)
             wr, wi = w
             re = ar * br - ai * bi
             im = ar * bi + ai * br

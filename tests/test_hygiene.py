@@ -253,9 +253,8 @@ def definitions(source: str, names) -> list:
 
 # the integer-numerator helpers and the multiply-accumulate kernel: other
 # modules import them from core, so a second copy fails the scan
-CORE_ONLY = ("_denominator", "_scaled", "_common_denominator",
-                     "_int_weight", "_from_numerators", "_product", "_mac",
-                     "_gaussian_mac", "_anticommuting")
+CORE_ONLY = ("_denominator", "_scaled", "_common_denominator", "_int_weight",
+             "_from_numerators", "_product", "_gaussian_loop", "_anticommuting")
 
 
 def test_numerator_helpers_are_defined_in_core_alone():
