@@ -135,8 +135,8 @@ class TestFamilyApply:
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_matches_the_ad_blade_sum_in_value_and_order(self, domain, rng):
-        # floats double each sum once, the pair order's sums of doubled
-        # pairs bit for bit (repr: nan != nan)
+        # family_apply doubles each float sum once, which must equal these
+        # sums of doubled pairs bit for bit: repr tells -0.0 from 0.0
         def check(source, x):
             pairs = source.terms if isinstance(source, AdFamily) else source.prefix(10)
             want = {}
