@@ -116,6 +116,7 @@ class Signature:
     # sign or turn inf into nan, and it fixes only +-(1+0j), the weight before
     # the lowest override: there it is every generator from that one up.
     _mask: int = field(init=False, repr=False, compare=False)
+    _one: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.default:
@@ -137,7 +138,8 @@ class Signature:
         elif self.default == 1 and math.copysign(1, self.default.imag) > 0:
             mask = -min(keys, default=0)
         for name, value in (("_table", table), ("_qden", den), ("_qnum", nums),
-                            ("_qnum_default", num_default), ("_mask", mask)):
+                            ("_qnum_default", num_default), ("_mask", mask),
+                            ("_one", scalars.one(self.domain))):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -166,6 +168,12 @@ class Context:
     domain: Domain = Domain.RATIONAL
     signature: Signature = Signature()
 
+    def __post_init__(self):
+        if self.signature.domain is not self.domain:
+            raise DomainMismatchError(
+                f"a {self.domain.value} context needs a {self.domain.value} "
+                f"signature, not {self.signature.domain.value}")
+
     @staticmethod
     def make(domain: Domain = Domain.RATIONAL, default=1, overrides=None) -> "Context":
         return Context(domain, Signature.build(domain, default, overrides))
@@ -185,9 +193,6 @@ def parity_bit(parity: str) -> int:
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     return 0 if parity == "even" else 1
-
-
-_ONE = {domain: scalars.one(domain) for domain in Domain}
 
 
 def _prefix_parity(bits: int) -> int:
@@ -220,7 +225,7 @@ def _weight(sig: Signature, common: int, odd: int):
     """(-1)**odd * prod of q_k over the bits of `common`, multiplied left to
     right from +-1 in increasing k (the order float results depend on); the
     bits outside sig._mask are skipped, as their factors change no bit."""
-    w = _ONE[sig.domain]
+    w = sig._one
     if odd:
         w = -w
     common &= sig._mask
@@ -357,8 +362,6 @@ class Multivector:
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
-            if other == 0:
-                return self.is_zero
             return NotImplemented
         return self.context == other.context and self.terms == other.terms
 

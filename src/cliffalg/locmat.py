@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import scalars
-from .core import _common_denominator, _from_numerators, _scaled
+from .core import _common_denominator, _scaled
 from .errors import InvalidAutomorphismError, ShapeMismatchError
 from .scalars import Domain
 
@@ -214,79 +214,47 @@ def tp_trace(a: TensorElement):
 
 
 def _numerators(a: TensorElement):
-    """(d, terms): a's coefficients and stored entries as integers over one
-    denominator d (core._scaled), a term as (coeff, {i: {(row, col): entry}})."""
+    """(d, terms): a rational element's coefficients and stored entries as
+    integers over one denominator d, a term as (coeff, {i: {(row, col): entry}})."""
     d = _common_denominator([(None, c) for c, _ in a.terms]
                             + [e for _, fs in a.terms for _, f in fs for e in f])
     return d, [(_scaled(c, d), {i: {k: _scaled(x, d) for k, x in f} for i, f in fs})
                for c, fs in a.terms]
 
 
-def _identity_pairing(f: dict, scale: int, gaussian: bool):
-    """scale * tr(f) for a factor's numerators: its pairing with the other
-    side's identity when `scale` is the other side's denominator."""
-    diagonal = [x for (r, c), x in f.items() if r == c]
-    if gaussian:
-        return sum(x for x, _ in diagonal) * scale, sum(y for _, y in diagonal) * scale
-    return sum(diagonal) * scale
-
-
 def _pairing(a: TensorElement, b: TensorElement):
     """tr(a * adjoint(b)) = sum over term pairs (s, t) of c_s conj(c_t)
     prod_i <A_si, B_ti> / m, with <A, B> = tr(A B*) and an absent factor the
     identity: <A, I> = tr(A), <I, B> = conj(tr(B)).  <A, B> sums the products
-    of the entries both factors store.  c64 conjugates b's coefficients and
-    entries once, the Gaussian domain as it multiplies, a real one not at all.
-    Exact domains sum integers: a's values over one denominator da, b's over
-    db, and a factor on one side only gives its trace times the other's, so a
+    of the entries both factors store.  The complex domains conjugate b's
+    coefficients and entries once, a real one not at all.  The rational
+    domain sums integers: a's values over one denominator da, b's over db,
+    and a factor on one side only gives its trace times the other's, so a
     term pair with k factors is an integer over da * db * (da * db * m)**k,
-    and the sums per k are built as one value each and added."""
+    and the sums per k are built as one Fraction each and added."""
     m, domain = a.shape.size, a.shape.domain
-    if domain.is_exact:
-        gaussian = domain is Domain.GAUSSIAN
+    if domain is Domain.RATIONAL:
         da, left = _numerators(a)
         db, right = (da, left) if b is a else _numerators(b)
         acc = {}  # k -> summed numerators of the term pairs with k factors
-        if gaussian:  # v * conj(w) is (vr wr + vi wi) + (vi wr - vr wi) i
-            for (sr, si), fs in left:
-                for (tr, ti), ft in right:
-                    vr, vi, u = sr * tr + si * ti, si * tr - sr * ti, fs.keys() | ft.keys()
-                    for i in u:
-                        f, g = fs.get(i), ft.get(i)
-                        if f is None:
-                            pr, pi = _identity_pairing(g, da, True)
-                            pi = -pi
-                        elif g is None:
-                            pr, pi = _identity_pairing(f, db, True)
-                        else:
-                            pr = pi = 0
-                            for key, (x, y) in g.items():
-                                if key in f:
-                                    w, z = f[key]
-                                    pr, pi = pr + w * x + z * y, pi + z * x - w * y
-                        vr, vi = vr * pr - vi * pi, vr * pi + vi * pr
-                    ar, ai = acc.get(len(u), (0, 0))
-                    acc[len(u)] = ar + vr, ai + vi
-        else:
-            for cs, fs in left:
-                for ct, ft in right:
-                    v, u = cs * ct, fs.keys() | ft.keys()
-                    for i in u:
-                        f, g = fs.get(i), ft.get(i)
-                        if f is None:
-                            v *= _identity_pairing(g, da, False)
-                        elif g is None:
-                            v *= _identity_pairing(f, db, False)
-                        else:
-                            p = 0
-                            for key, x in g.items():
-                                if key in f:
-                                    p += x * f[key]
-                            v *= p
-                    acc[len(u)] = acc.get(len(u), 0) + v
+        for cs, fs in left:
+            for ct, ft in right:
+                v, u = cs * ct, fs.keys() | ft.keys()
+                for i in u:
+                    f, g = fs.get(i), ft.get(i)
+                    if f is None:
+                        v *= da * sum(x for (r, c), x in g.items() if r == c)
+                    elif g is None:
+                        v *= db * sum(x for (r, c), x in f.items() if r == c)
+                    else:
+                        p = 0
+                        for key, x in g.items():
+                            if key in f:
+                                p += x * f[key]
+                        v *= p
+                acc[len(u)] = acc.get(len(u), 0) + v
         base = da * db * m
-        values = [_from_numerators(((0, v),), da * db * base ** k, gaussian)[0]
-                  for k, v in acc.items()]
+        values = [Fraction(v, da * db * base ** k) for k, v in acc.items()]
         return sum(values[1:], values[0]) if values else scalars.zero(domain)
     total = zero = scalars.zero(domain)
     left = [(c, {i: dict(f) for i, f in fs}) for c, fs in a.terms]

@@ -68,7 +68,11 @@ class TestBladeProduct:
 class TestLinearCombine:
     def test_additive_inverse(self):
         v1 = mv({(1,): 1})
-        assert linear_combine([(1, v1), (-1, v1)]).is_zero
+        zero = linear_combine([(1, v1), (-1, v1)])
+        assert zero.is_zero and zero == Multivector.zero(CTX)
+        # a multivector equals only multivectors, so == agrees with hash
+        assert zero != 0 and 0 not in {zero}
+        assert zero != Multivector.zero(Context.make(Domain.F64))
 
     def test_disjoint_supports(self):
         got = linear_combine([(2, mv({(): 1})), (3, mv({(1, 2): 1}))])
@@ -264,6 +268,15 @@ def test_no_zero_coefficients_stored(rng):
         b = random_multivector(rng, CTX)
         for result in (a + b, a - b, mv_product(a, b)):
             assert all(c != 0 for c in result.terms.values())
+
+
+def test_context_and_signature_share_one_domain():
+    with pytest.raises(DomainMismatchError, match="f64 context"):
+        Context(Domain.F64)
+    with pytest.raises(DomainMismatchError, match="rational context"):
+        Context(Domain.RATIONAL, Signature.build(Domain.GAUSSIAN, 1, {1: -1}))
+    ctx = Context(Domain.F64, Signature.build(Domain.F64))
+    assert ctx == Context.make(Domain.F64)
 
 
 def test_blade_requires_increasing_indices():

@@ -375,7 +375,8 @@ def raw_element(rng, shape, max_terms=3):
 
 
 class TestIntegerPairing:
-    """The exact pairing on integer numerators against the Fraction formula."""
+    """The exact pairings against the Fraction formula: rational on integer
+    numerators, Gaussian by the per-factor value loop."""
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
