@@ -164,12 +164,14 @@ def _check_shape(a, b):
 
 
 def _exact(a: TensorElement) -> TensorElement:
-    """A float element over the Gaussian rationals, each float read as the
-    exact number it denotes; inf raises OverflowError and nan ValueError."""
+    """A float element read exactly, f64 over the rationals and c64 over the
+    Gaussian rationals; inf raises OverflowError and nan ValueError."""
+    domain = Domain.GAUSSIAN if a.shape.domain.has_i else Domain.RATIONAL
     def read(x):
-        return scalars.GaussianRational(Fraction(x.real), Fraction(x.imag))
-    return TensorElement(replace(a.shape, domain=Domain.GAUSSIAN), tuple(
-        (read(c), tuple((i, _stored(Domain.GAUSSIAN, ((k, read(x)) for k, x in f)))
+        return scalars.coerce(domain, scalars.GaussianRational(
+            Fraction(x.real), Fraction(x.imag)))
+    return TensorElement(replace(a.shape, domain=domain), tuple(
+        (read(c), tuple((i, _stored(domain, ((k, read(x)) for k, x in f)))
                         for i, f in fs))
         for c, fs in a.terms))
 
