@@ -206,9 +206,7 @@ def cmd_decomp_rewrite(args) -> int:
     prod = ordered_product(factors)
     for pos, f in enumerate(factors, start=1):
         print(f"factor {pos}: {render(f)}")
-    ok = prod == Multivector.generator(ctx, args.k)
-    print(f"product = {render(prod)}: {'OK' if ok else 'FAIL'}")
-    return 0 if ok else VERIFICATION_FAILURE
+    return _report([(f"product = {render(prod)}", prod == Multivector.generator(ctx, args.k))])
 
 
 def cmd_rep_check(args) -> int:

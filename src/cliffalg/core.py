@@ -349,8 +349,7 @@ class Multivector:
         value = scalars.coerce(self.context.domain, value)
         if not value:
             return Multivector.zero(self.context)
-        return Multivector(self.context,
-                           {b: c * value for b, c in self.terms.items()})
+        return linear_combine([(value, self)], self.context)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):

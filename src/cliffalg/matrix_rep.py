@@ -121,12 +121,9 @@ def _trace_phase(word: tuple) -> int | None:
 
 def _word_trace(rep: MatrixRep, a: Multivector):
     """normalized_trace(represent(rep, a)) from the words; the caller checks a."""
-    t = _ZERO
-    for blade, coeff in a.terms.items():
-        p = _trace_phase(rep.blade_word(blade))
-        if p is not None:
-            t = t + scalars.coerce(Domain.GAUSSIAN, coeff) * _PHASES[p]
-    return t
+    phases = ((_trace_phase(rep.blade_word(b)), c) for b, c in a.terms.items())
+    return sum((scalars.coerce(Domain.GAUSSIAN, c) * _PHASES[p]
+                for p, c in phases if p is not None), _ZERO)
 
 
 def verify_trace_coherence(a: Multivector, k_small: int, k_large: int) -> bool:

@@ -8,7 +8,7 @@ is verified in matrix_rep and the test suite.
 from __future__ import annotations
 
 from . import scalars
-from .core import Multivector, UNIT_BLADE, blade_product, reverse
+from .core import Multivector, UNIT_BLADE, _accumulate, _weight
 
 
 def trace(a: Multivector):
@@ -22,17 +22,13 @@ def norm(a: Multivector):
     Defined over the real-valued domains only.  Note this quantity is not
     submultiplicative: with a = 1 + v1, tr((a*a)(a*a)^rev) = 8 > 4.
 
-    Only the pairs v_S * v_S reach the empty blade, so this sums
-    c_S * rev(c_S) * (v_S v_S) over a's terms: the same values, added in the
-    same order, as the trace of the full product.
+    Only the pairs v_S * v_S reach the empty blade, and v_S * rev(v_S) = q_S,
+    the product of q_k over S: the reversal and reordering signs are both
+    (-1)**(r(r-1)/2).  So, negation being exact, the terms c_S * c_S * q_S are
+    the values the trace of the full product adds, in the same order.
     """
     a.context.domain.require_real("norm")
-    sig = a.context.signature
-    total = None
-    for (blade, coeff), rev in zip(a.terms.items(), reverse(a).terms.values()):
-        square, _ = blade_product(blade, blade, sig)
-        term = coeff * rev * square
-        total = term if total is None else total + term
-        if not total:
-            total = None
-    return scalars.zero(a.context.domain) if total is None else total
+    sig, total = a.context.signature, {}
+    _accumulate(total, ((UNIT_BLADE, c * c * _weight(sig, blade, 0))
+                        for blade, c in a.terms.items()))
+    return total.get(UNIT_BLADE, scalars.zero(a.context.domain))

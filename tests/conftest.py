@@ -83,8 +83,10 @@ def random_dense(rng, ctx, n, count):
 def kernel_contexts(domain, infinite=True):
     """Unit q; negative and fractional overrides; a non-unit fractional
     default; one override on generator 1, with unit generators after it in a
-    weight; in the complex domains, q_4 = i; and in c64, overrides with
-    signed-zero parts and, unless `infinite` is false, an infinite one."""
+    weight; in the complex domains, q_4 = i, and q_4 = i with
+    q_7 = 1/2 - 2/3 i so that one weight multiplies two non-real values; and
+    in c64, overrides with signed-zero parts and, unless `infinite` is false,
+    an infinite one."""
     over = {2: -1, 3: Fraction(1, 2), 5: Fraction(-3, 2), 9: Fraction(-1, 3)}
     out = [Context.make(domain), Context.make(domain, overrides=over),
            Context.make(domain, Fraction(-2, 3), over),
@@ -92,6 +94,9 @@ def kernel_contexts(domain, infinite=True):
     if domain.has_i:
         out.append(Context.make(domain, overrides={
             **over, 4: scalars.imaginary_unit(domain)}))
+        out.append(Context.make(domain, overrides={
+            **over, 4: scalars.imaginary_unit(domain),
+            7: GaussianRational(Fraction(1, 2), Fraction(-2, 3))}))
     if domain is Domain.C64:
         out.append(Context.make(domain, overrides={2: complex(-0.0, -1.0),
                                                    5: complex(0.5, -0.0)}))

@@ -20,6 +20,20 @@ from conftest import (kernel_contexts, naive_blade_product, naive_reverse_sign,
 CTX = Context.make()
 
 
+def scaled_terms(m, value):
+    """m times `value` term by term, with no zero sums to drop: the reference
+    for `scale`, independent of `linear_combine`."""
+    value = scalars.coerce(m.context.domain, value)
+    if not value:
+        return Multivector.zero(m.context)
+    return Multivector(m.context, {b: c * value for b, c in m.terms.items()})
+
+
+def term_reprs(m):
+    """m's terms in order, with repr telling -0.0 from 0.0 and matching nan."""
+    return [(b, repr(c)) for b, c in m.terms.items()]
+
+
 def mv(terms):
     return Multivector(CTX, {Blade.from_indices(ix): Fraction(c)
                              for ix, c in terms.items()})
@@ -95,9 +109,30 @@ class TestLinearCombine:
                                               (values[2], mvs[0])]
             want = Multivector.zero(ctx)
             for value, m in pairs:
-                want = want + m.scale(value)
+                want = want + scaled_terms(m, value)
             got = linear_combine(pairs)
             assert list(got.terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_scale_equals_per_term_products(self, domain):
+        rng = random.Random(f"scale-{domain.value}")
+        values = [0, 1, -1] + [random_scalar(rng, domain) for _ in range(4)]
+        if domain is Domain.C64:
+            values += [complex(math.inf, -0.0), complex(-0.0, 2.5),
+                       complex(-1.5, -0.0), complex(0.0, -0.0)]
+        for ctx in kernel_contexts(domain):
+            for count in (0, 1, 9, 20):
+                m = random_dense(rng, ctx, 5, count)
+                for value in values:
+                    assert term_reprs(m.scale(value)) == \
+                        term_reprs(scaled_terms(m, value))
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64], ids=lambda d: d.value)
+    def test_scale_by_zero_of_infinite_coefficient_is_zero(self, domain):
+        ctx = Context.make(domain)
+        m = Multivector(ctx, {Blade.of(1): math.inf, Blade.of(2): 1})
+        for zero in (0, 0.0, -0.0):
+            assert m.scale(zero).is_zero
 
     def test_mixed_contexts_rejected(self):
         other = Multivector(Context.make(Domain.GAUSSIAN),

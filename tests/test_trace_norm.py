@@ -76,11 +76,12 @@ class TestNorm:
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.F64],
                              ids=lambda d: d.value)
     def test_equals_trace_of_full_product(self, domain, rng):
-        # the same values, added in the same order, so equal exactly in f64 too
+        # the same values, added in the same order, so equal bit for bit in
+        # f64 too: repr tells -0.0 from 0.0
         for ctx in kernel_contexts(domain):
             for count in (0, 1, 2, 9, 60):
                 a = random_dense(rng, ctx, 8, count)
-                assert norm(a) == trace(mv_product(a, reverse(a)))
+                assert repr(norm(a)) == repr(trace(mv_product(a, reverse(a))))
 
     def test_refuses_complex_domains(self):
         gctx = Context.make(Domain.GAUSSIAN)
