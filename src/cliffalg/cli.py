@@ -206,7 +206,8 @@ def cmd_decomp_rewrite(args) -> int:
     prod = ordered_product(factors)
     for pos, f in enumerate(factors, start=1):
         print(f"factor {pos}: {render(f)}")
-    return _report([(f"product = {render(prod)}", prod == Multivector.generator(ctx, args.k))])
+    ok = prod == Multivector.generator(ctx, args.k)
+    return _report([(f"product = {render(prod)}", ok)])
 
 
 def cmd_rep_check(args) -> int:

@@ -22,10 +22,9 @@ def norm(a: Multivector):
     Defined over the real-valued domains only.  Note this quantity is not
     submultiplicative: with a = 1 + v1, tr((a*a)(a*a)^rev) = 8 > 4.
 
-    Only the pairs v_S * v_S reach the empty blade, and v_S * rev(v_S) = q_S,
-    the product of q_k over S: the reversal and reordering signs are both
-    (-1)**(r(r-1)/2).  So, negation being exact, the terms c_S * c_S * q_S are
-    the values the trace of the full product adds, in the same order.
+    Only the pairs v_S * v_S reach the empty blade, and v_S * rev(v_S) = q_S:
+    reversal and reordering both give the sign (-1)**(r(r-1)/2).  Negation
+    being exact, c_S * c_S * q_S are the full product's trace terms, in order.
     """
     a.context.domain.require_real("norm")
     sig, total = a.context.signature, {}

@@ -21,8 +21,8 @@ CTX = Context.make()
 
 
 def scaled_terms(m, value):
-    """m times `value` term by term, with no zero sums to drop: the reference
-    for `scale`, independent of `linear_combine`."""
+    """m times `value`, one product per term (the old `scale` body): the
+    reference for `scale`, independent of `linear_combine`."""
     value = scalars.coerce(m.context.domain, value)
     if not value:
         return Multivector.zero(m.context)
