@@ -6,8 +6,8 @@ derivations and automorphisms, tensor factor chains, and the non-continuous
 limit automorphism on infinite tensor products of matrix algebras.
 """
 
-from .core import (Blade, Context, Multivector, Signature, blade_product,
-                   linear_combine, mv_product, parity_project, reverse)
+from .core import (Blade, Context, Multivector, blade_product, linear_combine,
+                   mv_product, parity_project, reverse)
 from .scalars import Domain, GaussianRational
 from .trace_norm import norm, trace
 
@@ -17,7 +17,6 @@ __all__ = [
     "Domain",
     "GaussianRational",
     "Multivector",
-    "Signature",
     "blade_product",
     "linear_combine",
     "mv_product",

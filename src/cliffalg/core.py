@@ -1,9 +1,11 @@
 """Exact arithmetic in the Clifford algebra of a diagonal quadratic form.
 
 Basis blades are ordered products of generators, stored as bitsets; a
-multivector is a finitely supported blade -> scalar map tied to a context
-(scalar domain + diagonal signature).  All values are immutable and all
-operations are pure.
+multivector is a finitely supported blade -> scalar map tied to a context.
+A context is the one object for the algebra's data: the scalar domain and
+the diagonal form q_k = f(v_k), a default plus finitely many overrides, with
+the tables the product kernels read derived from them.  All values are
+immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ def _scaled(value, den: int):
 
 
 @dataclass(frozen=True)
-class Signature:
-    """Diagonal form values q_i = f(v_i): a default plus finite overrides."""
+class Context:
+    """Scalar domain + diagonal form q_i = f(v_i): a default plus finite
+    overrides, coerced into the domain; fixed per computation."""
 
     domain: Domain = Domain.RATIONAL
     default: object = Fraction(1)
@@ -119,34 +122,35 @@ class Signature:
     _one: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.default:
+        default = scalars.coerce(self.domain, self.default)
+        overrides = tuple((int(k), scalars.coerce(self.domain, v))
+                          for k, v in self.overrides)
+        if not default:
             raise DegenerateFormError("default signature value must be nonzero")
-        for k, v in self.overrides:
+        for k, v in overrides:
             if not v:
                 raise DegenerateFormError(f"signature value q_{k} is zero")
         # First override wins, as in a scan of the tuple.
-        table = dict(reversed(self.overrides))
+        table = dict(reversed(overrides))
         den, nums, num_default = 1, None, None
         if self.domain.is_exact:
-            den = math.lcm(_denominator(self.default),
-                           *map(_denominator, table.values()))
+            den = math.lcm(_denominator(default), *map(_denominator, table.values()))
             nums = {k: _scaled(v, den) for k, v in table.items()}
-            num_default = _scaled(self.default, den)
+            num_default = _scaled(default, den)
         keys, mask = [1 << (k - 1) for k in table if k > 0], -1
-        if self.default == 1 and self.domain is not Domain.C64:
+        if default == 1 and self.domain is not Domain.C64:
             mask = sum(keys)
-        elif self.default == 1 and math.copysign(1, self.default.imag) > 0:
+        elif default == 1 and math.copysign(1, default.imag) > 0:
             mask = -min(keys, default=0)
-        for name, value in (("_table", table), ("_qden", den), ("_qnum", nums),
+        for name, value in (("default", default), ("overrides", overrides),
+                            ("_table", table), ("_qden", den), ("_qnum", nums),
                             ("_qnum_default", num_default), ("_mask", mask),
                             ("_one", scalars.one(self.domain))):
             object.__setattr__(self, name, value)
 
     @staticmethod
-    def build(domain: Domain, default=1, overrides: Mapping[int, object] | None = None):
-        items = tuple((int(k), scalars.coerce(domain, v))
-                      for k, v in sorted((overrides or {}).items()))
-        return Signature(domain, scalars.coerce(domain, default), items)
+    def make(domain: Domain = Domain.RATIONAL, default=1, overrides=None) -> "Context":
+        return Context(domain, default, tuple(sorted((overrides or {}).items())))
 
     def q(self, k: int):
         return self._table.get(k, self.default)
@@ -159,27 +163,6 @@ class Signature:
         if bad:
             raise UnsupportedDomainError(
                 f"{what} requires q == 1 on the support (q_{min(bad)} != 1)")
-
-
-@dataclass(frozen=True)
-class Context:
-    """Scalar domain + signature; fixed per computation."""
-
-    domain: Domain = Domain.RATIONAL
-    signature: Signature = Signature()
-
-    def __post_init__(self):
-        if self.signature.domain is not self.domain:
-            raise DomainMismatchError(
-                f"a {self.domain.value} context needs a {self.domain.value} "
-                f"signature, not {self.signature.domain.value}")
-
-    @staticmethod
-    def make(domain: Domain = Domain.RATIONAL, default=1, overrides=None) -> "Context":
-        return Context(domain, Signature.build(domain, default, overrides))
-
-    def q(self, k: int):
-        return self.signature.q(k)
 
 
 def check_context(a: Context, b: Context) -> None:
@@ -221,29 +204,29 @@ def _xor_rank(masks) -> int:
     return len(basis)
 
 
-def _weight(sig: Signature, common: int, odd: int):
+def _weight(ctx: Context, common: int, odd: int):
     """(-1)**odd * prod of q_k over the bits of `common`, multiplied left to
     right from +-1 in increasing k (the order float results depend on); the
-    bits outside sig._mask are skipped, as their factors change no bit."""
-    w = sig._one
+    bits outside ctx._mask are skipped, as their factors change no bit."""
+    w = ctx._one
     if odd:
         w = -w
-    common &= sig._mask
+    common &= ctx._mask
     while common:
         low = common & -common
-        w = w * sig.q(low.bit_length())
+        w = w * ctx.q(low.bit_length())
         common ^= low
     return w
 
 
-def _int_weight(sig: Signature, common: int, odd: int, width: int):
+def _int_weight(ctx: Context, common: int, odd: int, width: int):
     """(-1)**odd * prod of q_k over the bits of `common` as a numerator over
-    qden**width, for an exact signature whose q values share the denominator
+    qden**width, for an exact context whose q values share the denominator
     qden and width >= popcount(common); an (re, im) pair of ints for
     Gaussian values."""
-    nums, default = sig._qnum, sig._qnum_default
-    gaussian = sig.domain is Domain.GAUSSIAN
-    wr, wi = sig._qden ** (width - common.bit_count()), 0
+    nums, default = ctx._qnum, ctx._qnum_default
+    gaussian = ctx.domain is Domain.GAUSSIAN
+    wr, wi = ctx._qden ** (width - common.bit_count()), 0
     if odd:
         wr = -wr
     while common:
@@ -257,14 +240,14 @@ def _int_weight(sig: Signature, common: int, odd: int, width: int):
     return (wr, wi) if gaussian else wr
 
 
-def blade_product(a: Blade, b: Blade, sig: Signature) -> tuple[object, Blade]:
+def blade_product(a: Blade, b: Blade, ctx: Context) -> tuple[object, Blade]:
     """Multiply two basis blades: returns (coefficient, symmetric difference).
 
     The sign counts index inversions of the concatenation (a then b); each
     shared index contributes its signature value via v_k**2 = q_k.
     """
     odd = (a & _prefix_parity(b)).bit_count() & 1
-    return _weight(sig, a & b, odd), Blade(a ^ b)
+    return _weight(ctx, a & b, odd), Blade(a ^ b)
 
 
 class Multivector:
@@ -446,7 +429,7 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
 def mv_product(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product, by `_product`."""
     check_context(a.context, b.context)
-    terms = _product(a.context.signature, a.terms.items(), b.terms.items())
+    terms = _product(a.context, a.terms.items(), b.terms.items())
     return Multivector(a.context, terms, _canonical=True)
 
 
@@ -457,7 +440,7 @@ def _anticommuting(A: int, tb) -> Iterator:
     return (t for t in tb if (r * t[0].bit_count() - (A & t[0]).bit_count()) & 1)
 
 
-def _product(sig: Signature, a, b, ad: bool = False) -> dict:
+def _product(ctx: Context, a, b, ad: bool = False) -> dict:
     """The product of the (blade, nonzero coefficient) pairs a and b, or with
     `ad` the commutator ab - ba: twice the anticommuting pairs alone.
 
@@ -471,7 +454,7 @@ def _product(sig: Signature, a, b, ad: bool = False) -> dict:
     half the largest float.  A sum that reaches zero is dropped (pop: a float
     pair can underflow to 0 before its blade has a sum).
     """
-    exact = sig.domain.is_exact
+    exact = ctx.domain.is_exact
     if exact:
         da, db = _common_denominator(a), _common_denominator(b)
         fa = 2 * da if ad else da
@@ -483,14 +466,14 @@ def _product(sig: Signature, a, b, ad: bool = False) -> dict:
             ka |= A
         for B, _, _ in tb:
             kb |= B
-        width = (ka & kb & sig._mask).bit_count()
-        den = da * db * sig._qden ** width
-        if sig.domain is Domain.GAUSSIAN:
-            acc = _gaussian_loop(sig, a, tb, ad, width)
+        width = (ka & kb & ctx._mask).bit_count()
+        den = da * db * ctx._qden ** width
+        if ctx.domain is Domain.GAUSSIAN:
+            acc = _gaussian_loop(ctx, a, tb, ad, width)
             return _from_numerators(zip(map(Blade, acc), acc.values()), den, True)
     else:
         tb = [(B, _prefix_parity(B), cb) for B, cb in b]
-    mask = sig._mask
+    mask = ctx._mask
     weights = {}
     acc = {}
     get = acc.get
@@ -500,8 +483,8 @@ def _product(sig: Signature, a, b, ad: bool = False) -> dict:
             key = (Am & B) << 1 | (A & P).bit_count() & 1
             w = weights.get(key)
             if w is None:
-                w = weights[key] = (_int_weight(sig, key >> 1, key & 1, width) if exact
-                                    else _weight(sig, key >> 1, key & 1))
+                w = weights[key] = (_int_weight(ctx, key >> 1, key & 1, width) if exact
+                                    else _weight(ctx, key >> 1, key & 1))
             v = ca * cb * w
             x = A ^ B
             s = get(x)
@@ -517,9 +500,9 @@ def _product(sig: Signature, a, b, ad: bool = False) -> dict:
     return {Blade(x): s for x, s in acc.items()}
 
 
-def _gaussian_loop(sig: Signature, a, tb, ad: bool, width: int) -> dict:
+def _gaussian_loop(ctx: Context, a, tb, ad: bool, width: int) -> dict:
     """_product's loop on (re, im) integer numerators."""
-    mask = sig._mask
+    mask = ctx._mask
     weights = {}
     acc = {}
     get = acc.get
@@ -529,7 +512,7 @@ def _gaussian_loop(sig: Signature, a, tb, ad: bool, width: int) -> dict:
             key = (Am & B) << 1 | (A & P).bit_count() & 1
             w = weights.get(key)
             if w is None:
-                w = weights[key] = _int_weight(sig, key >> 1, key & 1, width)
+                w = weights[key] = _int_weight(ctx, key >> 1, key & 1, width)
             wr, wi = w
             re = ar * br - ai * bi
             im = ar * bi + ai * br

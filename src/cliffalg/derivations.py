@@ -117,7 +117,7 @@ def family_apply(family, x: Multivector) -> Multivector:
     check_context(x.context, family.context)
     xs = x.terms.items()
     acting = [(S, c) for S, c in terms if c and next(_anticommuting(S, xs), None)]
-    acc = _product(x.context.signature, acting, xs, ad=True) if acting else {}
+    acc = _product(x.context, acting, xs, ad=True) if acting else {}
     for blade, coeff in tail:
         if coeff and next(_anticommuting(blade, xs), None):
             raise ContractViolationError(
@@ -251,7 +251,7 @@ def bogolyubov_derivation(psi: SkewMap) -> AdFamily:
 
     Its action restricted to V is exactly psi (orthonormal case only).
     """
-    psi.context.signature.require_unit(psi.support(), "bogolyubov_derivation")
+    psi.context.require_unit(psi.support(), "bogolyubov_derivation")
     terms = [(Blade.of(i, j), v / 2) for (i, j), v in sorted(psi.entries.items())]
     return AdFamily.finite(psi.context, "even", terms)
 
@@ -273,7 +273,7 @@ def derivation_restricts_to_V(family: AdFamily) -> SkewMap:
 def inner_witness(psi: SkewMap) -> Multivector:
     """Bivector u with ad(u) equal to the Bogolyubov derivation of psi; every
     finitely supported skew map yields an inner derivation this way."""
-    psi.context.signature.require_unit(psi.support(), "inner_witness")
+    psi.context.require_unit(psi.support(), "inner_witness")
     return Multivector(psi.context,
                        {Blade.of(i, j): v / 2
                         for (i, j), v in psi.entries.items()})

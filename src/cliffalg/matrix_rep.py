@@ -91,7 +91,7 @@ def _dense(dim: int, terms):
 
 def _check_representable(a: Multivector) -> None:
     """`a` is exact and has q == 1 on its support."""
-    a.context.signature.require_unit(a.support(), "a matrix representation")
+    a.context.require_unit(a.support(), "a matrix representation")
     if a.context.domain not in (Domain.RATIONAL, Domain.GAUSSIAN):
         raise UnsupportedDomainError(
             "matrix representations are exact; use rational or gaussian domains")

@@ -216,8 +216,13 @@ def format_scalar(domain: Domain, value) -> str:
 
 
 def parse_scalar(domain: Domain, text: str):
-    """Parse the string serialization (`"p/q"`, `"p/q+r/s i"`, float reprs)."""
+    """Parse the string serialization (`"p/q"`, `"p/q+r/s i"`, float reprs).
+
+    A JSON int is read in every domain and a JSON float in f64 and c64; a
+    boolean, or a float in an exact domain, is refused."""
     if isinstance(text, (int, float)):
+        if isinstance(text, bool) or domain.is_exact and isinstance(text, float):
+            raise ValueError(f"bad {domain.value} literal: {text!r}")
         return coerce(domain, text)
     text = text.strip()
     if domain is Domain.RATIONAL:

@@ -10,7 +10,8 @@ from functools import wraps
 from typing import Any
 
 from . import scalars
-from .core import Blade, Context, Multivector, Signature
+from .core import Blade, Context, Multivector
+from .derivations import AdFamily, OrthogonalMap, SkewMap
 from .expr import MAX_GENERATOR, parse
 from .scalars import Domain
 
@@ -54,9 +55,9 @@ def context_to_json(ctx: Context) -> dict:
     return {
         "domain": ctx.domain.value,
         "signature": {
-            "default": _scalar_out(ctx.domain, ctx.signature.default),
+            "default": _scalar_out(ctx.domain, ctx.default),
             "overrides": {str(k): _scalar_out(ctx.domain, v)
-                          for k, v in ctx.signature.overrides},
+                          for k, v in ctx.overrides},
         },
     }
 
@@ -68,7 +69,7 @@ def context_from_json(obj: dict) -> Context:
     default = scalars.parse_scalar(domain, sig.get("default", 1))
     overrides = {_key(k): scalars.parse_scalar(domain, v)
                  for k, v in sig.get("overrides", {}).items()}
-    return Context(domain, Signature.build(domain, default, overrides))
+    return Context.make(domain, default, overrides)
 
 
 def _terms_to_json(domain: Domain, terms) -> list:
@@ -101,16 +102,12 @@ def family_to_json(family) -> dict:
 
 @_reader
 def family_from_json(obj: dict, context: Context):
-    from .derivations import AdFamily
-
     return AdFamily.finite(context, obj["parity"],
                            _terms_from_json(obj, context.domain))
 
 
 @_reader
 def skew_from_json(obj: dict, context: Context):
-    from .derivations import SkewMap
-
     pairs = {(_index(item["i"]), _index(item["j"])):
              scalars.parse_scalar(context.domain, item["value"])
              for item in obj.get("entries", [])}
@@ -119,8 +116,6 @@ def skew_from_json(obj: dict, context: Context):
 
 @_reader
 def orthogonal_from_json(obj: dict, context: Context):
-    from .derivations import OrthogonalMap
-
     active = tuple(map(_index, obj["active"]))
     matrix = tuple(tuple(scalars.parse_scalar(context.domain, v) for v in row)
                    for row in obj["matrix"])

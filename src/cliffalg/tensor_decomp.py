@@ -50,7 +50,7 @@ def chain_build(cuts, context: Context) -> FactorChain:
             b <= a for a, b in zip(cuts, cuts[1:])) or cuts[0] < 2:
         raise InvalidChainError(
             f"cuts must be even, positive, strictly increasing: {cuts}")
-    context.signature.require_unit(range(1, cuts[-1] + 1), "a factor chain")
+    context.require_unit(range(1, cuts[-1] + 1), "a factor chain")
     cs, adjusted = [], []
     minus_one = Multivector.scalar(context, -1)
     for n in cuts:
@@ -135,7 +135,7 @@ def _c_words(chain: FactorChain) -> list[tuple]:
         if coeff not in phase:
             raise InvalidChainError(f"c_{i} is not a unit-phase monomial")
     top = max(chain.cuts[-1], *(blade.bit_length() for blade, _ in terms))
-    chain.context.signature.require_unit(range(1, top + 1), "a factor chain")
+    chain.context.require_unit(range(1, top + 1), "a factor chain")
     return [(phase[coeff], blade) for blade, coeff in terms]
 
 

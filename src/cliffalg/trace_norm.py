@@ -26,8 +26,8 @@ def norm(a: Multivector):
     reversal and reordering both give the sign (-1)**(r(r-1)/2).  Negation
     being exact, c_S * c_S * q_S are the full product's trace terms, in order.
     """
-    a.context.domain.require_real("norm")
-    sig, total = a.context.signature, {}
-    _accumulate(total, ((UNIT_BLADE, c * c * _weight(sig, blade, 0))
+    ctx, total = a.context, {}
+    ctx.domain.require_real("norm")
+    _accumulate(total, ((UNIT_BLADE, c * c * _weight(ctx, blade, 0))
                         for blade, c in a.terms.items()))
-    return total.get(UNIT_BLADE, scalars.zero(a.context.domain))
+    return total.get(UNIT_BLADE, scalars.zero(ctx.domain))

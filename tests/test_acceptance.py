@@ -61,7 +61,7 @@ def criterion(capsys, label):
 
 def test_1_blade_product_oracle_and_clifford_relations(capsys):
     ctx = Context.make(overrides={2: 3, 5: Fraction(-1, 2), 7: -1})
-    sig = ctx.signature
+    sig = ctx
     with criterion(capsys, "1 blade product matches rewriting oracle; "
                    "Clifford relations hold (indices <= 8)"):
         blades = [Blade(bits) for bits in range(1 << 8)]

@@ -476,10 +476,20 @@ class TestJsonInputs:
          "--table", '{"action":{"1":"-2*e2"}}'],
         ["deriv", "apply", "--family",
          '{"parity":"even","terms":[{"blade":[1,2],"coeff":null}]}', "e2"],
+        ["--signature", '{"overrides":{"1":true}}', "eval", "e1"],
+        ["--domain", "f64", "--signature", '{"default":false}', "eval", "e1"],
+        ["deriv", "apply", "--family",
+         '{"parity":"even","terms":[{"blade":[1,2],"coeff":true}]}', "e2"],
+        ["deriv", "apply", "--family",
+         '{"parity":"even","terms":[{"blade":[1,2],"coeff":1.5}]}', "e2"],
+        ["--domain", "gaussian", "--signature", '{"default":-1.5}',
+         "eval", "e1"],
     ], ids=["string-index", "float-index", "far-index", "list-family",
             "string-skew-index", "skew-without-j", "far-active",
             "empty-config", "list-signature", "list-table", "list-actions",
-            "number-action", "no-actions", "null-coeff"])
+            "number-action", "no-actions", "null-coeff", "bool-override",
+            "f64-bool-default", "bool-coeff", "float-coeff",
+            "gaussian-float-default"])
     def test_cli_reports_a_usage_error(self, argv, capsys):
         start = time.perf_counter()
         assert run(argv) == 2

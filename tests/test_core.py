@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffalg import scalars
-from cliffalg.core import (Blade, Context, Multivector, Signature, _weight,
+from cliffalg.core import (Blade, Context, Multivector, _weight,
                            blade_product, linear_combine, mv_product,
                            parity_project, reverse)
 from cliffalg.errors import (DegenerateFormError, DomainMismatchError)
@@ -51,21 +51,21 @@ multivectors = st.dictionaries(blades, coeffs, max_size=4).map(
 
 class TestBladeProduct:
     def test_square_is_signature_value(self):
-        assert blade_product(Blade.of(1), Blade.of(1), CTX.signature) == \
+        assert blade_product(Blade.of(1), Blade.of(1), CTX) == \
             (Fraction(1), Blade(0))
 
     def test_anticommutation(self):
-        assert blade_product(Blade.of(2), Blade.of(1), CTX.signature) == \
+        assert blade_product(Blade.of(2), Blade.of(1), CTX) == \
             (Fraction(-1), Blade.of(1, 2))
 
     def test_contraction_with_sign(self):
         # v1 v3 v2 v3 rewrites to -v1 v2
-        assert blade_product(Blade.of(1, 3), Blade.of(2, 3), CTX.signature) == \
+        assert blade_product(Blade.of(1, 3), Blade.of(2, 3), CTX) == \
             (Fraction(-1), Blade.of(1, 2))
 
     def test_nonunit_signature(self):
         ctx = Context.make(Domain.RATIONAL, overrides={3: Fraction(2)})
-        coeff, out = blade_product(Blade.of(1, 3), Blade.of(2, 3), ctx.signature)
+        coeff, out = blade_product(Blade.of(1, 3), Blade.of(2, 3), ctx)
         assert (coeff, out) == (Fraction(-2), Blade.of(1, 2))
 
     def test_degenerate_signature_rejected(self):
@@ -74,7 +74,7 @@ class TestBladeProduct:
 
     @given(blades, blades)
     def test_matches_rewriting_oracle(self, a, b):
-        coeff, out = blade_product(a, b, CTX.signature)
+        coeff, out = blade_product(a, b, CTX)
         oc, oi = naive_blade_product(a.indices, b.indices, CTX.q)
         assert (coeff, out.indices) == (oc, oi)
 
@@ -193,7 +193,7 @@ def pairwise_product(a, b) -> dict:
     for ba, ca in a.terms.items():
         for bb, cb in b.terms.items():
             odd = sum(i > j for i in ba.indices for j in bb.indices) & 1
-            c = ca * cb * full_weight(a.context.signature, ba & bb, odd)
+            c = ca * cb * full_weight(a.context, ba & bb, odd)
             blade = Blade(ba ^ bb)
             s = terms.get(blade)
             s = c if s is None else s + c
@@ -227,7 +227,7 @@ _C64_VALUES = (complex(1.0, -0.0), complex(-0.0, -1.0), complex(0.5, -0.0),
 
 @st.composite
 def signatures(draw):
-    """Signatures over generators 1..12 in every domain; in c64 also with
+    """Contexts over generators 1..12 in every domain; in c64 also with
     signed-zero parts, inf and values whose products underflow or overflow."""
     domain = draw(st.sampled_from(list(Domain)))
     extra = (scalars.imaginary_unit(domain),) if domain.has_i else ()
@@ -236,7 +236,7 @@ def signatures(draw):
     values = st.sampled_from(_Q_VALUES + extra)
     default = draw(st.one_of(st.just(Fraction(1)), values))
     overrides = draw(st.dictionaries(st.integers(1, 12), values, max_size=4))
-    return Signature.build(domain, default, overrides)
+    return Context.make(domain, default, overrides)
 
 
 class TestWeightMask:
@@ -249,8 +249,8 @@ class TestWeightMask:
     @given(signatures(), st.integers(0, (1 << 13) - 1), st.integers(0, 1))
     # a c64 product by 1+0j turns inf+0j into inf+nanj and -1-0j times
     # 1-0j is -1+0j, so neither factor may be skipped
-    @example(Signature.build(Domain.C64, 1, {1: math.inf}), 0b111, 0)
-    @example(Signature.build(Domain.C64, complex(1.0, -0.0)), 0b1, 1)
+    @example(Context.make(Domain.C64, 1, {1: math.inf}), 0b111, 0)
+    @example(Context.make(Domain.C64, complex(1.0, -0.0)), 0b1, 1)
     def test_weight_is_the_full_product_bit_for_bit(self, sig, common, odd):
         assert repr(_weight(sig, common, odd)) == repr(full_weight(sig, common, odd))
 
@@ -305,13 +305,13 @@ def test_no_zero_coefficients_stored(rng):
             assert all(c != 0 for c in result.terms.values())
 
 
-def test_context_and_signature_share_one_domain():
-    with pytest.raises(DomainMismatchError, match="f64 context"):
-        Context(Domain.F64)
-    with pytest.raises(DomainMismatchError, match="rational context"):
-        Context(Domain.RATIONAL, Signature.build(Domain.GAUSSIAN, 1, {1: -1}))
-    ctx = Context(Domain.F64, Signature.build(Domain.F64))
+def test_context_coerces_into_its_domain():
+    ctx = Context(Domain.F64)
     assert ctx == Context.make(Domain.F64)
+    assert hash(ctx) == hash(Context.make(Domain.F64))
+    assert type(ctx.default) is float and ctx.default == 1.0
+    with pytest.raises(DomainMismatchError, match="not a rational value"):
+        Context(Domain.RATIONAL, 1, ((1, GaussianRational.of(0, 1)),))
 
 
 def test_blade_requires_increasing_indices():

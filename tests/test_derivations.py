@@ -37,7 +37,7 @@ def ad_blade(blade, coeff, x):
     r = blade.grade
     for bt, xt in x.terms.items():
         if (r * bt.grade - (blade & bt).bit_count()) & 1:
-            w, out = blade_product(blade, bt, x.context.signature)
+            w, out = blade_product(blade, bt, x.context)
             t = coeff * xt * w
             t = t + t
             if t:

@@ -2,8 +2,7 @@ import pytest
 
 from cliffalg import matrix_rep
 from cliffalg.cli import REP_CHECK_MAX_K
-from cliffalg.core import (Blade, Context, Multivector, Signature, mv_product,
-                           reverse)
+from cliffalg.core import Blade, Context, Multivector, mv_product, reverse
 from cliffalg.errors import SupportRangeError, UnsupportedDomainError
 from cliffalg.matrix_rep import (_PHASES, _ZERO, PAULI_X, PAULI_Y, PAULI_Z,
                                  MatrixRep, _check_representable,
@@ -353,7 +352,7 @@ def test_certificates_check_their_argument_once(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("multivector built or checked")
     monkeypatch.setattr(Multivector, "__init__", refuse)
-    monkeypatch.setattr(Signature, "require_unit", refuse)
+    monkeypatch.setattr(Context, "require_unit", refuse)
     assert all(ok for _, ok in rep_verify(4))
     assert calls == [a]
 

@@ -88,3 +88,18 @@ def test_zero_denominator_is_a_bad_literal(domain, text, message):
     with pytest.raises(ValueError) as info:
         parse_scalar(domain, text)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+def test_json_numbers(domain):
+    """A JSON int is read in every domain and a JSON float in f64 and c64; a
+    boolean, or a float in an exact domain, is a bad literal."""
+    assert parse_scalar(domain, -2) == -2
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"^bad {domain.value} literal: {value}$"):
+            parse_scalar(domain, value)
+    if domain.is_exact:
+        with pytest.raises(ValueError, match=rf"^bad {domain.value} literal: 1\.5$"):
+            parse_scalar(domain, 1.5)
+    else:
+        assert parse_scalar(domain, 1.5) == 1.5
