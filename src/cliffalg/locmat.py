@@ -1,18 +1,17 @@
 """Infinite tensor products of matrix algebras at finite support.
 
 Elements are finite sums of elementary tensors (identity off a finite set
-of factors).  A factor is the row-major tuple of its stored ((row, col),
-entry) pairs: no zero when exact, every entry (0.0 included, so 0 * inf is
-still nan) in f64 and c64.  The normalized trace multiplies per-factor
-normalized traces; the limit automorphism conjugates only the supported
-factors, the stabilization property made literal, each by a diagonal, which
-scales its stored entries.  The witness sequence exhibits an automorphism
-that shrinks no norm while its input sequence tends to zero.
+of factors) over an exact domain.  A factor is the row-major tuple of its
+nonzero ((row, col), entry) pairs.  The normalized trace multiplies
+per-factor normalized traces; the limit automorphism conjugates only the
+supported factors, the stabilization property made literal, each by a
+diagonal, which scales its stored entries.  The witness sequence exhibits
+an automorphism that shrinks no norm while its input sequence tends to zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -24,30 +23,26 @@ from .scalars import Domain
 
 @dataclass(frozen=True)
 class FactorShape:
-    """One even matrix size for every factor (default 2) and a scalar domain."""
+    """One even matrix size for every factor (default 2) and an exact domain."""
 
     domain: Domain = Domain.RATIONAL
     size: int = 2
 
     def __post_init__(self):
+        self.domain.require_exact("tensor elements")
         if self.size < 2 or self.size % 2:
             raise ValueError(f"factor sizes must be even and >= 2, got {self.size}")
 
 
-def _stored(domain: Domain, entries) -> tuple:
-    """The ((row, col), entry) pairs a factor keeps: the nonzero ones in an
-    exact domain, every one in a float domain."""
-    return tuple(e for e in entries if e[1]) if domain.is_exact else tuple(entries)
-
-
 def _factor(shape: FactorShape, i: int, rows) -> tuple:
-    """Dense rows as a factor, each entry coerced to the shape's domain."""
+    """Dense rows as a factor, each entry coerced to the shape's domain and
+    the nonzero ones stored."""
     m = shape.size
     rows = [[scalars.coerce(shape.domain, x) for x in row] for row in rows]
     if len(rows) != m or any(len(row) != m for row in rows):
         raise ShapeMismatchError(f"factor {i} expects {m}x{m} matrices")
-    return _stored(shape.domain, (((r, c), x) for r, row in enumerate(rows)
-                                  for c, x in enumerate(row)))
+    return tuple(((r, c), x) for r, row in enumerate(rows)
+                 for c, x in enumerate(row) if x)
 
 
 def _trace(entries, zero):
@@ -55,17 +50,16 @@ def _trace(entries, zero):
 
 
 def _canonical(shape: FactorShape, terms) -> tuple:
-    """Merge terms by factor tuple; drop identity factors (every diagonal
-    entry stored and 1, every other stored entry 0), terms with a zero factor
-    and zero coefficients.  Merged terms keep first-seen order."""
+    """Merge terms by factor tuple; drop identity factors (m stored entries,
+    each a diagonal 1), terms with a zero factor (nothing stored) and zero
+    coefficients.  Merged terms keep first-seen order."""
     merged = {}
     for coeff, factors in terms:
         kept = []
         for i, f in factors:
-            if not any(x for _, x in f):
+            if not f:
                 break
-            if sum(r == c for (r, c), _ in f) != shape.size or \
-                    any(x != (r == c) for (r, c), x in f):
+            if len(f) != shape.size or any(r != c or x != 1 for (r, c), x in f):
                 kept.append((i, f))
         else:
             key = tuple(kept)
@@ -115,28 +109,18 @@ class TensorElement:
 
     def __eq__(self, other):
         """Equal canonical terms, else tr((a - b)(a - b)*) == 0 (the trace is
-        faithful), with no expansion.  Floats are read as the exact numbers they
-        denote before subtracting, so inf or nan only matches equal terms."""
+        faithful), with no expansion."""
         if not isinstance(other, TensorElement):
             return NotImplemented
         if self.shape != other.shape:
             return False
         if {f: c for c, f in self.terms} == {f: c for c, f in other.terms}:
             return True
-        a, b = self, other
-        if not self.shape.domain.is_exact:
-            try:
-                a, b = _exact(a), _exact(b)
-            except (OverflowError, ValueError):
-                return False
-        d = a + b.scale(-1)
+        d = self + other.scale(-1)
         return _pairing(d, d) == 0
 
     def __hash__(self):
-        # Equal elements have equal normalized traces.  Float traces depend on
-        # the term order, so float elements hash by shape alone.
-        if not self.shape.domain.is_exact:
-            return hash(self.shape)
+        # equal elements have equal normalized traces
         return hash((self.shape, tp_trace(self)))
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
@@ -163,22 +147,9 @@ def _check_shape(a, b):
         raise ShapeMismatchError("tensor elements built over different shapes")
 
 
-def _exact(a: TensorElement) -> TensorElement:
-    """A float element read exactly, f64 over the rationals and c64 over the
-    Gaussian rationals; inf raises OverflowError and nan ValueError."""
-    domain = Domain.GAUSSIAN if a.shape.domain.has_i else Domain.RATIONAL
-    def read(x):
-        return scalars.coerce(domain, scalars.GaussianRational(
-            Fraction(x.real), Fraction(x.imag)))
-    return TensorElement(replace(a.shape, domain=domain), tuple(
-        (read(c), tuple((i, _stored(domain, ((k, read(x)) for k, x in f)))
-                        for i, f in fs))
-        for c, fs in a.terms))
-
-
-def _mul(domain: Domain, a: tuple, b: tuple) -> tuple:
-    """Factor product over stored entries: entry (r, c) sums a[r, j] b[j, c]
-    in increasing j, and an exact sum that cancels is not stored."""
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Factor product over stored entries: entry (r, c) sums a[r, j] b[j, c],
+    and a sum that cancels is not stored."""
     rows = {}
     for (j, c), y in b:
         rows.setdefault(j, []).append((c, y))
@@ -187,7 +158,7 @@ def _mul(domain: Domain, a: tuple, b: tuple) -> tuple:
         for c, y in rows.get(j, ()):
             key = r, c
             out[key] = out[key] + x * y if key in out else x * y
-    return _stored(domain, sorted(out.items()))
+    return tuple(e for e in sorted(out.items()) if e[1])
 
 
 def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -199,7 +170,7 @@ def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
             merged = dict(fa)
             for i, mb in fb:
                 ma = merged.get(i)
-                merged[i] = mb if ma is None else _mul(a.shape.domain, ma, mb)
+                merged[i] = mb if ma is None else _mul(ma, mb)
             terms.append((ca * cb, tuple(sorted(merged.items()))))
     return TensorElement(a.shape, tuple(terms))
 
@@ -228,12 +199,12 @@ def _pairing(a: TensorElement, b: TensorElement):
     """tr(a * adjoint(b)) = sum over term pairs (s, t) of c_s conj(c_t)
     prod_i <A_si, B_ti> / m, with <A, B> = tr(A B*) and an absent factor the
     identity: <A, I> = tr(A), <I, B> = conj(tr(B)).  <A, B> sums the products
-    of the entries both factors store.  The complex domains conjugate b's
-    coefficients and entries once, a real one not at all.  The rational
-    domain sums integers: a's values over one denominator da, b's over db,
-    and a factor on one side only gives its trace times the other's, so a
-    term pair with k factors is an integer over da * db * (da * db * m)**k,
-    and the sums per k are built as one Fraction each and added."""
+    of the entries both factors store.  The Gaussian domain conjugates b's
+    coefficients and entries once.  The rational domain sums integers: a's
+    values over one denominator da, b's over db, and a factor on one side
+    only gives its trace times the other's, so a term pair with k factors is
+    an integer over da * db * (da * db * m)**k, and the sums per k are built
+    as one Fraction each and added."""
     m, domain = a.shape.size, a.shape.domain
     if domain is Domain.RATIONAL:
         da, left = _numerators(a)
@@ -260,16 +231,13 @@ def _pairing(a: TensorElement, b: TensorElement):
         return sum(values[1:], values[0]) if values else scalars.zero(domain)
     total = zero = scalars.zero(domain)
     left = [(c, {i: dict(f) for i, f in fs}) for c, fs in a.terms]
-    if a.shape.domain.has_i:
-        right = [(c.conjugate(),
-                  {i: tuple((k, x.conjugate()) for k, x in f) for i, f in fs})
-                 for c, fs in b.terms]
-    else:
-        right = [(c, dict(fs)) for c, fs in b.terms]
+    right = [(c.conjugate(),
+              {i: tuple((k, x.conjugate()) for k, x in f) for i, f in fs})
+             for c, fs in b.terms]
     for cs, fs in left:
         for ct, ft in right:
             value = cs * ct
-            for i in sorted(fs.keys() | ft.keys()):
+            for i in fs.keys() | ft.keys():
                 ms, mt = fs.get(i), ft.get(i)
                 if ms is None:
                     pairing = _trace(mt, zero)
@@ -277,7 +245,7 @@ def _pairing(a: TensorElement, b: TensorElement):
                     pairing = _trace(ms.items(), zero)
                 else:
                     pairing = sum((ms[k] * y for k, y in mt if k in ms), zero)
-                value = value * pairing / a.shape.size
+                value = value * pairing / m
             total = total + value
     return total
 
@@ -338,11 +306,9 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
 
     For x_i = diag(d) this scales stored entry (r, c) by d[c] / d[r], and
     leaves it as it is where d[r] == d[c]: the diagonal, and every entry under
-    the identity rule, stays bit for bit in the float domains too.  This
-    orientation scales the upper block nilpotent at factor i by the
-    index-scaling rule's lower diagonal entry.  Exact conjugation is injective
-    and keeps entries nonzero, so terms stay canonical; a float entry can
-    underflow to 0.0 and leave an identity factor.
+    the identity rule.  This orientation scales the upper block nilpotent at
+    factor i by the index-scaling rule's lower diagonal entry.  Conjugation is
+    injective and keeps entries nonzero, so terms stay canonical.
     """
     _check_shape(phi, a)
     terms = []
@@ -353,18 +319,13 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
             new.append((i, tuple(((r, c), x if d[r] == d[c] else x * (d[c] / d[r]))
                                  for (r, c), x in f)))
         terms.append((coeff, tuple(new)))
-    return TensorElement(a.shape, tuple(terms), _canonical=a.shape.domain.is_exact)
+    return TensorElement(a.shape, tuple(terms), _canonical=True)
 
 
 def block_nilpotent(shape: FactorShape, i: int) -> TensorElement:
     """[[0, I_k], [0, 0]] at factor i (k = m / 2), identity elsewhere."""
-    m, k = shape.size, shape.size // 2
-    one, zero = scalars.one(shape.domain), scalars.zero(shape.domain)
-    if shape.domain.is_exact:
-        f = tuple(((r, r + k), one) for r in range(k))
-    else:
-        f = tuple(((r, c), one if c == r + k else zero)
-                  for r in range(m) for c in range(m))
+    one = scalars.one(shape.domain)
+    f = tuple(((r, r + shape.size // 2), one) for r in range(shape.size // 2))
     return TensorElement(shape, ((one, ((int(i), f),)),), _canonical=True)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import scalars
 from .core import Multivector, _xor_rank
-from .errors import SupportRangeError, UnsupportedDomainError
+from .errors import SupportRangeError
 from .scalars import Domain, GaussianRational
 from .trace_norm import trace
 
@@ -92,9 +92,7 @@ def _dense(dim: int, terms):
 def _check_representable(a: Multivector) -> None:
     """`a` is exact and has q == 1 on its support."""
     a.context.require_unit(a.support(), "a matrix representation")
-    if a.context.domain not in (Domain.RATIONAL, Domain.GAUSSIAN):
-        raise UnsupportedDomainError(
-            "matrix representations are exact; use rational or gaussian domains")
+    a.context.domain.require_exact("matrix representations")
 
 
 def represent(rep: MatrixRep, a: Multivector):

@@ -34,6 +34,11 @@ class Domain(Enum):
             raise UnsupportedDomainError(
                 f"{what} is defined over real domains, not {self.value}")
 
+    def require_exact(self, what: str) -> None:
+        if not self.is_exact:
+            raise UnsupportedDomainError(
+                f"{what} are exact; use rational or gaussian domains")
+
 
 @dataclass(frozen=True)
 class GaussianRational:
@@ -161,17 +166,25 @@ def coerce(domain: Domain, value):
         if isinstance(value, float):
             return value
         if isinstance(value, (int, Fraction)):
-            return float(value)
+            return _float(domain, value)
         raise DomainMismatchError(f"not a real float value: {value!r}")
     if domain is Domain.C64:
         if isinstance(value, complex):
             return value
         if isinstance(value, (int, float, Fraction)):
-            return complex(value)
+            return complex(_float(domain, value))
         if isinstance(value, GaussianRational):
-            return complex(float(value.re), float(value.im))
+            return complex(_float(domain, value.re), _float(domain, value.im))
         raise DomainMismatchError(f"not a complex float value: {value!r}")
     raise UnsupportedDomainError(str(domain))
+
+
+def _float(domain: Domain, value) -> float:
+    """float(value), refusing an int or Fraction beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"bad {domain.value} literal: {value}") from None
 
 
 def zero(domain: Domain):
@@ -265,5 +278,5 @@ def _parse_complex(text: str, number, kind: str) -> tuple:
             return number("0"), number(m["re"] or "1")
         im_mag = number(m["im"] or "1")
         return re_part, -im_mag if m["sign"] == "-" else im_mag
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"bad {kind} literal: {text!r}") from None

@@ -484,12 +484,21 @@ class TestJsonInputs:
          '{"parity":"even","terms":[{"blade":[1,2],"coeff":1.5}]}', "e2"],
         ["--domain", "gaussian", "--signature", '{"default":-1.5}',
          "eval", "e1"],
+        # values beyond the float range
+        ["--domain", "f64", "eval", f"{10 ** 400}*e1"],
+        ["--domain", "f64", "--signature", f'{{"default":{10 ** 400}}}',
+         "eval", "e1*e1"],
+        ["--domain", "f64", "deriv", "bogolyubov", "--skew",
+         f'{{"entries":[{{"i":1,"j":2,"value":{10 ** 400}}}]}}'],
+        ["--domain", "c64", "--signature", f'{{"default":"{10 ** 400}/3+1 i"}}',
+         "eval", "e1"],
     ], ids=["string-index", "float-index", "far-index", "list-family",
             "string-skew-index", "skew-without-j", "far-active",
             "empty-config", "list-signature", "list-table", "list-actions",
             "number-action", "no-actions", "null-coeff", "bool-override",
             "f64-bool-default", "bool-coeff", "float-coeff",
-            "gaussian-float-default"])
+            "gaussian-float-default", "f64-huge-literal", "f64-huge-default",
+            "f64-huge-skew", "c64-huge-default"])
     def test_cli_reports_a_usage_error(self, argv, capsys):
         start = time.perf_counter()
         assert run(argv) == 2

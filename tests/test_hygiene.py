@@ -201,6 +201,7 @@ GUARDS = {
     "defined over real domains": ("scalars", "require_real"),
     "operands built over different contexts": ("core", "check_context"),
     "has no imaginary unit": ("scalars", "imaginary_unit"),
+    "are exact; use rational or gaussian": ("scalars", "require_exact"),
     # the form's nondegeneracy: q_k != 0 for the default and each override
     "default signature value must be nonzero": ("core", "__post_init__"),
     r"signature value q_\{\} is zero": ("core", "__post_init__"),

@@ -68,6 +68,8 @@ def test_complex_literal_forms(domain, text, value):
     (Domain.GAUSSIAN, "1e999999999 i"),
     (Domain.C64, "1e"),
     (Domain.C64, "e1"),
+    pytest.param(Domain.C64, f"{10 ** 400}/3+1 i",
+                 id="Domain.C64-beyond-the-float-range"),
     # Fraction("1e1000000") takes a third of a second; exact literals
     # have no exponents
     (Domain.RATIONAL, "1e1000000"),
@@ -103,3 +105,5 @@ def test_json_numbers(domain):
             parse_scalar(domain, 1.5)
     else:
         assert parse_scalar(domain, 1.5) == 1.5
+        with pytest.raises(ValueError, match=f"^bad {domain.value} literal: 1000"):
+            parse_scalar(domain, 10 ** 400)
