@@ -324,8 +324,8 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
 
 def block_nilpotent(shape: FactorShape, i: int) -> TensorElement:
     """[[0, I_k], [0, 0]] at factor i (k = m / 2), identity elsewhere."""
-    one = scalars.one(shape.domain)
-    f = tuple(((r, r + shape.size // 2), one) for r in range(shape.size // 2))
+    one, k = scalars.one(shape.domain), shape.size // 2
+    f = tuple(((r, r + k), one) for r in range(k))
     return TensorElement(shape, ((one, ((int(i), f),)),), _canonical=True)
 
 

@@ -185,6 +185,7 @@ class TestCanonicalEquality:
         assert left != elem(1, {**head, 12: b})
         assert time.perf_counter() - start < 1
 
+
 class TestStoredEntries:
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
                              ids=lambda d: d.value)
@@ -199,6 +200,7 @@ class TestStoredEntries:
         assert dense(shape, got) == ((0 * one, one), (-one, one))
         # b's stored zero is dropped when it is built
         assert [k for k, _ in b.terms[0][1][0][1]] == [(0, 0), (1, 0), (1, 1)]
+
 
 class TestProduct:
     def test_nilpotent_squares_to_zero(self):
@@ -452,6 +454,7 @@ class TestDiagonalConjugation:
         phi = LocalAutomorphism.from_factors(SHAPE, {1: (Fraction(0), Fraction(1))})
         with pytest.raises(InvalidAutomorphismError):
             limit_automorphism_apply(phi.inverted(), elem(1, {1: A1}))
+
 
 class TestWitness:
     def test_exact_pairs_m2(self):
