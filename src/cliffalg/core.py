@@ -122,9 +122,12 @@ class Context:
     _one: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for k, _ in self.overrides:
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+                raise ValueError(f"signature override keys must be generator "
+                                 f"indices >= 1, got {k!r}")
         default = scalars.coerce(self.domain, self.default)
-        overrides = tuple((int(k), scalars.coerce(self.domain, v))
-                          for k, v in self.overrides)
+        overrides = tuple((k, scalars.coerce(self.domain, v)) for k, v in self.overrides)
         if not default:
             raise DegenerateFormError("default signature value must be nonzero")
         for k, v in overrides:
@@ -137,7 +140,7 @@ class Context:
             den = math.lcm(_denominator(default), *map(_denominator, table.values()))
             nums = {k: _scaled(v, den) for k, v in table.items()}
             num_default = _scaled(default, den)
-        keys, mask = [1 << (k - 1) for k in table if k > 0], -1
+        keys, mask = [1 << (k - 1) for k in table], -1
         if default == 1 and self.domain is not Domain.C64:
             mask = sum(keys)
         elif default == 1 and math.copysign(1, default.imag) > 0:

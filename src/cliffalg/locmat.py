@@ -2,17 +2,19 @@
 
 Elements are finite sums of elementary tensors (identity off a finite set
 of factors) over an exact domain.  A factor is the row-major tuple of its
-nonzero ((row, col), entry) pairs.  The normalized trace multiplies
-per-factor normalized traces; the limit automorphism conjugates only the
-supported factors, the stabilization property made literal, each by a
-diagonal, which scales its stored entries.  The witness sequence exhibits
-an automorphism that shrinks no norm while its input sequence tends to zero.
+nonzero ((row, col), entry) pairs.  Trace, norm and equality read one
+pairing tr(a b*), the trace as the pairing with the unit.  The limit
+automorphism conjugates only the supported factors, the stabilization
+property made literal, each by a diagonal, which scales its stored entries.
+The witness sequence exhibits an automorphism that shrinks no norm while
+its input sequence tends to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from operator import methodcaller, truediv
 from typing import Callable, Mapping
 
 from . import scalars
@@ -43,10 +45,6 @@ def _factor(shape: FactorShape, i: int, rows) -> tuple:
         raise ShapeMismatchError(f"factor {i} expects {m}x{m} matrices")
     return tuple(((r, c), x) for r, row in enumerate(rows)
                  for c, x in enumerate(row) if x)
-
-
-def _trace(entries, zero):
-    return sum((x for (r, c), x in entries if r == c), zero)
 
 
 def _canonical(shape: FactorShape, terms) -> tuple:
@@ -176,22 +174,23 @@ def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
 
 
 def tp_trace(a: TensorElement):
-    """Normalized trace: per term, product of (1/m) * matrix trace."""
-    total = zero = scalars.zero(a.shape.domain)
-    for coeff, factors in a.terms:
-        value = coeff
-        for _, f in factors:
-            value = value * _trace(f, zero) / a.shape.size
-        total = total + value
-    return total
+    """Normalized trace: the pairing with the unit, tr(a * 1*)."""
+    return _pairing(a, TensorElement.identity(a.shape))
 
 
-def _numerators(a: TensorElement):
-    """(d, terms): a rational element's coefficients and stored entries as
-    integers over one denominator d, a term as (coeff, {i: {(row, col): entry}})."""
-    d = _common_denominator([(None, c) for c, _ in a.terms]
-                            + [e for _, fs in a.terms for _, f in fs for e in f])
-    return d, [(_scaled(c, d), {i: {k: _scaled(x, d) for k, x in f} for i, f in fs})
+def _operand(a: TensorElement, conjugate: bool):
+    """(d, terms): a's coefficients and stored entries as values over one
+    denominator d, a term as (coeff, {i: {(row, col): entry}}).  A rational
+    element's values are integers over their common denominator; a Gaussian
+    element's are its own values over d = 1, conjugated if `conjugate`."""
+    if a.shape.domain is Domain.RATIONAL:
+        d = _common_denominator([(None, c) for c, _ in a.terms]
+                                + [e for _, fs in a.terms for _, f in fs for e in f])
+        def value(x):
+            return _scaled(x, d)
+    else:
+        d, value = 1, methodcaller("conjugate") if conjugate else (lambda x: x)
+    return d, [(value(c), {i: {k: value(x) for k, x in f} for i, f in fs})
                for c, fs in a.terms]
 
 
@@ -199,55 +198,36 @@ def _pairing(a: TensorElement, b: TensorElement):
     """tr(a * adjoint(b)) = sum over term pairs (s, t) of c_s conj(c_t)
     prod_i <A_si, B_ti> / m, with <A, B> = tr(A B*) and an absent factor the
     identity: <A, I> = tr(A), <I, B> = conj(tr(B)).  <A, B> sums the products
-    of the entries both factors store.  The Gaussian domain conjugates b's
-    coefficients and entries once.  The rational domain sums integers: a's
-    values over one denominator da, b's over db, and a factor on one side
-    only gives its trace times the other's, so a term pair with k factors is
-    an integer over da * db * (da * db * m)**k, and the sums per k are built
-    as one Fraction each and added."""
+    of the entries both factors store.  The operands enter as values over
+    one denominator each, da and db (_operand; b conjugated once), and a
+    factor on one side only gives its trace times the other's denominator,
+    so a term pair with k factors is its value over da * db * (da * db * m)**k;
+    the sums per k are divided once each and added."""
     m, domain = a.shape.size, a.shape.domain
-    if domain is Domain.RATIONAL:
-        da, left = _numerators(a)
-        db, right = (da, left) if b is a else _numerators(b)
-        acc = {}  # k -> summed numerators of the term pairs with k factors
-        for cs, fs in left:
-            for ct, ft in right:
-                v, u = cs * ct, fs.keys() | ft.keys()
-                for i in u:
-                    f, g = fs.get(i), ft.get(i)
-                    if f is None:
-                        v *= da * sum(x for (r, c), x in g.items() if r == c)
-                    elif g is None:
-                        v *= db * sum(x for (r, c), x in f.items() if r == c)
-                    else:
-                        p = 0
-                        for key, x in g.items():
-                            if key in f:
-                                p += x * f[key]
-                        v *= p
-                acc[len(u)] = acc.get(len(u), 0) + v
-        base = da * db * m
-        values = [Fraction(v, da * db * base ** k) for k, v in acc.items()]
-        return sum(values[1:], values[0]) if values else scalars.zero(domain)
-    total = zero = scalars.zero(domain)
-    left = [(c, {i: dict(f) for i, f in fs}) for c, fs in a.terms]
-    right = [(c.conjugate(),
-              {i: tuple((k, x.conjugate()) for k, x in f) for i, f in fs})
-             for c, fs in b.terms]
+    rational = domain is Domain.RATIONAL
+    da, left = _operand(a, False)
+    db, right = (da, left) if rational and b is a else _operand(b, True)
+    acc = {}  # k -> summed values of the term pairs with k factors
     for cs, fs in left:
         for ct, ft in right:
-            value = cs * ct
-            for i in fs.keys() | ft.keys():
-                ms, mt = fs.get(i), ft.get(i)
-                if ms is None:
-                    pairing = _trace(mt, zero)
-                elif mt is None:
-                    pairing = _trace(ms.items(), zero)
+            v, u = cs * ct, fs.keys() | ft.keys()
+            for i in u:
+                f, g = fs.get(i), ft.get(i)
+                if f is None:
+                    v *= da * sum(x for (r, c), x in g.items() if r == c)
+                elif g is None:
+                    v *= db * sum(x for (r, c), x in f.items() if r == c)
                 else:
-                    pairing = sum((ms[k] * y for k, y in mt if k in ms), zero)
-                value = value * pairing / m
-            total = total + value
-    return total
+                    p = 0
+                    for key, x in g.items():
+                        if key in f:
+                            p += x * f[key]
+                    v *= p
+            acc[len(u)] = acc.get(len(u), 0) + v
+    base = da * db * m
+    divide = Fraction if rational else truediv
+    values = [divide(v, da * db * base ** k) for k, v in acc.items()]
+    return sum(values[1:], values[0]) if values else scalars.zero(domain)
 
 
 def tp_norm(a: TensorElement):

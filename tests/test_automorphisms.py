@@ -77,6 +77,16 @@ class TestBogolyubovApply:
         phi = OrthogonalMap.build(CTX, (1,), ((Fraction(-1),),))
         assert bogolyubov_apply(phi, gen(1)) == -gen(1)
 
+    @pytest.mark.parametrize("active", [(1, 1), (0, 2), (-1, 2)])
+    def test_build_refuses_a_bad_active_set(self, active):
+        with pytest.raises(ValueError, match="distinct positive indices"):
+            OrthogonalMap.build(CTX, active, ((1, 0), (0, 1)))
+
+    @pytest.mark.parametrize("matrix", [((1,),), ((1, 0), (0,)), ((1, 0),) * 3])
+    def test_build_refuses_a_matrix_of_the_wrong_shape(self, matrix):
+        with pytest.raises(ValueError, match="shape must match the active set"):
+            OrthogonalMap.build(CTX, (1, 2), matrix)
+
     def test_rejects_non_orthogonal(self):
         stretch = OrthogonalMap.build(CTX, (1,), ((Fraction(2),),))
         with pytest.raises(NotOrthogonalError):

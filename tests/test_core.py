@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -71,6 +72,18 @@ class TestBladeProduct:
     def test_degenerate_signature_rejected(self):
         with pytest.raises(DegenerateFormError):
             Context.make(Domain.RATIONAL, overrides={1: 0})
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_zero_default_rejected(self, domain):
+        with pytest.raises(DegenerateFormError, match="default signature value"):
+            Context.make(domain, default=0)
+
+    @pytest.mark.parametrize("key", [1.5, True, 0, -1, "1", 2.0],
+                             ids=["float", "bool", "zero", "negative", "str", "integral-float"])
+    def test_override_keys_must_be_generator_indices(self, key):
+        want = rf"generator indices >= 1, got {re.escape(repr(key))}$"
+        with pytest.raises(ValueError, match=want):
+            Context.make(Domain.RATIONAL, overrides={key: 2})
 
     @given(blades, blades)
     def test_matches_rewriting_oracle(self, a, b):

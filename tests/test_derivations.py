@@ -104,6 +104,11 @@ class TestFamilyApply:
         with pytest.raises(ParityError):
             AdFamily.finite(CTX, "odd", [(Blade.of(1, 2), 1)])
 
+    def test_unit_blade_refused_in_an_even_family(self):
+        with pytest.raises(ParityError, match="generates the zero derivation"):
+            AdFamily.finite(CTX, "even", [(Blade(0), 1)])
+        assert AdFamily.finite(CTX, "even", [(Blade(0), 0)]).terms == ()
+
     def test_leibniz_for_families(self, rng):
         for parity in ("even", "odd"):
             for _ in range(20):
@@ -273,6 +278,18 @@ class TestExtraction:
         table = {1: blade_mv(1, 2, 3), 2: Multivector.zero(CTX)}
         with pytest.raises(NotAdSumError):
             extract_even(table, 2, CTX)
+
+    def test_a_family_that_does_not_reproduce_the_table_is_rejected(self):
+        # the probe at v_1 reads ad(v1 v2), which moves v_2; the table fixes it
+        ad12 = AdFamily.finite(CTX, "even", [(Blade.of(1, 2), 1)])
+        table = {1: family_apply(ad12, gen(1)), 2: Multivector.zero(CTX)}
+        with pytest.raises(NotAdSumError, match=r"\(mismatch at v_2\)$"):
+            extract_even(table, 2, CTX)
+
+    def test_a_missing_generator_is_named(self):
+        table = {1: Multivector.zero(CTX), 3: Multivector.zero(CTX)}
+        with pytest.raises(NotAdSumError, match="table is missing k = 2$"):
+            extract_even(table, 3, CTX)
 
 
 class TestBogolyubov:

@@ -94,6 +94,12 @@ def test_factor_shape_refuses_the_float_domains(domain):
         FactorShape(domain)
 
 
+@pytest.mark.parametrize("size", [3, 0, -2, 1])
+def test_factor_shape_refuses_odd_and_small_sizes(size):
+    with pytest.raises(ValueError, match=rf"even and >= 2, got {size}$"):
+        FactorShape(Domain.RATIONAL, size)
+
+
 class TestCanonicalEquality:
     def test_zero_coefficient_term(self):
         a = elem(3, {1: A1})
@@ -228,6 +234,13 @@ class TestProduct:
         with pytest.raises(ShapeMismatchError):
             tp_product(elem(1, {}), other)
 
+    def test_elements_over_different_shapes_are_unequal(self):
+        unit = TensorElement.identity(SHAPE)
+        for shape in (FactorShape(Domain.RATIONAL, 4), FactorShape(Domain.GAUSSIAN)):
+            other = TensorElement.identity(shape)
+            assert unit != other and other != unit
+            assert tp_trace(unit) == tp_trace(other) == 1
+
 
 class TestTrace:
     def test_identity(self):
@@ -320,8 +333,8 @@ def raw_element(rng, shape, max_terms=3):
 
 
 class TestIntegerPairing:
-    """The exact pairings against the Fraction formula: rational on integer
-    numerators, Gaussian by the per-factor value loop."""
+    """The exact pairings against the Fraction formula: one term-pair loop,
+    rational on integer numerators, Gaussian on its values over denominator 1."""
 
     @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
