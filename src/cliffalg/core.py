@@ -127,13 +127,14 @@ class Context:
                 raise ValueError(f"signature override keys must be generator "
                                  f"indices >= 1, got {k!r}")
         default = scalars.coerce(self.domain, self.default)
-        overrides = tuple((k, scalars.coerce(self.domain, v)) for k, v in self.overrides)
+        overrides = tuple(sorted(((k, scalars.coerce(self.domain, v))
+                                  for k, v in self.overrides), key=lambda kv: kv[0]))
         if not default:
             raise DegenerateFormError("default signature value must be nonzero")
         for k, v in overrides:
             if not v:
                 raise DegenerateFormError(f"signature value q_{k} is zero")
-        # First override wins, as in a scan of the tuple.
+        # First override wins, as in a scan of the tuple (the sort is stable).
         table = dict(reversed(overrides))
         den, nums, num_default = 1, None, None
         if self.domain.is_exact:
@@ -153,7 +154,7 @@ class Context:
 
     @staticmethod
     def make(domain: Domain = Domain.RATIONAL, default=1, overrides=None) -> "Context":
-        return Context(domain, default, tuple(sorted((overrides or {}).items())))
+        return Context(domain, default, tuple((overrides or {}).items()))
 
     def q(self, k: int):
         return self._table.get(k, self.default)

@@ -84,6 +84,14 @@ class TestBladeProduct:
         want = rf"generator indices >= 1, got {re.escape(repr(key))}$"
         with pytest.raises(ValueError, match=want):
             Context.make(Domain.RATIONAL, overrides={key: 2})
+        with pytest.raises(ValueError, match=want):
+            Context.make(Domain.RATIONAL, overrides={3: 2, key: 2})
+
+    def test_overrides_are_sorted_by_key_and_the_first_one_wins(self):
+        ctx = Context(Domain.RATIONAL, 1, ((3, 5), (1, 2), (3, 7)))
+        assert ctx.overrides == ((1, 2), (3, 5), (3, 7)) and ctx.q(3) == 5
+        assert Context(Domain.RATIONAL, 1, ((3, 5), (1, 2))) == \
+            Context.make(Domain.RATIONAL, 1, {1: 2, 3: 5})
 
     @given(blades, blades)
     def test_matches_rewriting_oracle(self, a, b):

@@ -191,6 +191,13 @@ class TestCanonicalEquality:
         assert left != elem(1, {**head, 12: b})
         assert time.perf_counter() - start < 1
 
+    def test_elements_over_different_shapes_are_unequal(self):
+        unit = TensorElement.identity(SHAPE)
+        for shape in (FactorShape(Domain.RATIONAL, 4), FactorShape(Domain.GAUSSIAN)):
+            other = TensorElement.identity(shape)
+            assert unit != other and other != unit
+            assert tp_trace(unit) == tp_trace(other) == 1
+
 
 class TestStoredEntries:
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
@@ -233,13 +240,6 @@ class TestProduct:
         other = TensorElement.identity(FactorShape(Domain.RATIONAL, 4))
         with pytest.raises(ShapeMismatchError):
             tp_product(elem(1, {}), other)
-
-    def test_elements_over_different_shapes_are_unequal(self):
-        unit = TensorElement.identity(SHAPE)
-        for shape in (FactorShape(Domain.RATIONAL, 4), FactorShape(Domain.GAUSSIAN)):
-            other = TensorElement.identity(shape)
-            assert unit != other and other != unit
-            assert tp_trace(unit) == tp_trace(other) == 1
 
 
 class TestTrace:
