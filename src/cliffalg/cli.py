@@ -60,7 +60,10 @@ def _load_json(value: str) -> dict:
     if value.startswith("@"):
         with open(value[1:], encoding="utf-8") as fh:
             value = fh.read()
-    obj = json.loads(value)
+    try:
+        obj = json.loads(value)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -77,47 +80,49 @@ def _context(args) -> Context:
     return serialize.context_from_json(cfg)
 
 
-def _emit_mv(args, mv: Multivector):
-    print(json.dumps(serialize.multivector_to_json(mv)) if args.json
-          else render(mv))
-
-
-def _emit_scalar(args, ctx: Context, value):
-    text = scalars.format_scalar(ctx.domain, value)
-    print(json.dumps({"value": text}) if args.json else text)
+def _emit(args, ctx: Context, out) -> int:
+    """Print what a handler returned and give the exit code.  An int is the
+    code of a handler that printed its own lines."""
+    if isinstance(out, int):
+        return out
+    if isinstance(out, Multivector):
+        print(json.dumps(serialize.multivector_to_json(out)) if args.json
+              else render(out))
+    elif isinstance(out, AdFamily):
+        print(json.dumps(serialize.family_to_json(out)))
+    elif isinstance(out, list):
+        # (name, ok) checks have no JSON form yet: text under --json too
+        for name, ok in out:
+            print(f"{name}: {'OK' if ok else 'FAIL'}")
+        return 0 if all(ok for _, ok in out) else VERIFICATION_FAILURE
+    else:
+        text = scalars.format_scalar(ctx.domain, out)
+        print(json.dumps({"value": text}) if args.json else text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its inputs and returns what `_emit` prints
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args) -> int:
-    ctx = _context(args)
-    _emit_mv(args, parse(args.expr, ctx))
-    return 0
+def cmd_eval(args, ctx):
+    return parse(args.expr, ctx)
 
 
-def cmd_trace(args) -> int:
-    ctx = _context(args)
-    _emit_scalar(args, ctx, trace(parse(args.expr, ctx)))
-    return 0
+def cmd_trace(args, ctx):
+    return trace(parse(args.expr, ctx))
 
 
-def cmd_norm(args) -> int:
-    ctx = _context(args)
-    _emit_scalar(args, ctx, norm(parse(args.expr, ctx)))
-    return 0
+def cmd_norm(args, ctx):
+    return norm(parse(args.expr, ctx))
 
 
-def cmd_deriv_apply(args) -> int:
-    ctx = _context(args)
+def cmd_deriv_apply(args, ctx):
     family = serialize.family_from_json(_load_json(args.family), ctx)
-    _emit_mv(args, family_apply(family, parse(args.expr, ctx)))
-    return 0
+    return family_apply(family, parse(args.expr, ctx))
 
 
-def cmd_deriv_extract(args) -> int:
-    ctx = _context(args)
+def cmd_deriv_extract(args, ctx):
     table = serialize.table_from_json(_load_json(args.table), ctx)
     # odd extraction also probes k = bound + 1, a table key <= MAX_GENERATOR
     if args.parity == "even":
@@ -125,39 +130,27 @@ def cmd_deriv_extract(args) -> int:
     else:
         extract, high = extract_odd, MAX_GENERATOR - 1
     terms = extract(table, _in_range("--bound", args.bound, 0, high), ctx)
-    print(json.dumps(serialize.family_to_json(
-        AdFamily(ctx, args.parity, tuple(terms)))))
-    return 0
+    return AdFamily(ctx, args.parity, tuple(terms))
 
 
-def cmd_deriv_bogolyubov(args) -> int:
-    ctx = _context(args)
-    psi = serialize.skew_from_json(_load_json(args.skew), ctx)
-    family = bogolyubov_derivation(psi)
-    print(json.dumps(serialize.family_to_json(family)))
-    return 0
+def cmd_deriv_bogolyubov(args, ctx):
+    return bogolyubov_derivation(
+        serialize.skew_from_json(_load_json(args.skew), ctx))
 
 
-def cmd_deriv_inner_witness(args) -> int:
-    ctx = _context(args)
-    psi = serialize.skew_from_json(_load_json(args.skew), ctx)
-    _emit_mv(args, inner_witness(psi))
-    return 0
+def cmd_deriv_inner_witness(args, ctx):
+    return inner_witness(serialize.skew_from_json(_load_json(args.skew), ctx))
 
 
-def cmd_auto_bogolyubov(args) -> int:
-    ctx = _context(args)
+def cmd_auto_bogolyubov(args, ctx):
     omap = serialize.orthogonal_from_json(_load_json(args.map), ctx)
-    _emit_mv(args, bogolyubov_apply(omap, parse(args.expr, ctx)))
-    return 0
+    return bogolyubov_apply(omap, parse(args.expr, ctx))
 
 
-def cmd_auto_conjugate(args) -> int:
-    ctx = _context(args)
+def cmd_auto_conjugate(args, ctx):
     u = parse(args.u, ctx)
     u_inv = parse(args.u_inv, ctx)
-    _emit_mv(args, conjugation_apply(u, u_inv, parse(args.expr, ctx)))
-    return 0
+    return conjugation_apply(u, u_inv, parse(args.expr, ctx))
 
 
 def _cuts(text: str) -> tuple[int, ...]:
@@ -174,14 +167,7 @@ def _cuts(text: str) -> tuple[int, ...]:
     return cuts
 
 
-def _report(checks) -> int:
-    for name, ok in checks:
-        print(f"{name}: {'OK' if ok else 'FAIL'}")
-    return 0 if all(ok for _, ok in checks) else VERIFICATION_FAILURE
-
-
-def cmd_decomp_build(args) -> int:
-    ctx = _context(args)
+def cmd_decomp_build(args, ctx):
     chain = chain_build(_cuts(args.cuts), ctx)
     if args.json:
         print(json.dumps(serialize.chain_to_json(chain)))
@@ -193,29 +179,26 @@ def cmd_decomp_build(args) -> int:
     return 0
 
 
-def cmd_decomp_check(args) -> int:
-    return _report(chain_verify(chain_build(_cuts(args.cuts), _context(args))))
+def cmd_decomp_check(args, ctx):
+    return chain_verify(chain_build(_cuts(args.cuts), ctx))
 
 
-def cmd_decomp_rewrite(args) -> int:
-    ctx = _context(args)
+def cmd_decomp_rewrite(args, ctx):
     cuts = _cuts(args.cuts)
     _in_range("--k", args.k, 1, cuts[-1])
-    chain = chain_build(cuts, ctx)
-    factors = rewrite_generator(chain, args.k)
+    factors = rewrite_generator(chain_build(cuts, ctx), args.k)
     prod = ordered_product(factors)
     for pos, f in enumerate(factors, start=1):
         print(f"factor {pos}: {render(f)}")
-    ok = prod == Multivector.generator(ctx, args.k)
-    return _report([(f"product = {render(prod)}", ok)])
+    return [(f"product = {render(prod)}",
+             prod == Multivector.generator(ctx, args.k))]
 
 
-def cmd_rep_check(args) -> int:
-    return _report(rep_verify(
-        _in_range("--max-k", args.max_k, 1, REP_CHECK_MAX_K)))
+def cmd_rep_check(args, ctx):
+    return rep_verify(_in_range("--max-k", args.max_k, 1, REP_CHECK_MAX_K))
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args, ctx):
     n_max = _in_range("--n", args.n, 1, WITNESS_MAX_N)
     _in_range("--m", args.m, 2, WITNESS_MAX_NM // n_max & ~1)
     if args.m % 2:
@@ -324,11 +307,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:
-        return args.func(args)
+        ctx = _context(args)
+        return _emit(args, ctx, args.func(args, ctx))
     except BrokenPipeError:
         raise
-    except (ParseError, DigitLimitError, ValueError, json.JSONDecodeError,
-            OSError) as exc:
+    except (ParseError, DigitLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CliffordError as exc:

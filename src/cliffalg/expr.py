@@ -147,19 +147,15 @@ class _Parser:
             self.expect(")")
             return value
         if tok.kind == "nat":
-            try:
-                num = int(tok.text)
-            except ValueError:
-                raise self.error(f"integer literal of {len(tok.text)} digits "
-                                 f"is too long", tok) from None
+            num = self.integer(tok)
             if (nxt := self.peek()) and nxt.text == "/":
                 self.next()
                 den_tok = self.next()
-                if den_tok.kind != "nat" or int(den_tok.text) == 0:
+                den = self.integer(den_tok) if den_tok.kind == "nat" else 0
+                if den == 0:
                     raise self.error("denominator must be a positive integer",
                                      den_tok)
-                return Multivector.scalar(self.context,
-                                          Fraction(num, int(den_tok.text)))
+                return Multivector.scalar(self.context, Fraction(num, den))
             return Multivector.scalar(self.context, num)
         if tok.kind == "name":
             return self.named(tok)
@@ -181,6 +177,15 @@ class _Parser:
                 raise self.error("generator indices start at 1", tok)
             return Multivector.generator(self.context, k)
         raise self.error(f"unknown atom {tok.text!r}", tok)
+
+    def integer(self, tok: Token) -> int:
+        """int(tok.text), refused with a position past the interpreter's
+        digit limit for integer conversion."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise self.error(f"integer literal of {len(tok.text)} digits "
+                             f"is too long", tok) from None
 
     def bounded(self, digits: str, limit: int, what: str, tok: Token) -> int:
         """int(digits), refusing a value above `limit` before converting it."""
@@ -223,4 +228,9 @@ def parse(text: str, context: Context) -> Multivector:
     tokens = _lex(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _Parser(text, tokens, context).parse()
+    parser = _Parser(text, tokens, context)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = tokens[min(parser.pos, len(tokens) - 1)]
+        raise parser.error("expression nests too deeply", tok) from None

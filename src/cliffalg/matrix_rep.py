@@ -48,7 +48,8 @@ class MatrixRep:
     k: int
     words: tuple
     dim: int
-    _blade_cache: dict = field(default_factory=dict, repr=False)
+    _blade_cache: dict = field(default_factory=dict, repr=False,
+                               compare=False)
 
     def identity(self):
         return _dense(self.dim, [((0, 0, 0), _ONE)])

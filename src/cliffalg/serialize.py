@@ -47,8 +47,11 @@ def _reader(fn):
 
 
 def _scalar_out(domain: Domain, value) -> Any:
-    """f64 values stay JSON numbers; every other domain writes a string."""
-    return value if domain is Domain.F64 else scalars.format_scalar(domain, value)
+    """Finite f64 values stay JSON numbers; every other value writes a string,
+    since JSON has no infinity or NaN."""
+    if domain is Domain.F64 and abs(value) < float("inf"):
+        return value
+    return scalars.format_scalar(domain, value)
 
 
 def context_to_json(ctx: Context) -> dict:

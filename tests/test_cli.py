@@ -67,6 +67,13 @@ def test_golden_output(golden_name, capsys):
     assert capsys.readouterr().out == expected
 
 
+def _strict_json(text: str):
+    """json.loads refusing Infinity, -Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestParsing:
     def test_literal_construction(self):
         ctx = Context.make()
@@ -200,15 +207,23 @@ class TestLimits:
                 "", f"error: --bound must be between 0 and {high}, "
                     f"got {bound}\n")
 
-    def test_long_integer_literal(self, capsys):
+    @pytest.mark.parametrize("text, column", [("1" * 5000, 0),
+                                              ("1/" + "1" * 5000, 2)],
+                             ids=["numerator", "denominator"])
+    def test_long_integer_literal(self, text, column, capsys):
         limit = sys.get_int_max_str_digits()
         try:
             sys.set_int_max_str_digits(4300)
-            assert run(["eval", "1" * 5000]) == 2
+            assert run(["eval", text]) == 2
         finally:
             sys.set_int_max_str_digits(limit)
-        assert capsys.readouterr().err.startswith(
-            "error: integer literal of 5000 digits is too long")
+        assert capsys.readouterr().err == (
+            f"error: integer literal of 5000 digits is too long "
+            f"(line 1, column {column})\n")
+
+    def test_deep_nesting_still_evaluates(self, capsys):
+        assert run(["eval", "(" * 100 + "e1" + ")" * 100]) == 0
+        assert capsys.readouterr().out == "e1\n"
 
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_coefficient_past_the_digit_limit(self, as_json, capsys):
@@ -407,9 +422,26 @@ class TestJsonInputs:
         a = Multivector(ctx, data.draw(st.dictionaries(blades, values,
                                                        max_size=5)))
         back = serialize.multivector_from_json(
-            json.loads(json.dumps(serialize.multivector_to_json(a))))
+            _strict_json(json.dumps(serialize.multivector_to_json(a))))
         assert back.context == a.context
         assert back == a
+
+    @pytest.mark.parametrize("argv, path, text", [
+        (["eval", "(2*e1*e1)^1100 + e2"], ("terms", 0, "coeff"), "inf"),
+        (["eval", "0 - (2*e1*e1)^1100"], ("terms", 0, "coeff"), "-inf"),
+        (["--signature", '{"default":"nan"}', "eval", "e1"],
+         ("signature", "default"), "nan"),
+    ], ids=["inf", "minus-inf", "nan"])
+    def test_non_finite_f64_values_are_strings(self, argv, path, text, capsys):
+        assert run(["--domain", "f64", "--json", *argv]) == 0
+        doc = _strict_json(capsys.readouterr().out)
+        value = doc
+        for key in path:
+            value = value[key]
+        assert value == text
+        back = serialize.multivector_to_json(
+            serialize.multivector_from_json(doc))
+        assert back == doc
 
     @pytest.mark.parametrize("key, message", [
         ("0", "between 1 and"),
@@ -492,13 +524,26 @@ class TestJsonInputs:
          f'{{"entries":[{{"i":1,"j":2,"value":{10 ** 400}}}]}}'],
         ["--domain", "c64", "--signature", f'{{"default":"{10 ** 400}/3+1 i"}}',
          "eval", "e1"],
+        # nesting deeper than the interpreter's recursion limit
+        ["eval", "(" * 247 + "e1" + ")" * 247],
+        ["eval", "rev(" * 256 + "e1" + ")" * 256],
+        ["eval", "--", "-" * 2000 + "e1"],
+        ["deriv", "extract", "--parity", "even", "--bound", "2", "--table",
+         json.dumps({"actions": {"1": "(" * 247 + "-2*e2" + ")" * 247}})],
+        ["deriv", "apply", "--family", "[" * 1000 + "]" * 1000, "e2"],
+        # the global flags are read for every subcommand
+        ["--signature", "{bad", "witness", "--n", "2"],
+        ["--config", "/nonexistent/config.json", "rep", "check",
+         "--max-k", "1"],
     ], ids=["string-index", "float-index", "far-index", "list-family",
             "string-skew-index", "skew-without-j", "far-active",
             "empty-config", "list-signature", "list-table", "list-actions",
             "number-action", "no-actions", "null-coeff", "bool-override",
             "f64-bool-default", "bool-coeff", "float-coeff",
             "gaussian-float-default", "f64-huge-literal", "f64-huge-default",
-            "f64-huge-skew", "c64-huge-default"])
+            "f64-huge-skew", "c64-huge-default", "nested-parentheses",
+            "nested-rev", "minus-signs", "nested-table-action", "nested-json",
+            "witness-bad-signature", "rep-check-missing-config"])
     def test_cli_reports_a_usage_error(self, argv, capsys):
         start = time.perf_counter()
         assert run(argv) == 2

@@ -204,6 +204,12 @@ def test_blade_traces():
     assert normalized_trace(represent(rep, Multivector.unit(GCTX))) == 1
 
 
+def test_equality_ignores_the_blade_cache():
+    warm, cold = build_rep(2), build_rep(2)
+    warm.blade_word(3)
+    assert warm == cold
+
+
 def test_reversal_is_conjugate_transpose(rng):
     rep = build_rep(2)
     for _ in range(20):
