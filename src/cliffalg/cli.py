@@ -134,12 +134,13 @@ def cmd_deriv_extract(args, ctx):
 
 
 def cmd_deriv_bogolyubov(args, ctx):
-    return bogolyubov_derivation(
-        serialize.skew_from_json(_load_json(args.skew), ctx))
+    psi = serialize.skew_from_json(_load_json(args.skew), ctx)
+    return bogolyubov_derivation(psi)
 
 
 def cmd_deriv_inner_witness(args, ctx):
-    return inner_witness(serialize.skew_from_json(_load_json(args.skew), ctx))
+    psi = serialize.skew_from_json(_load_json(args.skew), ctx)
+    return inner_witness(psi)
 
 
 def cmd_auto_bogolyubov(args, ctx):
@@ -186,12 +187,13 @@ def cmd_decomp_check(args, ctx):
 def cmd_decomp_rewrite(args, ctx):
     cuts = _cuts(args.cuts)
     _in_range("--k", args.k, 1, cuts[-1])
-    factors = rewrite_generator(chain_build(cuts, ctx), args.k)
+    chain = chain_build(cuts, ctx)
+    factors = rewrite_generator(chain, args.k)
     prod = ordered_product(factors)
     for pos, f in enumerate(factors, start=1):
         print(f"factor {pos}: {render(f)}")
-    return [(f"product = {render(prod)}",
-             prod == Multivector.generator(ctx, args.k))]
+    ok = prod == Multivector.generator(ctx, args.k)
+    return [(f"product = {render(prod)}", ok)]
 
 
 def cmd_rep_check(args, ctx):
