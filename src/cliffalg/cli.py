@@ -70,7 +70,10 @@ def _load_json(value: str) -> dict:
 
 
 def _context(args) -> Context:
-    """The --config file, then --domain, then the keys of --signature."""
+    """The --config file, then --domain, then the keys of --signature; with
+    neither file nor signature, the shared context of --domain."""
+    if not (args.config or args.signature):
+        return _domain_context(args.domain)
     cfg = _load_json("@" + args.config) if args.config else {}
     if args.domain:
         cfg["domain"] = args.domain
@@ -78,6 +81,13 @@ def _context(args) -> Context:
         cfg["signature"] = {**cfg.get("signature", {}),
                             **_load_json(args.signature)}
     return serialize.context_from_json(cfg)
+
+
+@functools.cache
+def _domain_context(domain: str | None) -> Context:
+    """The unit form over `domain`, built once per --domain value: argparse
+    admits only the Domain values and None."""
+    return serialize.context_from_json({"domain": domain} if domain else {})
 
 
 def _emit(args, ctx: Context, out) -> int:
@@ -197,7 +207,9 @@ def cmd_decomp_rewrite(args, ctx):
 
 
 def cmd_rep_check(args, ctx):
-    return rep_verify(_in_range("--max-k", args.max_k, 1, REP_CHECK_MAX_K))
+    max_k = _in_range("--max-k", args.max_k, 1, REP_CHECK_MAX_K)
+    ctx.require_unit(range(1, 2 * max_k + 1), "rep check")
+    return rep_verify(max_k)
 
 
 def cmd_witness(args, ctx):

@@ -289,7 +289,9 @@ class Multivector:
 
     @staticmethod
     def generator(context: Context, k: int) -> "Multivector":
-        return Multivector(context, {Blade.of(k): scalars.one(context.domain)},
+        if k < 1:
+            raise ValueError(f"generator index must be >= 1, got {k}")
+        return Multivector(context, {Blade(1 << (k - 1)): context._one},
                            _canonical=True)
 
     @staticmethod
@@ -435,6 +437,25 @@ def mv_product(a: Multivector, b: Multivector) -> Multivector:
     check_context(a.context, b.context)
     terms = _product(a.context, a.terms.items(), b.terms.items())
     return Multivector(a.context, terms, _canonical=True)
+
+
+def _relabel(a: Multivector, blade: int, odd: int) -> Multivector:
+    """a * (-1)**odd v_blade in a context other than c64, for a blade whose
+    product with each term of a has weight +-1 (no masked generator in a &
+    blade): A -> A ^ blade with the reordering sign of v_A v_blade, in a's
+    term order.  Exact coefficients are negated; floats are multiplied by
+    +-1.0 as in mv_product, so a NaN keeps its sign there too."""
+    ctx = a.context
+    P = _prefix_parity(blade)
+    terms = {}
+    if ctx.domain.is_exact:
+        for A, c in a.terms.items():
+            terms[Blade(A ^ blade)] = -c if ((A & P).bit_count() ^ odd) & 1 else c
+    else:
+        signs = ctx._one, -ctx._one
+        for A, c in a.terms.items():
+            terms[Blade(A ^ blade)] = c * signs[((A & P).bit_count() ^ odd) & 1]
+    return Multivector(ctx, terms, _canonical=True)
 
 
 def _anticommuting(A: int, tb) -> Iterator:

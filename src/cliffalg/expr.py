@@ -27,9 +27,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import scalars
-from .core import Context, Multivector, _accumulate, mv_product, reverse
+from .core import (Context, Multivector, _accumulate, _relabel, mv_product,
+                   reverse)
 from .errors import ParseError
-from .scalars import GaussianRational
+from .scalars import Domain, GaussianRational
 
 MAX_EXPONENT = 10 ** 6
 MAX_GENERATOR = 10 ** 4
@@ -41,6 +42,7 @@ MAX_COEFF_BITS = 2 ** 15
 # non-space: retrying `\s*` at each offset of trailing blanks is quadratic.
 _TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<name>[A-Za-z]\w*)"
                     r"|(?P<op>[+\-*^/()])|(?P<bad>\S))")
+_GENERATOR = re.compile(r"e(\d+)")
 
 
 class Token(NamedTuple):
@@ -80,6 +82,9 @@ class _Parser:
         self.pos = 0
         self.context = context
         self.pairs = 0  # blade pairs of every product formed so far
+        # c64 runs every product: its weight +-(1+0j) can change a zero or inf
+        self.fold = context.domain is not Domain.C64
+        self.unit_bits = self.size(Multivector.unit(context))
 
     def error(self, message: str, tok: Token) -> ParseError:
         return _error(self.text, message, tok.pos)
@@ -121,11 +126,34 @@ class _Parser:
         return Multivector(self.context, terms, _canonical=True)
 
     def term(self) -> Multivector:
+        """factor ('*' factor)*, where a run of bare generators is one signed
+        relabelling: `value` stands for value * (-1)**odd v_blade while every
+        contraction's weight is +-1, that is, while the next generator is
+        unmasked or touches no blade of the support or the run.  Each '*'
+        is charged as its unfolded product would be."""
         value = self.factor()
+        support = None  # set while a run is pending
         while (tok := self.peek()) and tok.text == "*":
             self.next()
-            value = self.product(value, self.factor(), tok)
-        return value
+            k = self.bare_generator() if self.fold else None
+            if k is not None:
+                b = 1 << (k - 1)
+                if support is None:
+                    support = blade = odd = 0
+                    for A in value.terms:
+                        support |= A
+                    cost = len(value.terms), self.size(value) + self.unit_bits
+                if not (support | blade) & b & self.context._mask:
+                    self.charge(*cost, tok)
+                    # -(b << 1) is _prefix_parity(b)
+                    odd ^= (blade & -(b << 1)).bit_count() & 1
+                    blade ^= b
+                    continue
+            if support is not None:
+                value, support = _relabel(value, blade, odd), None
+            value = self.product(value, self.factor() if k is None
+                                 else Multivector.generator(self.context, k), tok)
+        return value if support is None else _relabel(value, blade, odd)
 
     def factor(self) -> Multivector:
         value = self.atom()
@@ -170,13 +198,33 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             return reverse(inner)
-        m = re.fullmatch(r"e(\d+)", tok.text)
-        if m:
-            k = self.bounded(m.group(1), MAX_GENERATOR, "generator index", tok)
-            if k < 1:
-                raise self.error("generator indices start at 1", tok)
+        k = self.generator_index(tok)
+        if k is not None:
             return Multivector.generator(self.context, k)
         raise self.error(f"unknown atom {tok.text!r}", tok)
+
+    def generator_index(self, tok: Token) -> int | None:
+        """k of a name `e<k>`, checked at `tok`; None for any other name."""
+        m = _GENERATOR.fullmatch(tok.text)
+        if m is None:
+            return None
+        k = self.bounded(m.group(1), MAX_GENERATOR, "generator index", tok)
+        if k < 1:
+            raise self.error("generator indices start at 1", tok)
+        return k
+
+    def bare_generator(self) -> int | None:
+        """k of a next factor `e<k>` with no '^' after it, consumed and checked
+        at its token; None, consuming nothing, for any other factor."""
+        tok = self.peek()
+        if tok is None or tok.kind != "name" or (
+                self.pos + 1 < len(self.tokens)
+                and self.tokens[self.pos + 1].text == "^"):
+            return None
+        k = self.generator_index(tok)
+        if k is not None:
+            self.pos += 1
+        return k
 
     def integer(self, tok: Token) -> int:
         """int(tok.text), refused with a position past the interpreter's
@@ -194,20 +242,28 @@ class _Parser:
             raise self.error(f"{what} exceeds the limit {limit}", tok)
         return int(digits)
 
-    def product(self, a: Multivector, b: Multivector, tok: Token) -> Multivector:
-        """a * b, counted against MAX_PRODUCT_PAIRS and, in the exact domains,
-        refused before it is formed when the operands' largest coefficients
-        add up to more than MAX_COEFF_BITS; `tok` is the operator."""
-        bits = sum(max(map(_coeff_bits, x.terms.values()), default=0)
-                   for x in (a, b)) if self.context.domain.is_exact else 0
-        self.pairs += len(a.terms) * len(b.terms) * max(
-            1, bits // sys.int_info.bits_per_digit)
+    def size(self, value: Multivector) -> int:
+        """The largest coefficient size of `value` in the exact domains, else
+        0."""
+        if not self.context.domain.is_exact:
+            return 0
+        return max(map(_coeff_bits, value.terms.values()), default=0)
+
+    def charge(self, pairs: int, bits: int, tok: Token) -> None:
+        """Count `pairs` blade pairs of operands whose largest coefficients
+        add up to `bits` against MAX_PRODUCT_PAIRS, and refuse more than
+        MAX_COEFF_BITS; `tok` is the operator."""
+        self.pairs += pairs * max(1, bits // sys.int_info.bits_per_digit)
         if self.pairs > MAX_PRODUCT_PAIRS:
             raise self.error(f"expression needs more than {MAX_PRODUCT_PAIRS} "
                              f"blade products", tok)
         if bits > MAX_COEFF_BITS:
             raise self.error(f"expression needs coefficients of more than "
                              f"{MAX_COEFF_BITS} bits", tok)
+
+    def product(self, a: Multivector, b: Multivector, tok: Token) -> Multivector:
+        """a * b, charged before it is formed; `tok` is the operator."""
+        self.charge(len(a.terms) * len(b.terms), self.size(a) + self.size(b), tok)
         return mv_product(a, b)
 
     def power(self, value: Multivector, n: int, tok: Token) -> Multivector:

@@ -668,6 +668,28 @@ class TestExitCodes:
         assert run(bad) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("signature, q", [
+        ('{"default":"-1"}', 1), ('{"overrides":{"4":"2"}}', 4)])
+    def test_rep_check_refuses_a_nonunit_form(self, signature, q, capsys):
+        # the representations are of q == 1 on generators 1..2 * max_k, as
+        # for the factor chains of `decomp check`
+        assert run(["--domain", "gaussian", "--signature", signature,
+                    "rep", "check", "--max-k", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: rep check requires q == 1 on the support " \
+                      f"(q_{q} != 1)\n"
+
+    @pytest.mark.parametrize("signature", [
+        '{"default":"1"}', '{"overrides":{"5":"2"}}'], ids=["unit", "beyond"])
+    def test_rep_check_accepts_a_form_unit_on_its_generators(self, signature,
+                                                            capsys):
+        assert run(["--signature", signature, "rep", "check",
+                    "--max-k", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "trace coherence k=1 vs k=2: OK\nfaithfulness k=1: OK\n"
+            "faithfulness k=2: OK\n")
+
     def test_auto_bogolyubov_maps_a_blade_of_grade_1000(self, capsys):
         # v1 -> v2 and v2 -> -v1 fix v1 v2, so the blade maps to itself
         omap = '{"active":[1,2],"matrix":[["0","-1"],["1","0"]]}'
@@ -732,6 +754,28 @@ class TestConfig:
         assert run(["--signature", '{"overrides":{"3":"5"}}',
                     "eval", "e3^2"]) == 0
         assert capsys.readouterr().out.strip() == "5"
+
+    @pytest.mark.parametrize("flags", [[], ["--domain", "f64"],
+                                       ["--domain", "gaussian"]])
+    def test_flagless_requests_share_one_context(self, flags):
+        parser = build_parser()
+        first = _context(parser.parse_args(flags + ["eval", "e1"]))
+        again = _context(parser.parse_args(flags + ["trace", "e2"]))
+        assert first is again
+        assert first == Context.make(Domain(flags[-1] if flags else "rational"))
+
+    def test_signature_and_config_requests_build_their_own(self, tmp_path,
+                                                            capsys):
+        parser = build_parser()
+        argv = ["--signature", '{"overrides":{"3":"5"}}', "eval", "e1"]
+        assert _context(parser.parse_args(argv)) is not \
+            _context(parser.parse_args(argv))
+        # a config file edited between two requests is read again
+        cfg = tmp_path / "config.json"
+        for q in ("2", "3"):
+            cfg.write_text(json.dumps({"signature": {"default": q}}))
+            assert run(["--config", str(cfg), "eval", "e1*e1"]) == 0
+            assert capsys.readouterr().out.strip() == q
 
 
 class TestParserReuse:

@@ -2,6 +2,8 @@
 the per-parse product and coefficient-size budgets."""
 
 import json
+import math
+import random
 import time
 
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 
 from cliffalg.cli import run
 from cliffalg.core import Blade, Context
-from cliffalg.errors import ParseError
-from cliffalg.expr import MAX_COEFF_BITS, MAX_PRODUCT_PAIRS, _lex, parse
+from cliffalg.errors import CliffordError, DigitLimitError, ParseError
+from cliffalg.expr import (MAX_COEFF_BITS, MAX_PRODUCT_PAIRS, _lex, _Parser,
+                           parse)
 from cliffalg.render import render
 from cliffalg.scalars import Domain
 
@@ -212,6 +215,138 @@ class TestCoefficientBudget:
         assert out == ""
         assert err == (f"error: expression needs coefficients of more than "
                        f"{MAX_COEFF_BITS} bits (line 1, column {column})\n")
+
+
+class _Unfolded(_Parser):
+    """The parser with one left-to-right mv_product per '*', as before runs
+    of generators were folded: the reference for the fold."""
+
+    def term(self):
+        value = self.factor()
+        while (tok := self.peek()) and tok.text == "*":
+            self.next()
+            value = self.product(value, self.factor(), tok)
+        return value
+
+
+def outcome(parser, text: str, ctx: Context):
+    """The terms in order, the repr and the sign of every float part of the
+    value, or the error's message with its position."""
+    try:
+        value = parser(text, _lex(text), ctx).parse()
+    except CliffordError as err:  # a ParseError, or `i` in a real domain
+        return str(err)
+    try:
+        text = repr(value)
+    except DigitLimitError:  # too long to print; the terms still compare
+        text = None
+    exact = ctx.domain.is_exact
+    parts = [] if exact else [p for c in value.terms.values()
+                              for p in (c.real, c.imag)]
+    return ([(b, c if exact else repr(c)) for b, c in value.terms.items()],
+            text, [math.copysign(1, p) for p in parts])
+
+
+FOLD_FORMS = [(1, {}), (1, {2: -1, 4: 3}), (-1, {}), (2, {1: 1})]
+FOLD_CONTEXTS = [Context.make(domain, default, over)
+                 for domain in Domain for default, over in FOLD_FORMS]
+FOLD_IDS = [f"{domain.value}-q{default}-{over}"
+            for domain in Domain for default, over in FOLD_FORMS]
+
+# In f64, (10^200)^2 is inf and the sum below a NaN whose sign a relabelling
+# must keep; in the exact domains both are large integers.
+INF = "(10^200)^2"
+NAN = f"({INF} - {INF})"
+
+FOLD_TEXTS = [
+    "e1*e1*e1*e1", "e1*e1*e1", "e3*e1*e2*e1*e3*e2", "(3/4)*e2*e4*e5",
+    "e1*e4*e2*e4*e3*e4",  # q_4 = 3 is masked: its contractions end the run
+    "e2*e1*e2*e3*e2", "e1*e3*e2^3*e4*e5", "e4*e2^2*e4*e1",
+    "(1 + 2*e3 - e1*e2)*e2*e1*e5*e3", "(e1 + e2)*(e2 - e4)*e4*e1*e4",
+    "rev(e1*e2*e3 + e4)*e1*e2", "-e2*-e1*e3*e1", "0*e1*e2",
+    f"{INF}*e2*e1", f"{NAN}*e2*e1", f"-{NAN}*e3*e1*e2",
+    f"({NAN}*e1 + {INF}*e2 - 1)*e3*e2*e1", "i*e2*e1*e2",
+    "e1*(e2*e3*e1)*e3", "e5*e5*e0", "e2*e1*e10001", "e1*e2*", "e1*e2*e3^",
+]
+
+
+def random_text(rng: random.Random, depth: int = 0) -> str:
+    """A sum of terms whose factors are mostly bare generators, with powers,
+    rev, unary minus, nesting, repeated indices, and inf and NaN in f64."""
+    def atom():
+        roll = rng.random()
+        if roll < 0.6:
+            return f"e{rng.randint(1, 5)}"
+        if roll < 0.75 or depth > 2:
+            return rng.choice(["2", "1/3", "-3/2", "i", "7", INF, NAN])
+        if roll < 0.85:
+            return f"rev({random_text(rng, depth + 1)})"
+        if roll < 0.92:
+            return f"-{atom()}"
+        return f"({random_text(rng, depth + 1)})"
+
+    def factor():
+        text = atom()
+        return f"{text}^{rng.randint(0, 3)}" if rng.random() < 0.1 else text
+
+    return " + ".join("*".join(factor() for _ in range(rng.randint(1, 7)))
+                      for _ in range(rng.randint(1, 3)))
+
+
+class TestGeneratorRuns:
+    """A run of generators is one signed relabelling: values, term order,
+    float signs, budget charges and error positions are those of one
+    mv_product per '*', left to right."""
+
+    @pytest.mark.parametrize("seed, ctx", enumerate(FOLD_CONTEXTS), ids=FOLD_IDS)
+    def test_texts_match_the_unfolded_products(self, seed, ctx):
+        rng = random.Random(seed)
+        texts = FOLD_TEXTS + [random_text(rng) for _ in range(200)]
+        for text in texts:
+            assert outcome(_Parser, text, ctx) == outcome(_Unfolded, text, ctx), text
+
+    def test_a_repeated_generator_contracts_each_time(self):
+        # a set of the contracted generators would read e1 four times as e1
+        assert render(parse("e1*e1*e1*e1", CTX)) == "1"
+        assert render(parse("e2*e1*e1*e1*e2", CTX)) == "-e1"
+        ctx = Context.make(overrides={4: 3})
+        assert render(parse("e4*e1*e4*e4*e1", ctx)) == "3*e4"
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("head, fails", [
+        ("e1*e2*e3*e4*e5", False), ("e1*e2*e3*e4*e5*e6", True)],
+        ids=["at-the-budget", "one-over"])
+    def test_product_budget_at_the_end_of_a_run(self, domain, head, fails):
+        # the head charges one pair per '*', the chain 2^11 - 4, and each of
+        # the run's 254 '*' the chain's 1024 terms: 2^18 with 4 in the head
+        text = f"{head} + ({chain(10)})" + "*e11*e13*e12*e11" * 63 + "*e12*e14"
+        ctx = Context.make(domain)
+        got = outcome(_Parser, text, ctx)
+        assert got == outcome(_Unfolded, text, ctx)
+        if fails:
+            assert got == (f"expression needs more than {MAX_PRODUCT_PAIRS} "
+                           f"blade products (line 1, column {text.rindex('*')})")
+        else:
+            assert len(got[0]) == 1 + 1024
+
+    @pytest.mark.parametrize("domain, k", [(Domain.RATIONAL, 32764),
+                                           (Domain.GAUSSIAN, 32762)])
+    @pytest.mark.parametrize("fails", [False, True],
+                             ids=["at-the-budget", "one-over"])
+    def test_coefficient_budget_in_a_run(self, domain, k, fails):
+        # 2^k plus the generator's unit is MAX_COEFF_BITS; the unbudgeted sum
+        # 2^k + 2^k has one bit more
+        value = f"(2^{k} + 2^{k})" if fails else f"2^{k}"
+        text = f"e3*e4 + {value}*e2*e1*e2*e3"
+        ctx = Context.make(domain)
+        got = outcome(_Parser, text, ctx)
+        assert got == outcome(_Unfolded, text, ctx)
+        if fails:
+            assert got == (f"expression needs coefficients of more than "
+                           f"{MAX_COEFF_BITS} bits (line 1, column "
+                           f"{len(text) - 12})")
+        else:
+            assert [blade for blade, _ in got[0]] == [Blade(0b1100), Blade(0b101)]
 
 
 def family_json(parity: str, domain: str) -> str:

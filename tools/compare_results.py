@@ -12,15 +12,19 @@ for every seed, runs each operation once and prints one line per operation:
 VERDICT is `ok` or `FAIL` from the operation's own check, or `raised` when
 it raised; HASH is a SHA-256 prefix of repr(result), or of the exception's
 type and message.  The change's lines are printed, and the tool exits 1 at
-the first operation whose line differs from the parent's, naming it; it
-exits 0 when all lines agree.  SEEDS is a range `A-B` or one seed `A`.
-It only reads cliffbench/ and writes no bytecode into either checkout.
+the first operation whose line differs from the parent's or whose verdict
+is not `ok`, naming it; it exits 0 when all lines agree and pass.  SEEDS is
+a range `A-B` or one seed `A`.  The parent runs under PYTHONHASHSEED=1 and
+the change under 2, so `--parent . --change .` checks that no result
+depends on string hashing.  It only reads cliffbench/ and writes no
+bytecode into either checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -76,10 +80,12 @@ def emit(checkout: Path, seeds: str) -> int:
     return 0
 
 
-def _lines(checkout: Path, seeds: str) -> list[str]:
+def _lines(checkout: Path, seeds: str, hash_seed: int) -> list[str]:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--emit", str(checkout),
            "--seeds", seeds]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env=env)
     if proc.returncode:
         raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
@@ -90,11 +96,15 @@ def main(argv=None) -> int:
     args = _args(argv)
     if args.emit is not None:
         return emit(args.emit, args.seeds)
-    parent, change = _lines(args.parent, args.seeds), _lines(args.change, args.seeds)
+    parent = _lines(args.parent, args.seeds, 1)
+    change = _lines(args.change, args.seeds, 2)
     for before, after in zip(parent, change):
         print(after)
         if before != after:
             print(f"differs: parent {before!r}, change {after!r}")
+            return 1
+        if after.split()[4] != "ok":
+            print(f"not ok: {after!r}")
             return 1
     if len(parent) != len(change):
         print(f"differs: parent has {len(parent)} ops, change {len(change)}")
