@@ -7,7 +7,16 @@ Grammar:
     atom   := rational | 'i' | 'e' nat | 'rev' '(' expr ')' | '(' expr ')'
             | '-' atom
 
-Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.
+Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.  A run
+of bare generators in a term (`*e2*e4*e5`, none followed by '^') forms no
+product: it is one blade B with a reordering sign, applied to the value
+before it as the relabelling A -> A ^ B.  The fold holds while every
+contraction's weight is exactly +-1, i.e. while the next generator is
+outside Context._mask or in neither the value's support nor the run; the
+generator that ends it is multiplied in.  c64 never folds, as its product
+by +-(1+0j) can change a signed zero or an inf.  Results, term order and
+float signs are those of one product per '*', and so are the budgets below:
+each '*' of a run is charged, and checked, as its product would be.
 Generator indices are at most MAX_GENERATOR: a blade is a bitmask as wide
 as its top index, and every product works on the whole mask.  One parse
 forms at most MAX_PRODUCT_PAIRS blade pairs over all its products, so a
@@ -126,11 +135,8 @@ class _Parser:
         return Multivector(self.context, terms, _canonical=True)
 
     def term(self) -> Multivector:
-        """factor ('*' factor)*, where a run of bare generators is one signed
-        relabelling: `value` stands for value * (-1)**odd v_blade while every
-        contraction's weight is +-1, that is, while the next generator is
-        unmasked or touches no blade of the support or the run.  Each '*'
-        is charged as its unfolded product would be."""
+        """factor ('*' factor)*; while a run of generators is pending (see
+        the module docstring), `value` stands for value * (-1)**odd v_blade."""
         value = self.factor()
         support = None  # set while a run is pending
         while (tok := self.peek()) and tok.text == "*":

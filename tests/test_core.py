@@ -342,6 +342,18 @@ def test_blade_requires_increasing_indices():
         Blade.from_indices([0])
 
 
+@pytest.mark.parametrize("domain", list(Domain))
+def test_generator_is_the_blade_of_one_index(domain):
+    ctx = Context.make(domain)
+    gen = Multivector.generator(ctx, 3)
+    assert gen.terms == {Blade.of(3): scalars.one(domain)}
+    assert type(next(iter(gen.terms))) is Blade
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"generator index must be >= 1, "
+                                             f"got {k}$"):
+            Multivector.generator(ctx, k)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=300), unique=True, max_size=12))
 def test_blade_indices_are_the_sorted_index_list(indices):
     assert Blade.from_indices(indices).indices == tuple(sorted(indices))
