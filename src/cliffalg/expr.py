@@ -6,6 +6,10 @@ Grammar:
     factor := atom ('^' nat)?
     atom   := rational | 'i' | 'e' nat | 'rev' '(' expr ')' | '(' expr ')'
             | '-' atom
+    nat    := [0-9]+  (ASCII digits, in literals, exponents and indices)
+
+The text is lexed once into a list of token texts that the parser reads
+through one cursor.
 
 Exponents are at most MAX_EXPONENT; x^n costs O(log n) products.  A run
 of bare generators in a term (`*e2*e4*e5`, none followed by '^') forms no
@@ -33,7 +37,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import scalars
 from .core import (Context, Multivector, _accumulate, _relabel, mv_product,
@@ -49,15 +52,10 @@ MAX_COEFF_BITS = 2 ** 15
 # One scan: the last alternative catches any other character, and leading
 # whitespace belongs to the match that follows it.  The scan ends at the last
 # non-space: retrying `\s*` at each offset of trailing blanks is quadratic.
-_TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<name>[A-Za-z]\w*)"
-                    r"|(?P<op>[+\-*^/()])|(?P<bad>\S))")
-_GENERATOR = re.compile(r"e(\d+)")
-
-
-class Token(NamedTuple):
-    kind: str  # "nat" | "name" | "op"
-    text: str
-    pos: int  # offset of the first character in the source text
+# A token's text shows its kind: ASCII digits are a natural number, a leading
+# letter starts a name, and any other token is an operator.
+_TOKEN = re.compile(r"\s*(?:([0-9]+|[A-Za-z]\w*|[+\-*^/()])|(\S))")
+_GENERATOR = re.compile(r"e([0-9]+)")
 
 
 def _error(text: str, message: str, pos: int) -> ParseError:
@@ -74,63 +72,67 @@ def _coeff_bits(value) -> int:
                for p in parts)
 
 
-def _lex(text: str) -> list[Token]:
-    tokens = []
-    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _error(text, f"unexpected character {m[kind]!r}", m.start())
-        tokens.append(Token(kind, m[kind], m.start(kind)))
-    return tokens
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The token texts of `text` and the offsets of their first characters,
+    then the end sentinel: the text "" at the end of the last token."""
+    end = len(text.rstrip())
+    tokens, offsets = [], []
+    for m in _TOKEN.finditer(text, 0, end):
+        if m[2] is not None:
+            raise _error(text, f"unexpected character {m[2]!r}", m.start())
+        tokens.append(m[1])
+        offsets.append(m.start(1))
+    tokens.append("")
+    offsets.append(end)
+    return tokens, offsets
 
 
 class _Parser:
-    def __init__(self, text: str, tokens: list[Token], context: Context):
+    def __init__(self, text: str, context: Context):
         self.text = text
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens, self.offsets = _lex(text)
+        self.pos = 0  # index of the current token, self.tok
+        self.tok = self.tokens[0]
         self.context = context
         self.pairs = 0  # blade pairs of every product formed so far
         # c64 runs every product: its weight +-(1+0j) can change a zero or inf
         self.fold = context.domain is not Domain.C64
-        self.unit_bits = self.size(Multivector.unit(context))
+        self.unit_bits = (_coeff_bits(context._one) if context.domain.is_exact
+                          else 0)
 
-    def error(self, message: str, tok: Token) -> ParseError:
-        return _error(self.text, message, tok.pos)
+    def error(self, message: str, pos: int) -> ParseError:
+        """A ParseError at the token of index `pos`."""
+        return _error(self.text, message, self.offsets[pos])
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1]
-            raise _error(self.text, "unexpected end of input",
-                         last.pos + len(last.text))
+    def take(self) -> int:
+        """The current token's index, moving past it; refused at the end."""
+        pos = self.pos
+        if not self.tok:
+            raise self.error("unexpected end of input", pos)
         self.pos += 1
-        return tok
+        self.tok = self.tokens[self.pos]
+        return pos
 
     def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
+        tok = self.tokens[pos := self.take()]
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}", pos)
 
     def parse(self) -> Multivector:
         value = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise self.error(f"trailing input {tok.text!r}", tok)
+        if self.tok:
+            raise self.error(f"trailing input {self.tok!r}", self.pos)
         return value
 
     def expr(self) -> Multivector:
         value = self.term()
-        if not ((tok := self.peek()) and tok.text in "+-"):
+        if self.tok != "+" and self.tok != "-":
             return value
         terms = dict(value.terms)
-        while (tok := self.peek()) and tok.text in "+-":
-            self.next()
+        while (op := self.tok) == "+" or op == "-":
+            self.take()
             items = self.term().terms.items()
-            _accumulate(terms, items if tok.text == "+"
+            _accumulate(terms, items if op == "+"
                         else ((blade, -c) for blade, c in items))
         return Multivector(self.context, terms, _canonical=True)
 
@@ -139,8 +141,8 @@ class _Parser:
         the module docstring), `value` stands for value * (-1)**odd v_blade."""
         value = self.factor()
         support = None  # set while a run is pending
-        while (tok := self.peek()) and tok.text == "*":
-            self.next()
+        while self.tok == "*":
+            star = self.take()
             k = self.bare_generator() if self.fold else None
             if k is not None:
                 b = 1 << (k - 1)
@@ -150,7 +152,7 @@ class _Parser:
                         support |= A
                     cost = len(value.terms), self.size(value) + self.unit_bits
                 if not (support | blade) & b & self.context._mask:
-                    self.charge(*cost, tok)
+                    self.charge(*cost, star)
                     # -(b << 1) is _prefix_parity(b)
                     odd ^= (blade & -(b << 1)).bit_count() & 1
                     blade ^= b
@@ -158,94 +160,90 @@ class _Parser:
             if support is not None:
                 value, support = _relabel(value, blade, odd), None
             value = self.product(value, self.factor() if k is None
-                                 else Multivector.generator(self.context, k), tok)
+                                 else Multivector.generator(self.context, k), star)
         return value if support is None else _relabel(value, blade, odd)
 
     def factor(self) -> Multivector:
         value = self.atom()
-        if (tok := self.peek()) and tok.text == "^":
-            self.next()
-            exp_tok = self.next()
-            if exp_tok.kind != "nat":
-                raise self.error("power must be a nonnegative integer", exp_tok)
-            n = self.bounded(exp_tok.text, MAX_EXPONENT, "exponent", exp_tok)
-            return self.power(value, n, tok)
-        return value
+        if self.tok != "^":
+            return value
+        caret = self.take()
+        tok = self.tokens[pos := self.take()]
+        if not tok.isdigit():
+            raise self.error("power must be a nonnegative integer", pos)
+        n = self.bounded(tok, MAX_EXPONENT, "exponent", pos)
+        return self.power(value, n, caret)
 
     def atom(self) -> Multivector:
-        tok = self.next()
-        if tok.text == "-":
+        tok = self.tokens[pos := self.take()]
+        if tok == "-":
             return -self.atom()
-        if tok.text == "(":
+        if tok == "(":
             value = self.expr()
             self.expect(")")
             return value
-        if tok.kind == "nat":
-            num = self.integer(tok)
-            if (nxt := self.peek()) and nxt.text == "/":
-                self.next()
-                den_tok = self.next()
-                den = self.integer(den_tok) if den_tok.kind == "nat" else 0
-                if den == 0:
-                    raise self.error("denominator must be a positive integer",
-                                     den_tok)
-                return Multivector.scalar(self.context, Fraction(num, den))
-            return Multivector.scalar(self.context, num)
-        if tok.kind == "name":
-            return self.named(tok)
-        raise self.error(f"unexpected token {tok.text!r}", tok)
+        if tok.isdigit():
+            num = self.integer(tok, pos)
+            if self.tok != "/":
+                return Multivector.scalar(self.context, num)
+            self.take()
+            tok = self.tokens[pos := self.take()]
+            den = self.integer(tok, pos) if tok.isdigit() else 0
+            if den == 0:
+                raise self.error("denominator must be a positive integer", pos)
+            return Multivector.scalar(self.context, Fraction(num, den))
+        if tok[0].isalpha():
+            return self.named(tok, pos)
+        raise self.error(f"unexpected token {tok!r}", pos)
 
-    def named(self, tok: Token) -> Multivector:
-        if tok.text == "i":
+    def named(self, tok: str, pos: int) -> Multivector:
+        if tok == "i":
             return Multivector.scalar(
                 self.context, scalars.imaginary_unit(self.context.domain))
-        if tok.text == "rev":
+        if tok == "rev":
             self.expect("(")
             inner = self.expr()
             self.expect(")")
             return reverse(inner)
-        k = self.generator_index(tok)
+        k = self.generator_index(tok, pos)
         if k is not None:
             return Multivector.generator(self.context, k)
-        raise self.error(f"unknown atom {tok.text!r}", tok)
+        raise self.error(f"unknown atom {tok!r}", pos)
 
-    def generator_index(self, tok: Token) -> int | None:
-        """k of a name `e<k>`, checked at `tok`; None for any other name."""
-        m = _GENERATOR.fullmatch(tok.text)
+    def generator_index(self, tok: str, pos: int) -> int | None:
+        """k of a token `e<k>`, checked at token `pos`; None for any other."""
+        m = _GENERATOR.fullmatch(tok)
         if m is None:
             return None
-        k = self.bounded(m.group(1), MAX_GENERATOR, "generator index", tok)
+        k = self.bounded(m[1], MAX_GENERATOR, "generator index", pos)
         if k < 1:
-            raise self.error("generator indices start at 1", tok)
+            raise self.error("generator indices start at 1", pos)
         return k
 
     def bare_generator(self) -> int | None:
         """k of a next factor `e<k>` with no '^' after it, consumed and checked
         at its token; None, consuming nothing, for any other factor."""
-        tok = self.peek()
-        if tok is None or tok.kind != "name" or (
-                self.pos + 1 < len(self.tokens)
-                and self.tokens[self.pos + 1].text == "^"):
+        if not self.tok or self.tokens[self.pos + 1] == "^":
             return None
-        k = self.generator_index(tok)
+        k = self.generator_index(self.tok, self.pos)
         if k is not None:
-            self.pos += 1
+            self.take()
         return k
 
-    def integer(self, tok: Token) -> int:
-        """int(tok.text), refused with a position past the interpreter's
-        digit limit for integer conversion."""
+    def integer(self, tok: str, pos: int) -> int:
+        """int(tok), refused at token `pos` past the interpreter's digit limit
+        for integer conversion."""
         try:
-            return int(tok.text)
+            return int(tok)
         except ValueError:
-            raise self.error(f"integer literal of {len(tok.text)} digits "
-                             f"is too long", tok) from None
+            raise self.error(f"integer literal of {len(tok)} digits "
+                             f"is too long", pos) from None
 
-    def bounded(self, digits: str, limit: int, what: str, tok: Token) -> int:
+    def bounded(self, digits: str, limit: int, what: str, pos: int) -> int:
         """int(digits), refusing a value above `limit` before converting it."""
         digits = digits.lstrip("0") or "0"
         if len(digits) > len(str(limit)) or int(digits) > limit:
-            raise self.error(f"{what} exceeds the limit {limit}", tok)
+            raise self.error(f"{what} exceeds the limit {limit}", pos)
         return int(digits)
 
     def size(self, value: Multivector) -> int:
@@ -255,44 +253,42 @@ class _Parser:
             return 0
         return max(map(_coeff_bits, value.terms.values()), default=0)
 
-    def charge(self, pairs: int, bits: int, tok: Token) -> None:
+    def charge(self, pairs: int, bits: int, pos: int) -> None:
         """Count `pairs` blade pairs of operands whose largest coefficients
         add up to `bits` against MAX_PRODUCT_PAIRS, and refuse more than
-        MAX_COEFF_BITS; `tok` is the operator."""
+        MAX_COEFF_BITS; `pos` is the operator's token."""
         self.pairs += pairs * max(1, bits // sys.int_info.bits_per_digit)
         if self.pairs > MAX_PRODUCT_PAIRS:
             raise self.error(f"expression needs more than {MAX_PRODUCT_PAIRS} "
-                             f"blade products", tok)
+                             f"blade products", pos)
         if bits > MAX_COEFF_BITS:
             raise self.error(f"expression needs coefficients of more than "
-                             f"{MAX_COEFF_BITS} bits", tok)
+                             f"{MAX_COEFF_BITS} bits", pos)
 
-    def product(self, a: Multivector, b: Multivector, tok: Token) -> Multivector:
-        """a * b, charged before it is formed; `tok` is the operator."""
-        self.charge(len(a.terms) * len(b.terms), self.size(a) + self.size(b), tok)
+    def product(self, a: Multivector, b: Multivector, pos: int) -> Multivector:
+        """a * b, charged before it is formed; `pos` is the operator's token."""
+        self.charge(len(a.terms) * len(b.terms), self.size(a) + self.size(b), pos)
         return mv_product(a, b)
 
-    def power(self, value: Multivector, n: int, tok: Token) -> Multivector:
+    def power(self, value: Multivector, n: int, pos: int) -> Multivector:
         """value^n by square-and-multiply over the bits of n from the top, so
         n <= 3 multiplies in the same order as repeated multiplication."""
         if n == 0:
             return Multivector.unit(value.context)
         out = value
         for bit in bin(n)[3:]:
-            out = self.product(out, out, tok)
+            out = self.product(out, out, pos)
             if bit == "1":
-                out = self.product(out, value, tok)
+                out = self.product(out, value, pos)
         return out
 
 
 def parse(text: str, context: Context) -> Multivector:
     """Parse and evaluate an expression in the given context."""
-    tokens = _lex(text)
-    if not tokens:
+    parser = _Parser(text, context)
+    if not parser.tok:
         raise ParseError("empty expression")
-    parser = _Parser(text, tokens, context)
     try:
         return parser.parse()
     except RecursionError:
-        tok = tokens[min(parser.pos, len(tokens) - 1)]
-        raise parser.error("expression nests too deeply", tok) from None
+        raise parser.error("expression nests too deeply", parser.pos) from None

@@ -4,6 +4,7 @@ the per-parse product and coefficient-size budgets."""
 import json
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -77,10 +78,91 @@ class TestErrorPositions:
     def test_trailing_input_on_a_later_line(self, parts, newline, extra):
         head = "".join(parts) + newline
         err = parse_error(head + extra)
-        first = _lex(extra)[0].text
+        first = _lex(extra)[0][0]
         assert str(err).startswith(f"trailing input {first!r} (")
         assert (err.line, err.column) == oracle(head, len(head))
         assert err.line > 1
+
+
+def chain(n: int) -> str:
+    return "*".join(f"(1+e{k})" for k in range(1, n + 1))
+
+
+HALF = MAX_COEFF_BITS // 2 - 2
+
+# Every ParseError the parser raises, with its exact position.
+ERROR_SITES = [
+    ("(e1 + 2", "unexpected end of input (line 1, column 7)"),
+    ("(e1\n+ 2\n", "unexpected end of input (line 2, column 3)"),
+    ("e1^", "unexpected end of input (line 1, column 3)"),
+    ("3/", "unexpected end of input (line 1, column 2)"),
+    ("e1 +\n\n\t\n  ", "unexpected end of input (line 1, column 4)"),
+    ("rev(\n \n", "unexpected end of input (line 1, column 4)"),
+    ("-\n", "unexpected end of input (line 1, column 1)"),
+    ("rev e1", "expected '(', found 'e1' (line 1, column 4)"),
+    ("(e1\n  e2)", "expected ')', found 'e2' (line 2, column 2)"),
+    ("rev(e1 3)", "expected ')', found '3' (line 1, column 7)"),
+    ("e1 )", "trailing input ')' (line 1, column 3)"),
+    ("e1\n  e2", "trailing input 'e2' (line 2, column 2)"),
+    ("e1^-1", "power must be a nonnegative integer (line 1, column 3)"),
+    ("e1^\n(2)", "power must be a nonnegative integer (line 2, column 0)"),
+    ("e1^1000001", "exponent exceeds the limit 1000000 (line 1, column 3)"),
+    ("e1 *\n e2^0001000001",
+     "exponent exceeds the limit 1000000 (line 2, column 4)"),
+    ("3/0", "denominator must be a positive integer (line 1, column 2)"),
+    ("3/e1", "denominator must be a positive integer (line 1, column 2)"),
+    ("3/\n 00", "denominator must be a positive integer (line 2, column 1)"),
+    ("1" * 5000, "integer literal of 5000 digits is too long (line 1, column 0)"),
+    ("e1 +\n 3/" + "7" * 5000,
+     "integer literal of 5000 digits is too long (line 2, column 3)"),
+    ("e1 + foo", "unknown atom 'foo' (line 1, column 5)"),
+    ("e1 *\n  rev2", "unknown atom 'rev2' (line 2, column 2)"),
+    ("E1", "unknown atom 'E1' (line 1, column 0)"),
+    (")", "unexpected token ')' (line 1, column 0)"),
+    ("e1 + * e2", "unexpected token '*' (line 1, column 5)"),
+    ("e1\n  + ^2", "unexpected token '^' (line 2, column 4)"),
+    ("e0", "generator indices start at 1 (line 1, column 0)"),
+    ("e1\n*e00", "generator indices start at 1 (line 2, column 1)"),
+    ("e1 + e10001", "generator index exceeds the limit 10000 (line 1, column 5)"),
+    ("e1*e2*\n e000010001",
+     "generator index exceeds the limit 10000 (line 2, column 1)"),
+    (chain(18), f"expression needs more than {MAX_PRODUCT_PAIRS} blade "
+                f"products (line 1, column {chain(18).rindex('*')})"),
+    (f"e1 +\n 2^{HALF} *\n 2^{HALF + 1}",
+     f"expression needs coefficients of more than {MAX_COEFF_BITS} bits "
+     f"(line 2, column {len(str(HALF)) + 4})"),
+    ("e1 $ e2", "unexpected character '$' (line 1, column 2)"),
+    ("e1\n  #", "unexpected character '#' (line 1, column 2)"),
+    ("", "empty expression (line 1, column 0)"),
+    ("  \n\t", "empty expression (line 1, column 0)"),
+]
+
+
+class TestErrorSites:
+    @pytest.mark.parametrize("text, message", ERROR_SITES,
+                             ids=[m.split(" (")[0] for _, m in ERROR_SITES])
+    def test_message_and_position(self, text, message):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert str(parse_error(text)) == message
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    # the grammar's digits are ASCII: a Unicode digit is no index or literal
+    @pytest.mark.parametrize("text, message", [
+        ("e١", "unknown atom 'e١' (line 1, column 0)"),
+        ("e٠٠٠٠٠٢",
+         "unknown atom 'e٠٠٠٠٠٢' (line 1, column 0)"),
+        ("٣*e1", "unexpected character '٣' (line 1, column 0)"),
+        ("e1 + 2/٣", "unexpected character '٣' (line 1, column 7)"),
+        ("e1^٢", "unexpected character '٢' (line 1, column 3)")],
+        ids=["index", "zero-padded-index", "literal", "denominator", "exponent"])
+    def test_unicode_digits_are_refused(self, text, message):
+        assert str(parse_error(text)) == message
+
+    def test_leading_zeros_read_as_the_index(self):
+        assert render(parse("e00002*e1", CTX)) == "-e1*e2"
 
 
 class TestLinearTime:
@@ -90,10 +172,11 @@ class TestLinearTime:
     def test_lexing_200000_tokens(self):
         text = " + ".join(["e1"] * 100_000)
         start = time.perf_counter()
-        tokens = _lex(text)
+        tokens, offsets = _lex(text)
         assert time.perf_counter() - start < 5
-        assert len(tokens) == 199_999
-        assert tokens[-1].pos == len(text) - 2
+        assert len(tokens) == len(offsets) == 199_999 + 1  # and the sentinel
+        assert offsets[-2] == len(text) - 2
+        assert (tokens[-1], offsets[-1]) == ("", len(text))
 
     @pytest.mark.parametrize("text, outcome", [
         ("e1" + " " * 200_000, "e1"),
@@ -120,10 +203,6 @@ class TestLinearTime:
         assert time.perf_counter() - start < 5
         assert len(value.terms) == 20_000
         assert all(value.terms[Blade.from_indices(p)] == 1 for p in pairs)
-
-
-def chain(n: int) -> str:
-    return "*".join(f"(1+e{k})" for k in range(1, n + 1))
 
 
 class TestProductBudget:
@@ -223,9 +302,9 @@ class _Unfolded(_Parser):
 
     def term(self):
         value = self.factor()
-        while (tok := self.peek()) and tok.text == "*":
-            self.next()
-            value = self.product(value, self.factor(), tok)
+        while self.tok == "*":
+            star = self.take()
+            value = self.product(value, self.factor(), star)
         return value
 
 
@@ -233,7 +312,7 @@ def outcome(parser, text: str, ctx: Context):
     """The terms in order, the repr and the sign of every float part of the
     value, or the error's message with its position."""
     try:
-        value = parser(text, _lex(text), ctx).parse()
+        value = parser(text, ctx).parse()
     except CliffordError as err:  # a ParseError, or `i` in a real domain
         return str(err)
     try:
