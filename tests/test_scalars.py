@@ -35,6 +35,71 @@ def test_format_parse_round_trip(domain, data):
     assert parse_scalar(domain, format_scalar(domain, value)) == value
 
 
+def _same_float(a: float, b: float) -> bool:
+    """a == b with the sign of a zero, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+FLOAT_SPECIALS = [-0.0, math.inf, -math.inf, 5e-324, math.nan]
+
+
+@pytest.mark.parametrize("x", FLOAT_SPECIALS, ids=repr)
+def test_float_specials_round_trip(x):
+    assert _same_float(parse_scalar(Domain.F64, format_scalar(Domain.F64, x)), x)
+    # format_scalar writes a zero c64 part unsigned, so -0.0 reads back as 0.0
+    for value in (complex(x, 0.5), complex(0.5, x)):
+        back = parse_scalar(Domain.C64, format_scalar(Domain.C64, value))
+        assert _same_float(back.real, value.real or 0.0)
+        assert _same_float(back.imag, value.imag or 0.0)
+
+
+_G = GaussianRational.of
+BAD = None  # refused, with the message REFUSED[domain] + repr(text)
+REFUSED = {
+    Domain.RATIONAL: "bad rational literal: ",
+    Domain.GAUSSIAN: "bad Gaussian rational literal: ",
+    Domain.F64: "could not convert string to float: ",
+    Domain.C64: "bad complex literal: ",
+}
+# text: its value or BAD in (rational, gaussian, f64, c64)
+LITERALS = {
+    "-3/7": (Fraction(-3, 7), _G(Fraction(-3, 7)), BAD, complex(-3 / 7)),
+    "1/2+3/4 i": (BAD, _G(Fraction(1, 2), Fraction(3, 4)), BAD,
+                  complex(0.5, 0.75)),
+    "i": (BAD, _G(0, 1), BAD, 1j),
+    "-3/4 i": (BAD, _G(0, Fraction(-3, 4)), BAD, complex(0, -0.75)),
+    "1/2 - i": (BAD, _G(Fraction(1, 2), -1), BAD, complex(0.5, -1)),
+    "1.5": (Fraction(3, 2), _G(Fraction(3, 2)), 1.5, complex(1.5)),
+    " 7 ": (Fraction(7), _G(7), 7.0, complex(7)),
+    "+3": (Fraction(3), _G(3), 3.0, complex(3)),
+    "-nan": (BAD, BAD, math.nan, complex(math.nan)),
+    "1e-20+2.0 i": (BAD, BAD, BAD, complex(1e-20, 2.0)),
+    "٣": (Fraction(3), _G(3), 3.0, complex(3)),
+    "\u00a07": (Fraction(7), _G(7), 7.0, complex(7)),  # a no-break space
+    "1_000": (Fraction(1000), BAD, 1000.0, BAD),
+    "1/3": (Fraction(1, 3), _G(Fraction(1, 3)), BAD, complex(1 / 3)),
+    "Infinity": (BAD, BAD, math.inf, BAD),
+    "-INF": (BAD, BAD, -math.inf, BAD),
+    "1_0/3": (Fraction(10, 3), BAD, BAD, BAD),
+    "٣/٤": (Fraction(3, 4), _G(Fraction(3, 4)), BAD, complex(0.75)),
+}
+
+
+@pytest.mark.parametrize("domain, text, value", [
+    pytest.param(domain, text, value, id=f"{domain.value}-{text!r}")
+    for text, row in LITERALS.items() for domain, value in zip(Domain, row)
+])
+def test_literal_table(domain, text, value):
+    if value is BAD:
+        with pytest.raises(ValueError) as info:
+            parse_scalar(domain, text)
+        assert str(info.value) == REFUSED[domain] + repr(text)
+    else:
+        assert repr(parse_scalar(domain, text)) == repr(value)
+
+
 @pytest.mark.parametrize("text, value", [
     ("1e-20+2.0 i", complex(1e-20, 2.0)),
     ("-2e-05+0.5 i", complex(-2e-05, 0.5)),
