@@ -138,13 +138,20 @@ def _as_gaussian(x):
 
 I_GAUSSIAN = GaussianRational(Fraction(0), Fraction(1))
 
-# "re", "re +- im i", "+- im i" or "im i"; re and im are read by the domain's
-# own parser, so the number pattern is loose ("1/3", "2.5e-05", "inf").
-_NUMBER = r"(?:[\d./]+(?:[eE][+-]?\d+)?|inf|nan)"
-_COMPLEX_RE = re.compile(
-    rf"^\s*(?P<re>[+-]?{_NUMBER})?\s*"
-    rf"(?:(?P<sign>[+-])?\s*(?P<im>[+-]?{_NUMBER})?\s*(?P<i>i))?\s*$"
-)
+# A literal is "re", "re +- im i", "+- im i" or "im i", in ASCII digits and
+# spaces only (re.ASCII; Fraction and float read any Unicode digit, and float
+# and Python 3.11's Fraction read "_"). A part is p, p/q or a decimal, read by
+# the domain's part reader, so the number pattern is loose: the exact readers
+# refuse exponents and "inf", "infinity" and "nan", which the float readers
+# take in any case. An im part follows a sign, so no two numbers are adjacent
+# and a failed match backtracks in linear time.
+_NUMBER = r"(?:[\d./]+(?:[eE][+-]?\d+)?|(?i:inf(?:inity)?|nan))"
+_LITERAL = re.compile(
+    rf"(?P<re>[+-]?{_NUMBER})?\s*"
+    rf"(?:(?:(?P<sign>[+-])\s*(?P<im>[+-]?{_NUMBER})?\s*)?(?P<i>i))?", re.ASCII)
+_SPACES = " \t\n\r\f\v"  # what \s matches under re.ASCII
+_KIND = {Domain.RATIONAL: "rational", Domain.GAUSSIAN: "Gaussian rational",
+         Domain.F64: "f64", Domain.C64: "complex"}
 
 
 def coerce(domain: Domain, value):
@@ -237,20 +244,26 @@ def parse_scalar(domain: Domain, text: str):
         if isinstance(text, bool) or domain.is_exact and isinstance(text, float):
             raise ValueError(f"bad {domain.value} literal: {text!r}")
         return coerce(domain, text)
-    text = text.strip()
-    if domain is Domain.RATIONAL:
-        try:
-            return _fraction_part(text)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad rational literal: {text!r}") from None
-    if domain is Domain.GAUSSIAN:
-        return GaussianRational(*_parse_complex(text, _fraction_part,
-                                                "Gaussian rational"))
-    if domain is Domain.F64:
-        return float(text)
-    if domain is Domain.C64:
-        return complex(*_parse_complex(text, _float_part, "complex"))
-    raise UnsupportedDomainError(str(domain))
+    text = text.strip(_SPACES)
+    m = _LITERAL.fullmatch(text)
+    try:
+        if not text or not m or m["i"] and domain.is_real:
+            raise ValueError
+        if m["i"] is None:
+            real, imag = m["re"], "0"
+        elif m["sign"] is None:
+            # bare "<number> i": group re captured the magnitude
+            real, imag = "0", m["re"] or "1"
+        else:
+            real, imag = m["re"] or "0", m["im"] or "1"
+        part = _fraction_part if domain.is_exact else _float_part
+        real = part(real)
+        if domain.is_real:
+            return real
+        imag = -part(imag) if m["sign"] == "-" else part(imag)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"bad {_KIND[domain]} literal: {text!r}") from None
+    return GaussianRational(real, imag) if domain.is_exact else complex(real, imag)
 
 
 def _fraction_part(text: str) -> Fraction:
@@ -262,21 +275,3 @@ def _fraction_part(text: str) -> Fraction:
 
 def _float_part(text: str) -> float:
     return float(Fraction(text)) if "/" in text else float(text)
-
-
-def _parse_complex(text: str, number, kind: str) -> tuple:
-    """(re, im) of a complex literal, each part read by `number`."""
-    m = _COMPLEX_RE.match(text)
-    try:
-        if not m or (m["re"] is None and m["i"] is None):
-            raise ValueError
-        re_part = number(m["re"] or "0")
-        if m["i"] is None:
-            return re_part, number("0")
-        if m["im"] is None and m["sign"] is None:
-            # bare "<number> i": group re captured the magnitude
-            return number("0"), number(m["re"] or "1")
-        im_mag = number(m["im"] or "1")
-        return re_part, -im_mag if m["sign"] == "-" else im_mag
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"bad {kind} literal: {text!r}") from None

@@ -569,6 +569,26 @@ class TestJsonInputs:
         assert err.startswith(f"error: bad {literal} literal: '1/0")
         assert len(err.splitlines()) == 1
 
+    # JSON scalars take ASCII digits only, as expressions do
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_unicode_digits_are_refused(self, as_json, capsys):
+        argv = ["--json"] * as_json + ["--signature", '{"default":"٣"}',
+                                       "eval", "e1*e1"]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: bad rational literal: '٣'\n")
+
+    def test_unicode_digits_in_a_gaussian_coefficient(self, capsys):
+        family = '{"parity":"even","terms":[{"blade":[1,2],"coeff":"١/٢"}]}'
+        assert run(["--domain", "gaussian", "deriv", "apply", "--family",
+                    family, "e1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: bad Gaussian rational literal: '١/٢'\n")
+
+    def test_f64_reads_a_fraction(self, capsys):
+        assert run(["--domain", "f64", "--signature", '{"default":"1/3"}',
+                    "eval", "e1*e1"]) == 0
+        assert capsys.readouterr() == ("0.3333333333333333\n", "")
+
     def test_exact_exponent_is_refused_at_once(self, capsys):
         start = time.perf_counter()
         assert run(["--signature", '{"default":"1e1000000"}', "eval", "e1"]) == 2
