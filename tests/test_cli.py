@@ -366,6 +366,97 @@ class TestLimits:
                        "got '2,,4'\n")
 
 
+# Every reader of integer text from outside, as (argv for a text, low, high):
+# the integer flags, a `--cuts` piece and the generator-index object keys.
+_TEN_ACTIONS = json.dumps({"actions": {str(k): "0" for k in range(1, 11)}})
+INTEGER_INPUTS = {
+    "--n": (lambda t: ["witness", "--n", t], 1, WITNESS_MAX_N),
+    "--m": (lambda t: ["witness", "--n", "2", "--m", t], 2, WITNESS_MAX_NM // 2),
+    "--bound": (lambda t: ["deriv", "extract", "--parity", "even", "--bound", t,
+                           "--table", _TEN_ACTIONS], 0, MAX_GENERATOR),
+    "--max-k": (lambda t: ["rep", "check", "--max-k", t], 1, REP_CHECK_MAX_K),
+    "--k": (lambda t: ["decomp", "rewrite", "--cuts", "2,6", "--k", t], 1, 6),
+    "--cuts": (lambda t: ["decomp", "check", "--cuts", "2," + t],
+               1, MAX_GENERATOR),
+    "signature-key": (lambda t: ["--signature",
+                                 json.dumps({"overrides": {t: "2"}}),
+                                 "eval", "e7*e7"], 1, MAX_GENERATOR),
+    "table-key": (lambda t: ["deriv", "extract", "--parity", "even", "--bound",
+                             "0", "--table", json.dumps({"actions": {t: "0"}})],
+                  1, MAX_GENERATOR),
+}
+# A mark is the int a text reads as, whose outcome is that of its ASCII
+# digits, or the refusal the input prints.
+DIGITS, RANGE, COMMAS, BLOCKS, USAGE, LIMIT = (
+    "digits", "range", "commas", "blocks", "usage", "limit")
+_USAGE = {
+    "--n": "usage: cliffalg witness [-h] [--n N] [--m M]\ncliffalg witness",
+    "--m": "usage: cliffalg witness [-h] [--n N] [--m M]\ncliffalg witness",
+    "--bound": "usage: cliffalg deriv extract [-h] --parity {even,odd} --bound "
+               "BOUND --table\n                              TABLE\n"
+               "cliffalg deriv extract",
+    "--max-k": "usage: cliffalg rep check [-h] [--max-k MAX_K]\n"
+               "cliffalg rep check",
+    "--k": "usage: cliffalg decomp rewrite [-h] --cuts CUTS --k K\n"
+           "cliffalg decomp rewrite",
+}
+# id: (text, marks in the order of INTEGER_INPUTS)
+INTEGER_TABLE = {
+    "arabic-indic-three": ("٣", (3, 3, 3, 3, 3, 3, DIGITS, DIGITS)),
+    "underscore": ("1_0", (10, 10, 10, 10, 10, 10, DIGITS, DIGITS)),
+    "plus": ("+3", (3, 3, 3, 3, 3, 3, DIGITS, DIGITS)),
+    "leading-space": (" 3", (3, 3, 3, 3, 3, 3, DIGITS, DIGITS)),
+    "trailing-space": ("3 ", (3, 3, 3, 3, 3, 3, DIGITS, DIGITS)),
+    "hex": ("0x3", (USAGE,) * 5 + (COMMAS, DIGITS, DIGITS)),
+    "empty": ("", (USAGE,) * 5 + (COMMAS, DIGITS, DIGITS)),
+    "negative": ("-1", (RANGE,) * 5 + (-1, DIGITS, DIGITS)),
+    "leading-zeros": ("007", (7,) * 8),
+    "4000-digits": ("1" * 4000, (RANGE,) * 5 + (BLOCKS, RANGE, RANGE)),
+    "5000-digits": ("1" * 5000, (USAGE,) * 5 + (COMMAS, LIMIT, LIMIT)),
+}
+
+
+def _refusal(column, text, mark, low, high):
+    what = column if column.startswith("--") else "generator index"
+    if mark == USAGE:
+        return (f"{_USAGE[column]}: error: argument {column}: invalid int "
+                f"value: {text!r}\n")
+    return "error: " + {
+        DIGITS: f"{what} must be decimal digits, got {text!r}",
+        RANGE: f"{what} must be between {low} and {high}, got {text}",
+        COMMAS: f"--cuts must be integers separated by commas, got {'2,' + text!r}",
+        BLOCKS: f"--cuts allows blocks of at most {DECOMP_MAX_BLOCK} generators "
+                f"and a last cut of at most {DECOMP_MAX_CUT}, got 2,{text}",
+        LIMIT: f"Exceeds the limit (4300 digits) for integer string conversion: "
+               f"value has {len(text)} digits; use sys.set_int_max_str_digits() "
+               f"to increase the limit",
+    }[mark] + "\n"
+
+
+@pytest.mark.parametrize("column, text, mark", [
+    pytest.param(column, text, mark, id=f"{column}-{name}")
+    for name, (text, marks) in INTEGER_TABLE.items()
+    for column, mark in zip(INTEGER_INPUTS, marks)
+])
+def test_integer_table(column, text, mark, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it
+    argv, low, high = INTEGER_INPUTS[column]
+
+    def outcome(text):
+        code = run(argv(text))
+        return (code, *capsys.readouterr())
+
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        got = outcome(text)
+        expected = outcome(str(mark)) if isinstance(mark, int) else \
+            (2, "", _refusal(column, text, mark, low, high))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == expected
+
+
 # One malformed document per reader and defect: an index past the limit, an
 # index that is not an integer, and a document of the wrong shape.
 _READERS = {
