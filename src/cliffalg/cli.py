@@ -49,12 +49,6 @@ DECOMP_MAX_BLOCK = 10
 DECOMP_MAX_CUT = 30
 
 
-def _in_range(flag: str, value: int, low: int, high: int) -> int:
-    if not low <= value <= high:
-        raise ValueError(f"{flag} must be between {low} and {high}, got {value}")
-    return value
-
-
 def _load_json(value: str) -> dict:
     """A JSON object, given literally or as @path-to-file."""
     if value.startswith("@"):
@@ -64,6 +58,11 @@ def _load_json(value: str) -> dict:
         obj = json.loads(value)
     except RecursionError:
         raise ValueError("JSON nests too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() past the interpreter's digit limit
+        raise ValueError(f"a JSON integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
@@ -139,8 +138,8 @@ def cmd_deriv_extract(args, ctx):
         extract, high = extract_even, MAX_GENERATOR
     else:
         extract, high = extract_odd, MAX_GENERATOR - 1
-    terms = extract(table, _in_range("--bound", args.bound, 0, high), ctx)
-    return AdFamily(ctx, args.parity, tuple(terms))
+    bound = serialize.integer("--bound", args.bound, 0, high)
+    return AdFamily(ctx, args.parity, tuple(extract(table, bound, ctx)))
 
 
 def cmd_deriv_bogolyubov(args, ctx):
@@ -165,9 +164,12 @@ def cmd_auto_conjugate(args, ctx):
 
 
 def _cuts(text: str) -> tuple[int, ...]:
-    try:
-        cuts = tuple(int(x) for x in text.split(","))
-    except ValueError:
+    try:  # each cut is a generator index; the limits below are the chain's
+        cuts = tuple(serialize.integer("--cuts", x, 1, MAX_GENERATOR)
+                     for x in text.split(","))
+    except ValueError as exc:  # a piece refused as text, or by its range
+        if "must be between" in str(exc):
+            raise
         raise ValueError(
             f"--cuts must be integers separated by commas, got {text!r}") from None
     widest = max(b - a for a, b in zip((0,) + cuts, cuts))
@@ -196,28 +198,28 @@ def cmd_decomp_check(args, ctx):
 
 def cmd_decomp_rewrite(args, ctx):
     cuts = _cuts(args.cuts)
-    _in_range("--k", args.k, 1, cuts[-1])
+    k = serialize.integer("--k", args.k, 1, cuts[-1])
     chain = chain_build(cuts, ctx)
-    factors = rewrite_generator(chain, args.k)
+    factors = rewrite_generator(chain, k)
     prod = ordered_product(factors)
     for pos, f in enumerate(factors, start=1):
         print(f"factor {pos}: {render(f)}")
-    ok = prod == Multivector.generator(ctx, args.k)
+    ok = prod == Multivector.generator(ctx, k)
     return [(f"product = {render(prod)}", ok)]
 
 
 def cmd_rep_check(args, ctx):
-    max_k = _in_range("--max-k", args.max_k, 1, REP_CHECK_MAX_K)
+    max_k = serialize.integer("--max-k", args.max_k, 1, REP_CHECK_MAX_K)
     ctx.require_unit(range(1, 2 * max_k + 1), "rep check")
     return rep_verify(max_k)
 
 
 def cmd_witness(args, ctx):
-    n_max = _in_range("--n", args.n, 1, WITNESS_MAX_N)
-    _in_range("--m", args.m, 2, WITNESS_MAX_NM // n_max & ~1)
-    if args.m % 2:
-        raise ValueError(f"--m must be even, got {args.m}")
-    pairs = witness_sequence(n_max, FactorShape(Domain.RATIONAL, args.m))
+    n_max = serialize.integer("--n", args.n, 1, WITNESS_MAX_N)
+    m = serialize.integer("--m", args.m, 2, WITNESS_MAX_NM // n_max & ~1)
+    if m % 2:
+        raise ValueError(f"--m must be even, got {m}")
+    pairs = witness_sequence(n_max, FactorShape(Domain.RATIONAL, m))
     for n, (before, after) in enumerate(pairs, start=1):
         print(f"n={n}: ({before}, {after})")
     if witness_discontinuous(pairs):
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deriv_apply)
     p = dsub.add_parser("extract")
     p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--bound", type=int, required=True,
+    p.add_argument("--bound", required=True,
                    help=f"largest generator index of the blades, "
                         f"0..{MAX_GENERATOR} even, 0..{MAX_GENERATOR - 1} odd "
                         f"(odd probes k = 1..bound+1)")
@@ -295,19 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = csub.add_parser(name)
         p.add_argument("--cuts", required=True)
         p.set_defaults(func=func)
-    p.add_argument("--k", type=int, required=True)  # rewrite only
+    p.add_argument("--k", required=True)  # rewrite only
 
     rep = sub.add_parser("rep", help="matrix representation checks")
     rsub = rep.add_subparsers(dest="rep_command", required=True)
     p = rsub.add_parser("check")
-    p.add_argument("--max-k", type=int, default=3, dest="max_k",
+    p.add_argument("--max-k", default="3", dest="max_k",
                    help=f"largest k checked, 1..{REP_CHECK_MAX_K}")
     p.set_defaults(func=cmd_rep_check)
 
     p = sub.add_parser("witness", help="non-continuity witness table")
-    p.add_argument("--n", type=int, default=10,
+    p.add_argument("--n", default="10",
                    help=f"table length, 1..{WITNESS_MAX_N}")
-    p.add_argument("--m", type=int, default=2,
+    p.add_argument("--m", default="2",
                    help=f"factor size, even, with n * m <= {WITNESS_MAX_NM}")
     p.set_defaults(func=cmd_witness)
 

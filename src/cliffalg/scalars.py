@@ -150,8 +150,6 @@ _LITERAL = re.compile(
     rf"(?P<re>[+-]?{_NUMBER})?\s*"
     rf"(?:(?:(?P<sign>[+-])\s*(?P<im>[+-]?{_NUMBER})?\s*)?(?P<i>i))?", re.ASCII)
 _SPACES = " \t\n\r\f\v"  # what \s matches under re.ASCII
-_KIND = {Domain.RATIONAL: "rational", Domain.GAUSSIAN: "Gaussian rational",
-         Domain.F64: "f64", Domain.C64: "complex"}
 
 
 def coerce(domain: Domain, value):
@@ -262,7 +260,7 @@ def parse_scalar(domain: Domain, text: str):
             return real
         imag = -part(imag) if m["sign"] == "-" else part(imag)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"bad {_KIND[domain]} literal: {text!r}") from None
+        raise ValueError(f"bad {domain.value} literal: {text!r}") from None
     return GaussianRational(real, imag) if domain.is_exact else complex(real, imag)
 
 

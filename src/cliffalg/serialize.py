@@ -1,7 +1,7 @@
 """JSON wire formats: multivectors, derivation families, maps and tables.
 
-The readers validate their input in one place: a generator index must be an
-int in 1..MAX_GENERATOR, and a wrongly shaped document is a ValueError.
+The readers validate their input in one place: `integer` reads each integer
+from outside, and a wrongly shaped document is a ValueError.
 """
 
 from __future__ import annotations
@@ -16,20 +16,23 @@ from .expr import MAX_GENERATOR, parse
 from .scalars import Domain
 
 
+def integer(what: str, value, low: int, high: int) -> int:
+    """An int, or its ASCII digits after an optional "-", in low..high."""
+    if isinstance(value, str):
+        digits = value.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{what} must be decimal digits, got {value!r}")
+        if len(digits.lstrip("0")) <= len(str(high)):  # else out of range, unread
+            value = int(value)
+    if isinstance(value, str) or not low <= value <= high:
+        raise ValueError(f"{what} must be between {low} and {high}, got {value}")
+    return value
+
+
 def _index(k) -> int:
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"generator index must be an integer, got {k!r}")
-    if not 1 <= k <= MAX_GENERATOR:
-        raise ValueError(f"generator index must be between 1 and "
-                         f"{MAX_GENERATOR}, got {k}")
-    return k
-
-
-def _key(k: str) -> int:
-    """A generator index as an object key: ASCII decimal digits, then _index."""
-    if not (k.isascii() and k.isdigit()):
-        raise ValueError(f"generator index must be decimal digits, got {k!r}")
-    return _index(int(k))
+    return integer("generator index", k, 1, MAX_GENERATOR)
 
 
 def _reader(fn):
@@ -70,7 +73,8 @@ def context_from_json(obj: dict) -> Context:
     domain = Domain(obj.get("domain", "rational"))
     sig = obj.get("signature", {})
     default = scalars.parse_scalar(domain, sig.get("default", 1))
-    overrides = {_key(k): scalars.parse_scalar(domain, v)
+    overrides = {integer("generator index", k, 1, MAX_GENERATOR):
+                 scalars.parse_scalar(domain, v)
                  for k, v in sig.get("overrides", {}).items()}
     return Context.make(domain, default, overrides)
 
@@ -128,7 +132,8 @@ def orthogonal_from_json(obj: dict, context: Context):
 @_reader
 def table_from_json(obj: dict, context: Context) -> dict:
     """The `deriv extract` table {"actions": {"k": "expr"}}: k -> D(v_k)."""
-    return {_key(k): parse(v, context) for k, v in obj["actions"].items()}
+    return {integer("generator index", k, 1, MAX_GENERATOR): parse(v, context)
+            for k, v in obj["actions"].items()}
 
 
 def chain_to_json(chain) -> dict:

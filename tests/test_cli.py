@@ -221,6 +221,21 @@ class TestLimits:
             f"error: integer literal of 5000 digits is too long "
             f"(line 1, column {column})\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["--signature", f'{{"default":{"1" * 5000}}}', "eval", "e1"],
+        ["deriv", "apply", "--family", '{"parity":"even","terms":[{"blade":'
+         f'[1,{"1" * 5000}],"coeff":"1"}}]}}', "e2"],
+    ], ids=["signature-default", "family-blade"])
+    def test_json_integer_past_the_digit_limit(self, argv, capsys):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert run(argv) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr() == (
+            "", "error: a JSON integer has more than 4300 digits\n")
+
     def test_deep_nesting_still_evaluates(self, capsys):
         assert run(["eval", "(" * 100 + "e1" + ")" * 100]) == 0
         assert capsys.readouterr().out == "e1\n"
@@ -387,49 +402,30 @@ INTEGER_INPUTS = {
 }
 # A mark is the int a text reads as, whose outcome is that of its ASCII
 # digits, or the refusal the input prints.
-DIGITS, RANGE, COMMAS, BLOCKS, USAGE, LIMIT = (
-    "digits", "range", "commas", "blocks", "usage", "limit")
-_USAGE = {
-    "--n": "usage: cliffalg witness [-h] [--n N] [--m M]\ncliffalg witness",
-    "--m": "usage: cliffalg witness [-h] [--n N] [--m M]\ncliffalg witness",
-    "--bound": "usage: cliffalg deriv extract [-h] --parity {even,odd} --bound "
-               "BOUND --table\n                              TABLE\n"
-               "cliffalg deriv extract",
-    "--max-k": "usage: cliffalg rep check [-h] [--max-k MAX_K]\n"
-               "cliffalg rep check",
-    "--k": "usage: cliffalg decomp rewrite [-h] --cuts CUTS --k K\n"
-           "cliffalg decomp rewrite",
-}
+DIGITS, RANGE, COMMAS = "digits", "range", "commas"
+_NOT_DIGITS = (DIGITS,) * 5 + (COMMAS, DIGITS, DIGITS)
 # id: (text, marks in the order of INTEGER_INPUTS)
 INTEGER_TABLE = {
-    "arabic-indic-three": ("٣", (3, 3, 3, 3, 3, 3, DIGITS, DIGITS)),
-    "underscore": ("1_0", (10, 10, 10, 10, 10, 10, DIGITS, DIGITS)),
-    "plus": ("+3", (3, 3, 3, 3, 3, 3, DIGITS, DIGITS)),
-    "leading-space": (" 3", (3, 3, 3, 3, 3, 3, DIGITS, DIGITS)),
-    "trailing-space": ("3 ", (3, 3, 3, 3, 3, 3, DIGITS, DIGITS)),
-    "hex": ("0x3", (USAGE,) * 5 + (COMMAS, DIGITS, DIGITS)),
-    "empty": ("", (USAGE,) * 5 + (COMMAS, DIGITS, DIGITS)),
-    "negative": ("-1", (RANGE,) * 5 + (-1, DIGITS, DIGITS)),
+    "arabic-indic-three": ("٣", _NOT_DIGITS),
+    "underscore": ("1_0", _NOT_DIGITS),
+    "plus": ("+3", _NOT_DIGITS),
+    "leading-space": (" 3", _NOT_DIGITS),
+    "trailing-space": ("3 ", _NOT_DIGITS),
+    "hex": ("0x3", _NOT_DIGITS),
+    "empty": ("", _NOT_DIGITS),
+    "negative": ("-1", (RANGE,) * 8),
     "leading-zeros": ("007", (7,) * 8),
-    "4000-digits": ("1" * 4000, (RANGE,) * 5 + (BLOCKS, RANGE, RANGE)),
-    "5000-digits": ("1" * 5000, (USAGE,) * 5 + (COMMAS, LIMIT, LIMIT)),
+    "4000-digits": ("1" * 4000, (RANGE,) * 8),
+    "5000-digits": ("1" * 5000, (RANGE,) * 8),
 }
 
 
 def _refusal(column, text, mark, low, high):
     what = column if column.startswith("--") else "generator index"
-    if mark == USAGE:
-        return (f"{_USAGE[column]}: error: argument {column}: invalid int "
-                f"value: {text!r}\n")
     return "error: " + {
         DIGITS: f"{what} must be decimal digits, got {text!r}",
         RANGE: f"{what} must be between {low} and {high}, got {text}",
         COMMAS: f"--cuts must be integers separated by commas, got {'2,' + text!r}",
-        BLOCKS: f"--cuts allows blocks of at most {DECOMP_MAX_BLOCK} generators "
-                f"and a last cut of at most {DECOMP_MAX_CUT}, got 2,{text}",
-        LIMIT: f"Exceeds the limit (4300 digits) for integer string conversion: "
-               f"value has {len(text)} digits; use sys.set_int_max_str_digits() "
-               f"to increase the limit",
     }[mark] + "\n"
 
 
@@ -438,8 +434,7 @@ def _refusal(column, text, mark, low, high):
     for name, (text, marks) in INTEGER_TABLE.items()
     for column, mark in zip(INTEGER_INPUTS, marks)
 ])
-def test_integer_table(column, text, mark, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it
+def test_integer_table(column, text, mark, capsys):
     argv, low, high = INTEGER_INPUTS[column]
 
     def outcome(text):
@@ -536,7 +531,7 @@ class TestJsonInputs:
 
     @pytest.mark.parametrize("key, message", [
         ("0", "between 1 and"),
-        ("-3", "decimal digits"),
+        ("-3", "between 1 and"),
         ("99999999999", "between 1 and"),
         ("1_0", "decimal digits"),
         (" 2 ", "decimal digits"),
@@ -649,9 +644,9 @@ class TestJsonInputs:
           '{"parity":"even","terms":[{"blade":[1,2],"coeff":"1/0"}]}', "e1"],
          "rational"),
         (["--domain", "gaussian", "--signature", '{"default":"1/0+1 i"}',
-          "eval", "e1"], "Gaussian rational"),
+          "eval", "e1"], "gaussian"),
         (["--domain", "c64", "--signature", '{"default":"1/0+1 i"}',
-          "eval", "e1"], "complex"),
+          "eval", "e1"], "c64"),
     ], ids=["signature", "family-coeff", "gaussian-signature", "c64-signature"])
     def test_zero_denominator_is_a_usage_error(self, argv, literal, capsys):
         assert run(argv) == 2
@@ -673,7 +668,7 @@ class TestJsonInputs:
         assert run(["--domain", "gaussian", "deriv", "apply", "--family",
                     family, "e1"]) == 2
         assert capsys.readouterr() == (
-            "", "error: bad Gaussian rational literal: '١/٢'\n")
+            "", "error: bad gaussian literal: '١/٢'\n")
 
     def test_f64_reads_a_fraction(self, capsys):
         assert run(["--domain", "f64", "--signature", '{"default":"1/3"}',

@@ -205,6 +205,9 @@ GUARDS = {
     # the form's nondegeneracy: q_k != 0 for the default and each override
     "default signature value must be nonzero": ("core", "__post_init__"),
     r"signature value q_\{\} is zero": ("core", "__post_init__"),
+    # every integer from outside: flags, --cuts pieces, JSON keys and indices
+    "must be between": ("serialize", "integer"),
+    "must be decimal digits": ("serialize", "integer"),
 }
 
 

@@ -60,9 +60,9 @@ _G = GaussianRational.of
 BAD = None  # refused, with the message REFUSED[domain] + repr(text)
 REFUSED = {
     Domain.RATIONAL: "bad rational literal: ",
-    Domain.GAUSSIAN: "bad Gaussian rational literal: ",
+    Domain.GAUSSIAN: "bad gaussian literal: ",
     Domain.F64: "bad f64 literal: ",
-    Domain.C64: "bad complex literal: ",
+    Domain.C64: "bad c64 literal: ",
 }
 # text: its value or BAD in (rational, gaussian, f64, c64)
 LITERALS = {
@@ -155,15 +155,15 @@ def test_complex_literal_forms(domain, text, value):
 ])
 def test_bad_complex_literals(domain, text):
     with pytest.raises(ValueError,
-                       match="^bad (rational|Gaussian rational|complex) literal"):
+                       match="^bad (rational|gaussian|c64) literal"):
         parse_scalar(domain, text)
 
 
 @pytest.mark.parametrize("domain, text, message", [
     (Domain.RATIONAL, "1/0", "bad rational literal: '1/0'"),
-    (Domain.GAUSSIAN, "1+1/0 i", "bad Gaussian rational literal: '1+1/0 i'"),
+    (Domain.GAUSSIAN, "1+1/0 i", "bad gaussian literal: '1+1/0 i'"),
     (Domain.F64, "1/0", "bad f64 literal: '1/0'"),
-    (Domain.C64, "1/0+1 i", "bad complex literal: '1/0+1 i'"),
+    (Domain.C64, "1/0+1 i", "bad c64 literal: '1/0+1 i'"),
 ], ids=["rational", "gaussian", "f64", "c64"])
 def test_zero_denominator_is_a_bad_literal(domain, text, message):
     with pytest.raises(ValueError) as info:
