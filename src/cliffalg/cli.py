@@ -37,23 +37,34 @@ BROKEN_PIPE = 141
 # reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
 # from its Pauli words in two representations (0.7 s at k = 10), and
 # `witness --n n --m m` writes n nilpotents' m/2 entries, reads n diagonals of
-# m entries and computes n pairs of exact norms, about 7 us per unit of n * m,
-# which may be at most WITNESS_MAX_NM (0.6 s at n = 5000, m = 16).
+# m entries and computes n pairs of exact norms, about 15 us per n plus 2 us
+# per unit of n * m, which may be at most WITNESS_MAX_NM (0.23 s at n = 5000,
+# m = 16, the slowest allowed).
 # `decomp check` multiplies the words of 4**w blade pairs for a block of w
 # generators (0.3 s at w = 10, 16 times that at w = 12); `--cuts 10,20,30` is
 # the slowest allowed (1.4 s), and the bound holds for every `decomp` command.
+# An @file JSON argument is read up to JSON_MAX_BYTES: at 1 MiB the slowest
+# reader, a `gaussian` `deriv extract --table` whose actions are flat sums such
+# as `i*e1+i*e1+...`, takes 1.9 s, and the literal readers (family, skew, map,
+# signature) at most 0.8 s.  An action's powers and products cost more per
+# byte; the parser budgets each action, not the whole table.
 REP_CHECK_MAX_K = 10
 WITNESS_MAX_N = 5000
 WITNESS_MAX_NM = 80_000
 DECOMP_MAX_BLOCK = 10
 DECOMP_MAX_CUT = 30
+JSON_MAX_BYTES = 1 << 20
 
 
 def _load_json(value: str) -> dict:
-    """A JSON object, given literally or as @path-to-file."""
+    """A JSON object, given literally or as @path-to-file of at most
+    JSON_MAX_BYTES bytes."""
     if value.startswith("@"):
-        with open(value[1:], encoding="utf-8") as fh:
-            value = fh.read()
+        with open(value[1:], "rb") as fh:
+            data = fh.read(JSON_MAX_BYTES + 1)
+        if len(data) > JSON_MAX_BYTES:
+            raise ValueError(f"{value[1:]} is larger than {JSON_MAX_BYTES} bytes")
+        value = data.decode("utf-8")
     try:
         obj = json.loads(value)
     except RecursionError:

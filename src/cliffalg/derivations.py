@@ -116,7 +116,7 @@ def family_apply(family, x: Multivector) -> Multivector:
         tail = family.memoized_tail(n)
     check_context(x.context, family.context)
     xs = x.terms.items()
-    acting = [(S, c) for S, c in terms if c and next(_anticommuting(S, xs), None)]
+    acting = [(S, c) for S, c in terms if c]  # ad=True pairs anticommuting blades
     acc = _product(x.context, acting, xs, ad=True) if acting else {}
     for blade, coeff in tail:
         if coeff and next(_anticommuting(blade, xs), None):

@@ -12,13 +12,13 @@ its input sequence tends to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from operator import methodcaller, truediv
 from typing import Callable, Mapping
 
 from . import scalars
-from .core import _common_denominator, _scaled
 from .errors import InvalidAutomorphismError, ShapeMismatchError
 from .scalars import Domain
 
@@ -141,7 +141,7 @@ class TensorElement:
 
 
 def _check_shape(a, b):
-    if a.shape != b.shape:
+    if a.shape is not b.shape and a.shape != b.shape:
         raise ShapeMismatchError("tensor elements built over different shapes")
 
 
@@ -184,13 +184,13 @@ def _operand(a: TensorElement, conjugate: bool):
     element's values are integers over their common denominator; a Gaussian
     element's are its own values over d = 1, conjugated if `conjugate`."""
     if a.shape.domain is Domain.RATIONAL:
-        d = _common_denominator([(None, c) for c, _ in a.terms]
-                                + [e for _, fs in a.terms for _, f in fs for e in f])
-        def value(x):
-            return _scaled(x, d)
-    else:
-        d, value = 1, methodcaller("conjugate") if conjugate else (lambda x: x)
-    return d, [(value(c), {i: {k: value(x) for k, x in f} for i, f in fs})
+        d = math.lcm(*[c.denominator for c, _ in a.terms],
+                     *[x.denominator for _, fs in a.terms for _, f in fs for _, x in f])
+        return d, [(c.numerator * (d // c.denominator),
+                    {i: {k: x.numerator * (d // x.denominator) for k, x in f}
+                     for i, f in fs}) for c, fs in a.terms]
+    value = methodcaller("conjugate") if conjugate else (lambda x: x)
+    return 1, [(value(c), {i: {k: value(x) for k, x in f} for i, f in fs})
                for c, fs in a.terms]
 
 
@@ -266,7 +266,7 @@ class LocalAutomorphism:
 
     def diagonal(self, i: int) -> tuple:
         """The rule's diagonal at factor i, coerced and checked."""
-        d = tuple(scalars.coerce(self.shape.domain, x) for x in self.rule(i))
+        d = tuple([scalars.coerce(self.shape.domain, x) for x in self.rule(i)])
         if len(d) != self.shape.size:
             raise ShapeMismatchError(
                 f"factor {i} expects diagonals of length {self.shape.size}")
@@ -288,25 +288,31 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
     leaves it as it is where d[r] == d[c]: the diagonal, and every entry under
     the identity rule.  This orientation scales the upper block nilpotent at
     factor i by the index-scaling rule's lower diagonal entry.  Conjugation is
-    injective and keeps entries nonzero, so terms stay canonical.
+    injective and keeps entries nonzero, so terms stay canonical.  The rule
+    is read once per factor index per call.
     """
     _check_shape(phi, a)
-    terms = []
+    diagonals, terms = {}, []
     for coeff, factors in a.terms:
         new = []
         for i, f in factors:
-            d = phi.diagonal(i)
-            new.append((i, tuple(((r, c), x if d[r] == d[c] else x * (d[c] / d[r]))
-                                 for (r, c), x in f)))
+            d = diagonals.get(i)
+            if d is None:
+                d = diagonals[i] = phi.diagonal(i)
+            new.append((i, tuple([((r, c), x if d[r] == d[c] else x * (d[c] / d[r]))
+                                  for (r, c), x in f])))
         terms.append((coeff, tuple(new)))
     return TensorElement(a.shape, tuple(terms), _canonical=True)
 
 
-def block_nilpotent(shape: FactorShape, i: int) -> TensorElement:
-    """[[0, I_k], [0, 0]] at factor i (k = m / 2), identity elsewhere."""
+def block_nilpotent(shape: FactorShape, i: int, coeff=1) -> TensorElement:
+    """coeff * [[0, I_k], [0, 0]] at factor i (k = m / 2), identity
+    elsewhere; the zero element for coeff 0."""
     one, k = scalars.one(shape.domain), shape.size // 2
-    f = tuple(((r, r + k), one) for r in range(k))
-    return TensorElement(shape, ((one, ((int(i), f),)),), _canonical=True)
+    coeff = scalars.coerce(shape.domain, coeff)
+    f = tuple([((r, r + k), one) for r in range(k)])
+    return TensorElement(shape, ((coeff, ((int(i), f),)),) if coeff else (),
+                         _canonical=True)
 
 
 def witness_sequence(n_max: int, shape: FactorShape | None = None):
@@ -321,7 +327,7 @@ def witness_sequence(n_max: int, shape: FactorShape | None = None):
     phi = LocalAutomorphism.index_scaling(shape)
     out = []
     for n in range(1, n_max + 1):
-        b = block_nilpotent(shape, n).scale(Fraction(1, n))
+        b = block_nilpotent(shape, n, Fraction(1, n))
         out.append((tp_norm(b), tp_norm(limit_automorphism_apply(phi, b))))
     return out
 

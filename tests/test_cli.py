@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import cliffalg
 from cliffalg import serialize
 from cliffalg.cli import (BROKEN_PIPE, DECOMP_MAX_BLOCK, DECOMP_MAX_CUT,
-                          REP_CHECK_MAX_K, WITNESS_MAX_N, WITNESS_MAX_NM,
-                          _context, build_parser, run)
+                          JSON_MAX_BYTES, REP_CHECK_MAX_K, WITNESS_MAX_N,
+                          WITNESS_MAX_NM, _context, build_parser, run)
 from cliffalg.core import Blade, Context, Multivector, mv_product
 from cliffalg.errors import DigitLimitError, ParseError
 from cliffalg.expr import (MAX_EXPONENT, MAX_GENERATOR, MAX_PRODUCT_PAIRS,
@@ -690,6 +690,32 @@ class TestJsonInputs:
         assert run(["--config", str(cfg), *flags, "eval", "e1"]) == 2
         assert capsys.readouterr().err == \
             "error: expected a JSON object, got list\n"
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)],
+                             ids=["at-limit", "one-byte-over"])
+    def test_json_file_size_limit(self, extra, code, tmp_path, capsys):
+        doc = '{"parity":"even","terms":[{"blade":[1,2],"coeff":"1"}]}'
+        path = tmp_path / "family.json"
+        path.write_text(doc.ljust(JSON_MAX_BYTES + extra))
+        assert path.stat().st_size == JSON_MAX_BYTES + extra
+        assert run(["deriv", "apply", "--family", f"@{path}", "e2"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == (
+                "", f"error: {path} is larger than {JSON_MAX_BYTES} bytes\n")
+        else:
+            assert (out, err) == ("2*e1\n", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    @pytest.mark.parametrize("flags", [
+        ["deriv", "apply", "--family", "@/dev/zero", "e1"],
+        ["--signature", "@/dev/zero", "eval", "e1"],
+        ["--config", "/dev/zero", "eval", "e1"],
+    ], ids=["family", "signature", "config"])
+    def test_endless_json_file_is_refused(self, flags, capsys):
+        assert run(flags) == 2
+        assert capsys.readouterr().err == \
+            f"error: /dev/zero is larger than {JSON_MAX_BYTES} bytes\n"
 
 
 def _cli_env():

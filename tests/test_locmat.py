@@ -415,6 +415,22 @@ class TestLimitAutomorphism:
         with pytest.raises(ShapeMismatchError):
             limit_automorphism_apply(phi, elem(1, {1: A1}))
 
+    def test_rule_is_read_once_per_factor(self):
+        calls = {}
+
+        def rule(i):
+            calls[i] = calls.get(i, 0) + 1
+            return (1, i + 1)
+
+        phi = LocalAutomorphism(SHAPE, rule)
+        terms = [(1, {1: A1, 2: E11}), (2, {2: A1, 3: A1}), (-3, {1: E11, 3: A1})]
+        a = TensorElement.build(SHAPE, terms)
+        got = limit_automorphism_apply(phi, a)
+        assert calls == {1: 1, 2: 1, 3: 1}
+        one_by_one = [limit_automorphism_apply(phi, TensorElement.build(SHAPE, [t]))
+                      for t in terms]
+        assert got.terms == tuple(t for b in one_by_one for t in b.terms)
+
 
 def random_diagonal(rng, domain, m):
     """Nonzero diagonal entries: negative and fractional, and multiples of i
@@ -489,6 +505,26 @@ class TestWitness:
         assert firsts == [Fraction(1, 2 * n * n) for n in range(1, 11)]
         assert all(a > b for a, b in zip(firsts, firsts[1:]))
         assert {b for _, b in pairs} == {Fraction(1, 2)}
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    @pytest.mark.parametrize("domain", EXACT, ids=lambda d: d.value)
+    def test_exact_pairs_for_every_size(self, domain, m):
+        # tp_norm, and so the witness, is rational only; in gaussian the
+        # same pairs are the pairings tr(x x*) of the same elements
+        shape = FactorShape(domain, m)
+        value = lambda x: scalars.coerce(domain, x)
+        want = [(value(Fraction(1, 2 * n * n)), value(Fraction(1, 2)))
+                for n in range(1, 41)]
+        if domain is Domain.RATIONAL:
+            got = witness_sequence(40, shape)
+        else:
+            with pytest.raises(UnsupportedDomainError):
+                witness_sequence(40, shape)
+            phi = LocalAutomorphism.index_scaling(shape)
+            bs = [block_nilpotent(shape, n, Fraction(1, n)) for n in range(1, 41)]
+            got = [(_pairing(b, b), _pairing(pb, pb))
+                   for b, pb in ((b, limit_automorphism_apply(phi, b)) for b in bs)]
+        assert repr(got) == repr(want)
 
     def test_verdict(self):
         half = Fraction(1, 2)
@@ -611,3 +647,16 @@ class TestCanonicalByConstruction:
         assert repr(b.terms) == \
             repr(TensorElement.single(shape, 1, {5: rows}).terms)
         assert_stored_form(b)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("domain", EXACT, ids=lambda d: d.value)
+    def test_scaled_block_nilpotent_matches_scale(self, domain, m):
+        shape = FactorShape(domain, m)
+        coeffs = [0, 1, -2, Fraction(1, 7), Fraction(-3, 4)]
+        if domain is Domain.GAUSSIAN:
+            coeffs += [GaussianRational.of(0), GaussianRational.of(Fraction(1, 3), -2)]
+        for c in coeffs:
+            b = block_nilpotent(shape, 3, c)
+            assert repr(b.terms) == repr(block_nilpotent(shape, 3).scale(c).terms)
+            assert_stored_form(b)
+        assert block_nilpotent(shape, 3, 0) == TensorElement.zero(shape)

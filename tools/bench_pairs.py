@@ -14,12 +14,15 @@ to the current directory.  The file keeps every run's final JSON line and, per s
 end-to-end metric of BENCHMARK.json, the median and quartiles
 (statistics.quantiles, n=4, inclusive), the change/parent ratio of the
 medians, the parent's spread (q3 - q1) / median and how many pairs the
-change won (ties count for neither side).
+change won (ties count for neither side).  Each side's code is named by
+its git commit or, for a checkout outside git, by "sha256:" and a digest
+over the sorted paths and bytes of its src/ and cliffbench/ files.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import statistics
@@ -41,10 +44,20 @@ def _args(argv):
     return p.parse_args(argv)
 
 
-def _commit(checkout: Path) -> str | None:
+def _commit(checkout: Path) -> str:
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    if proc.stdout.strip():
+        return proc.stdout.strip()
+    digest = hashlib.sha256()
+    paths = sorted(p.relative_to(checkout).as_posix()
+                   for top in ("src", "cliffbench") for p in (checkout / top).rglob("*")
+                   if p.is_file() and "__pycache__" not in p.parts)
+    for path in paths:
+        data = (checkout / path).read_bytes()
+        digest.update(f"{path}\0{len(data)}\0".encode())
+        digest.update(data)
+    return "sha256:" + digest.hexdigest()
 
 
 def _compile(checkout: Path) -> None:
