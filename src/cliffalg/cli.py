@@ -47,7 +47,7 @@ BROKEN_PIPE = 141
 # reader, a `gaussian` `deriv extract --table` whose actions are flat sums such
 # as `i*e1+i*e1+...`, takes 1.9 s, and the literal readers (family, skew, map,
 # signature) at most 0.8 s.  An action's powers and products cost more per
-# byte; the parser budgets each action, not the whole table.
+# byte, and all of a table's actions share one parse budget (about 2 s).
 REP_CHECK_MAX_K = 10
 WITNESS_MAX_N = 5000
 WITNESS_MAX_NM = 80_000

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 from . import scalars
 from .errors import (DegenerateFormError, DomainMismatchError,
                      UnsupportedDomainError)
-from .scalars import Domain
+from .scalars import Domain, reduced
 
 
 class Blade(int):
@@ -85,19 +85,21 @@ class Blade(int):
 UNIT_BLADE = Blade(0)
 
 
-def _denominator(value) -> int:
-    """Smallest positive d with d * value integral (exact domains)."""
-    if isinstance(value, scalars.GaussianRational):
-        return math.lcm(value.re.denominator, value.im.denominator)
-    return value.denominator
-
-
-def _scaled(value, den: int):
-    """den * value as an int, or an (re, im) pair of ints for a Gaussian
-    value; `den` must clear value's denominator."""
-    if isinstance(value, scalars.GaussianRational):
-        return _scaled(value.re, den), _scaled(value.im, den)
-    return value.numerator * (den // value.denominator)
+def _numerators(pairs, gaussian: bool, scale: int = 1) -> tuple[int, list]:
+    """(den, [(key, n)]) for (key, exact value) pairs: den is the lcm of the
+    values' denominators and n = scale * den * value, an int, or an (re, im)
+    pair of ints for Gaussian values; each value's parts are read once."""
+    if gaussian:
+        rows = [(k, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
+                for k, c in pairs]
+        den = math.lcm(*[r[2] for r in rows], *[r[4] for r in rows])
+        f = scale * den
+        return den, [(k, (rn * (f // rd), im * (f // idn)))
+                     for k, rn, rd, im, idn in rows]
+    rows = [(k, c.numerator, c.denominator) for k, c in pairs]
+    den = math.lcm(*[d for _, _, d in rows])
+    f = scale * den
+    return den, [(k, n * (f // d)) for k, n, d in rows]
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,9 @@ class Context:
         table = dict(reversed(overrides))
         den, nums, num_default = 1, None, None
         if self.domain.is_exact:
-            den = math.lcm(_denominator(default), *map(_denominator, table.values()))
-            nums = {k: _scaled(v, den) for k, v in table.items()}
-            num_default = _scaled(default, den)
+            den, nums = _numerators([(0, default), *table.items()],
+                                    self.domain is Domain.GAUSSIAN)
+            (_, num_default), nums = nums[0], dict(nums[1:])
         keys, mask = [1 << (k - 1) for k in table], -1
         if default == 1 and self.domain is not Domain.C64:
             mask = sum(keys)
@@ -376,16 +378,10 @@ def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
 
 def _from_numerators(items: Iterable, den: int, gaussian: bool) -> dict:
     """{blade: n / den} for (blade, n) pairs with int numerators n, (re, im)
-    pairs for Gaussian."""
+    pairs for Gaussian, each value built reduced by scalars.reduced."""
     if gaussian:
-        return {blade: scalars.GaussianRational(Fraction(re, den), Fraction(im, den))
-                for blade, (re, im) in items}
-    return {blade: Fraction(n, den) for blade, n in items}
-
-
-def _common_denominator(pairs) -> int:
-    """The lcm of the denominators of the values in (blade, value) pairs."""
-    return math.lcm(*[_denominator(c) for _, c in pairs])
+        return {blade: reduced(re, den, im) for blade, (re, im) in items}
+    return {blade: reduced(n, den) for blade, n in items}
 
 
 def linear_combine(pairs: Iterable[tuple[object, Multivector]],
@@ -409,13 +405,14 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
             _accumulate(terms, ((blade, c * value) for blade, c in mv.terms.items()))
         return Multivector(context, terms, _canonical=True)
     gaussian = context.domain is Domain.GAUSSIAN
-    dens = [_common_denominator(mv.terms.items()) for _, mv in checked]
-    den = math.lcm(*(d * _denominator(value) for (value, _), d in zip(checked, dens)))
+    reads = [(_numerators([(None, value)], gaussian),
+              _numerators(mv.terms.items(), gaussian)) for value, mv in checked]
+    den = math.lcm(*(dv * d for (dv, _), (d, _) in reads))
     acc = {}
-    for (value, mv), d in zip(checked, dens):
-        f = _scaled(value, den // d)
-        for blade, c in mv.terms.items():
-            n = _scaled(c, d)
+    for (dv, [(_, f)]), (d, nums) in reads:
+        k = den // (dv * d)  # f = value * den / d
+        f = (f[0] * k, f[1] * k) if gaussian else f * k
+        for blade, n in nums:
             s = acc.get(blade)
             if gaussian:
                 t = n[0] * f[0] - n[1] * f[1], n[0] * f[1] + n[1] * f[0]
@@ -481,10 +478,10 @@ def _product(ctx: Context, a, b, ad: bool = False) -> dict:
     """
     exact = ctx.domain.is_exact
     if exact:
-        da, db = _common_denominator(a), _common_denominator(b)
-        fa = 2 * da if ad else da
-        a = [(A, _scaled(ca, fa)) for A, ca in a]
-        tb = [(B, _prefix_parity(B), _scaled(cb, db)) for B, cb in b]
+        gaussian = ctx.domain is Domain.GAUSSIAN
+        da, a = _numerators(a, gaussian, 2 if ad else 1)
+        db, b = _numerators(b, gaussian)
+        tb = [(B, _prefix_parity(B), cb) for B, cb in b]
         # Every weight is a product of q_k over masked generators both touch.
         ka = kb = 0
         for A, _ in a:
@@ -493,7 +490,7 @@ def _product(ctx: Context, a, b, ad: bool = False) -> dict:
             kb |= B
         width = (ka & kb & ctx._mask).bit_count()
         den = da * db * ctx._qden ** width
-        if ctx.domain is Domain.GAUSSIAN:
+        if gaussian:
             acc = _gaussian_loop(ctx, a, tb, ad, width)
             return _from_numerators(zip(map(Blade, acc), acc.values()), den, True)
     else:

@@ -24,12 +24,13 @@ each '*' of a run is charged, and checked, as its product would be.
 Generator indices are at most MAX_GENERATOR: a blade is a bitmask as wide
 as its top index, and every product works on the whole mask.  One parse
 forms at most MAX_PRODUCT_PAIRS blade pairs over all its products, so a
-short text cannot ask for 2^30 terms; a pair counts once per interpreter
-digit of its coefficients.  In the exact domains the largest coefficient
-sizes of a product's operands (numerator plus denominator bits, over both
-parts of a Gaussian value) add up to at most MAX_COEFF_BITS, so a short
-power cannot grow million-bit coefficients.  Lexing and summing take time
-linear in the text.
+short text cannot ask for 2^30 terms, and `parse_all` charges a list of
+texts (a `deriv extract` table) against one such budget; a pair counts
+once per interpreter digit of its coefficients.  In the exact domains the
+largest coefficient sizes of a product's operands (numerator plus
+denominator bits, over both parts of a Gaussian value) add up to at most
+MAX_COEFF_BITS, so a short power cannot grow million-bit coefficients.
+Lexing and summing take time linear in the text.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import scalars
 from .core import (Context, Multivector, _accumulate, _relabel, mv_product,
@@ -88,13 +90,13 @@ def _lex(text: str) -> tuple[list[str], list[int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, context: Context):
+    def __init__(self, text: str, context: Context, pairs: int = 0):
         self.text = text
         self.tokens, self.offsets = _lex(text)
         self.pos = 0  # index of the current token, self.tok
         self.tok = self.tokens[0]
         self.context = context
-        self.pairs = 0  # blade pairs of every product formed so far
+        self.pairs = pairs  # blade pairs of every product formed so far
         # c64 runs every product: its weight +-(1+0j) can change a zero or inf
         self.fold = context.domain is not Domain.C64
         self.unit_bits = (_coeff_bits(context._one) if context.domain.is_exact
@@ -285,10 +287,20 @@ class _Parser:
 
 def parse(text: str, context: Context) -> Multivector:
     """Parse and evaluate an expression in the given context."""
-    parser = _Parser(text, context)
-    if not parser.tok:
-        raise ParseError("empty expression")
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise parser.error("expression nests too deeply", parser.pos) from None
+    return parse_all([text], context)[0]
+
+
+def parse_all(texts: Iterable[str], context: Context) -> list[Multivector]:
+    """Parse and evaluate expressions in the given context, in order; the
+    products of all of them share one MAX_PRODUCT_PAIRS budget."""
+    pairs, out = 0, []
+    for text in texts:
+        parser = _Parser(text, context, pairs)
+        if not parser.tok:
+            raise ParseError("empty expression")
+        try:
+            out.append(parser.parse())
+        except RecursionError:
+            raise parser.error("expression nests too deeply", parser.pos) from None
+        pairs = parser.pairs
+    return out

@@ -225,7 +225,7 @@ def _pairing(a: TensorElement, b: TensorElement):
                     v *= p
             acc[len(u)] = acc.get(len(u), 0) + v
     base = da * db * m
-    divide = Fraction if rational else truediv
+    divide = scalars.reduced if rational else truediv
     values = [divide(v, da * db * base ** k) for k, v in acc.items()]
     return sum(values[1:], values[0]) if values else scalars.zero(domain)
 

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .errors import DigitLimitError, DomainMismatchError, UnsupportedDomainError
 
@@ -40,7 +41,7 @@ class Domain(Enum):
                 f"{what} are exact; use rational or gaussian domains")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianRational:
     """Exact a + b*i with rational a, b and i**2 == -1."""
 
@@ -137,6 +138,25 @@ def _as_gaussian(x):
 
 
 I_GAUSSIAN = GaussianRational(Fraction(0), Fraction(1))
+
+_new = object.__new__
+_set_re, _set_im = GaussianRational.re.__set__, GaussianRational.im.__set__
+
+
+def reduced(re: int, den: int, im: int | None = None):
+    """Fraction(re, den), or GaussianRational(Fraction(re, den), Fraction(im,
+    den)) when im is given, for ints and den > 0: built in lowest terms by one
+    gcd per part, with no second normalization and no __init__."""
+    g = gcd(re, den)
+    x = _new(Fraction)
+    x._numerator, x._denominator = re // g, den // g
+    if im is None:
+        return x
+    z = _new(GaussianRational)
+    _set_re(z, x)
+    _set_im(z, reduced(im, den))
+    return z
+
 
 # A literal is "re", "re +- im i", "+- im i" or "im i", in ASCII digits and
 # spaces only (re.ASCII; Fraction and float read any Unicode digit, and float

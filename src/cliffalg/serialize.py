@@ -12,7 +12,7 @@ from typing import Any
 from . import scalars
 from .core import Blade, Context, Multivector
 from .derivations import AdFamily, OrthogonalMap, SkewMap
-from .expr import MAX_GENERATOR, parse
+from .expr import MAX_GENERATOR, parse_all
 from .scalars import Domain
 
 
@@ -131,9 +131,11 @@ def orthogonal_from_json(obj: dict, context: Context):
 
 @_reader
 def table_from_json(obj: dict, context: Context) -> dict:
-    """The `deriv extract` table {"actions": {"k": "expr"}}: k -> D(v_k)."""
-    return {integer("generator index", k, 1, MAX_GENERATOR): parse(v, context)
-            for k, v in obj["actions"].items()}
+    """The `deriv extract` table {"actions": {"k": "expr"}}: k -> D(v_k), the
+    keys read first and the actions parsed against one budget."""
+    actions = obj["actions"]
+    return dict(zip([integer("generator index", k, 1, MAX_GENERATOR) for k in actions],
+                    parse_all(actions.values(), context)))
 
 
 def chain_to_json(chain) -> dict:

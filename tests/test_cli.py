@@ -183,6 +183,24 @@ class TestLimits:
         assert all(line.startswith("error: generator index exceeds the limit")
                    for line in err)
 
+    @pytest.mark.parametrize("atom", ["i^9999", "e1^9999"])
+    def test_one_parse_budget_per_table(self, atom, tmp_path, capsys):
+        # 20 actions of 13 kB, each within the budget on its own: with a
+        # budget per action the table (0.26 MB) took 6-7 s to parse; one
+        # budget for the table refuses it in about 2 s on a 2-vCPU VM
+        terms = "+".join([atom] * (13_000 // (len(atom) + 1)))
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"actions": {str(k): terms
+                                                for k in range(1, 21)}}))
+        start = time.perf_counter()
+        assert run(["--domain", "gaussian", "deriv", "extract", "--parity",
+                    "even", "--bound", "20", "--table", f"@{path}"]) == 2
+        assert time.perf_counter() - start < 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: expression needs more than "
+                              f"{MAX_PRODUCT_PAIRS} blade products")
+
     # odd extraction probes k = 1..bound+1, so its bound stops one short
     EXTRACT_LIMITS = {"even": MAX_GENERATOR, "odd": MAX_GENERATOR - 1}
 

@@ -2,8 +2,9 @@
 the package imports nothing outside the standard library, every module
 but `__init__` and `__main__` is imported by another package module, so no
 module lives on for the tests alone (test oracles live in tests/), each
-precondition's error is raised by one function, and the product kernel and
-its integer-numerator helpers are defined once, in `core`."""
+precondition's error is raised by one function, the product kernel and
+its integer-numerator helpers are defined once, in `core`, and only
+`scalars` builds a value past its constructor."""
 
 import ast
 import re
@@ -260,8 +261,8 @@ def definitions(source: str, names) -> list:
 
 # the integer-numerator helpers and the multiply-accumulate kernel: other
 # modules import them from core, so a second copy fails the scan
-CORE_ONLY = ("_denominator", "_scaled", "_common_denominator", "_int_weight",
-             "_from_numerators", "_product", "_gaussian_loop", "_anticommuting")
+CORE_ONLY = ("_numerators", "_int_weight", "_from_numerators", "_product",
+             "_gaussian_loop", "_anticommuting")
 
 
 def test_numerator_helpers_are_defined_in_core_alone():
@@ -274,19 +275,61 @@ def test_numerator_helpers_are_defined_in_core_alone():
 
 def test_the_scan_sees_definitions():
     source = '''
-from .core import _scaled, _denominator as _den
+from .core import _numerators, _product as _p
 
 
 class C:
-    def _scaled(self, x):
+    def _numerators(self, x):
         def _int_weight(y):
             return y
         return x
 
 
 _from_numerators = dict
-_den, (_common_denominator, z) = 1, (2, 3)
+_p, (_anticommuting, z) = 1, (2, 3)
 '''
     assert definitions(source, CORE_ONLY) == [
-        "_scaled", "_int_weight", "_from_numerators", "_common_denominator"]
-    assert definitions("x = _scaled(1, 2)\n", CORE_ONLY) == []
+        "_numerators", "_int_weight", "_from_numerators", "_anticommuting"]
+    assert definitions("x = _numerators(1, 2)\n", CORE_ONLY) == []
+
+
+def layout_writes(source: str) -> list:
+    """(name, line) for each store to a `_numerator` or `_denominator`
+    attribute and each `object.__new__`, in source order: a value built past
+    its constructor, which relies on how its type is laid out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if (node.attr in ("_numerator", "_denominator")
+                and isinstance(node.ctx, ast.Store)
+                or node.attr == "__new__" and isinstance(node.value, ast.Name)
+                and node.value.id == "object"):
+            found.append((node.lineno, node.col_offset, node.attr))
+    return [(name, line) for line, _, name in sorted(found)]
+
+
+def test_values_are_built_past_their_constructors_in_scalars_alone():
+    found = {path.stem: sorted({name for name, _ in layout_writes(
+                 path.read_text(encoding="utf-8"))})
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == \
+        {"scalars": ["__new__", "_denominator", "_numerator"]}
+
+
+def test_the_scan_sees_layout_writes():
+    source = '''
+new = object.__new__
+x = new(Fraction)
+x._numerator, x._denominator = 1, 2
+x._denominator += 0
+n = x._numerator + y.__new__(Fraction)._denominator
+
+
+class F:
+    def f(self):
+        return object.__new__(F)
+'''
+    assert layout_writes(source) == [
+        ("__new__", 2), ("_numerator", 4), ("_denominator", 4),
+        ("_denominator", 5), ("__new__", 11)]

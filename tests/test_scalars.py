@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cliffalg.scalars import Domain, GaussianRational, format_scalar, parse_scalar
+from cliffalg.scalars import (Domain, GaussianRational, format_scalar,
+                              parse_scalar, reduced)
 
 fractions = st.fractions(max_denominator=10 ** 6)
 # exponents, +-inf and subnormals; nan is not == to itself
@@ -186,3 +189,50 @@ def test_json_numbers(domain):
         assert parse_scalar(domain, 1.5) == 1.5
         with pytest.raises(ValueError, match=f"^bad {domain.value} literal: 1000"):
             parse_scalar(domain, 10 ** 400)
+
+
+# reduced(re, den[, im]) builds values past their constructors, so these rows
+# pin it to Fraction's layout on every interpreter the package supports
+DENOMINATORS = {"1": 1, "840": 840, "prime": 2 ** 61 - 1, "10^25": 10 ** 25}
+
+
+def _numerators(d: int) -> list:
+    """(id, n) rows for the denominator d."""
+    big = 2 ** 70 + 3
+    return [("0", 0), ("1", 1), ("-1", -1), ("d", d), ("-d", -d),
+            ("2^70+3", big), ("-(2^70+3)", -big),
+            ("random", random.Random(d).randrange(-10 ** 40, 10 ** 40))]
+
+
+def _same_fraction(got, want: Fraction) -> bool:
+    return (type(got) is Fraction and got.numerator == want.numerator
+            and got.denominator == want.denominator
+            and hash(got) == hash(want) and repr(got) == repr(want))
+
+
+@pytest.mark.parametrize("n, d", [
+    pytest.param(n, d, id=f"{nid}-over-{did}")
+    for did, d in DENOMINATORS.items() for nid, n in _numerators(d)
+])
+def test_reduced_is_fraction(n, d):
+    assert _same_fraction(reduced(n, d), Fraction(n, d))
+
+
+@pytest.mark.parametrize("re, im, d", [
+    pytest.param(re, im, d, id=f"{rid}-{iid}-over-{did}")
+    for did, d in DENOMINATORS.items()
+    for (rid, re), (iid, im) in zip(_numerators(d),
+                                    _numerators(d)[1:] + [("0", 0)])
+] + [pytest.param(840, 0, 840, id="d-0-over-840")])
+def test_reduced_gaussian(re, im, d):
+    got = reduced(re, d, im)
+    want = GaussianRational(Fraction(re, d), Fraction(im, d))
+    assert type(got) is GaussianRational
+    assert _same_fraction(got.re, want.re) and _same_fraction(got.im, want.im)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    if im == 0:
+        assert got == Fraction(re, d) and hash(got) == hash(Fraction(re, d))
+    for name in ("re", "im"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, name, Fraction(1))
+    assert (got.re, got.im) == (want.re, want.im)
