@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, or_
 
 import pytest
 
@@ -103,6 +103,26 @@ def kernel_contexts(domain, infinite=True):
         if infinite:
             out.append(Context.make(domain, overrides={2: math.inf}))
     return out
+
+
+def value_bits(c):
+    """A value's repr with the sign of each float part: repr tells -0.0 from
+    0.0 but prints nan for both signs."""
+    if isinstance(c, float):
+        return repr(c), math.copysign(1, c)
+    if isinstance(c, complex):
+        return repr(c), math.copysign(1, c.real), math.copysign(1, c.imag)
+    return repr(c)
+
+
+def kernel_path(ctx, a_blades, b_blades) -> str:
+    """The loop the product kernel runs for operands with these blades (a's
+    listed once per term): "rows" when a's blades fall into at most 8 weight
+    classes A & kb & mask, kb the OR of b's blades, with at least two blades
+    per class; else "pairs", a weight lookup per pair."""
+    kb = reduce(or_, b_blades, 0) & ctx._mask
+    classes = {A & kb for A in a_blades}
+    return "rows" if len(classes) <= 8 and len(a_blades) >= 2 * len(classes) else "pairs"
 
 
 # The dense Kronecker oracle: matrices as tuples of row tuples, and a

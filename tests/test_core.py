@@ -15,8 +15,9 @@ from cliffalg.core import (Blade, Context, Multivector, _weight,
 from cliffalg.errors import (DegenerateFormError, DomainMismatchError)
 from cliffalg.scalars import Domain, GaussianRational
 
-from conftest import (kernel_contexts, naive_blade_product, naive_reverse_sign,
-                      random_dense, random_multivector, random_scalar)
+from conftest import (kernel_contexts, kernel_path, naive_blade_product,
+                      naive_reverse_sign, random_dense, random_multivector,
+                      random_scalar, value_bits)
 
 CTX = Context.make()
 
@@ -229,16 +230,18 @@ def pairwise_product(a, b) -> dict:
 def test_product_is_ordered_pairwise_blade_sum(domain):
     rng = random.Random(f"kernel-{domain.value}")
     sizes = ((0, 0), (0, 5), (1, 1), (1, 7), (7, 1), (2, 3), (30, 40))
+    paths = set()
     for ctx in kernel_contexts(domain):
         for n in (3, 8, 12):
             for size_a, size_b in sizes:
                 a = random_dense(rng, ctx, n, size_a)
                 b = random_dense(rng, ctx, n, size_b)
+                paths.add(kernel_path(ctx, list(a.terms), b.terms))
                 got = mv_product(a, b)
-                # repr tells -0.0 from 0.0 and matches nan
-                assert [(x, repr(c)) for x, c in got.terms.items()] == \
-                    [(x, repr(c)) for x, c in pairwise_product(a, b).items()]
+                assert [(x, value_bits(c)) for x, c in got.terms.items()] == \
+                    [(x, value_bits(c)) for x, c in pairwise_product(a, b).items()]
                 assert all(type(x) is Blade for x in got.terms)
+    assert paths == {"rows", "pairs"}
 
 
 _Q_VALUES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 7), Fraction(3))

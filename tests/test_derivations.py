@@ -13,8 +13,9 @@ from cliffalg.errors import (ContractViolationError, NotAdSumError,
                              NotBogolyubovError, NotSkewError, ParityError)
 from cliffalg.scalars import Domain
 
-from conftest import (kernel_contexts, random_blade, random_dense,
-                      random_multivector, random_rational, random_scalar)
+from conftest import (kernel_contexts, kernel_path, random_blade, random_dense,
+                      random_multivector, random_rational, random_scalar,
+                      value_bits)
 
 CTX = Context.make()
 
@@ -141,14 +142,21 @@ class TestFamilyApply:
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_matches_the_ad_blade_sum_in_value_and_order(self, domain, rng):
         # family_apply doubles each float sum once, which must equal these
-        # sums of doubled pairs bit for bit: repr tells -0.0 from 0.0
+        # sums of doubled pairs bit for bit
+        paths = set()
+
         def check(source, x):
             pairs = source.terms if isinstance(source, AdFamily) else source.prefix(10)
             want = {}
             for blade, coeff in pairs:
                 _accumulate(want, ad_blade(blade, coeff, x))
+            acting = (source.terms if isinstance(source, AdFamily)
+                      else source.prefix(source.cutoff(x.max_index())))
+            if any(c for _, c in acting):
+                paths.add(kernel_path(ctx, [S for S, c in acting if c], x.terms))
             got = family_apply(source, x).terms
-            assert repr(list(got.items())) == repr(list(want.items()))
+            assert [(repr(b), value_bits(c)) for b, c in got.items()] == \
+                [(repr(b), value_bits(c)) for b, c in want.items()]
             assert list(map(type, got.values())) == list(map(type, want.values()))
 
         for ctx in kernel_contexts(domain, infinite=False):
@@ -170,6 +178,7 @@ class TestFamilyApply:
                     x = random_dense(rng, ctx, 6, count)
                     check(stream, x)
                     check(family, x)
+        assert paths == {"rows", "pairs"}
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_memoized_tail_past_the_cutoff_still_raises(self, domain):
