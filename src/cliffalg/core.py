@@ -466,40 +466,68 @@ def _product(ctx: Context, a, b, ad: bool = False) -> dict:
     """The product of the (blade, nonzero coefficient) pairs a and b, or with
     `ad` the commutator ab - ba: twice the anticommuting pairs alone.
 
-    Rational and float pairs run one loop, summing ca * cb * w per output
-    blade in pair order, with w computed once per key = (A & B & mask) << 1
-    | reordering sign.  Exact coefficients are first brought to integers over
-    one denominator per operand (a's doubled under `ad`), so rational sums
-    are plain ints and Gaussian ones (re, im) pairs, in a loop of their own.
-    Float sums are those of blade_product terms; under `ad` each is doubled
-    once, which is the sum of the doubled pairs unless a partial sum passes
-    half the largest float.  A sum that reaches zero is dropped (pop: a float
-    pair can underflow to 0 before its blade has a sum).
+    Each pair adds ca * cb * w to its blade's sum, in pair order.  Exact
+    values are first brought to integers over one denominator per operand
+    (a's doubled under `ad`): ints, or (re, im) pairs in a loop of their own.
+    The weight w, the reordering sign times the q_k over A & B & mask, sees A
+    only through its class A & kb, kb the masked OR of b's blades.  When a
+    falls into at most 8 classes (three masked generators) with at least four
+    terms each, every class gets a row of b with its weights folded in
+    (_rows): at most 8 * len(b) entries, each read four times or more, which
+    repays building it.  Otherwise each pair looks w up by key = (A & B &
+    mask) << 1 | sign.  Float sums are those of blade_product terms; under
+    `ad` each is doubled once, which is the sum of the doubled pairs unless a
+    partial sum passes half the largest float.  A sum that reaches zero is
+    dropped (pop: a float pair can underflow to 0 before its blade has a sum).
     """
     exact = ctx.domain.is_exact
+    gaussian = ctx.domain is Domain.GAUSSIAN
     if exact:
-        gaussian = ctx.domain is Domain.GAUSSIAN
         da, a = _numerators(a, gaussian, 2 if ad else 1)
         db, b = _numerators(b, gaussian)
-        tb = [(B, _prefix_parity(B), cb) for B, cb in b]
-        # Every weight is a product of q_k over masked generators both touch.
-        ka = kb = 0
-        for A, _ in a:
-            ka |= A
-        for B, _, _ in tb:
-            kb |= B
-        width = (ka & kb & ctx._mask).bit_count()
-        den = da * db * ctx._qden ** width
-        if gaussian:
-            acc = _gaussian_loop(ctx, a, tb, ad, width)
-            return _from_numerators(zip(map(Blade, acc), acc.values()), den, True)
-    else:
-        tb = [(B, _prefix_parity(B), cb) for B, cb in b]
+    tb = [(B, _prefix_parity(B), cb) for B, cb in b]
+    ka = kb = 0
+    for A, _ in a:
+        ka |= A
+    for B, _, _ in tb:
+        kb |= B
+    kb &= ctx._mask
+    width = (ka & kb).bit_count()
+    rows = len(a) >= 4 and _rows(ctx, a, tb, kb, width)
+    if gaussian:
+        acc = _gaussian_loop(ctx, a, tb, ad, width, rows, kb)
+        return _from_numerators(zip(map(Blade, acc), acc.values()),
+                                da * db * ctx._qden ** width, True)
     mask = ctx._mask
     weights = {}
     acc = {}
     get = acc.get
     for A, ca in a:
+        if rows and exact:
+            signed = ca, -ca
+            row = rows[A & kb]
+            for B, P, cb in _anticommuting(A, row) if ad else row:
+                v = signed[(A & P).bit_count() & 1] * cb
+                x = A ^ B
+                s = get(x)
+                s = v if s is None else s + v
+                if s:
+                    acc[x] = s
+                else:
+                    acc.pop(x, None)
+            continue
+        if rows:
+            row = rows[A & kb]
+            for B, P, cb, w in _anticommuting(A, row) if ad else row:
+                v = ca * cb * w[(A & P).bit_count() & 1]
+                x = A ^ B
+                s = get(x)
+                s = v if s is None else s + v
+                if s:
+                    acc[x] = s
+                else:
+                    acc.pop(x, None)
+            continue
         Am = A & mask
         for B, P, cb in _anticommuting(A, tb) if ad else tb:
             key = (Am & B) << 1 | (A & P).bit_count() & 1
@@ -516,19 +544,63 @@ def _product(ctx: Context, a, b, ad: bool = False) -> dict:
             else:
                 acc.pop(x, None)
     if exact:
-        return _from_numerators(zip(map(Blade, acc), acc.values()), den, False)
+        return _from_numerators(zip(map(Blade, acc), acc.values()),
+                                da * db * ctx._qden ** width, False)
     if ad:
         return {Blade(x): s + s for x, s in acc.items()}
     return {Blade(x): s for x, s in acc.items()}
 
 
-def _gaussian_loop(ctx: Context, a, tb, ad: bool, width: int) -> dict:
+def _rows(ctx: Context, a, tb, kb: int, width: int) -> dict | None:
+    """{class c: tb with each cb folded with the weight w of c & B}, or None
+    unless a falls into at most 8 classes A & kb, four terms or more each.  An
+    exact entry holds cb * w, an int or (re, im) numerator over qden**width
+    (the row is tb itself when width is 0); a float one holds cb and (w, -w),
+    both built by _weight, so that a pair multiplies in blade_product's order."""
+    classes = {A & kb for A, _ in a}
+    if len(classes) > 8 or len(a) < 4 * len(classes):
+        return None
+    exact = ctx.domain.is_exact
+    if exact and not width:
+        return {0: tb}
+    rows = {}
+    for c in classes:
+        ws = {k: _int_weight(ctx, k, 0, width) if exact
+              else (_weight(ctx, k, 0), _weight(ctx, k, 1))
+              for k in {c & B for B, _, _ in tb}}
+        if ctx.domain is Domain.GAUSSIAN:
+            rows[c] = [(B, P, (br * wr - bi * wi, br * wi + bi * wr))
+                       for B, P, (br, bi) in tb for wr, wi in (ws[c & B],)]
+        else:
+            rows[c] = [(B, P, cb * ws[c & B]) if exact else (B, P, cb, ws[c & B])
+                       for B, P, cb in tb]
+    return rows
+
+
+def _gaussian_loop(ctx: Context, a, tb, ad: bool, width: int, rows, kb: int) -> dict:
     """_product's loop on (re, im) integer numerators."""
     mask = ctx._mask
     weights = {}
     acc = {}
     get = acc.get
     for A, (ar, ai) in a:
+        if rows:
+            signed = (ar, ai), (-ar, -ai)
+            row = rows[A & kb]
+            for B, P, (br, bi) in _anticommuting(A, row) if ad else row:
+                xr, xi = signed[(A & P).bit_count() & 1]
+                re = xr * br - xi * bi
+                im = xr * bi + xi * br
+                x = A ^ B
+                s = get(x)
+                if s is not None:
+                    re += s[0]
+                    im += s[1]
+                if re or im:
+                    acc[x] = re, im
+                else:
+                    acc.pop(x, None)
+            continue
         Am = A & mask
         for B, P, (br, bi) in _anticommuting(A, tb) if ad else tb:
             key = (Am & B) << 1 | (A & P).bit_count() & 1

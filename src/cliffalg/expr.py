@@ -69,9 +69,11 @@ def _error(text: str, message: str, pos: int) -> ParseError:
 def _coeff_bits(value) -> int:
     """Numerator plus denominator bits of an exact value, over both parts of
     a Gaussian one."""
-    parts = (value.re, value.im) if isinstance(value, GaussianRational) else (value,)
-    return sum(p.numerator.bit_length() + p.denominator.bit_length()
-               for p in parts)
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        return (re.numerator.bit_length() + re.denominator.bit_length()
+                + im.numerator.bit_length() + im.denominator.bit_length())
+    return value.numerator.bit_length() + value.denominator.bit_length()
 
 
 def _lex(text: str) -> tuple[list[str], list[int]]:

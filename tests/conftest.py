@@ -118,11 +118,11 @@ def value_bits(c):
 def kernel_path(ctx, a_blades, b_blades) -> str:
     """The loop the product kernel runs for operands with these blades (a's
     listed once per term): "rows" when a's blades fall into at most 8 weight
-    classes A & kb & mask, kb the OR of b's blades, with at least two blades
+    classes A & kb & mask, kb the OR of b's blades, with at least four blades
     per class; else "pairs", a weight lookup per pair."""
     kb = reduce(or_, b_blades, 0) & ctx._mask
     classes = {A & kb for A in a_blades}
-    return "rows" if len(classes) <= 8 and len(a_blades) >= 2 * len(classes) else "pairs"
+    return "rows" if len(classes) <= 8 and len(a_blades) >= 4 * len(classes) else "pairs"
 
 
 # The dense Kronecker oracle: matrices as tuples of row tuples, and a

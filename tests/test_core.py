@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffalg import scalars
-from cliffalg.core import (Blade, Context, Multivector, _weight,
-                           blade_product, linear_combine, mv_product,
+from cliffalg.core import (Blade, Context, Multivector, _prefix_parity, _rows,
+                           _weight, blade_product, linear_combine, mv_product,
                            parity_project, reverse)
 from cliffalg.errors import (DegenerateFormError, DomainMismatchError)
 from cliffalg.scalars import Domain, GaussianRational
@@ -242,6 +242,20 @@ def test_product_is_ordered_pairwise_blade_sum(domain):
                     [(x, value_bits(c)) for x, c in pairwise_product(a, b).items()]
                 assert all(type(x) is Blade for x in got.terms)
     assert paths == {"rows", "pairs"}
+
+
+def test_rows_stay_within_eight_copies_of_b_and_a_unit_form_copies_none():
+    tb = [(Blade(B), _prefix_parity(B), 1) for B in range(1, 40)]
+    a = [(Blade(A), 1) for A in range(64)]  # every blade on e1..e6
+    assert _rows(Context.make(), a, tb, 0, 0)[0] is tb
+    three = Context.make(overrides={1: -1, 2: 2, 3: -1})
+    rows = _rows(three, a, tb, 0b111, 3)
+    assert sorted(rows) == list(range(8))
+    assert all(len(row) == len(tb) for row in rows.values())
+    # 16 classes, or 8 with fewer than four terms each, take the pair loop
+    assert _rows(Context.make(overrides={k: -1 for k in range(1, 5)}),
+                 a, tb, 0b1111, 4) is None
+    assert _rows(three, a[:31], tb, 0b111, 3) is None
 
 
 _Q_VALUES = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 7), Fraction(3))
