@@ -15,8 +15,9 @@ end-to-end metric of BENCHMARK.json, the median and quartiles
 (statistics.quantiles, n=4, inclusive), the change/parent ratio of the
 medians, the parent's spread (q3 - q1) / median and how many pairs the
 change won (ties count for neither side).  Each side's code is named by
-its git commit or, for a checkout outside git, by "sha256:" and a digest
-over the sorted paths and bytes of its src/ and cliffbench/ files.
+its git commit or, for a checkout outside git or one whose src/ or
+cliffbench/ differs from that commit, by "sha256:" and a digest over the
+sorted paths and bytes of its src/ and cliffbench/ files.
 """
 
 from __future__ import annotations
@@ -44,11 +45,16 @@ def _args(argv):
     return p.parse_args(argv)
 
 
-def _commit(checkout: Path) -> str:
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+def _git(checkout: Path, *args: str) -> str:
+    proc = subprocess.run(["git", "-C", str(checkout), *args],
                           capture_output=True, text=True)
-    if proc.stdout.strip():
-        return proc.stdout.strip()
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def _commit(checkout: Path) -> str:
+    head = _git(checkout, "rev-parse", "HEAD")
+    if head and not _git(checkout, "status", "--porcelain", "--", "src", "cliffbench"):
+        return head
     digest = hashlib.sha256()
     paths = sorted(p.relative_to(checkout).as_posix()
                    for top in ("src", "cliffbench") for p in (checkout / top).rglob("*")

@@ -10,8 +10,9 @@ for every seed, runs each operation once and prints one line per operation:
     WORKLOAD SEED INDEX KIND VERDICT HASH
 
 VERDICT is `ok` or `FAIL` from the operation's own check, or `raised` when
-it raised; HASH is a SHA-256 prefix of repr(result), or of the exception's
-type and message.  The change's lines are printed, and the tool exits 1 at
+it raised; HASH is a SHA-256 prefix of the result's text (`_text`: its repr,
+with each float part written by float.hex and a NaN's sign, which repr
+drops), or of the exception's type and message.  The change's lines are printed, and the tool exits 1 at
 the first operation whose line differs from the parent's or whose verdict
 is not `ok`, naming it; it exits 0 when all lines agree and pass.  SEEDS is
 a range `A-B` or one seed `A`.  The parent runs under PYTHONHASHSEED=1 and
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +55,22 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _text(result) -> str:
+    """repr(result), but a float part is written by float.hex, with a "-"
+    before a NaN whose sign bit is set; tuples, lists and the terms of a
+    float Multivector are walked.  Exact values keep their repr."""
+    if isinstance(result, float):
+        text = result.hex()
+        return "-" + text if result != result and math.copysign(1, result) < 0 else text
+    if isinstance(result, complex):
+        return f"complex({_text(result.real)}, {_text(result.imag)})"
+    if isinstance(result, (tuple, list)):
+        return f"{type(result).__name__}({', '.join(map(_text, result))})"
+    if type(result).__name__ == "Multivector" and not result.context.domain.is_exact:
+        return f"Multivector({_text(result.sorted_terms())})"
+    return repr(result)
+
+
 def emit(checkout: Path, seeds: str) -> int:
     """Print one line per operation of `checkout`'s workloads."""
     sys.dont_write_bytecode = True
@@ -75,7 +93,7 @@ def emit(checkout: Path, seeds: str) -> int:
                     verdict, text = "raised", f"{type(exc).__name__}: {exc}"
                 else:
                     verdict = "ok" if op.check(result) else "FAIL"
-                    text = repr(result)
+                    text = _text(result)
                 print(workload, seed, index, op.kind, verdict, _digest(text))
     return 0
 
