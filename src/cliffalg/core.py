@@ -6,14 +6,20 @@ A context is the one object for the algebra's data: the scalar domain and
 the diagonal form q_k = f(v_k), a default plus finitely many overrides, with
 the tables the product kernels read derived from them.  All values are
 immutable and all operations are pure.
+
+An exact multivector has one form: integer numerators over one denominator,
+reduced so that no prime divides them all.  Products, sums, traces and
+norms read and write that form; `Multivector.terms` builds a value only
+when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
 
 from . import scalars
 from .errors import (DegenerateFormError, DomainMismatchError,
@@ -122,6 +128,8 @@ class Context:
     # the lowest override: there it is every generator from that one up.
     _mask: int = field(init=False, repr=False, compare=False)
     _one: object = field(init=False, repr=False, compare=False)
+    # 1 as a Multivector stores it: the numerator 1 or (1, 0) over 1, or _one
+    _unit: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k, _ in self.overrides:
@@ -151,7 +159,9 @@ class Context:
         for name, value in (("default", default), ("overrides", overrides),
                             ("_table", table), ("_qden", den), ("_qnum", nums),
                             ("_qnum_default", num_default), ("_mask", mask),
-                            ("_one", scalars.one(self.domain))):
+                            ("_one", one := scalars.one(self.domain)),
+                            ("_unit", {Domain.RATIONAL: 1, Domain.GAUSSIAN: (1, 0)}
+                             .get(self.domain, one))):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -257,33 +267,41 @@ def blade_product(a: Blade, b: Blade, ctx: Context) -> tuple[object, Blade]:
 
 
 class Multivector:
-    """Finitely supported blade -> scalar map over a fixed context."""
+    """Finitely supported blade -> scalar map over a fixed context.
 
-    __slots__ = ("context", "terms")
+    Exact values are stored as `_num`, each blade's nonzero int or (re, im)
+    numerator, over one `_den` > 0 with gcd(_den, every part) == 1, so equal
+    values have equal forms; floats as their nonzero values, with `_den` 0.
+    `_den` given to the constructor marks `terms` as this stored form.
+    """
+
+    __slots__ = ("context", "_den", "_num")
 
     def __init__(self, context: Context, terms: Mapping[Blade, object] | None = None,
-                 _canonical: bool = False):
+                 _den: int | None = None):
         self.context = context
-        if _canonical:
-            self.terms = dict(terms or {})
-        else:
+        if _den is None:
             clean = {}
             for blade, coeff in (terms or {}).items():
                 coeff = scalars.coerce(context.domain, coeff)
                 if coeff:
                     clean[blade] = coeff
-            self.terms = clean
+            _den, terms = 0, clean
+            if context.domain.is_exact:  # over the lcm of reduced denominators
+                _den, terms = _numerators(clean.items(), context.domain is Domain.GAUSSIAN)
+                terms = dict(terms)
+        self._den, self._num = _den, terms
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(context: Context) -> "Multivector":
-        return Multivector(context, {}, _canonical=True)
+        return Multivector(context, {}, _den=int(context.domain.is_exact))
 
     @staticmethod
     def unit(context: Context) -> "Multivector":
-        return Multivector(context, {UNIT_BLADE: scalars.one(context.domain)},
-                           _canonical=True)
+        return Multivector(context, {UNIT_BLADE: context._unit},
+                           _den=int(context.domain.is_exact))
 
     @staticmethod
     def scalar(context: Context, value) -> "Multivector":
@@ -293,8 +311,8 @@ class Multivector:
     def generator(context: Context, k: int) -> "Multivector":
         if k < 1:
             raise ValueError(f"generator index must be >= 1, got {k}")
-        return Multivector(context, {Blade(1 << (k - 1)): context._one},
-                           _canonical=True)
+        return Multivector(context, {Blade(1 << (k - 1)): context._unit},
+                           _den=int(context.domain.is_exact))
 
     @staticmethod
     def blade(context: Context, blade: Blade, coeff=1) -> "Multivector":
@@ -302,21 +320,26 @@ class Multivector:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Blade, object]:
+        """The blade -> value map, read-only; exact values are built as read."""
+        return _Terms(self._den, self._num) if self._den else MappingProxyType(self._num)
+
     def coeff(self, blade: Blade):
         return self.terms.get(blade, scalars.zero(self.context.domain))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def support(self) -> frozenset[int]:
         out = 0
-        for blade in self.terms:
+        for blade in self._num:
             out |= blade
         return frozenset(Blade(out).indices)
 
     def max_index(self) -> int:
-        return max((blade.max_index for blade in self.terms), default=0)
+        return max((blade.bit_length() for blade in self._num), default=0)
 
     def sorted_terms(self) -> list[tuple[Blade, object]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
@@ -325,16 +348,14 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         check_context(self.context, other.context)
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms.items())
-        return Multivector(self.context, terms, _canonical=True)
+        return _sum(self.context, ((1, self), (1, other)))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.context, {b: -c for b, c in self.terms.items()},
-                           _canonical=True)
+        return Multivector(self.context, {b: _neg(c) for b, c in self._num.items()},
+                           _den=self._den)
 
     def scale(self, value) -> "Multivector":
         value = scalars.coerce(self.context.domain, value)
@@ -353,15 +374,59 @@ class Multivector:
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return (self.context == other.context and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.context, frozenset(self.terms.items())))
+        return hash((self.context, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
         from .render import render
 
         return f"Multivector({render(self)})"
+
+
+def _value(den: int, n):
+    """n / den in lowest terms, Gaussian for an (re, im) numerator."""
+    return reduced(n[0], den, n[1]) if type(n) is tuple else reduced(n, den)
+
+
+def _neg(c):
+    """-c for a float value or an exact numerator."""
+    return (-c[0], -c[1]) if type(c) is tuple else -c
+
+
+class _Terms(Mapping):
+    """An exact multivector's terms, {Blade: value}, read-only."""
+
+    def __init__(self, den: int, num: dict):
+        self._den, self._num = den, num
+
+    def __getitem__(self, blade):
+        return _value(self._den, self._num[blade])
+
+    def __iter__(self):
+        return map(Blade, self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def items(self):  # one pass, not a lookup per key
+        den = self._den
+        return {Blade(b): _value(den, n) for b, n in self._num.items()}.items()
+
+
+def _lowest(context: Context, den: int, num: dict) -> Multivector:
+    """num / den with den and every part divided by their gcd; a float map
+    (den 0) as it is."""
+    if den:
+        gaussian = context.domain is Domain.GAUSSIAN
+        g = math.gcd(den, *((p for n in num.values() for p in n) if gaussian
+                            else num.values()))
+        if g != 1:
+            den //= g
+            num = {b: (n[0] // g, n[1] // g) if gaussian else n // g for b, n in num.items()}
+    return Multivector(context, num, _den=den)
 
 
 def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
@@ -376,12 +441,15 @@ def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
             terms[blade] = s
 
 
-def _from_numerators(items: Iterable, den: int, gaussian: bool) -> dict:
-    """{blade: n / den} for (blade, n) pairs with int numerators n, (re, im)
-    pairs for Gaussian, each value built reduced by scalars.reduced."""
-    if gaussian:
-        return {blade: reduced(re, den, im) for blade, (re, im) in items}
-    return {blade: reduced(n, den) for blade, n in items}
+def _sum(context: Context, signed) -> Multivector:
+    """The sum of s * mv over the (s, mv) pairs, s = +-1, in order: float
+    values negated and added pairwise, exact ones by linear_combine."""
+    if context.domain.is_exact:
+        return linear_combine(signed, context)
+    terms = {}
+    for s, mv in signed:
+        _accumulate(terms, ((b, c if s > 0 else -c) for b, c in mv._num.items()))
+    return Multivector(context, terms, _den=0)
 
 
 def linear_combine(pairs: Iterable[tuple[object, Multivector]],
@@ -402,17 +470,16 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
     if not context.domain.is_exact:
         terms: dict[Blade, object] = {}
         for value, mv in checked:
-            _accumulate(terms, ((blade, c * value) for blade, c in mv.terms.items()))
-        return Multivector(context, terms, _canonical=True)
+            _accumulate(terms, ((blade, c * value) for blade, c in mv._num.items()))
+        return Multivector(context, terms, _den=0)
     gaussian = context.domain is Domain.GAUSSIAN
-    reads = [(_numerators([(None, value)], gaussian),
-              _numerators(mv.terms.items(), gaussian)) for value, mv in checked]
-    den = math.lcm(*(dv * d for (dv, _), (d, _) in reads))
+    parts = [(*_numerators(((None, value),), gaussian), mv) for value, mv in checked]
+    den = math.lcm(*(dv * mv._den for dv, _, mv in parts))
     acc = {}
-    for (dv, [(_, f)]), (d, nums) in reads:
-        k = den // (dv * d)  # f = value * den / d
+    for dv, [(_, f)], mv in parts:
+        k = den // (dv * mv._den)  # f = value * den / mv._den
         f = (f[0] * k, f[1] * k) if gaussian else f * k
-        for blade, n in nums:
+        for blade, n in mv._num.items():
             s = acc.get(blade)
             if gaussian:
                 t = n[0] * f[0] - n[1] * f[1], n[0] * f[1] + n[1] * f[0]
@@ -426,33 +493,32 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
                 acc[blade] = t
             else:
                 acc.pop(blade, None)
-    return Multivector(context, _from_numerators(acc.items(), den, gaussian), _canonical=True)
+    return _lowest(context, den, acc)
 
 
 def mv_product(a: Multivector, b: Multivector) -> Multivector:
     """Bilinear extension of the blade product, by `_product`."""
     check_context(a.context, b.context)
-    terms = _product(a.context, a.terms.items(), b.terms.items())
-    return Multivector(a.context, terms, _canonical=True)
+    return _product(a.context, a._den, a._num.items(), b._den, b._num.items())
 
 
 def _relabel(a: Multivector, blade: int, odd: int) -> Multivector:
     """a * (-1)**odd v_blade in a context other than c64, for a blade whose
     product with each term of a has weight +-1 (no masked generator in a &
     blade): A -> A ^ blade with the reordering sign of v_A v_blade, in a's
-    term order.  Exact coefficients are negated; floats are multiplied by
+    term order.  Exact numerators are negated; floats are multiplied by
     +-1.0 as in mv_product, so a NaN keeps its sign there too."""
     ctx = a.context
     P = _prefix_parity(blade)
     terms = {}
-    if ctx.domain.is_exact:
-        for A, c in a.terms.items():
-            terms[Blade(A ^ blade)] = -c if ((A & P).bit_count() ^ odd) & 1 else c
+    if a._den:
+        for A, c in a._num.items():
+            terms[A ^ blade] = _neg(c) if ((A & P).bit_count() ^ odd) & 1 else c
     else:
         signs = ctx._one, -ctx._one
-        for A, c in a.terms.items():
+        for A, c in a._num.items():
             terms[Blade(A ^ blade)] = c * signs[((A & P).bit_count() ^ odd) & 1]
-    return Multivector(ctx, terms, _canonical=True)
+    return Multivector(ctx, terms, _den=a._den)
 
 
 def _anticommuting(A: int, tb) -> Iterator:
@@ -462,42 +528,38 @@ def _anticommuting(A: int, tb) -> Iterator:
     return (t for t in tb if (r * t[0].bit_count() - (A & t[0]).bit_count()) & 1)
 
 
-def _product(ctx: Context, a, b, ad: bool = False) -> dict:
+def _product(ctx: Context, da: int, a, db: int, b, ad: bool = False) -> Multivector:
     """The product of the (blade, nonzero coefficient) pairs a and b, or with
     `ad` the commutator ab - ba: twice the anticommuting pairs alone.
 
-    Each pair adds ca * cb * w to its blade's sum, in pair order.  Exact
-    values are first brought to integers over one denominator per operand
-    (a's doubled under `ad`): ints, or (re, im) pairs in a loop of their own.
-    The weight w, the reordering sign times the q_k over A & B & mask, sees A
-    only through its class A & kb, kb the masked OR of b's blades.  When a
-    falls into at most 8 classes (three masked generators) with at least four
-    terms each, every class gets a row of b with its weights folded in
-    (_rows): at most 8 * len(b) entries, each read four times or more, which
-    repays building it.  Otherwise each pair looks w up by key = (A & B &
-    mask) << 1 | sign.  Float sums are those of blade_product terms; under
-    `ad` each is doubled once, which is the sum of the doubled pairs unless a
-    partial sum passes half the largest float.  A sum that reaches zero is
-    dropped (pop: a float pair can underflow to 0 before its blade has a sum).
+    Exact coefficients are numerators over da and db (a's doubled under
+    `ad`): ints, or (re, im) pairs in a loop of their own; floats are
+    values, with da = db = 0.  Each pair adds ca * cb * w to its blade's
+    sum, in pair order.  The weight w, the reordering sign times the q_k
+    over A & B & mask, sees A only through its class A & kb, kb the masked
+    OR of b's blades.  When a falls into at most 8 classes (three masked
+    generators) with at least four terms each, every class gets a row of b
+    with its weights folded in (_rows): at most 8 * len(b) entries, each
+    read four times or more, which repays building it.  Otherwise each pair
+    looks w up by key = (A & B & mask) << 1 | sign.  Float sums are those of
+    blade_product terms; under `ad` each is doubled once, which is the sum
+    of the doubled pairs unless a partial sum passes half the largest float.
+    A sum that reaches zero is dropped (pop: a float pair can underflow to
+    0 before its blade has a sum).
     """
     exact = ctx.domain.is_exact
-    gaussian = ctx.domain is Domain.GAUSSIAN
-    if exact:
-        da, a = _numerators(a, gaussian, 2 if ad else 1)
-        db, b = _numerators(b, gaussian)
     tb = [(B, _prefix_parity(B), cb) for B, cb in b]
     ka = kb = 0
-    for A, _ in a:
+    for A, _ in a if exact else ():  # width is read by _int_weight alone
         ka |= A
-    for B, _, _ in tb:
+    for B, _, _ in tb if exact or len(a) >= 4 else ():  # and kb by rows
         kb |= B
     kb &= ctx._mask
     width = (ka & kb).bit_count()
     rows = len(a) >= 4 and _rows(ctx, a, tb, kb, width)
-    if gaussian:
+    if ctx.domain is Domain.GAUSSIAN:
         acc = _gaussian_loop(ctx, a, tb, ad, width, rows, kb)
-        return _from_numerators(zip(map(Blade, acc), acc.values()),
-                                da * db * ctx._qden ** width, True)
+        return _lowest(ctx, da * db * ctx._qden ** width, acc)
     mask = ctx._mask
     weights = {}
     acc = {}
@@ -544,11 +606,8 @@ def _product(ctx: Context, a, b, ad: bool = False) -> dict:
             else:
                 acc.pop(x, None)
     if exact:
-        return _from_numerators(zip(map(Blade, acc), acc.values()),
-                                da * db * ctx._qden ** width, False)
-    if ad:
-        return {Blade(x): s + s for x, s in acc.items()}
-    return {Blade(x): s for x, s in acc.items()}
+        return _lowest(ctx, da * db * ctx._qden ** width, acc)
+    return Multivector(ctx, {Blade(x): s + s if ad else s for x, s in acc.items()}, _den=0)
 
 
 def _rows(ctx: Context, a, tb, kb: int, width: int) -> dict | None:
@@ -630,17 +689,14 @@ def _gaussian_loop(ctx: Context, a, tb, ad: bool, width: int, rows, kb: int) -> 
 def reverse(a: Multivector) -> Multivector:
     """The involution fixing V: blade of grade r picks up (-1)**(r(r-1)/2)."""
     terms = {}
-    for blade, coeff in a.terms.items():
-        r = blade.grade
-        if (r * (r - 1) // 2) & 1:
-            coeff = -coeff
-        terms[blade] = coeff
-    return Multivector(a.context, terms, _canonical=True)
+    for blade, c in a._num.items():
+        r = blade.bit_count()
+        terms[blade] = _neg(c) if (r * (r - 1) // 2) & 1 else c
+    return Multivector(a.context, terms, _den=a._den)
 
 
 def parity_project(a: Multivector, parity: str) -> Multivector:
     """Even or odd part by blade-grade parity."""
     want = parity_bit(parity)
-    return Multivector(a.context,
-                       {b: c for b, c in a.terms.items() if b.parity == want},
-                       _canonical=True)
+    return _lowest(a.context, a._den,
+                   {b: c for b, c in a._num.items() if b.bit_count() & 1 == want})

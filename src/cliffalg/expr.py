@@ -38,13 +38,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from . import scalars
-from .core import (Context, Multivector, _accumulate, _relabel, mv_product,
-                   reverse)
+from .core import Context, Multivector, _relabel, _sum, mv_product, reverse
 from .errors import ParseError
-from .scalars import Domain, GaussianRational
+from .scalars import Domain
 
 MAX_EXPONENT = 10 ** 6
 MAX_GENERATOR = 10 ** 4
@@ -66,14 +66,15 @@ def _error(text: str, message: str, pos: int) -> ParseError:
                       pos - (text.rfind("\n", 0, pos) + 1))
 
 
-def _coeff_bits(value) -> int:
-    """Numerator plus denominator bits of an exact value, over both parts of
-    a Gaussian one."""
-    if isinstance(value, GaussianRational):
-        re, im = value.re, value.im
-        return (re.numerator.bit_length() + re.denominator.bit_length()
-                + im.numerator.bit_length() + im.denominator.bit_length())
-    return value.numerator.bit_length() + value.denominator.bit_length()
+def _coeff_bits(n, den: int) -> int:
+    """Numerator plus denominator bits of n / den in lowest terms, over both
+    parts of an (re, im) numerator: one gcd per part."""
+    if type(n) is tuple:
+        return _coeff_bits(n[0], den) + _coeff_bits(n[1], den)
+    g = gcd(n, den)
+    if g == 1:
+        return n.bit_length() + den.bit_length()
+    return (n // g).bit_length() + (den // g).bit_length()
 
 
 def _lex(text: str) -> tuple[list[str], list[int]]:
@@ -101,8 +102,7 @@ class _Parser:
         self.pairs = pairs  # blade pairs of every product formed so far
         # c64 runs every product: its weight +-(1+0j) can change a zero or inf
         self.fold = context.domain is not Domain.C64
-        self.unit_bits = (_coeff_bits(context._one) if context.domain.is_exact
-                          else 0)
+        self.unit_bits = self.size(Multivector.unit(context))
 
     def error(self, message: str, pos: int) -> ParseError:
         """A ParseError at the token of index `pos`."""
@@ -132,13 +132,11 @@ class _Parser:
         value = self.term()
         if self.tok != "+" and self.tok != "-":
             return value
-        terms = dict(value.terms)
+        signed = [(1, value)]
         while (op := self.tok) == "+" or op == "-":
             self.take()
-            items = self.term().terms.items()
-            _accumulate(terms, items if op == "+"
-                        else ((blade, -c) for blade, c in items))
-        return Multivector(self.context, terms, _canonical=True)
+            signed.append((1 if op == "+" else -1, self.term()))
+        return _sum(self.context, signed)
 
     def term(self) -> Multivector:
         """factor ('*' factor)*; while a run of generators is pending (see
@@ -152,9 +150,9 @@ class _Parser:
                 b = 1 << (k - 1)
                 if support is None:
                     support = blade = odd = 0
-                    for A in value.terms:
+                    for A in value._num:
                         support |= A
-                    cost = len(value.terms), self.size(value) + self.unit_bits
+                    cost = len(value._num), self.size(value) + self.unit_bits
                 if not (support | blade) & b & self.context._mask:
                     self.charge(*cost, star)
                     # -(b << 1) is _prefix_parity(b)
@@ -253,9 +251,9 @@ class _Parser:
     def size(self, value: Multivector) -> int:
         """The largest coefficient size of `value` in the exact domains, else
         0."""
-        if not self.context.domain.is_exact:
-            return 0
-        return max(map(_coeff_bits, value.terms.values()), default=0)
+        den = value._den
+        return max((_coeff_bits(n, den) for n in value._num.values()),
+                   default=0) if den else 0
 
     def charge(self, pairs: int, bits: int, pos: int) -> None:
         """Count `pairs` blade pairs of operands whose largest coefficients
@@ -271,7 +269,7 @@ class _Parser:
 
     def product(self, a: Multivector, b: Multivector, pos: int) -> Multivector:
         """a * b, charged before it is formed; `pos` is the operator's token."""
-        self.charge(len(a.terms) * len(b.terms), self.size(a) + self.size(b), pos)
+        self.charge(len(a._num) * len(b._num), self.size(a) + self.size(b), pos)
         return mv_product(a, b)
 
     def power(self, value: Multivector, n: int, pos: int) -> Multivector:

@@ -7,8 +7,10 @@ grammar.  f64/c64 coefficients are written as float reprs (`0.5`, `1e-20`,
 
 from __future__ import annotations
 
+from math import gcd
+
 from . import scalars
-from .core import Multivector, UNIT_BLADE
+from .core import Blade, Multivector, UNIT_BLADE
 from .scalars import Domain
 
 
@@ -17,18 +19,25 @@ def _real(text: str, value) -> tuple[str, bool]:
     return (text[1:], True) if value < 0 else (text, False)
 
 
-def _scalar_expr(domain: Domain, value) -> tuple[str, bool]:
-    """Render a coefficient as expression text; second slot marks a leading '-'."""
+def _fraction(n: int, den: int) -> str:
+    """n / den in lowest terms, written as str(Fraction) writes it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _scalar_expr(domain: Domain, value, den: int) -> tuple[str, bool]:
+    """Render a coefficient, an exact numerator over den or a float value, as
+    expression text; second slot marks a leading '-'."""
     if domain.is_real:  # the str of a float is its repr
-        return _real(str(value), value)
+        return _real(_fraction(value, den) if den else str(value), value)
     if domain is Domain.GAUSSIAN:
-        re, im = value.re, value.im
+        re, im = value
         if im == 0:
-            return _real(str(re), re)
-        imag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+            return _real(_fraction(re, den), re)
+        imag = "i" if abs(im) == den else f"{_fraction(abs(im), den)}*i"
         if re == 0:
             return (imag, im < 0)
-        return (f"({re}{'-' if im < 0 else '+'}{imag})", False)
+        return (f"({_fraction(re, den)}{'-' if im < 0 else '+'}{imag})", False)
     # c64: parenthesized unless the imaginary part is zero; zero parts unsigned
     re, im = value.real or 0.0, value.imag
     if im == 0:
@@ -41,9 +50,11 @@ def render(mv: Multivector) -> str:
     if mv.is_zero:
         return "0"
     parts = []
+    terms = sorted(((Blade(b), c) for b, c in mv._num.items()),
+                   key=lambda kv: kv[0].sort_key())
     with scalars.digit_limit():
-        for blade, coeff in mv.sorted_terms():
-            txt, negative = _scalar_expr(mv.context.domain, coeff)
+        for blade, coeff in terms:
+            txt, negative = _scalar_expr(mv.context.domain, coeff, mv._den)
             if blade == UNIT_BLADE:
                 body = txt
             elif txt in ("1", "1.0"):

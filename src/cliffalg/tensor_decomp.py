@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import scalars
-from .core import (Blade, Context, Multivector, _prefix_parity, _xor_rank,
-                   mv_product, parity_project)
+from .core import (Blade, Context, Multivector, _lowest, _prefix_parity,
+                   _xor_rank, mv_product, parity_project)
 from .errors import InvalidChainError, MembershipError, SupportRangeError
 
 
@@ -82,14 +82,15 @@ def phi_inverse(chain: FactorChain, i: int, a: Multivector) -> Multivector:
     """Inverse of phi_apply; raises MembershipError off A_i."""
     chain._check_index(i)
     block = set(chain.block(i))
+    outside = ~Blade.from_indices(block)
     even_terms, rest_terms = {}, {}
-    for blade, coeff in a.terms.items():
-        if blade.parity == 0 and set(blade.indices) <= block:
-            even_terms[blade] = coeff
+    for blade, n in a._num.items():
+        if not blade.bit_count() & 1 and not blade & outside:
+            even_terms[blade] = n
         else:
-            rest_terms[blade] = coeff
-    even = Multivector(chain.context, even_terms, _canonical=True)
-    rest = Multivector(chain.context, rest_terms, _canonical=True)
+            rest_terms[blade] = n
+    even = _lowest(chain.context, a._den, even_terms)
+    rest = _lowest(chain.context, a._den, rest_terms)
     # c_i**2 == -1, so the c_i-component is recovered by -c_i * rest
     odd = mv_product(-chain.c[i - 1], rest)
     if not set(odd.support()) <= block or parity_project(odd, "even") != \

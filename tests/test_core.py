@@ -12,7 +12,8 @@ from cliffalg import scalars
 from cliffalg.core import (Blade, Context, Multivector, _prefix_parity, _rows,
                            _weight, blade_product, linear_combine, mv_product,
                            parity_project, reverse)
-from cliffalg.errors import (DegenerateFormError, DomainMismatchError)
+from cliffalg.errors import DegenerateFormError, DomainMismatchError, ParseError
+from cliffalg.expr import MAX_COEFF_BITS, _Parser, parse
 from cliffalg.scalars import Domain, GaussianRational
 
 from conftest import (kernel_contexts, kernel_path, naive_blade_product,
@@ -341,6 +342,100 @@ def test_no_zero_coefficients_stored(rng):
         b = random_multivector(rng, CTX)
         for result in (a + b, a - b, mv_product(a, b)):
             assert all(c != 0 for c in result.terms.values())
+
+
+EXACT = (Domain.RATIONAL, Domain.GAUSSIAN)
+
+
+def stored_parts(m) -> list:
+    """Every int part of m's stored numerators."""
+    return [p for n in m._num.values() for p in (n if isinstance(n, tuple) else (n,))]
+
+
+def value_sizes(m) -> int:
+    """The parser's coefficient size read off m's values: numerator plus
+    denominator bits, over both parts of a Gaussian value."""
+    def bits(c):
+        if isinstance(c, GaussianRational):
+            return bits(c.re) + bits(c.im)
+        return c.numerator.bit_length() + c.denominator.bit_length()
+    return max(map(bits, m.terms.values()), default=0)
+
+
+class TestCanonicalForm:
+    """An exact multivector is stored as numerators over one denominator, in
+    lowest terms, whatever built it."""
+
+    def results(self, rng, ctx):
+        a, b = (random_dense(rng, ctx, 6, rng.choice((1, 3, 12, 40))) for _ in range(2))
+        u, v = (random_scalar(rng, ctx.domain) for _ in range(2))
+        return a, b, [mv_product(a, b), a + b, a - b, -a, (a + b) - b, reverse(a),
+                      parity_project(a, "even"), parity_project(b, "odd"),
+                      linear_combine([(u, a), (v, b), (-u, a)]), a.scale(v)]
+
+    @pytest.mark.parametrize("domain", EXACT, ids=lambda d: d.value)
+    def test_kernel_results_equal_value_built_ones(self, domain):
+        rng = random.Random(f"canonical-{domain.value}")
+        for ctx in kernel_contexts(domain):  # unit and non-unit q
+            for _ in range(5):
+                a, b, results = self.results(rng, ctx)
+                assert mv_product(a, b) == Multivector(ctx, pairwise_product(a, b))
+                assert results[4] == a and hash(results[4]) == hash(a)
+                for got in results:
+                    built = Multivector(ctx, dict(got.terms))
+                    assert got == built and hash(got) == hash(built)
+                    assert (got._den, got._num) == (built._den, built._num)
+                    for other in results:  # equal forms iff equal values
+                        assert (got == other) == (dict(got.terms) == dict(other.terms))
+
+    @pytest.mark.parametrize("domain", EXACT, ids=lambda d: d.value)
+    def test_the_form_is_in_lowest_terms(self, domain):
+        rng = random.Random(f"lowest-{domain.value}")
+        for ctx in kernel_contexts(domain):
+            for _ in range(5):
+                for got in self.results(rng, ctx)[2]:
+                    assert got._den > 0
+                    assert math.gcd(got._den, *stored_parts(got)) == 1
+                    assert all(any(n) if isinstance(n, tuple) else n
+                               for n in got._num.values())
+            a = random_dense(rng, ctx, 5, 9)
+            for zero in (Multivector.zero(ctx), a - a, linear_combine([], ctx),
+                         mv_product(a, Multivector.zero(ctx)), a.scale(0),
+                         parity_project(Multivector.generator(ctx, 1), "even")):
+                assert (zero._den, zero._num) == (1, {})
+
+    @pytest.mark.parametrize("domain", EXACT, ids=lambda d: d.value)
+    def test_terms_round_trip_and_coeff_reads_them(self, domain):
+        rng = random.Random(f"terms-{domain.value}")
+        kind = Fraction if domain is Domain.RATIONAL else GaussianRational
+        for ctx in kernel_contexts(domain):
+            a, b = (random_dense(rng, ctx, 5, 12) for _ in range(2))
+            for m in (a, mv_product(a, b)):
+                terms = m.terms
+                assert Multivector(ctx, dict(terms)) == m
+                assert list(terms) == list(m._num) and len(terms) == len(m._num)
+                assert all(type(x) is Blade and type(c) is kind for x, c in terms.items())
+                for x in range(1 << 5):
+                    assert m.coeff(Blade(x)) == terms.get(Blade(x), scalars.zero(domain))
+
+    @pytest.mark.parametrize("domain, base, sizes, last, column", [
+        (Domain.RATIONAL, "(1/3 + 2/5*e1 - 7/9*e2*e3 + 5/12*e1*e2)",
+         [7, 30, 32, 62, 120], 2166, 39),
+        (Domain.GAUSSIAN, "(1/3 + 2/5*i*e1 - 7/9*e2 + (3/4-5/6*i)*e1*e2)",
+         [11, 36, 62, 126, 212], 1056, 45)], ids=["rational", "gaussian"])
+    def test_parser_sizes_keep_their_charges(self, domain, base, sizes, last, column):
+        # sizes, the last power within MAX_COEFF_BITS and the refusal's
+        # column, as read off each value's Fraction parts
+        ctx = Context.make(domain)
+        values = [parse(f"{base}^{k}", ctx) for k in (1, 2, 3, 5, 8)]
+        assert [_Parser("0", ctx).size(v) for v in values] == sizes
+        assert [value_sizes(v) for v in values] == sizes
+        parse(f"{base}^{last}", ctx)
+        with pytest.raises(ParseError) as err:
+            parse(f"{base}^{last + 1}", ctx)
+        assert str(err.value) == (f"expression needs coefficients of more than "
+                                  f"{MAX_COEFF_BITS} bits (line 1, column {column})")
+        assert column == len(base)
 
 
 def test_context_coerces_into_its_domain():
