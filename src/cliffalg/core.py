@@ -19,6 +19,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 from . import scalars
@@ -92,20 +93,19 @@ UNIT_BLADE = Blade(0)
 
 
 def _numerators(pairs, gaussian: bool, scale: int = 1) -> tuple[int, list]:
-    """(den, [(key, n)]) for (key, exact value) pairs: den is the lcm of the
-    values' denominators and n = scale * den * value, an int, or an (re, im)
-    pair of ints for Gaussian values; each value's parts are read once."""
+    """(den, [(key, n)]) for (key, exact value) pairs, read twice: den is the
+    lcm of the values' denominators and n = scale * den * value, an int, or
+    an (re, im) pair of ints for Gaussian values."""
     if gaussian:
-        rows = [(k, c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)
-                for k, c in pairs]
-        den = math.lcm(*[r[2] for r in rows], *[r[4] for r in rows])
+        ratios = [(c.re.as_integer_ratio(), c.im.as_integer_ratio()) for _, c in pairs]
+        den = math.lcm(*{d for parts in ratios for _, d in parts})
         f = scale * den
         return den, [(k, (rn * (f // rd), im * (f // idn)))
-                     for k, rn, rd, im, idn in rows]
-    rows = [(k, c.numerator, c.denominator) for k, c in pairs]
-    den = math.lcm(*[d for _, _, d in rows])
+                     for (k, _), ((rn, rd), (im, idn)) in zip(pairs, ratios)]
+    ratios = [c.as_integer_ratio() for _, c in pairs]
+    den = math.lcm(*{d for _, d in ratios})
     f = scale * den
-    return den, [(k, n * (f // d)) for k, n, d in rows]
+    return den, [(k, n * (f // d)) for (k, _), (n, d) in zip(pairs, ratios)]
 
 
 @dataclass(frozen=True)
@@ -281,15 +281,14 @@ class Multivector:
                  _den: int | None = None):
         self.context = context
         if _den is None:
-            clean = {}
-            for blade, coeff in (terms or {}).items():
-                coeff = scalars.coerce(context.domain, coeff)
-                if coeff:
-                    clean[blade] = coeff
-            _den, terms = 0, clean
-            if context.domain.is_exact:  # over the lcm of reduced denominators
-                _den, terms = _numerators(clean.items(), context.domain is Domain.GAUSSIAN)
-                terms = dict(terms)
+            domain, kind = context.domain, type(context._one)  # what coerce keeps
+            gaussian = domain is Domain.GAUSSIAN
+            values = {b: c if type(c) is kind else scalars.coerce(domain, c)
+                      for b, c in (terms or {}).items()}.items()
+            _den = 0
+            if domain.is_exact:  # over the lcm of the reduced denominators
+                _den, values = _numerators(values, gaussian)
+            terms = {b: c for b, c in values if (c[0] or c[1] if gaussian else c)}
         self._den, self._num = _den, terms
 
     # -- constructors -------------------------------------------------
@@ -305,6 +304,9 @@ class Multivector:
 
     @staticmethod
     def scalar(context: Context, value) -> "Multivector":
+        if type(value) is int and context.domain.is_exact:  # value / 1 as it is
+            n = (value, 0) if context.domain is Domain.GAUSSIAN else value
+            return Multivector(context, {UNIT_BLADE: n} if value else {}, _den=1)
         return Multivector(context, {UNIT_BLADE: value})
 
     @staticmethod
@@ -419,10 +421,9 @@ class _Terms(Mapping):
 def _lowest(context: Context, den: int, num: dict) -> Multivector:
     """num / den with den and every part divided by their gcd; a float map
     (den 0) as it is."""
-    if den:
+    if den > 1:
         gaussian = context.domain is Domain.GAUSSIAN
-        g = math.gcd(den, *((p for n in num.values() for p in n) if gaussian
-                            else num.values()))
+        g = math.gcd(den, *(chain.from_iterable(num.values()) if gaussian else num.values()))
         if g != 1:
             den //= g
             num = {b: (n[0] // g, n[1] // g) if gaussian else n // g for b, n in num.items()}
@@ -443,9 +444,11 @@ def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
 
 def _sum(context: Context, signed) -> Multivector:
     """The sum of s * mv over the (s, mv) pairs, s = +-1, in order: float
-    values negated and added pairwise, exact ones by linear_combine."""
+    values negated and added pairwise, exact ones as in linear_combine."""
     if context.domain.is_exact:
-        return linear_combine(signed, context)
+        one = (1, 0) if context.domain is Domain.GAUSSIAN else 1
+        return _combined(context, [(one if s > 0 else _neg(one), mv._den, mv._num)
+                                   for s, mv in signed])
     terms = {}
     for s, mv in signed:
         _accumulate(terms, ((b, c if s > 0 else -c) for b, c in mv._num.items()))
@@ -472,14 +475,24 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
         for value, mv in checked:
             _accumulate(terms, ((blade, c * value) for blade, c in mv._num.items()))
         return Multivector(context, terms, _den=0)
+    parts = []
+    for value, mv in checked:
+        dv, [(_, f)] = _numerators(((None, value),), context.domain is Domain.GAUSSIAN)
+        parts.append((f, dv * mv._den, mv._num))
+    return _combined(context, parts)
+
+
+def _combined(context: Context, parts) -> Multivector:
+    """The exact sum of f * num / d over the (f, d, num) parts, f an int or
+    (re, im) numerator: the terms are added in order, as ints over the lcm
+    of the d, and a sum that reaches zero is dropped."""
     gaussian = context.domain is Domain.GAUSSIAN
-    parts = [(*_numerators(((None, value),), gaussian), mv) for value, mv in checked]
-    den = math.lcm(*(dv * mv._den for dv, _, mv in parts))
+    den = math.lcm(*(d for _, d, _ in parts))
     acc = {}
-    for dv, [(_, f)], mv in parts:
-        k = den // (dv * mv._den)  # f = value * den / mv._den
+    for f, d, num in parts:
+        k = den // d  # f * n / d == f * k * n / den
         f = (f[0] * k, f[1] * k) if gaussian else f * k
-        for blade, n in mv._num.items():
+        for blade, n in num.items():
             s = acc.get(blade)
             if gaussian:
                 t = n[0] * f[0] - n[1] * f[1], n[0] * f[1] + n[1] * f[0]

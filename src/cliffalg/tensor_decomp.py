@@ -128,7 +128,7 @@ def _c_words(chain: FactorChain) -> list[tuple]:
     for p in range(1 + domain.has_i):
         u = scalars.imaginary_unit(domain) if p else scalars.one(domain)
         phase.update({u: p, -u: p + 2})
-    terms = [list(c.terms.items())[0] if len(c.terms) == 1 else (0, None) for c in chain.c]
+    terms = [next(iter(c.terms.items())) if len(c._num) == 1 else (0, None) for c in chain.c]
     for i, (_, coeff) in enumerate(terms, start=1):
         if coeff not in phase:
             raise InvalidChainError(f"c_{i} is not a unit-phase monomial")

@@ -263,7 +263,7 @@ def definitions(source: str, names) -> list:
 # reducing it, summing and reading it back) and the multiply-accumulate
 # kernel with its weight rows: other modules import them from core, so a
 # second copy fails the scan
-CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_value",
+CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_combined", "_value",
              "_product", "_rows", "_gaussian_loop", "_anticommuting")
 
 
