@@ -325,7 +325,9 @@ class Multivector:
     @property
     def terms(self) -> Mapping[Blade, object]:
         """The blade -> value map, read-only; exact values are built as read."""
-        return _Terms(self._den, self._num) if self._den else MappingProxyType(self._num)
+        if not self._den:
+            return MappingProxyType(self._num)
+        return _Terms(self._den, self._num, self.context.domain is Domain.GAUSSIAN)
 
     def coeff(self, blade: Blade):
         return self.terms.get(blade, scalars.zero(self.context.domain))
@@ -388,11 +390,6 @@ class Multivector:
         return f"Multivector({render(self)})"
 
 
-def _value(den: int, n):
-    """n / den in lowest terms, Gaussian for an (re, im) numerator."""
-    return reduced(n[0], den, n[1]) if type(n) is tuple else reduced(n, den)
-
-
 def _neg(c):
     """-c for a float value or an exact numerator."""
     return (-c[0], -c[1]) if type(c) is tuple else -c
@@ -401,11 +398,12 @@ def _neg(c):
 class _Terms(Mapping):
     """An exact multivector's terms, {Blade: value}, read-only."""
 
-    def __init__(self, den: int, num: dict):
-        self._den, self._num = den, num
+    def __init__(self, den: int, num: dict, gaussian: bool):
+        self._den, self._num, self._gaussian = den, num, gaussian
 
-    def __getitem__(self, blade):
-        return _value(self._den, self._num[blade])
+    def __getitem__(self, blade):  # n / den in lowest terms
+        n = self._num[blade]
+        return reduced(n[0], self._den, n[1]) if self._gaussian else reduced(n, self._den)
 
     def __iter__(self):
         return map(Blade, self._num)
@@ -414,8 +412,10 @@ class _Terms(Mapping):
         return len(self._num)
 
     def items(self):  # one pass, not a lookup per key
-        den = self._den
-        return {Blade(b): _value(den, n) for b, n in self._num.items()}.items()
+        den, num = self._den, self._num
+        if self._gaussian:
+            return {Blade(b): reduced(re, den, im) for b, (re, im) in num.items()}.items()
+        return {Blade(b): reduced(n, den) for b, n in num.items()}.items()
 
 
 def _lowest(context: Context, den: int, num: dict) -> Multivector:

@@ -50,11 +50,11 @@ def render(mv: Multivector) -> str:
     if mv.is_zero:
         return "0"
     parts = []
-    terms = sorted(((Blade(b), c) for b, c in mv._num.items()),
-                   key=lambda kv: kv[0].sort_key())
+    den = mv._den  # exact keys may be plain ints; float keys are Blades
+    terms = ((Blade(b), n) for b, n in mv._num.items()) if den else mv._num.items()
     with scalars.digit_limit():
-        for blade, coeff in terms:
-            txt, negative = _scalar_expr(mv.context.domain, coeff, mv._den)
+        for blade, coeff in sorted(terms, key=lambda kv: kv[0].sort_key()):
+            txt, negative = _scalar_expr(mv.context.domain, coeff, den)
             if blade == UNIT_BLADE:
                 body = txt
             elif txt in ("1", "1.0"):

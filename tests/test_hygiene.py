@@ -263,8 +263,8 @@ def definitions(source: str, names) -> list:
 # reducing it, summing and reading it back) and the multiply-accumulate
 # kernel with its weight rows: other modules import them from core, so a
 # second copy fails the scan
-CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_combined", "_value",
-             "_product", "_rows", "_gaussian_loop", "_anticommuting")
+CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_combined", "_product",
+             "_rows", "_gaussian_loop", "_anticommuting")
 
 
 def test_numerator_helpers_are_defined_in_core_alone():

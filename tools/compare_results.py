@@ -12,13 +12,13 @@ for every seed, runs each operation once and prints one line per operation:
 VERDICT is `ok` or `FAIL` from the operation's own check, or `raised` when
 it raised; HASH is a SHA-256 prefix of the result's text (`_text`: its repr,
 with each float part written by float.hex and a NaN's sign, which repr
-drops), or of the exception's type and message.  The change's lines are printed, and the tool exits 1 at
-the first operation whose line differs from the parent's or whose verdict
-is not `ok`, naming it; it exits 0 when all lines agree and pass.  SEEDS is
-a range `A-B` or one seed `A`.  The parent runs under PYTHONHASHSEED=1 and
-the change under 2, so `--parent . --change .` checks that no result
-depends on string hashing.  It only reads cliffbench/ and writes no
-bytecode into either checkout.
+drops), or of the exception's type and message.  The change's lines are
+printed, and the tool exits 1 at the first operation whose line differs
+from the parent's or whose verdict is not `ok`, naming it; it exits 0 when
+all lines agree and pass.  SEEDS is a range `A-B` or one seed `A`.  The
+parent runs under PYTHONHASHSEED=1 and the change under 2, so
+`--parent . --change .` checks that no result depends on string hashing.
+It only reads cliffbench/ and writes no bytecode into either checkout.
 """
 
 from __future__ import annotations
