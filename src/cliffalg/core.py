@@ -93,19 +93,20 @@ UNIT_BLADE = Blade(0)
 
 
 def _numerators(pairs, gaussian: bool, scale: int = 1) -> tuple[int, list]:
-    """(den, [(key, n)]) for (key, exact value) pairs, read twice: den is the
-    lcm of the values' denominators and n = scale * den * value, an int, or
-    an (re, im) pair of ints for Gaussian values."""
+    """(den, [(key, n)]) for (key, exact value) pairs, read twice, the zero
+    values left out: den is the lcm of the values' denominators and n =
+    scale * den * value, an int, or an (re, im) pair of ints for Gaussian
+    values."""
     if gaussian:
         ratios = [(c.re.as_integer_ratio(), c.im.as_integer_ratio()) for _, c in pairs]
         den = math.lcm(*{d for parts in ratios for _, d in parts})
         f = scale * den
         return den, [(k, (rn * (f // rd), im * (f // idn)))
-                     for (k, _), ((rn, rd), (im, idn)) in zip(pairs, ratios)]
+                     for (k, _), ((rn, rd), (im, idn)) in zip(pairs, ratios) if rn or im]
     ratios = [c.as_integer_ratio() for _, c in pairs]
     den = math.lcm(*{d for _, d in ratios})
     f = scale * den
-    return den, [(k, n * (f // d)) for (k, _), (n, d) in zip(pairs, ratios)]
+    return den, [(k, n * (f // d)) for (k, _), (n, d) in zip(pairs, ratios) if n]
 
 
 @dataclass(frozen=True)
@@ -282,13 +283,13 @@ class Multivector:
         self.context = context
         if _den is None:
             domain, kind = context.domain, type(context._one)  # what coerce keeps
-            gaussian = domain is Domain.GAUSSIAN
             values = {b: c if type(c) is kind else scalars.coerce(domain, c)
-                      for b, c in (terms or {}).items()}.items()
-            _den = 0
+                      for b, c in (terms or {}).items()}
             if domain.is_exact:  # over the lcm of the reduced denominators
-                _den, values = _numerators(values, gaussian)
-            terms = {b: c for b, c in values if (c[0] or c[1] if gaussian else c)}
+                _den, terms = _numerators(values.items(), domain is Domain.GAUSSIAN)
+                terms = dict(terms)
+            else:
+                _den, terms = 0, {b: c for b, c in values.items() if c}
         self._den, self._num = _den, terms
 
     # -- constructors -------------------------------------------------
@@ -477,8 +478,9 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
         return Multivector(context, terms, _den=0)
     parts = []
     for value, mv in checked:
-        dv, [(_, f)] = _numerators(((None, value),), context.domain is Domain.GAUSSIAN)
-        parts.append((f, dv * mv._den, mv._num))
+        dv, f = _numerators(((None, value),), context.domain is Domain.GAUSSIAN)
+        if f:  # a zero scalar adds nothing
+            parts.append((f[0][1], dv * mv._den, mv._num))
     return _combined(context, parts)
 
 
