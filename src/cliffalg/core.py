@@ -273,7 +273,9 @@ class Multivector:
     Exact values are stored as `_num`, each blade's nonzero int or (re, im)
     numerator, over one `_den` > 0 with gcd(_den, every part) == 1, so equal
     values have equal forms; floats as their nonzero values, with `_den` 0.
-    `_den` given to the constructor marks `terms` as this stored form.
+    `_den` given to the constructor marks `terms` as this stored form.  Only
+    this module reads it: a product's exact keys are plain ints, and the
+    readers that hand keys out (`terms`, `_ratios`) give Blades.
     """
 
     __slots__ = ("context", "_den", "_num")
@@ -338,10 +340,7 @@ class Multivector:
         return not self._num
 
     def support(self) -> frozenset[int]:
-        out = 0
-        for blade in self._num:
-            out |= blade
-        return frozenset(Blade(out).indices)
+        return frozenset(Blade(_form(self)[2]).indices)
 
     def max_index(self) -> int:
         return max((blade.bit_length() for blade in self._num), default=0)
@@ -353,7 +352,7 @@ class Multivector:
 
     def __add__(self, other: "Multivector") -> "Multivector":
         check_context(self.context, other.context)
-        return _sum(self.context, ((1, self), (1, other)))
+        return _sum(self.context, (self, other))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return self + (-other)
@@ -397,7 +396,8 @@ def _neg(c):
 
 
 class _Terms(Mapping):
-    """An exact multivector's terms, {Blade: value}, read-only."""
+    """An exact multivector's terms, {Blade: value}, read-only; a value is
+    built when it is read."""
 
     def __init__(self, den: int, num: dict, gaussian: bool):
         self._den, self._num, self._gaussian = den, num, gaussian
@@ -412,12 +412,6 @@ class _Terms(Mapping):
     def __len__(self):
         return len(self._num)
 
-    def items(self):  # one pass, not a lookup per key
-        den, num = self._den, self._num
-        if self._gaussian:
-            return {Blade(b): reduced(re, den, im) for b, (re, im) in num.items()}.items()
-        return {Blade(b): reduced(n, den) for b, n in num.items()}.items()
-
 
 def _lowest(context: Context, den: int, num: dict) -> Multivector:
     """num / den with den and every part divided by their gcd; a float map
@@ -429,6 +423,50 @@ def _lowest(context: Context, den: int, num: dict) -> Multivector:
             den //= g
             num = {b: (n[0] // g, n[1] // g) if gaussian else n // g for b, n in num.items()}
     return Multivector(context, num, _den=den)
+
+
+def _split(a: Multivector, keep) -> tuple[Multivector, Multivector]:
+    """(the terms of a whose blade satisfies `keep`, the others)."""
+    parts = {}, {}
+    for b, c in a._num.items():
+        parts[not keep(b)][b] = c
+    return _lowest(a.context, a._den, parts[0]), _lowest(a.context, a._den, parts[1])
+
+
+def _ratios(a: Multivector):
+    """(blade, parts) for each term of a: (n, d), its value n / d in lowest
+    terms, or (rn, rd, in, id) for a Gaussian value; no value is built.  A
+    float value is given as it is."""
+    den, gcd = a._den, math.gcd
+    if not den:
+        return a._num.items()
+    if a.context.domain is Domain.GAUSSIAN:
+        return ((Blade(b), (re // g, den // g, im // h, den // h))
+                for b, (re, im) in a._num.items() for g, h in ((gcd(re, den), gcd(im, den)),))
+    return ((Blade(b), (n // g, den // g)) for b, n in a._num.items() for g in (gcd(n, den),))
+
+
+def _form(a: Multivector) -> tuple[int, int, int]:
+    """(terms, denominator, the union of the blades) of a's stored form; the
+    denominator is 0 for floats."""
+    blades = 0
+    for b in a._num:
+        blades |= b
+    return len(a._num), a._den, blades
+
+
+def _bits(a: Multivector) -> int:
+    """The largest numerator-plus-denominator bits of a's values in lowest
+    terms, over both parts of a Gaussian value; 0 for floats."""
+    den = a._den
+    return max((_part_bits(n, den) for n in a._num.values()), default=0) if den else 0
+
+
+def _part_bits(n, den: int) -> int:
+    if type(n) is tuple:
+        return _part_bits(n[0], den) + _part_bits(n[1], den)
+    g = math.gcd(n, den)
+    return (n // g).bit_length() + (den // g).bit_length()
 
 
 def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
@@ -443,16 +481,13 @@ def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
             terms[blade] = s
 
 
-def _sum(context: Context, signed) -> Multivector:
-    """The sum of s * mv over the (s, mv) pairs, s = +-1, in order: float
-    values negated and added pairwise, exact ones as in linear_combine."""
+def _sum(context: Context, mvs) -> Multivector:
+    """The sum of the multivectors, added term by term in order."""
     if context.domain.is_exact:
-        one = (1, 0) if context.domain is Domain.GAUSSIAN else 1
-        return _combined(context, [(one if s > 0 else _neg(one), mv._den, mv._num)
-                                   for s, mv in signed])
+        return _combined(context, [(context._unit, mv._den, mv._num) for mv in mvs])
     terms = {}
-    for s, mv in signed:
-        _accumulate(terms, ((b, c if s > 0 else -c) for b, c in mv._num.items()))
+    for mv in mvs:
+        _accumulate(terms, mv._num.items())
     return Multivector(context, terms, _den=0)
 
 
@@ -517,6 +552,15 @@ def mv_product(a: Multivector, b: Multivector) -> Multivector:
     return _product(a.context, a._den, a._num.items(), b._den, b._num.items())
 
 
+def _commutators(pairs, x: Multivector) -> Multivector:
+    """The sum of c * (v_S x - x v_S) over the (blade S, nonzero value c)
+    pairs, by _product under `ad`; exact c are read as numerators, doubled."""
+    if not x._den:
+        return _product(x.context, 0, pairs, 0, x._num.items(), ad=True)
+    da, pairs = _numerators(pairs, x.context.domain is Domain.GAUSSIAN, 2)
+    return _product(x.context, da, pairs, x._den, x._num.items(), ad=True)
+
+
 def _relabel(a: Multivector, blade: int, odd: int) -> Multivector:
     """a * (-1)**odd v_blade in a context other than c64, for a blade whose
     product with each term of a has weight +-1 (no masked generator in a &
@@ -528,7 +572,7 @@ def _relabel(a: Multivector, blade: int, odd: int) -> Multivector:
     terms = {}
     if a._den:
         for A, c in a._num.items():
-            terms[A ^ blade] = _neg(c) if ((A & P).bit_count() ^ odd) & 1 else c
+            terms[Blade(A ^ blade)] = _neg(c) if ((A & P).bit_count() ^ odd) & 1 else c
     else:
         signs = ctx._one, -ctx._one
         for A, c in a._num.items():
@@ -715,3 +759,12 @@ def parity_project(a: Multivector, parity: str) -> Multivector:
     want = parity_bit(parity)
     return _lowest(a.context, a._den,
                    {b: c for b, c in a._num.items() if b.bit_count() & 1 == want})
+
+
+def _exact_norm(a: Multivector):
+    """tr(a * reverse(a)) of a rational a: the sum of n_S * n_S * q_S over
+    den**2, each q_S a numerator over qden**width."""
+    ctx, mask = a.context, a.context._mask
+    width = max(((S & mask).bit_count() for S in a._num), default=0)
+    total = sum(n * n * _int_weight(ctx, S & mask, 0, width) for S, n in a._num.items())
+    return reduced(total, a._den * a._den * ctx._qden ** width)

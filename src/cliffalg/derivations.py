@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
-from .core import (Blade, Context, Multivector, _anticommuting, _numerators,
-                   _product, check_context, linear_combine, mv_product,
-                   parity_bit)
+from .core import (Blade, Context, Multivector, _anticommuting, _commutators,
+                   check_context, linear_combine, mv_product, parity_bit)
 from .errors import (ContractViolationError, NotAdSumError, NotBogolyubovError,
                      NotSkewError, ParityError)
 
@@ -116,16 +115,11 @@ def family_apply(family, x: Multivector) -> Multivector:
         terms = family.prefix(n)
         tail = family.memoized_tail(n)
     check_context(x.context, family.context)
-    xs = x._num.items()
     for blade, coeff in tail:
-        if coeff and next(_anticommuting(blade, xs), None):
+        if coeff and next(_anticommuting(blade, zip(x.terms)), None):
             raise ContractViolationError(
                 f"term {blade} past the declared cutoff acts nontrivially")
-    acting = [(S, c) for S, c in terms if c]  # ad=True pairs anticommuting blades
-    # exact: numerators, doubled as _product asks under ad
-    da, acting = (_numerators(acting, x.context.domain is scalars.Domain.GAUSSIAN, 2)
-                  if x._den else (0, acting))
-    return _product(family.context, da, acting, x._den, xs, ad=True)
+    return _commutators([(S, c) for S, c in terms if c], x)
 
 
 # ---------------------------------------------------------------------------

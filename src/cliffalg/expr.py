@@ -30,7 +30,11 @@ once per interpreter digit of its coefficients.  In the exact domains the
 largest coefficient sizes of a product's operands (numerator plus
 denominator bits, over both parts of a Gaussian value) add up to at most
 MAX_COEFF_BITS, so a short power cannot grow million-bit coefficients.
-Lexing and summing take time linear in the text.
+Lexing takes time linear in the text, and so does summing while the terms'
+common denominator is shorter than one interpreter digit.  A sum holds every
+numerator over that denominator, so at each '+' or '-' it is charged against
+MAX_PRODUCT_PAIRS as its terms so far times the whole digits of their
+common denominator: a long sum over distinct prime denominators is refused.
 """
 
 from __future__ import annotations
@@ -38,11 +42,12 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable
 
 from . import scalars
-from .core import Context, Multivector, _relabel, _sum, mv_product, reverse
+from .core import (Context, Multivector, _bits, _form, _relabel, _sum,
+                   mv_product, reverse)
 from .errors import ParseError
 from .scalars import Domain
 
@@ -64,17 +69,6 @@ def _error(text: str, message: str, pos: int) -> ParseError:
     """A ParseError at offset `pos`: lines count from 1, columns from 0."""
     return ParseError(message, text.count("\n", 0, pos) + 1,
                       pos - (text.rfind("\n", 0, pos) + 1))
-
-
-def _coeff_bits(n, den: int) -> int:
-    """Numerator plus denominator bits of n / den in lowest terms, over both
-    parts of an (re, im) numerator: one gcd per part."""
-    if type(n) is tuple:
-        return _coeff_bits(n[0], den) + _coeff_bits(n[1], den)
-    g = gcd(n, den)
-    if g == 1:
-        return n.bit_length() + den.bit_length()
-    return (n // g).bit_length() + (den // g).bit_length()
 
 
 def _lex(text: str) -> tuple[list[str], list[int]]:
@@ -132,11 +126,19 @@ class _Parser:
         value = self.term()
         if self.tok != "+" and self.tok != "-":
             return value
-        signed = [(1, value)]
+        terms, (count, den, _), cost = [value], _form(value), 0
         while (op := self.tok) == "+" or op == "-":
-            self.take()
-            signed.append((1 if op == "+" else -1, self.term()))
-        return _sum(self.context, signed)
+            pos = self.take()
+            term = self.term()
+            terms.append(term if op == "+" else -term)
+            if den:  # each term's numerators, widened to the common denominator
+                n, d, _ = _form(term)
+                count, den = count + n, lcm(den, d)
+                grown = count * (den.bit_length() // sys.int_info.bits_per_digit)
+                if grown > cost:
+                    self.charge(grown - cost, 0, pos, "blade products and sum digits")
+                    cost = grown
+        return _sum(self.context, terms)
 
     def term(self) -> Multivector:
         """factor ('*' factor)*; while a run of generators is pending (see
@@ -149,10 +151,9 @@ class _Parser:
             if k is not None:
                 b = 1 << (k - 1)
                 if support is None:
-                    support = blade = odd = 0
-                    for A in value._num:
-                        support |= A
-                    cost = len(value._num), self.size(value) + self.unit_bits
+                    blade = odd = 0
+                    count, _, support = _form(value)
+                    cost = count, self.size(value) + self.unit_bits
                 if not (support | blade) & b & self.context._mask:
                     self.charge(*cost, star)
                     # -(b << 1) is _prefix_parity(b)
@@ -251,25 +252,22 @@ class _Parser:
     def size(self, value: Multivector) -> int:
         """The largest coefficient size of `value` in the exact domains, else
         0."""
-        den = value._den
-        return max((_coeff_bits(n, den) for n in value._num.values()),
-                   default=0) if den else 0
+        return _bits(value)
 
-    def charge(self, pairs: int, bits: int, pos: int) -> None:
-        """Count `pairs` blade pairs of operands whose largest coefficients
-        add up to `bits` against MAX_PRODUCT_PAIRS, and refuse more than
-        MAX_COEFF_BITS; `pos` is the operator's token."""
+    def charge(self, pairs: int, bits: int, pos: int, what: str = "blade products") -> None:
+        """Count `pairs` blade pairs (or sum digits) of operands whose largest
+        coefficients add up to `bits` against MAX_PRODUCT_PAIRS, and refuse
+        more than MAX_COEFF_BITS; `pos` is the operator's token."""
         self.pairs += pairs * max(1, bits // sys.int_info.bits_per_digit)
         if self.pairs > MAX_PRODUCT_PAIRS:
-            raise self.error(f"expression needs more than {MAX_PRODUCT_PAIRS} "
-                             f"blade products", pos)
+            raise self.error(f"expression needs more than {MAX_PRODUCT_PAIRS} {what}", pos)
         if bits > MAX_COEFF_BITS:
             raise self.error(f"expression needs coefficients of more than "
                              f"{MAX_COEFF_BITS} bits", pos)
 
     def product(self, a: Multivector, b: Multivector, pos: int) -> Multivector:
         """a * b, charged before it is formed; `pos` is the operator's token."""
-        self.charge(len(a._num) * len(b._num), self.size(a) + self.size(b), pos)
+        self.charge(_form(a)[0] * _form(b)[0], self.size(a) + self.size(b), pos)
         return mv_product(a, b)
 
     def power(self, value: Multivector, n: int, pos: int) -> Multivector:

@@ -7,10 +7,8 @@ grammar.  f64/c64 coefficients are written as float reprs (`0.5`, `1e-20`,
 
 from __future__ import annotations
 
-from math import gcd
-
 from . import scalars
-from .core import Blade, Multivector, UNIT_BLADE
+from .core import Multivector, UNIT_BLADE, _ratios
 from .scalars import Domain
 
 
@@ -19,25 +17,28 @@ def _real(text: str, value) -> tuple[str, bool]:
     return (text[1:], True) if value < 0 else (text, False)
 
 
-def _fraction(n: int, den: int) -> str:
-    """n / den in lowest terms, written as str(Fraction) writes it."""
-    g = gcd(n, den)
-    return str(n // g) if g == den else f"{n // g}/{den // g}"
+def _fraction(n: int, d: int) -> str:
+    """n / d, in lowest terms, as str(Fraction) writes it."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _scalar_expr(domain: Domain, value, den: int) -> tuple[str, bool]:
-    """Render a coefficient, an exact numerator over den or a float value, as
-    expression text; second slot marks a leading '-'."""
-    if domain.is_real:  # the str of a float is its repr
-        return _real(_fraction(value, den) if den else str(value), value)
+def _scalar_expr(domain: Domain, value) -> tuple[str, bool]:
+    """Render a coefficient, a float or the parts of an exact value as
+    core._ratios gives them, as expression text; second slot marks a leading
+    '-'."""
+    if domain is Domain.RATIONAL:
+        n, d = value
+        return _real(str(n) if d == 1 else f"{n}/{d}", n)
+    if domain is Domain.F64:  # the str of a float is its repr
+        return _real(str(value), value)
     if domain is Domain.GAUSSIAN:
-        re, im = value
+        re, rd, im, id_ = value
         if im == 0:
-            return _real(_fraction(re, den), re)
-        imag = "i" if abs(im) == den else f"{_fraction(abs(im), den)}*i"
+            return _real(_fraction(re, rd), re)
+        imag = "i" if abs(im) == id_ == 1 else f"{_fraction(abs(im), id_)}*i"
         if re == 0:
             return (imag, im < 0)
-        return (f"({_fraction(re, den)}{'-' if im < 0 else '+'}{imag})", False)
+        return (f"({_fraction(re, rd)}{'-' if im < 0 else '+'}{imag})", False)
     # c64: parenthesized unless the imaginary part is zero; zero parts unsigned
     re, im = value.real or 0.0, value.imag
     if im == 0:
@@ -50,11 +51,9 @@ def render(mv: Multivector) -> str:
     if mv.is_zero:
         return "0"
     parts = []
-    den = mv._den  # exact keys may be plain ints; float keys are Blades
-    terms = ((Blade(b), n) for b, n in mv._num.items()) if den else mv._num.items()
     with scalars.digit_limit():
-        for blade, coeff in sorted(terms, key=lambda kv: kv[0].sort_key()):
-            txt, negative = _scalar_expr(mv.context.domain, coeff, den)
+        for blade, coeff in sorted(_ratios(mv), key=lambda kv: kv[0].sort_key()):
+            txt, negative = _scalar_expr(mv.context.domain, coeff)
             if blade == UNIT_BLADE:
                 body = txt
             elif txt in ("1", "1.0"):

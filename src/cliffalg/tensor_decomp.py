@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import scalars
-from .core import (Blade, Context, Multivector, _lowest, _prefix_parity,
+from .core import (Blade, Context, Multivector, _prefix_parity, _split,
                    _xor_rank, mv_product, parity_project)
 from .errors import InvalidChainError, MembershipError, SupportRangeError
 
@@ -73,8 +73,7 @@ def _check_block_support(chain: FactorChain, i: int, u: Multivector):
 def phi_apply(chain: FactorChain, i: int, u: Multivector) -> Multivector:
     """Block isomorphism onto A_i: even part fixed, odd part times c_i."""
     _check_block_support(chain, i, u)
-    even = parity_project(u, "even")
-    odd = parity_project(u, "odd")
+    even, odd = _split(u, lambda b: not b.bit_count() & 1)
     return even + mv_product(chain.c[i - 1], odd)
 
 
@@ -83,14 +82,7 @@ def phi_inverse(chain: FactorChain, i: int, a: Multivector) -> Multivector:
     chain._check_index(i)
     block = set(chain.block(i))
     outside = ~Blade.from_indices(block)
-    even_terms, rest_terms = {}, {}
-    for blade, n in a._num.items():
-        if not blade.bit_count() & 1 and not blade & outside:
-            even_terms[blade] = n
-        else:
-            rest_terms[blade] = n
-    even = _lowest(chain.context, a._den, even_terms)
-    rest = _lowest(chain.context, a._den, rest_terms)
+    even, rest = _split(a, lambda b: not b.bit_count() & 1 and not b & outside)
     # c_i**2 == -1, so the c_i-component is recovered by -c_i * rest
     odd = mv_product(-chain.c[i - 1], rest)
     if not set(odd.support()) <= block or parity_project(odd, "even") != \
@@ -128,7 +120,7 @@ def _c_words(chain: FactorChain) -> list[tuple]:
     for p in range(1 + domain.has_i):
         u = scalars.imaginary_unit(domain) if p else scalars.one(domain)
         phase.update({u: p, -u: p + 2})
-    terms = [next(iter(c.terms.items())) if len(c._num) == 1 else (0, None) for c in chain.c]
+    terms = [list(c.terms.items())[0] if len(c.terms) == 1 else (0, None) for c in chain.c]
     for i, (_, coeff) in enumerate(terms, start=1):
         if coeff not in phase:
             raise InvalidChainError(f"c_{i} is not a unit-phase monomial")

@@ -8,7 +8,7 @@ is verified in matrix_rep and the test suite.
 from __future__ import annotations
 
 from . import scalars
-from .core import Multivector, UNIT_BLADE, _accumulate, _int_weight, _weight
+from .core import Multivector, UNIT_BLADE, _accumulate, _exact_norm, _weight
 
 
 def trace(a: Multivector):
@@ -26,14 +26,10 @@ def norm(a: Multivector):
     reversal and reordering both give the sign (-1)**(r(r-1)/2).  Negation
     being exact, c_S * c_S * q_S are the full product's trace terms, in order.
     """
-    ctx = a.context
+    ctx, total = a.context, {}
     ctx.domain.require_real("norm")
-    if a._den:  # the sum of n_S * n_S * q_S over den**2, q_S over qden**width
-        width = max(((S & ctx._mask).bit_count() for S in a._num), default=0)
-        total = sum(n * n * _int_weight(ctx, S & ctx._mask, 0, width)
-                    for S, n in a._num.items())
-        return scalars.reduced(total, a._den * a._den * ctx._qden ** width)
-    total = {}
+    if ctx.domain.is_exact:
+        return _exact_norm(a)
     _accumulate(total, ((UNIT_BLADE, c * c * _weight(ctx, blade, 0))
-                        for blade, c in a._num.items()))
+                        for blade, c in a.terms.items()))
     return total.get(UNIT_BLADE, scalars.zero(ctx.domain))

@@ -12,8 +12,10 @@ from cliffalg import scalars
 from cliffalg.core import (Blade, Context, Multivector, _prefix_parity, _rows,
                            _weight, blade_product, linear_combine, mv_product,
                            parity_project, reverse)
+from cliffalg.derivations import AdFamily, family_apply
 from cliffalg.errors import DegenerateFormError, DomainMismatchError, ParseError
 from cliffalg.expr import MAX_COEFF_BITS, _Parser, parse
+from cliffalg.render import render
 from cliffalg.scalars import Domain, GaussianRational
 
 from conftest import (kernel_contexts, kernel_path, naive_blade_product,
@@ -403,6 +405,19 @@ class TestCanonicalForm:
                          mv_product(a, Multivector.zero(ctx)), a.scale(0),
                          parity_project(Multivector.generator(ctx, 1), "even")):
                 assert (zero._den, zero._num) == (1, {})
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_every_path_gives_blade_keys(self, domain):
+        rng = random.Random(f"keys-{domain.value}")
+        for ctx in kernel_contexts(domain):
+            a, b = (random_dense(rng, ctx, 6, 12) for _ in range(2))
+            family = AdFamily.finite(ctx, "even", [(Blade.of(1, 2), 1), (Blade.of(2, 5), 3)])
+            for got in (mv_product(a, b), a + b, a - b, -a, reverse(a),
+                        parity_project(a, "odd"), linear_combine([(2, a), (3, b)]),
+                        parse("(1 + 2*e1*e3 + e2)*e4*e6", ctx), family_apply(family, a)):
+                assert all(type(x) is Blade for x in got.terms)
+                assert all(type(x) is Blade for x, _ in got.terms.items())
+                assert render(got) == render(Multivector(ctx, dict(got.terms)))
 
     @pytest.mark.parametrize("domain", EXACT, ids=lambda d: d.value)
     def test_terms_round_trip_and_coeff_reads_them(self, domain):

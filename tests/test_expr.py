@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -294,6 +295,70 @@ class TestCoefficientBudget:
         assert out == ""
         assert err == (f"error: expression needs coefficients of more than "
                        f"{MAX_COEFF_BITS} bits (line 1, column {column})\n")
+
+
+def _primes(n: int) -> list[int]:
+    out, k = [], 2
+    while len(out) < n:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+class TestSumBudget:
+    # A sum holds every numerator over the terms' common denominator: at each
+    # '+' or '-' it is charged its terms so far times the whole interpreter
+    # digits of that denominator
+    DIGIT = sys.int_info.bits_per_digit
+
+    def test_a_sum_is_charged_per_digit_of_its_denominator(self):
+        primes = _primes(10)  # the first nine multiply to under 2^29
+        for k, charged in ((9, 0), (10, 10)):
+            assert math.prod(primes[:k]).bit_length() // self.DIGIT == (k > 9)
+            parser = _Parser(" + ".join(f"1/{p}" for p in primes[:k]), CTX)
+            assert parser.parse() == parse(f"{sum(Fraction(1, p) for p in primes[:k])}", CTX)
+            assert parser.pairs == charged
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN])
+    def test_a_sum_over_distinct_primes_is_refused_at_its_operator(self, domain):
+        primes = _primes(1000)
+        text = " + ".join(f"1/{p}*e{k}" for k, p in enumerate(primes, start=1))
+        # the oracle: the first '+' at which the sum so far is over the budget
+        den, pairs = 1, 0
+        for k, p in enumerate(primes, start=1):
+            den *= p
+            pairs += 1  # the folded e_k of `1/p*e_k`, charged as its product
+            if k > 1 and pairs + k * (den.bit_length() // self.DIGIT) > MAX_PRODUCT_PAIRS:
+                break
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse(text, Context.make(domain))
+        assert time.perf_counter() - start < 2
+        assert str(info.value).startswith(f"expression needs more than {MAX_PRODUCT_PAIRS} "
+                                          f"blade products and sum digits (")
+        assert info.value.column == [m for m, c in enumerate(text) if c == "+"][k - 2]
+
+    def test_float_sums_are_free(self):
+        text = " + ".join(f"1/{p}" for p in _primes(1000))
+        parser = _Parser(text, Context.make(Domain.F64))
+        parser.parse()
+        assert parser.pairs == 0
+
+    # 3,000 such terms took 2 s and 19 MiB, quadratic in the text, before the
+    # charge; a 1 MiB text would have needed minutes and gigabytes
+    @pytest.mark.parametrize("text", [
+        " + ".join(f"1/{p}*e{k}" for k, p in enumerate(_primes(3000), start=1)),
+        "1/" + "7" * 4000 + "*e1 + " + " + ".join(f"e{k}*e{k + 1}" for k in range(2, 9000))],
+        ids=["distinct-primes", "one-wide-denominator"])
+    def test_hostile_sums_exit_two_quickly(self, text, capsys):
+        start = time.perf_counter()
+        assert run(["eval", text]) == 2
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: expression needs more than {MAX_PRODUCT_PAIRS} "
+                              f"blade products and sum digits (line 1, column ")
 
 
 class _Unfolded(_Parser):

@@ -260,11 +260,12 @@ def definitions(source: str, names) -> list:
 
 
 # the integer-numerator helpers (reading values into the stored form,
-# reducing it, summing and reading it back) and the multiply-accumulate
-# kernel with its weight rows: other modules import them from core, so a
-# second copy fails the scan
-CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_combined", "_product",
-             "_rows", "_gaussian_loop", "_anticommuting")
+# reducing, splitting, summing and sizing it, and reading it back) and the
+# multiply-accumulate kernel with its weight rows: other modules import them
+# from core, so a second copy fails the scan
+CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_split", "_ratios",
+             "_form", "_sum", "_combined", "_exact_norm", "_product",
+             "_commutators", "_rows", "_gaussian_loop", "_anticommuting")
 
 
 def test_numerator_helpers_are_defined_in_core_alone():
@@ -293,6 +294,21 @@ _p, (_anticommuting, z) = 1, (2, 3)
     assert definitions(source, CORE_ONLY) == [
         "_numerators", "_int_weight", "_lowest", "_anticommuting"]
     assert definitions("x = _numerators(1, 2)\n", CORE_ONLY) == []
+
+
+def stored_form_reads(source: str) -> list:
+    """The `_num` and `_den` attributes in `source`, each once: a
+    multivector's stored form, which only core reads."""
+    return sorted({node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den")})
+
+
+def test_the_stored_form_is_read_in_core_alone():
+    found = {path.stem: stored_form_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == \
+        {"core": ["_den", "_num"]}
+    assert stored_form_reads("n = len(a._num)\nb._den += 1\n") == ["_den", "_num"]
 
 
 def layout_writes(source: str) -> list:
