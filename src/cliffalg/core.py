@@ -340,7 +340,10 @@ class Multivector:
         return not self._num
 
     def support(self) -> frozenset[int]:
-        return frozenset(Blade(_form(self)[2]).indices)
+        out = 0
+        for blade in self._num:
+            out |= blade
+        return frozenset(Blade(out).indices)
 
     def max_index(self) -> int:
         return max((blade.bit_length() for blade in self._num), default=0)
@@ -412,6 +415,12 @@ class _Terms(Mapping):
     def __len__(self):
         return len(self._num)
 
+    def items(self):  # one pass, not a lookup per key
+        den, num = self._den, self._num
+        if self._gaussian:
+            return {Blade(b): reduced(re, den, im) for b, (re, im) in num.items()}.items()
+        return {Blade(b): reduced(n, den) for b, n in num.items()}.items()
+
 
 def _lowest(context: Context, den: int, num: dict) -> Multivector:
     """num / den with den and every part divided by their gcd; a float map
@@ -434,37 +443,36 @@ def _split(a: Multivector, keep) -> tuple[Multivector, Multivector]:
 
 
 def _ratios(a: Multivector):
-    """(blade, parts) for each term of a: (n, d), its value n / d in lowest
-    terms, or (rn, rd, in, id) for a Gaussian value; no value is built.  A
-    float value is given as it is."""
+    """(blade, parts) per term of a: its value n / d in lowest terms as
+    (n, d), or (rn, rd, in, id) if Gaussian; a float value as it is."""
     den, gcd = a._den, math.gcd
     if not den:
         return a._num.items()
     if a.context.domain is Domain.GAUSSIAN:
-        return ((Blade(b), (re // g, den // g, im // h, den // h))
-                for b, (re, im) in a._num.items() for g, h in ((gcd(re, den), gcd(im, den)),))
-    return ((Blade(b), (n // g, den // g)) for b, n in a._num.items() for g in (gcd(n, den),))
+        return [(Blade(b), (re // g, den // g, im // h, den // h))
+                for b, (re, im) in a._num.items() for g, h in ((gcd(re, den), gcd(im, den)),)]
+    return [(Blade(b), (n // g, den // g)) for b, n in a._num.items() for g in (gcd(n, den),)]
 
 
 def _form(a: Multivector) -> tuple[int, int, int]:
-    """(terms, denominator, the union of the blades) of a's stored form; the
-    denominator is 0 for floats."""
+    """(terms, denominator, union of the blades) of a; the denominator is 0
+    for floats."""
     blades = 0
     for b in a._num:
         blades |= b
     return len(a._num), a._den, blades
 
 
-def _bits(a: Multivector) -> int:
+def _size(a: Multivector) -> int:
     """The largest numerator-plus-denominator bits of a's values in lowest
     terms, over both parts of a Gaussian value; 0 for floats."""
     den = a._den
-    return max((_part_bits(n, den) for n in a._num.values()), default=0) if den else 0
+    return max((_bits(n, den) for n in a._num.values()), default=0) if den else 0
 
 
-def _part_bits(n, den: int) -> int:
+def _bits(n, den: int) -> int:
     if type(n) is tuple:
-        return _part_bits(n[0], den) + _part_bits(n[1], den)
+        return _bits(n[0], den) + _bits(n[1], den)
     g = math.gcd(n, den)
     return (n // g).bit_length() + (den // g).bit_length()
 
@@ -759,12 +767,3 @@ def parity_project(a: Multivector, parity: str) -> Multivector:
     want = parity_bit(parity)
     return _lowest(a.context, a._den,
                    {b: c for b, c in a._num.items() if b.bit_count() & 1 == want})
-
-
-def _exact_norm(a: Multivector):
-    """tr(a * reverse(a)) of a rational a: the sum of n_S * n_S * q_S over
-    den**2, each q_S a numerator over qden**width."""
-    ctx, mask = a.context, a.context._mask
-    width = max(((S & mask).bit_count() for S in a._num), default=0)
-    total = sum(n * n * _int_weight(ctx, S & mask, 0, width) for S, n in a._num.items())
-    return reduced(total, a._den * a._den * ctx._qden ** width)

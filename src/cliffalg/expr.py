@@ -46,7 +46,7 @@ from math import lcm
 from typing import Iterable
 
 from . import scalars
-from .core import (Context, Multivector, _bits, _form, _relabel, _sum,
+from .core import (Context, Multivector, _form, _relabel, _size, _sum,
                    mv_product, reverse)
 from .errors import ParseError
 from .scalars import Domain
@@ -252,7 +252,7 @@ class _Parser:
     def size(self, value: Multivector) -> int:
         """The largest coefficient size of `value` in the exact domains, else
         0."""
-        return _bits(value)
+        return _size(value)
 
     def charge(self, pairs: int, bits: int, pos: int, what: str = "blade products") -> None:
         """Count `pairs` blade pairs (or sum digits) of operands whose largest
@@ -267,7 +267,7 @@ class _Parser:
 
     def product(self, a: Multivector, b: Multivector, pos: int) -> Multivector:
         """a * b, charged before it is formed; `pos` is the operator's token."""
-        self.charge(_form(a)[0] * _form(b)[0], self.size(a) + self.size(b), pos)
+        self.charge(len(a.terms) * len(b.terms), self.size(a) + self.size(b), pos)
         return mv_product(a, b)
 
     def power(self, value: Multivector, n: int, pos: int) -> Multivector:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from . import scalars
 from .core import Multivector, UNIT_BLADE, _ratios
-from .scalars import Domain
 
 
 def _real(text: str, value) -> tuple[str, bool]:
@@ -22,16 +21,16 @@ def _fraction(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _scalar_expr(domain: Domain, value) -> tuple[str, bool]:
-    """Render a coefficient, a float or the parts of an exact value as
-    core._ratios gives them, as expression text; second slot marks a leading
-    '-'."""
-    if domain is Domain.RATIONAL:
+def _scalar_expr(value) -> tuple[str, bool]:
+    """Render a coefficient as expression text: a float or complex value, or
+    an exact one's lowest-terms parts as core._ratios gives them, (n, d) or
+    (rn, rd, in, id); second slot marks a leading '-'."""
+    if type(value) is float:  # the str of a float is its repr
+        return _real(str(value), value)
+    if type(value) is tuple and len(value) == 2:
         n, d = value
         return _real(str(n) if d == 1 else f"{n}/{d}", n)
-    if domain is Domain.F64:  # the str of a float is its repr
-        return _real(str(value), value)
-    if domain is Domain.GAUSSIAN:
+    if type(value) is tuple:
         re, rd, im, id_ = value
         if im == 0:
             return _real(_fraction(re, rd), re)
@@ -53,7 +52,7 @@ def render(mv: Multivector) -> str:
     parts = []
     with scalars.digit_limit():
         for blade, coeff in sorted(_ratios(mv), key=lambda kv: kv[0].sort_key()):
-            txt, negative = _scalar_expr(mv.context.domain, coeff)
+            txt, negative = _scalar_expr(coeff)
             if blade == UNIT_BLADE:
                 body = txt
             elif txt in ("1", "1.0"):
