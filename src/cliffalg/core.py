@@ -285,13 +285,13 @@ class Multivector:
         self.context = context
         if _den is None:
             domain, kind = context.domain, type(context._one)  # what coerce keeps
-            values = {b: c if type(c) is kind else scalars.coerce(domain, c)
-                      for b, c in (terms or {}).items()}
+            values = [(b, c if type(c) is kind else scalars.coerce(domain, c))
+                      for b, c in (terms or {}).items()]
             if domain.is_exact:  # over the lcm of the reduced denominators
-                _den, terms = _numerators(values.items(), domain is Domain.GAUSSIAN)
+                _den, terms = _numerators(values, domain is Domain.GAUSSIAN)
                 terms = dict(terms)
             else:
-                _den, terms = 0, {b: c for b, c in values.items() if c}
+                _den, terms = 0, {b: c for b, c in values if c}
         self._den, self._num = _den, terms
 
     # -- constructors -------------------------------------------------
@@ -767,3 +767,12 @@ def parity_project(a: Multivector, parity: str) -> Multivector:
     want = parity_bit(parity)
     return _lowest(a.context, a._den,
                    {b: c for b, c in a._num.items() if b.bit_count() & 1 == want})
+
+
+def _exact_norm(a: Multivector):
+    """tr(a * reverse(a)) of a rational a: the sum of n_S * n_S * q_S over
+    den**2, each q_S a numerator over qden**width."""
+    ctx, mask = a.context, a.context._mask
+    width = max(((S & mask).bit_count() for S in a._num), default=0)
+    total = sum(n * n * _int_weight(ctx, S & mask, 0, width) for S, n in a._num.items())
+    return reduced(total, a._den * a._den * ctx._qden ** width)

@@ -8,7 +8,7 @@ is verified in matrix_rep and the test suite.
 from __future__ import annotations
 
 from . import scalars
-from .core import Multivector, UNIT_BLADE, _accumulate, _weight
+from .core import Multivector, UNIT_BLADE, _accumulate, _exact_norm, _weight
 
 
 def trace(a: Multivector):
@@ -28,6 +28,8 @@ def norm(a: Multivector):
     """
     ctx, total = a.context, {}
     ctx.domain.require_real("norm")
+    if ctx.domain.is_exact:
+        return _exact_norm(a)
     _accumulate(total, ((UNIT_BLADE, c * c * _weight(ctx, blade, 0))
                         for blade, c in a.terms.items()))
     return total.get(UNIT_BLADE, scalars.zero(ctx.domain))
