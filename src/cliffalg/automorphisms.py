@@ -15,10 +15,11 @@ from .errors import NotInverseError, NotOrthogonalError
 
 def bogolyubov_apply(phi: OrthogonalMap, a: Multivector) -> Multivector:
     """Extend phi over blades: v_{i1}...v_{ir} maps to phi(v_{i1})...phi(v_{ir}),
-    multiplied left to right from the unit.  Images are kept by blade, and
-    each prefix's is its own prefix's times phi(v_k), so a shared prefix is
-    multiplied once."""
-    if not phi.gram_preserving():
+    multiplied left to right from the unit.  Each phi(v_k) is built once, and
+    serves the Gram check too.  Images are kept by blade, and each prefix's
+    is its own prefix's times phi(v_k), so a shared prefix is multiplied once."""
+    gens = {k: phi.image(k) for k in {*phi.active, *a.support()}}
+    if not phi.gram_preserving(gens):
         raise NotOrthogonalError("map does not preserve the quadratic form")
     ctx = a.context
     images = {0: Multivector.unit(ctx)}
@@ -28,7 +29,7 @@ def bogolyubov_apply(phi: OrthogonalMap, a: Multivector) -> Multivector:
         for k in blade.indices:  # img becomes the image of the prefix up to v_k
             bits |= 1 << k - 1
             if (nxt := images.get(bits)) is None:
-                nxt = images[bits] = mv_product(img, phi.image(k))
+                nxt = images[bits] = mv_product(img, gens[k])
             img = nxt
         pairs.append((coeff, img))
     return linear_combine(pairs, context=ctx)

@@ -37,7 +37,7 @@ BROKEN_PIPE = 141
 # reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
 # from its Pauli words in two representations (0.7 s at k = 10), and
 # `witness --n n --m m` writes n nilpotents' m/2 entries, reads n diagonals of
-# m entries and computes n pairs of exact norms, about 15 us per n plus 2 us
+# m entries and computes n pairs of exact norms, about 18 us per n plus 1.7 us
 # per unit of n * m, which may be at most WITNESS_MAX_NM (0.23 s at n = 5000,
 # m = 16, the slowest allowed).
 # `decomp check` multiplies the words of 4**w blade pairs for a block of w

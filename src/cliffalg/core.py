@@ -769,10 +769,20 @@ def parity_project(a: Multivector, parity: str) -> Multivector:
                    {b: c for b, c in a._num.items() if b.bit_count() & 1 == want})
 
 
-def _exact_norm(a: Multivector):
-    """tr(a * reverse(a)) of a rational a: the sum of n_S * n_S * q_S over
-    den**2, each q_S a numerator over qden**width."""
-    ctx, mask = a.context, a.context._mask
+def _exact_pairing(a: Multivector, b: Multivector):
+    """tr(a * reverse(b)) of exact a and b over one context, bilinear with no
+    conjugation: the sum of m_S * n_S * q_S over the blades S both store,
+    over a._den * b._den, each q_S a numerator over qden**width."""
+    ctx, mask, num = a.context, a.context._mask, b._num
     width = max(((S & mask).bit_count() for S in a._num), default=0)
-    total = sum(n * n * _int_weight(ctx, S & mask, 0, width) for S, n in a._num.items())
-    return reduced(total, a._den * a._den * ctx._qden ** width)
+    den = a._den * b._den * ctx._qden ** width
+    if ctx.domain is not Domain.GAUSSIAN:
+        return reduced(sum(m * n * _int_weight(ctx, S & mask, 0, width)
+                           for S, m in a._num.items() if (n := num.get(S)) is not None), den)
+    re = im = 0
+    for S, (x, y) in a._num.items():  # (x + y i)(u + v i)(w + z i)
+        if (n := num.get(S)) is not None:
+            (u, v), (w, z) = n, _int_weight(ctx, S & mask, 0, width)
+            pr, pi = x * u - y * v, x * v + y * u
+            re, im = re + pr * w - pi * z, im + pr * z + pi * w
+    return reduced(re, den, im)

@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
 from .core import (Blade, Context, Multivector, _anticommuting, _commutators,
-                   check_context, linear_combine, mv_product, parity_bit)
+                   _exact_pairing, check_context, linear_combine, mv_product,
+                   parity_bit)
 from .errors import (ContractViolationError, NotAdSumError, NotBogolyubovError,
                      NotSkewError, ParityError)
 
@@ -315,22 +316,22 @@ class OrthogonalMap:
                            {Blade.of(self.active[row]): self.matrix[row][col]
                             for row in range(len(self.active))})
 
-    def gram_preserving(self) -> bool:
-        """Checks M^T Q M == Q on the active set (exact, or within the
-        absolute GRAM_TOLERANCE for float domains)."""
-        n = len(self.active)
-        ctx = self.context
-        for a in range(n):
-            for b in range(a, n):
-                got = sum((self.matrix[r][a] * ctx.q(self.active[r]) * self.matrix[r][b]
-                           for r in range(n)), scalars.zero(ctx.domain))
-                want = ctx.q(self.active[a]) if a == b else scalars.zero(ctx.domain)
-                if ctx.domain.is_exact:
-                    if got != want:
-                        return False
-                elif abs(got - want) > GRAM_TOLERANCE:
-                    return False
-        return True
+    def gram_preserving(self, images: Mapping[int, Multivector] | None = None) -> bool:
+        """Checks M^T Q M == Q on the active set.  Exact entry (a, b) is
+        tr(phi(v_a) rev(phi(v_b))), read on `images` (phi(v_k) by k, built
+        here if not given); float entries must lie within the absolute
+        GRAM_TOLERANCE, which a NaN entry does not."""
+        ctx, active, n = self.context, self.active, len(self.active)
+        zero = scalars.zero(ctx.domain)
+        entries = [(a, b, ctx.q(active[a]) if a == b else zero)
+                   for a in range(n) for b in range(a, n)]
+        if ctx.domain.is_exact:
+            images = images or {k: self.image(k) for k in active}
+            return all(_exact_pairing(images[active[a]], images[active[b]]) == want
+                       for a, b, want in entries)
+        return all(abs(sum((self.matrix[r][a] * ctx.q(k) * self.matrix[r][b]
+                            for r, k in enumerate(active)), zero) - want) <= GRAM_TOLERANCE
+                   for a, b, want in entries)
 
     def compose(self, other: "OrthogonalMap") -> "OrthogonalMap":
         """self after other, on the union of active sets."""

@@ -292,6 +292,7 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
     is read once per factor index per call.
     """
     _check_shape(phi, a)
+    move = _moved if a.shape.domain is Domain.RATIONAL else lambda x, dr, dc: x * (dc / dr)
     diagonals, terms = {}, []
     for coeff, factors in a.terms:
         new = []
@@ -299,10 +300,18 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
             d = diagonals.get(i)
             if d is None:
                 d = diagonals[i] = phi.diagonal(i)
-            new.append((i, tuple([((r, c), x if d[r] == d[c] else x * (d[c] / d[r]))
+            new.append((i, tuple([((r, c), x if d[r] == d[c] else move(x, d[r], d[c]))
                                   for (r, c), x in f])))
         terms.append((coeff, tuple(new)))
     return TensorElement(a.shape, tuple(terms), _canonical=True)
+
+
+def _moved(x: Fraction, dr: Fraction, dc: Fraction) -> Fraction:
+    """x * dc / dr in lowest terms, by one reduced over the integer ratios,
+    the sign moved so that the denominator is positive."""
+    n = x.numerator * dc.numerator * dr.denominator
+    den = x.denominator * dc.denominator * dr.numerator
+    return scalars.reduced(-n, -den) if den < 0 else scalars.reduced(n, den)
 
 
 def block_nilpotent(shape: FactorShape, i: int, coeff=1) -> TensorElement:
@@ -327,7 +336,7 @@ def witness_sequence(n_max: int, shape: FactorShape | None = None):
     phi = LocalAutomorphism.index_scaling(shape)
     out = []
     for n in range(1, n_max + 1):
-        b = block_nilpotent(shape, n, Fraction(1, n))
+        b = block_nilpotent(shape, n, scalars.reduced(1, n))
         out.append((tp_norm(b), tp_norm(limit_automorphism_apply(phi, b))))
     return out
 

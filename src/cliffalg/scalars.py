@@ -178,11 +178,13 @@ def coerce(domain: Domain, value):
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
-            return Fraction(value)
+            return reduced(value, 1)
         if isinstance(value, GaussianRational) and value.im == 0:
             return value.re
         raise DomainMismatchError(f"not a rational value: {value!r}")
     if domain is Domain.GAUSSIAN:
+        if isinstance(value, int):
+            return reduced(value, 1, 0)
         g = _as_gaussian(value)
         if g is NotImplemented:
             raise DomainMismatchError(f"not a Gaussian rational value: {value!r}")
@@ -212,12 +214,16 @@ def _float(domain: Domain, value) -> float:
         raise ValueError(f"bad {domain.value} literal: {value}") from None
 
 
+# one immutable 0 and 1 per domain, built once: callers only read them
+_ZERO, _ONE = ({domain: coerce(domain, n) for domain in Domain} for n in (0, 1))
+
+
 def zero(domain: Domain):
-    return coerce(domain, 0)
+    return _ZERO[domain]
 
 
 def one(domain: Domain):
-    return coerce(domain, 1)
+    return _ONE[domain]
 
 
 def imaginary_unit(domain: Domain):

@@ -8,7 +8,7 @@ is verified in matrix_rep and the test suite.
 from __future__ import annotations
 
 from . import scalars
-from .core import Multivector, UNIT_BLADE, _accumulate, _exact_norm, _weight
+from .core import Multivector, UNIT_BLADE, _accumulate, _exact_pairing, _weight
 
 
 def trace(a: Multivector):
@@ -29,7 +29,7 @@ def norm(a: Multivector):
     ctx, total = a.context, {}
     ctx.domain.require_real("norm")
     if ctx.domain.is_exact:
-        return _exact_norm(a)
+        return _exact_pairing(a, a)
     _accumulate(total, ((UNIT_BLADE, c * c * _weight(ctx, blade, 0))
                         for blade, c in a.terms.items()))
     return total.get(UNIT_BLADE, scalars.zero(ctx.domain))

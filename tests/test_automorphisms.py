@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from cliffalg.automorphisms import bogolyubov_apply, conjugation_apply
-from cliffalg.core import (Blade, Context, Multivector, linear_combine,
-                           mv_product)
+from cliffalg.core import (Blade, Context, Multivector, _exact_pairing,
+                           linear_combine, mv_product)
 from cliffalg.derivations import GRAM_TOLERANCE, OrthogonalMap
 from cliffalg.errors import NotInverseError, NotOrthogonalError
-from cliffalg.scalars import Domain
+from cliffalg.scalars import Domain, GaussianRational
 from cliffalg.trace_norm import norm
 
 from conftest import random_dense, random_multivector
@@ -105,6 +105,30 @@ class TestBogolyubovApply:
                                   ((1, 0), (shear, 1)))
         assert phi.gram_preserving() is ok
 
+    @pytest.mark.parametrize("domain, nan", [(Domain.F64, float("nan")),
+                                             (Domain.C64, complex("nan"))])
+    def test_a_nan_entry_fails_the_gram_check(self, domain, nan):
+        ctx = Context.make(domain)
+        for matrix in (((nan, 0), (0, 1)), ((1, nan), (0, 1))):
+            phi = OrthogonalMap.build(ctx, (1, 2), matrix)
+            assert phi.gram_preserving() is False
+            with pytest.raises(NotOrthogonalError):
+                bogolyubov_apply(phi, Multivector.generator(ctx, 1))
+
+    def test_each_generator_image_is_built_once_per_call(self, rng, monkeypatch):
+        image, calls = OrthogonalMap.image, []
+        for phi in [random_orthogonal(rng) for _ in range(5)]:
+            a = random_dense(rng, CTX, 8, 60)  # active on 1..6; 7 and 8 fixed
+            monkeypatch.setattr(OrthogonalMap, "image",
+                                lambda phi, k: calls.append(k) or image(phi, k))
+            calls.clear()
+            got = bogolyubov_apply(phi, a)
+            monkeypatch.undo()
+            assert sorted(calls) == sorted(set(calls))
+            assert set(calls) == set(phi.active) | a.support()
+            assert_per_blade(phi, a)
+            assert got == bogolyubov_apply(phi, a)
+
     def test_multiplicative(self, rng):
         for _ in range(25):
             phi = random_orthogonal(rng)
@@ -152,6 +176,60 @@ class TestBogolyubovApply:
         for part in ("even", "odd"):
             image = bogolyubov_apply(phi, parity_project(a, part))
             assert parity_project(image, part) == image
+
+
+def random_map(rng, ctx):
+    """A map on 1-4 active generators: a signed permutation, in the Gaussian
+    domain maybe times the complex rotation (5/3, -4/3 i; 4/3 i, 5/3), with
+    one entry changed in about half the maps."""
+    n = rng.randint(1, 4)
+    active = tuple(rng.sample(range(1, 8), n))
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for col, row in enumerate(rng.sample(range(n), n)):
+        matrix[row][col] = Fraction(rng.choice((1, -1)))
+    if ctx.domain is Domain.GAUSSIAN and n > 1 and rng.random() < 0.7:
+        c, s = Fraction(5, 3), GaussianRational.of(0, Fraction(4, 3))
+        for row in matrix:  # times the rotation on the first two columns
+            row[0], row[1] = c * row[0] + s * row[1], c * row[1] - s * row[0]
+    if rng.random() < 0.5:
+        r, k = rng.randrange(n), rng.randrange(n)
+        matrix[r][k] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+    return OrthogonalMap.build(ctx, active, matrix)
+
+
+class TestExactGramCheck:
+    """Entry (a, b) of M^T Q M read as tr(phi(v_a) rev(phi(v_b))) on the
+    images, against the matrix formula."""
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    @pytest.mark.parametrize("default, overrides", [
+        (1, {}), (Fraction(-2, 3), {}), (1, {2: -1, 3: Fraction(1, 2), 5: 3})],
+        ids=["unit", "scaled", "mixed"])
+    def test_matches_the_matrix_formula(self, domain, default, overrides, rng):
+        ctx = Context.make(domain, default, overrides)
+        verdicts = set()
+        for _ in range(60):
+            phi = random_map(rng, ctx)
+            M, active, zero = phi.matrix, phi.active, 0 * ctx.q(1)
+            want = True
+            for a, ka in enumerate(active):
+                for b, kb in enumerate(active):
+                    entry = sum((M[r][a] * ctx.q(k) * M[r][b]
+                                 for r, k in enumerate(active)), zero)
+                    got = _exact_pairing(phi.image(ka), phi.image(kb))
+                    assert got == entry and type(got) is type(entry)
+                    want &= entry == (ctx.q(ka) if a == b else 0)
+            assert phi.gram_preserving() is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_gaussian_maps_are_bilinear_not_hermitian(self):
+        # M^T M = I for this complex rotation, while M* M != I
+        s = GaussianRational.of(0, Fraction(4, 3))
+        phi = OrthogonalMap.build(Context.make(Domain.GAUSSIAN), (1, 2),
+                                  ((Fraction(5, 3), -s), (s, Fraction(5, 3))))
+        assert phi.gram_preserving() is True
 
 
 class TestConjugation:

@@ -818,6 +818,19 @@ class TestExitCodes:
         assert run(bad) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("domain", ["f64", "c64"])
+    @pytest.mark.parametrize("entry, code", [("nan", 1), ("2", 1), ("1", 0)])
+    def test_a_nan_map_fails_the_orthogonality_check(self, domain, entry, code,
+                                                    capsys):
+        omap = f'{{"active":[1,2],"matrix":[["{entry}","0"],["0","1"]]}}'
+        assert run(["--domain", domain, "auto", "bogolyubov", "--map", omap,
+                    "e1 + e2"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, err) == ("", "error: map does not preserve the quadratic form\n")
+        else:
+            assert (out, err) == ("e1 + e2\n", "")
+
     @pytest.mark.parametrize("signature, q", [
         ('{"default":"-1"}', 1), ('{"overrides":{"4":"2"}}', 4)])
     def test_rep_check_refuses_a_nonunit_form(self, signature, q, capsys):

@@ -264,7 +264,7 @@ def definitions(source: str, names) -> list:
 # multiply-accumulate kernel with its weight rows: other modules import them
 # from core, so a second copy fails the scan
 CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_split", "_ratios",
-             "_form", "_size", "_sum", "_combined", "_exact_norm", "_product",
+             "_form", "_size", "_sum", "_combined", "_exact_pairing", "_product",
              "_commutators", "_rows", "_gaussian_loop", "_anticommuting")
 
 

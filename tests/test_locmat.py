@@ -479,6 +479,24 @@ class TestDiagonalConjugation:
             assert limit_automorphism_apply(phi, limit_automorphism_apply(
                 phi.inverted(), a)).terms == a.terms
 
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("domain", EXACT, ids=lambda d: d.value)
+    def test_matches_the_value_formula(self, domain, m, rng):
+        # a moved entry is x * (d[c] / d[r]) in type, parts and repr, for
+        # fractional entries and negative and non-integer diagonals
+        shape = FactorShape(domain, m)
+        for _ in range(40):
+            phi = LocalAutomorphism.from_factors(
+                shape, {i: random_diagonal(rng, domain, m) for i in range(1, 5)})
+            a = raw_element(rng, shape)
+            want = tuple((coeff, tuple(
+                (i, tuple(((r, c), x if d[r] == d[c] else x * (d[c] / d[r]))
+                          for (r, c), x in f))
+                for i, f in fs for d in [phi.diagonal(i)])) for coeff, fs in a.terms)
+            got = limit_automorphism_apply(phi, a).terms
+            assert got == want and repr(got) == repr(want)
+            assert hash(got) == hash(want)
+
     def test_inverted_singular_rule_rejected(self):
         phi = LocalAutomorphism.from_factors(SHAPE, {1: (Fraction(0), Fraction(1))})
         with pytest.raises(InvalidAutomorphismError):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cliffalg.scalars import (Domain, GaussianRational, format_scalar,
-                              parse_scalar, reduced)
+from cliffalg.scalars import (Domain, GaussianRational, coerce, format_scalar,
+                              one, parse_scalar, reduced, zero)
 
 fractions = st.fractions(max_denominator=10 ** 6)
 # exponents, +-inf and subnormals; nan is not == to itself
@@ -236,3 +236,23 @@ def test_reduced_gaussian(re, im, d):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(got, name, Fraction(1))
     assert (got.re, got.im) == (want.re, want.im)
+
+
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+def test_zero_and_one_are_one_constant_per_domain(domain):
+    for constant, n in ((zero, 0), (one, 1)):
+        got, want = constant(domain), coerce(domain, n)
+        assert type(got) is type(want) and got == want and repr(got) == repr(want)
+        assert constant(domain) is got
+
+
+@pytest.mark.parametrize("n", [True, False, 0, 1, -7, 10 ** 399 + 7, -(10 ** 399) - 3],
+                         ids=["True", "False", "0", "1", "-7", "400-digit", "-400-digit"])
+def test_coerce_reads_an_int_as_fraction_does(n):
+    got = coerce(Domain.RATIONAL, n)
+    assert _same_fraction(got, Fraction(n)) and type(got.numerator) is int
+    got = coerce(Domain.GAUSSIAN, n)
+    want = GaussianRational(Fraction(n), Fraction(0))
+    assert type(got) is GaussianRational
+    assert _same_fraction(got.re, want.re) and _same_fraction(got.im, want.im)
+    assert hash(got) == hash(want) and repr(got) == repr(want)

@@ -1,5 +1,6 @@
 """The repository's comparison and benchmark tools (tools/)."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -103,3 +104,15 @@ class TestBenchPairsCommit:
             name = bench_pairs._commit(repo)
             assert name.startswith("sha256:")
             assert name == bench_pairs._commit(plain)
+
+
+def test_kind_times_lists_every_certify_kind():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "kind_times.py"),
+                           "--parent", str(ROOT), "--change", str(ROOT),
+                           "--workload", "certify", "--passes", "1", "--rounds", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0] for line in proc.stdout.splitlines()[1:]}
+    source = (ROOT / "cliffbench" / "workloads.py").read_text(encoding="utf-8")
+    kinds = set(re.findall(r'Op\("(certify\.\w+)"', source))
+    assert len(kinds) == 14 and rows == {"pass"} | kinds

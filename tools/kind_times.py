@@ -1,0 +1,73 @@
+"""Per-kind in-process timings of one workload in two checkouts.
+
+    python3 tools/kind_times.py --parent DIR --change DIR --workload W \
+        [--seed 101] [--passes 5] [--rounds 8]
+
+DIR is a checkout (its own src/ and cliffbench/).  Each round runs both in
+fresh interpreters, the parent first in even rounds.  An interpreter builds
+W's pool for the seed, makes one warm pass and P timed passes, and reports
+its best pass and each op kind's best-of-passes milliseconds.  Printed: per
+kind, the median over the rounds on each side and the change/parent ratio.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
+
+
+def emit(checkout: Path, workload: str, seed: int, passes: int) -> None:
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "cliffbench")]
+    import spans
+    import workloads
+
+    lib, pool, best = spans.plain_lib(), workloads.generate(workload, seed), {}
+    for p in range(passes + 1):  # pass 0 warms up
+        times = {"pass": 0.0}
+        for op in pool:
+            t0 = perf_counter()
+            try:
+                op.run(lib)
+            except Exception:  # a raising operation is timed as it is
+                pass
+            ms = (perf_counter() - t0) * 1e3
+            times[op.kind] = times.get(op.kind, 0.0) + ms
+            times["pass"] += ms
+        if p:
+            best = {k: min(v, best.get(k, v)) for k, v in times.items()}
+    print(json.dumps(best))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    for flag, kind, default in (("--parent", Path, None), ("--change", Path, None),
+                                ("--workload", str, None), ("--seed", int, 101),
+                                ("--passes", int, 5), ("--rounds", int, 8)):
+        p.add_argument(flag, type=kind, default=default, required=default is None)
+    p.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.emit:
+        emit(args.emit, args.workload, args.seed, args.passes)
+        return 0
+    runs = {"parent": [], "change": []}
+    for r in range(args.rounds):
+        for side in sorted(runs, reverse=r % 2 == 0):  # "parent" first when even
+            checkout = getattr(args, side).resolve()
+            out = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                                  "--emit", str(checkout), *argv],
+                                 cwd=checkout, capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(out.stdout.splitlines()[-1]))
+    print(f"{'kind':<24} {'parent ms':>10} {'change ms':>10} {'ratio':>7}")
+    for kind in runs["parent"][0]:
+        before, after = (statistics.median(run[kind] for run in runs[side]) for side in runs)
+        print(f"{kind:<24} {before:10.3f} {after:10.3f} {after / before:7.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
