@@ -20,7 +20,6 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from types import MappingProxyType
 
 from . import scalars
 from .errors import (DegenerateFormError, DomainMismatchError,
@@ -274,8 +273,8 @@ class Multivector:
     numerator, over one `_den` > 0 with gcd(_den, every part) == 1, so equal
     values have equal forms; floats as their nonzero values, with `_den` 0.
     `_den` given to the constructor marks `terms` as this stored form.  Only
-    this module reads it: a product's exact keys are plain ints, and the
-    readers that hand keys out (`terms`, `_ratios`) give Blades.
+    this module reads it: a result's keys are plain ints in every domain,
+    and the readers that hand keys out (`terms`, `_ratios`) give Blades.
     """
 
     __slots__ = ("context", "_den", "_num")
@@ -328,8 +327,6 @@ class Multivector:
     @property
     def terms(self) -> Mapping[Blade, object]:
         """The blade -> value map, read-only; exact values are built as read."""
-        if not self._den:
-            return MappingProxyType(self._num)
         return _Terms(self._den, self._num, self.context.domain is Domain.GAUSSIAN)
 
     def coeff(self, blade: Blade):
@@ -399,14 +396,16 @@ def _neg(c):
 
 
 class _Terms(Mapping):
-    """An exact multivector's terms, {Blade: value}, read-only; a value is
-    built when it is read."""
+    """A multivector's terms, {Blade: value}, read-only; an exact value is
+    built when it is read, a float one is the stored value."""
 
     def __init__(self, den: int, num: dict, gaussian: bool):
         self._den, self._num, self._gaussian = den, num, gaussian
 
     def __getitem__(self, blade):  # n / den in lowest terms
         n = self._num[blade]
+        if not self._den:
+            return n
         return reduced(n[0], self._den, n[1]) if self._gaussian else reduced(n, self._den)
 
     def __iter__(self):
@@ -417,6 +416,8 @@ class _Terms(Mapping):
 
     def items(self):  # one pass, not a lookup per key
         den, num = self._den, self._num
+        if not den:
+            return dict(zip(map(Blade, num), num.values())).items()
         if self._gaussian:
             return {Blade(b): reduced(re, den, im) for b, (re, im) in num.items()}.items()
         return {Blade(b): reduced(n, den) for b, n in num.items()}.items()
@@ -447,7 +448,7 @@ def _ratios(a: Multivector):
     (n, d), or (rn, rd, in, id) if Gaussian; a float value as it is."""
     den, gcd = a._den, math.gcd
     if not den:
-        return a._num.items()
+        return zip(map(Blade, a._num), a._num.values())
     if a.context.domain is Domain.GAUSSIAN:
         return [(Blade(b), (re // g, den // g, im // h, den // h))
                 for b, (re, im) in a._num.items() for g, h in ((gcd(re, den), gcd(im, den)),)]
@@ -563,9 +564,8 @@ def mv_product(a: Multivector, b: Multivector) -> Multivector:
 def _commutators(pairs, x: Multivector) -> Multivector:
     """The sum of c * (v_S x - x v_S) over the (blade S, nonzero value c)
     pairs, by _product under `ad`; exact c are read as numerators, doubled."""
-    if not x._den:
-        return _product(x.context, 0, pairs, 0, x._num.items(), ad=True)
-    da, pairs = _numerators(pairs, x.context.domain is Domain.GAUSSIAN, 2)
+    da, pairs = (_numerators(pairs, x.context.domain is Domain.GAUSSIAN, 2)
+                 if x._den else (0, pairs))
     return _product(x.context, da, pairs, x._den, x._num.items(), ad=True)
 
 
@@ -580,11 +580,11 @@ def _relabel(a: Multivector, blade: int, odd: int) -> Multivector:
     terms = {}
     if a._den:
         for A, c in a._num.items():
-            terms[Blade(A ^ blade)] = _neg(c) if ((A & P).bit_count() ^ odd) & 1 else c
+            terms[A ^ blade] = _neg(c) if ((A & P).bit_count() ^ odd) & 1 else c
     else:
         signs = ctx._one, -ctx._one
         for A, c in a._num.items():
-            terms[Blade(A ^ blade)] = c * signs[((A & P).bit_count() ^ odd) & 1]
+            terms[A ^ blade] = c * signs[((A & P).bit_count() ^ odd) & 1]
     return Multivector(ctx, terms, _den=a._den)
 
 
@@ -674,7 +674,7 @@ def _product(ctx: Context, da: int, a, db: int, b, ad: bool = False) -> Multivec
                 acc.pop(x, None)
     if exact:
         return _lowest(ctx, da * db * ctx._qden ** width, acc)
-    return Multivector(ctx, {Blade(x): s + s if ad else s for x, s in acc.items()}, _den=0)
+    return Multivector(ctx, {x: s + s for x, s in acc.items()} if ad else acc, _den=0)
 
 
 def _rows(ctx: Context, a, tb, kb: int, width: int) -> dict | None:
@@ -736,11 +736,7 @@ def _gaussian_loop(ctx: Context, a, tb, ad: bool, width: int, rows, kb: int) -> 
             wr, wi = w
             re = ar * br - ai * bi
             im = ar * bi + ai * br
-            if wi:
-                re, im = re * wr - im * wi, re * wi + im * wr
-            else:
-                re *= wr
-                im *= wr
+            re, im = re * wr - im * wi, re * wi + im * wr
             x = A ^ B
             s = get(x)
             if s is not None:
@@ -765,24 +761,33 @@ def reverse(a: Multivector) -> Multivector:
 def parity_project(a: Multivector, parity: str) -> Multivector:
     """Even or odd part by blade-grade parity."""
     want = parity_bit(parity)
-    return _lowest(a.context, a._den,
-                   {b: c for b, c in a._num.items() if b.bit_count() & 1 == want})
+    return _split(a, lambda b: b.bit_count() & 1 == want)[0]
 
 
-def _exact_pairing(a: Multivector, b: Multivector):
-    """tr(a * reverse(b)) of exact a and b over one context, bilinear with no
-    conjugation: the sum of m_S * n_S * q_S over the blades S both store,
-    over a._den * b._den, each q_S a numerator over qden**width."""
-    ctx, mask, num = a.context, a.context._mask, b._num
-    width = max(((S & mask).bit_count() for S in a._num), default=0)
+def _rev_pairing(a: Multivector, b: Multivector):
+    """tr(a * reverse(b)) over one context, bilinear with no conjugation: the
+    sum of m_S * n_S * q_S over the blades S both store (each numerator with
+    itself when b is a), q_S read from a table by S & mask.  Exact values are
+    summed as integers over a._den * b._den, each q_S a numerator over
+    qden**width; float terms are added in a's order, each q_S by _weight, as
+    the full product's trace terms."""
+    ctx, mask, num, exact = a.context, a.context._mask, a._num, a._den
+    pairs = (zip(num, num.values(), num.values()) if a is b else
+             [(S, m, n) for S, m in num.items() if (n := b._num.get(S)) is not None])
+    classes = {S & mask for S in num}
+    width = max((c.bit_count() for c in classes), default=0)
+    q = {c: _int_weight(ctx, c, 0, width) if exact else _weight(ctx, c, 0)
+         for c in classes}
+    if not exact:
+        total = {}
+        _accumulate(total, ((0, m * n * q[S & mask]) for S, m, n in pairs))
+        return total.get(0, scalars.zero(ctx.domain))
     den = a._den * b._den * ctx._qden ** width
     if ctx.domain is not Domain.GAUSSIAN:
-        return reduced(sum(m * n * _int_weight(ctx, S & mask, 0, width)
-                           for S, m in a._num.items() if (n := num.get(S)) is not None), den)
+        return reduced(sum(m * n * q[S & mask] for S, m, n in pairs), den)
     re = im = 0
-    for S, (x, y) in a._num.items():  # (x + y i)(u + v i)(w + z i)
-        if (n := num.get(S)) is not None:
-            (u, v), (w, z) = n, _int_weight(ctx, S & mask, 0, width)
-            pr, pi = x * u - y * v, x * v + y * u
-            re, im = re + pr * w - pi * z, im + pr * z + pi * w
+    for S, (x, y), (u, v) in pairs:  # (x + y i)(u + v i)(w + z i)
+        w, z = q[S & mask]
+        pr, pi = x * u - y * v, x * v + y * u
+        re, im = re + pr * w - pi * z, im + pr * z + pi * w
     return reduced(re, den, im)

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from . import scalars
 from .core import (Blade, Context, Multivector, _anticommuting, _commutators,
-                   _exact_pairing, check_context, linear_combine, mv_product,
+                   _rev_pairing, check_context, linear_combine, mv_product,
                    parity_bit)
 from .errors import (ContractViolationError, NotAdSumError, NotBogolyubovError,
                      NotSkewError, ParityError)
@@ -317,21 +317,16 @@ class OrthogonalMap:
                             for row in range(len(self.active))})
 
     def gram_preserving(self, images: Mapping[int, Multivector] | None = None) -> bool:
-        """Checks M^T Q M == Q on the active set.  Exact entry (a, b) is
+        """Checks M^T Q M == Q on the active set.  Entry (a, b) is
         tr(phi(v_a) rev(phi(v_b))), read on `images` (phi(v_k) by k, built
-        here if not given); float entries must lie within the absolute
-        GRAM_TOLERANCE, which a NaN entry does not."""
-        ctx, active, n = self.context, self.active, len(self.active)
-        zero = scalars.zero(ctx.domain)
-        entries = [(a, b, ctx.q(active[a]) if a == b else zero)
-                   for a in range(n) for b in range(a, n)]
-        if ctx.domain.is_exact:
-            images = images or {k: self.image(k) for k in active}
-            return all(_exact_pairing(images[active[a]], images[active[b]]) == want
-                       for a, b, want in entries)
-        return all(abs(sum((self.matrix[r][a] * ctx.q(k) * self.matrix[r][b]
-                            for r, k in enumerate(active)), zero) - want) <= GRAM_TOLERANCE
-                   for a, b, want in entries)
+        here if not given); exact entries must equal Q's, float ones lie
+        within the absolute GRAM_TOLERANCE, which a NaN entry does not."""
+        ctx, active, zero = self.context, self.active, scalars.zero(self.context.domain)
+        images = images or {k: self.image(k) for k in active}
+        return all(got == want if ctx.domain.is_exact else abs(got - want) <= GRAM_TOLERANCE
+                   for i, ka in enumerate(active) for kb in active[i:]
+                   for got, want in ((_rev_pairing(images[ka], images[kb]),
+                                      ctx.q(ka) if ka == kb else zero),))
 
     def compose(self, other: "OrthogonalMap") -> "OrthogonalMap":
         """self after other, on the union of active sets."""

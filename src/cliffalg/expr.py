@@ -96,7 +96,7 @@ class _Parser:
         self.pairs = pairs  # blade pairs of every product formed so far
         # c64 runs every product: its weight +-(1+0j) can change a zero or inf
         self.fold = context.domain is not Domain.C64
-        self.unit_bits = self.size(Multivector.unit(context))
+        self.unit_bits = _size(Multivector.unit(context))
 
     def error(self, message: str, pos: int) -> ParseError:
         """A ParseError at the token of index `pos`."""
@@ -153,7 +153,7 @@ class _Parser:
                 if support is None:
                     blade = odd = 0
                     count, _, support = _form(value)
-                    cost = count, self.size(value) + self.unit_bits
+                    cost = count, _size(value) + self.unit_bits
                 if not (support | blade) & b & self.context._mask:
                     self.charge(*cost, star)
                     # -(b << 1) is _prefix_parity(b)
@@ -249,11 +249,6 @@ class _Parser:
             raise self.error(f"{what} exceeds the limit {limit}", pos)
         return int(digits)
 
-    def size(self, value: Multivector) -> int:
-        """The largest coefficient size of `value` in the exact domains, else
-        0."""
-        return _size(value)
-
     def charge(self, pairs: int, bits: int, pos: int, what: str = "blade products") -> None:
         """Count `pairs` blade pairs (or sum digits) of operands whose largest
         coefficients add up to `bits` against MAX_PRODUCT_PAIRS, and refuse
@@ -267,7 +262,7 @@ class _Parser:
 
     def product(self, a: Multivector, b: Multivector, pos: int) -> Multivector:
         """a * b, charged before it is formed; `pos` is the operator's token."""
-        self.charge(len(a.terms) * len(b.terms), self.size(a) + self.size(b), pos)
+        self.charge(len(a.terms) * len(b.terms), _size(a) + _size(b), pos)
         return mv_product(a, b)
 
     def power(self, value: Multivector, n: int, pos: int) -> Multivector:

@@ -7,8 +7,7 @@ is verified in matrix_rep and the test suite.
 
 from __future__ import annotations
 
-from . import scalars
-from .core import Multivector, UNIT_BLADE, _accumulate, _exact_pairing, _weight
+from .core import Multivector, UNIT_BLADE, _rev_pairing
 
 
 def trace(a: Multivector):
@@ -26,10 +25,5 @@ def norm(a: Multivector):
     reversal and reordering both give the sign (-1)**(r(r-1)/2).  Negation
     being exact, c_S * c_S * q_S are the full product's trace terms, in order.
     """
-    ctx, total = a.context, {}
-    ctx.domain.require_real("norm")
-    if ctx.domain.is_exact:
-        return _exact_pairing(a, a)
-    _accumulate(total, ((UNIT_BLADE, c * c * _weight(ctx, blade, 0))
-                        for blade, c in a.terms.items()))
-    return total.get(UNIT_BLADE, scalars.zero(ctx.domain))
+    a.context.domain.require_real("norm")
+    return _rev_pairing(a, a)

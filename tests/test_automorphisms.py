@@ -1,9 +1,12 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
+from cliffalg import scalars
 from cliffalg.automorphisms import bogolyubov_apply, conjugation_apply
-from cliffalg.core import (Blade, Context, Multivector, _exact_pairing,
+from cliffalg.core import (Blade, Context, Multivector, _rev_pairing,
                            linear_combine, mv_product)
 from cliffalg.derivations import GRAM_TOLERANCE, OrthogonalMap
 from cliffalg.errors import NotInverseError, NotOrthogonalError
@@ -217,7 +220,7 @@ class TestExactGramCheck:
                 for b, kb in enumerate(active):
                     entry = sum((M[r][a] * ctx.q(k) * M[r][b]
                                  for r, k in enumerate(active)), zero)
-                    got = _exact_pairing(phi.image(ka), phi.image(kb))
+                    got = _rev_pairing(phi.image(ka), phi.image(kb))
                     assert got == entry and type(got) is type(entry)
                     want &= entry == (ctx.q(ka) if a == b else 0)
             assert phi.gram_preserving() is want
@@ -230,6 +233,54 @@ class TestExactGramCheck:
         phi = OrthogonalMap.build(Context.make(Domain.GAUSSIAN), (1, 2),
                                   ((Fraction(5, 3), -s), (s, Fraction(5, 3))))
         assert phi.gram_preserving() is True
+
+
+def random_float_map(rng, ctx):
+    """A map on 2-4 active generators: a product of plane rotations (in c64
+    some by (cosh t, -i sinh t; i sinh t, cosh t), orthogonal and not
+    unitary), with one entry moved, set to nan or set to an infinity in
+    about half the maps."""
+    n, c64 = rng.randint(2, 4), ctx.domain is Domain.C64
+    active = tuple(rng.sample(range(1, 8), n))
+    matrix = [[float(r == k) for k in range(n)] for r in range(n)]
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        t = rng.uniform(-1.5, 1.5)
+        c, s = ((cmath.cosh(t), 1j * cmath.sinh(t)) if c64 and rng.random() < 0.5
+                else (math.cos(t), math.sin(t)))
+        for row in matrix:
+            row[i], row[j] = c * row[i] + s * row[j], c * row[j] - s * row[i]
+    if rng.random() < 0.5:
+        r, k = rng.randrange(n), rng.randrange(n)
+        matrix[r][k] = rng.choice((matrix[r][k] + rng.choice((-1, 1)) * 10 ** rng.uniform(-4, 0),
+                                   math.nan, math.inf, -math.inf,
+                                   complex(1, math.nan) if c64 else -math.nan))
+    return OrthogonalMap.build(ctx, active, matrix)
+
+
+class TestFloatGramCheck:
+    """Float entries read through the pairing give the verdicts of the
+    matrix formula sum(M[r][a] * q_r * M[r][b])."""
+
+    @staticmethod
+    def matrix_verdict(phi):
+        ctx, M, active = phi.context, phi.matrix, phi.active
+        zero = scalars.zero(ctx.domain)
+        return all(abs(sum((M[r][a] * ctx.q(k) * M[r][b] for r, k in enumerate(active)),
+                           zero) - (ctx.q(active[a]) if a == b else zero)) <= GRAM_TOLERANCE
+                   for a in range(len(active)) for b in range(a, len(active)))
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64], ids=lambda d: d.value)
+    @pytest.mark.parametrize("default", [1, -2.5], ids=["unit", "scaled"])
+    def test_verdicts_match_the_matrix_formula(self, domain, default, rng):
+        ctx = Context.make(domain, default)
+        verdicts = set()
+        for _ in range(150):
+            phi = random_float_map(rng, ctx)
+            want = self.matrix_verdict(phi)
+            assert phi.gram_preserving() is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestConjugation:

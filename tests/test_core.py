@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from cliffalg import scalars
 from cliffalg.core import (Blade, Context, Multivector, _prefix_parity, _rows,
-                           _weight, blade_product, linear_combine, mv_product,
+                           _size, _weight, blade_product, linear_combine, mv_product,
                            parity_project, reverse)
 from cliffalg.derivations import AdFamily, family_apply
 from cliffalg.errors import DegenerateFormError, DomainMismatchError, ParseError
-from cliffalg.expr import MAX_COEFF_BITS, _Parser, parse
+from cliffalg.expr import MAX_COEFF_BITS, parse
 from cliffalg.render import render
 from cliffalg.scalars import Domain, GaussianRational
 
@@ -419,16 +419,22 @@ class TestCanonicalForm:
                 assert all(type(x) is Blade for x, _ in got.terms.items())
                 assert render(got) == render(Multivector(ctx, dict(got.terms)))
 
-    @pytest.mark.parametrize("domain", EXACT, ids=lambda d: d.value)
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_terms_round_trip_and_coeff_reads_them(self, domain):
+        # a product, an action and a parser fold (_relabel; c64 multiplies)
+        # store int keys; the view hands out Blades in every domain
         rng = random.Random(f"terms-{domain.value}")
-        kind = Fraction if domain is Domain.RATIONAL else GaussianRational
-        for ctx in kernel_contexts(domain):
+        kind = {Domain.RATIONAL: Fraction, Domain.GAUSSIAN: GaussianRational,
+                Domain.F64: float, Domain.C64: complex}[domain]
+        for ctx in kernel_contexts(domain, infinite=False):  # no nan to compare
             a, b = (random_dense(rng, ctx, 5, 12) for _ in range(2))
-            for m in (a, mv_product(a, b)):
+            family = AdFamily.finite(ctx, "even", [(Blade.of(1, 2), 1), (Blade.of(2, 5), 3)])
+            for m in (a, mv_product(a, b), family_apply(family, a),
+                      parse("(1 + 2*e1*e3 + e2)*e6*e8", ctx)):
                 terms = m.terms
                 assert Multivector(ctx, dict(terms)) == m
                 assert list(terms) == list(m._num) and len(terms) == len(m._num)
+                assert all(type(x) is Blade for x in terms)
                 assert all(type(x) is Blade and type(c) is kind for x, c in terms.items())
                 for x in range(1 << 5):
                     assert m.coeff(Blade(x)) == terms.get(Blade(x), scalars.zero(domain))
@@ -443,7 +449,7 @@ class TestCanonicalForm:
         # column, as read off each value's Fraction parts
         ctx = Context.make(domain)
         values = [parse(f"{base}^{k}", ctx) for k in (1, 2, 3, 5, 8)]
-        assert [_Parser("0", ctx).size(v) for v in values] == sizes
+        assert [_size(v) for v in values] == sizes
         assert [value_sizes(v) for v in values] == sizes
         parse(f"{base}^{last}", ctx)
         with pytest.raises(ParseError) as err:

@@ -3,8 +3,9 @@ the package imports nothing outside the standard library, every module
 but `__init__` and `__main__` is imported by another package module, so no
 module lives on for the tests alone (test oracles live in tests/), each
 precondition's error is raised by one function, the product kernel and
-its integer-numerator helpers are defined once, in `core`, and only
-`scalars` builds a value past its constructor."""
+its integer-numerator helpers are defined once, in `core`, each module
+imports only the private `core` names pinned for it, and only `scalars`
+builds a value past its constructor."""
 
 import ast
 import re
@@ -264,7 +265,7 @@ def definitions(source: str, names) -> list:
 # multiply-accumulate kernel with its weight rows: other modules import them
 # from core, so a second copy fails the scan
 CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_split", "_ratios",
-             "_form", "_size", "_sum", "_combined", "_exact_pairing", "_product",
+             "_form", "_size", "_sum", "_combined", "_rev_pairing", "_product",
              "_commutators", "_rows", "_gaussian_loop", "_anticommuting")
 
 
@@ -294,6 +295,39 @@ _p, (_anticommuting, z) = 1, (2, 3)
     assert definitions(source, CORE_ONLY) == [
         "_numerators", "_int_weight", "_lowest", "_anticommuting"]
     assert definitions("x = _numerators(1, 2)\n", CORE_ONLY) == []
+
+
+def core_privates(source: str) -> list:
+    """The private names `source` imports from the package's `core`, sorted;
+    `core` itself for `from . import core`, which reaches all of them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found += [alias.name for alias in node.names
+                      if node.module == "core" and alias.name.startswith("_")
+                      or node.module is None and alias.name == "core"]
+    return sorted(found)
+
+
+# each module's private imports from core, the helpers' surface outside it:
+# a module may drop names from its list, and adds none
+CORE_PRIVATES = {
+    "derivations": ["_anticommuting", "_commutators", "_rev_pairing"],
+    "expr": ["_form", "_relabel", "_size", "_sum"],
+    "matrix_rep": ["_xor_rank"],
+    "render": ["_ratios"],
+    "tensor_decomp": ["_prefix_parity", "_split", "_xor_rank"],
+    "trace_norm": ["_rev_pairing"],
+}
+
+
+def test_each_module_imports_its_pinned_core_privates():
+    found = {path.stem: core_privates(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == CORE_PRIVATES
+    assert core_privates("from .core import Blade, _size as s, _form\n"
+                         "from .scalars import _private\n"
+                         "from . import core, render\n") == ["_form", "_size", "core"]
 
 
 def stored_form_reads(source: str) -> list:

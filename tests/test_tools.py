@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cliffalg.core import Blade, Context, Multivector
 from cliffalg.scalars import Domain
 
@@ -104,6 +106,21 @@ class TestBenchPairsCommit:
             name = bench_pairs._commit(repo)
             assert name.startswith("sha256:")
             assert name == bench_pairs._commit(plain)
+
+
+@pytest.mark.parametrize("tool, args", [
+    ("kind_times.py", ["--workload", "dense_kernel", "--passes", "1", "--rounds", "1"]),
+    ("compare_results.py", ["--seeds", "101"])])
+def test_a_tool_stops_quietly_when_its_reader_goes_away(tool, args):
+    # the read end is closed before the tool writes, as `| head -1` closes
+    # it after one line: no traceback, and 141 (128 + SIGPIPE)
+    proc = subprocess.Popen([sys.executable, str(ROOT / "tools" / tool),
+                             "--parent", str(ROOT), "--change", str(ROOT), *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 141
+    assert err == ""
 
 
 def test_kind_times_lists_every_certify_kind():

@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from cliffalg.core import Blade, Context, Multivector, mv_product, reverse
+from cliffalg import scalars
+from cliffalg.core import (Blade, Context, Multivector, _rev_pairing, _weight,
+                           mv_product, reverse)
 from cliffalg.derivations import OrthogonalMap
 from cliffalg.automorphisms import bogolyubov_apply
 from cliffalg.errors import UnsupportedDomainError
@@ -13,6 +16,7 @@ from cliffalg.trace_norm import norm, trace
 from conftest import kernel_contexts, random_dense, random_multivector
 
 CTX = Context.make()
+INF, NAN = math.inf, math.nan
 
 
 def mv(terms):
@@ -82,6 +86,61 @@ class TestNorm:
             for count in (0, 1, 2, 9, 60):
                 a = random_dense(rng, ctx, 8, count)
                 assert repr(norm(a)) == repr(trace(mv_product(a, reverse(a))))
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64], ids=lambda d: d.value)
+    def test_float_self_pairing_is_the_one_operand_sum(self, domain, rng):
+        # c * c * q_S added in term order, a sum that reaches zero dropped:
+        # the loop norm ran before the pairing served it, bit for bit and
+        # NaN sign for NaN sign
+        def one_operand(a):
+            total = {}
+            for blade, c in a.terms.items():
+                v = c * c * _weight(a.context, blade, 0)
+                s = total.get(0)
+                s = v if s is None else s + v
+                if s:
+                    total[0] = s
+                else:
+                    total.pop(0, None)
+            return total.get(0, scalars.zero(domain))
+
+        def bits(x):
+            parts = (x.real, x.imag) if type(x) is complex else (x,)
+            return [(p.hex(), math.copysign(1, p)) for p in parts]
+
+        # The sign of nan + -nan in f64 changes once the interpreter
+        # specializes the add (CPython 3.11 swaps its operands), so the NaNs
+        # one operand can make share a sign: planted ones of one sign, or
+        # those inf - inf makes.
+        finite = [1e308, -1e-320, 2.5, -0.5]
+        pools = [[NAN], [-NAN], [INF, -INF]]
+        if domain is Domain.C64:
+            finite += [complex(0.0, -1.0), complex(-0.0, 2.0), complex(3.0, -0.0)]
+            pools = [[NAN, complex(NAN, -0.0)], [-NAN, complex(1.0, -NAN)],
+                     [INF, -INF, complex(INF, 1.0)]]
+        for ctx in kernel_contexts(domain):  # non-unit, signed-zero and inf q
+            for count in (0, 1, 2, 9, 40):
+                a = random_dense(rng, ctx, 8, count)
+                odd = finite + rng.choice(pools)
+                terms = {b: rng.choice(odd) if rng.random() < 0.3 else c
+                         for b, c in a.terms.items()}
+                for a in (a, Multivector(ctx, terms), a - a, a + reverse(a)):
+                    assert bits(_rev_pairing(a, a)) == bits(one_operand(a))
+        if domain is Domain.C64:  # 4 - 4 is dropped, so -4-0j keeps its -0.0
+            a = Multivector(Context.make(domain), {Blade(1): 2.0, Blade(2): 2j,
+                                                   Blade(4): complex(-0.0, 2.0)})
+            assert bits(_rev_pairing(a, a)) == bits(one_operand(a)) == bits(complex(-4, -0.0))
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_exact_pairing_is_the_trace_of_the_product(self, domain, rng):
+        for ctx in kernel_contexts(domain):
+            for count in (0, 1, 5, 30):
+                a, b = (random_dense(rng, ctx, 6, count) for _ in range(2))
+                for x, y in ((a, b), (b, a), (a, a), (a, a + b)):
+                    got = _rev_pairing(x, y)
+                    assert got == trace(mv_product(x, reverse(y)))
+                    assert type(got) is type(scalars.zero(domain))
 
     def test_refuses_complex_domains(self):
         gctx = Context.make(Domain.GAUSSIAN)

@@ -12,6 +12,7 @@ kind, the median over the rounds on each side and the change/parent ratio.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -70,4 +71,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away; say nothing, and point stdout at devnull so
+        # the interpreter's last flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as cliffalg.cli exits then
+    sys.exit(code)
