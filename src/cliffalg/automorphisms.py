@@ -8,7 +8,7 @@ conjugating diagonal's lower entry.
 
 from __future__ import annotations
 
-from .core import Multivector, linear_combine, mv_product
+from .core import Multivector, _linear_image, mv_product
 from .derivations import OrthogonalMap
 from .errors import NotInverseError, NotOrthogonalError
 
@@ -17,22 +17,22 @@ def bogolyubov_apply(phi: OrthogonalMap, a: Multivector) -> Multivector:
     """Extend phi over blades: v_{i1}...v_{ir} maps to phi(v_{i1})...phi(v_{ir}),
     multiplied left to right from the unit.  Each phi(v_k) is built once, and
     serves the Gram check too.  Images are kept by blade, and each prefix's
-    is its own prefix's times phi(v_k), so a shared prefix is multiplied once."""
+    is its own prefix's times phi(v_k), so a shared prefix is multiplied once;
+    a's coefficients weigh them as stored (_linear_image)."""
     gens = {k: phi.image(k) for k in {*phi.active, *a.support()}}
     if not phi.gram_preserving(gens):
         raise NotOrthogonalError("map does not preserve the quadratic form")
-    ctx = a.context
-    images = {0: Multivector.unit(ctx)}
-    pairs = []
-    for blade, coeff in a.terms.items():
+    images = {0: Multivector.unit(a.context)}
+    blade_images = []
+    for blade in a.terms:
         img, bits = images[0], 0
         for k in blade.indices:  # img becomes the image of the prefix up to v_k
             bits |= 1 << k - 1
             if (nxt := images.get(bits)) is None:
                 nxt = images[bits] = mv_product(img, gens[k])
             img = nxt
-        pairs.append((coeff, img))
-    return linear_combine(pairs, context=ctx)
+        blade_images.append(img)
+    return _linear_image(a, blade_images)
 
 
 def conjugation_apply(u: Multivector, u_inv: Multivector,

@@ -528,6 +528,14 @@ def linear_combine(pairs: Iterable[tuple[object, Multivector]],
     return _combined(context, parts)
 
 
+def _linear_image(a: Multivector, images: list) -> Multivector:
+    """The sum of c_S * images[j] over a's j-th term (S, c_S), c_S as stored."""
+    if not a._den:
+        return linear_combine(zip(a._num.values(), images), a.context)
+    return _combined(a.context, [(n, a._den * img._den, img._num)
+                                 for n, img in zip(a._num.values(), images)])
+
+
 def _combined(context: Context, parts) -> Multivector:
     """The exact sum of f * num / d over the (f, d, num) parts, f an int or
     (re, im) numerator: the terms are added in order, as ints over the lcm

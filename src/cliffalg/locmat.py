@@ -7,20 +7,22 @@ pairing tr(a b*), the trace as the pairing with the unit.  The limit
 automorphism conjugates only the supported factors, the stabilization
 property made literal, each by a diagonal, which scales its stored entries.
 The witness sequence exhibits an automorphism that shrinks no norm while
-its input sequence tends to zero.
+its input sequence tends to zero.  Rational arithmetic runs on integer
+parts: factor products and the pairing sum integers over one denominator,
+the automorphism scales entries by integer ratios, each building one reduced
+value per result, and terms merge by their entries' integer parts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from fractions import Fraction
 from operator import methodcaller, truediv
 from typing import Callable, Mapping
 
 from . import scalars
 from .errors import InvalidAutomorphismError, ShapeMismatchError
-from .scalars import Domain
+from .scalars import Domain, reduced
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,17 @@ def _factor(shape: FactorShape, i: int, rows) -> tuple:
                  for c, x in enumerate(row) if x)
 
 
+def _index(i) -> int:
+    """The factor index i, an int >= 1: the tensor model counts from 1."""
+    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+        raise ValueError(f"factor indices must be integers >= 1, got {i!r}")
+    return i
+
+
 def _canonical(shape: FactorShape, terms) -> tuple:
-    """Merge terms by factor tuple; drop identity factors (m stored entries,
-    each a diagonal 1), terms with a zero factor (nothing stored) and zero
-    coefficients.  Merged terms keep first-seen order."""
+    """Merge terms by factor tuple (_key); drop identity factors (m stored
+    entries, each a diagonal 1), terms with a zero factor (nothing stored) and
+    zero coefficients.  Merged terms keep first-seen order and factors."""
     merged = {}
     for coeff, factors in terms:
         kept = []
@@ -60,9 +69,18 @@ def _canonical(shape: FactorShape, terms) -> tuple:
             if len(f) != shape.size or any(r != c or x != 1 for (r, c), x in f):
                 kept.append((i, f))
         else:
-            key = tuple(kept)
-            merged[key] = merged[key] + coeff if key in merged else coeff
-    return tuple((c, f) for f, c in merged.items() if c)
+            entry = merged.setdefault(_key(shape, kept), [tuple(kept), None])
+            entry[1] = coeff if entry[1] is None else entry[1] + coeff
+    return tuple((c, f) for f, c in merged.values() if c)
+
+
+def _key(shape: FactorShape, factors) -> tuple:
+    """The factors as a dict key: rational entries by their integer parts,
+    which equal Fractions share, so that no Fraction hash runs."""
+    if shape.domain is not Domain.RATIONAL:
+        return tuple(factors)
+    return tuple([(i, tuple([(k, x._numerator, x._denominator) for k, x in f]))
+                  for i, f in factors])
 
 
 @dataclass(frozen=True)
@@ -86,7 +104,7 @@ class TensorElement:
     def build(shape: FactorShape, terms) -> "TensorElement":
         return TensorElement(shape, tuple(
             (scalars.coerce(shape.domain, coeff),
-             tuple(sorted((int(i), _factor(shape, i, rows))
+             tuple(sorted((_index(i), _factor(shape, i, rows))
                           for i, rows in dict(factors).items())))
             for coeff, factors in terms))
 
@@ -112,7 +130,8 @@ class TensorElement:
             return NotImplemented
         if self.shape != other.shape:
             return False
-        if {f: c for c, f in self.terms} == {f: c for c, f in other.terms}:
+        if ({_key(self.shape, f): c for c, f in self.terms}
+                == {_key(self.shape, f): c for c, f in other.terms}):
             return True
         d = self + other.scale(-1)
         return _pairing(d, d) == 0
@@ -145,9 +164,12 @@ def _check_shape(a, b):
         raise ShapeMismatchError("tensor elements built over different shapes")
 
 
-def _mul(a: tuple, b: tuple) -> tuple:
+def _mul(a: tuple, b: tuple, rational: bool) -> tuple:
     """Factor product over stored entries: entry (r, c) sums a[r, j] b[j, c],
-    and a sum that cancels is not stored."""
+    and a sum that cancels is not stored.  Rational entries are summed as
+    integers over da * db, one value built per stored entry (_integers)."""
+    if rational:
+        (da, a), (db, b) = _integers(a), _integers(b)
     rows = {}
     for (j, c), y in b:
         rows.setdefault(j, []).append((c, y))
@@ -156,19 +178,27 @@ def _mul(a: tuple, b: tuple) -> tuple:
         for c, y in rows.get(j, ()):
             key = r, c
             out[key] = out[key] + x * y if key in out else x * y
+    if rational:
+        return tuple([(k, reduced(v, da * db)) for k, v in sorted(out.items()) if v])
     return tuple(e for e in sorted(out.items()) if e[1])
+
+
+def _integers(f: tuple) -> tuple[int, list]:
+    """(d, [(key, n)]): a rational factor's entries as integers n over d."""
+    d = math.lcm(*[x._denominator for _, x in f])
+    return d, [(k, x._numerator * (d // x._denominator)) for k, x in f]
 
 
 def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
     """Termwise product: multiply factors present in both, keep the others."""
     _check_shape(a, b)
-    terms = []
+    rational, terms = a.shape.domain is Domain.RATIONAL, []
     for ca, fa in a.terms:
         for cb, fb in b.terms:
             merged = dict(fa)
             for i, mb in fb:
                 ma = merged.get(i)
-                merged[i] = mb if ma is None else _mul(ma, mb)
+                merged[i] = mb if ma is None else _mul(ma, mb, rational)
             terms.append((ca * cb, tuple(sorted(merged.items()))))
     return TensorElement(a.shape, tuple(terms))
 
@@ -184,10 +214,10 @@ def _operand(a: TensorElement, conjugate: bool):
     element's values are integers over their common denominator; a Gaussian
     element's are its own values over d = 1, conjugated if `conjugate`."""
     if a.shape.domain is Domain.RATIONAL:
-        d = math.lcm(*[c.denominator for c, _ in a.terms],
-                     *[x.denominator for _, fs in a.terms for _, f in fs for _, x in f])
-        return d, [(c.numerator * (d // c.denominator),
-                    {i: {k: x.numerator * (d // x.denominator) for k, x in f}
+        d = math.lcm(*[c._denominator for c, _ in a.terms],
+                     *[x._denominator for _, fs in a.terms for _, f in fs for _, x in f])
+        return d, [(c._numerator * (d // c._denominator),
+                    {i: {k: x._numerator * (d // x._denominator) for k, x in f}
                      for i, f in fs}) for c, fs in a.terms]
     value = methodcaller("conjugate") if conjugate else (lambda x: x)
     return 1, [(value(c), {i: {k: value(x) for k, x in f} for i, f in fs})
@@ -201,13 +231,14 @@ def _pairing(a: TensorElement, b: TensorElement):
     of the entries both factors store.  The operands enter as values over
     one denominator each, da and db (_operand; b conjugated once), and a
     factor on one side only gives its trace times the other's denominator,
-    so a term pair with k factors is its value over da * db * (da * db * m)**k;
-    the sums per k are divided once each and added."""
+    so a term pair with k factors is its value over da * db * (da * db * m)**k,
+    summed over the largest k's denominator and divided once."""
     m, domain = a.shape.size, a.shape.domain
     rational = domain is Domain.RATIONAL
     da, left = _operand(a, False)
     db, right = (da, left) if rational and b is a else _operand(b, True)
-    acc = {}  # k -> summed values of the term pairs with k factors
+    base = da * db * m
+    total, top = 0 if rational else scalars.zero(domain), 0  # over da * db * base**top
     for cs, fs in left:
         for ct, ft in right:
             v, u = cs * ct, fs.keys() | ft.keys()
@@ -223,11 +254,10 @@ def _pairing(a: TensorElement, b: TensorElement):
                         if key in f:
                             p += x * f[key]
                     v *= p
-            acc[len(u)] = acc.get(len(u), 0) + v
-    base = da * db * m
-    divide = scalars.reduced if rational else truediv
-    values = [divide(v, da * db * base ** k) for k, v in acc.items()]
-    return sum(values[1:], values[0]) if values else scalars.zero(domain)
+            if len(u) > top:
+                total, top = total * base ** (len(u) - top), len(u)
+            total += v * base ** (top - len(u))
+    return (reduced if rational else truediv)(total, da * db * base ** top)
 
 
 def tp_norm(a: TensorElement):
@@ -292,35 +322,35 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
     is read once per factor index per call.
     """
     _check_shape(phi, a)
-    move = _moved if a.shape.domain is Domain.RATIONAL else lambda x, dr, dc: x * (dc / dr)
-    diagonals, terms = {}, []
+    rational, diagonals, terms = a.shape.domain is Domain.RATIONAL, {}, []
     for coeff, factors in a.terms:
         new = []
         for i, f in factors:
             d = diagonals.get(i)
-            if d is None:
-                d = diagonals[i] = phi.diagonal(i)
-            new.append((i, tuple([((r, c), x if d[r] == d[c] else move(x, d[r], d[c]))
-                                  for (r, c), x in f])))
+            if d is None:  # a rational diagonal as integer ratios (n, d)
+                d = diagonals[i] = [(x._numerator, x._denominator) if rational else x
+                                    for x in phi.diagonal(i)]
+            moved = []
+            for (r, c), x in f:
+                dr, dc = d[r], d[c]
+                if dr != dc and rational:  # x * dc / dr in lowest terms
+                    n, den = x._numerator * dc[0] * dr[1], x._denominator * dc[1] * dr[0]
+                    x = reduced(-n, -den) if den < 0 else reduced(n, den)
+                elif dr != dc:
+                    x = x * (dc / dr)
+                moved.append(((r, c), x))
+            new.append((i, tuple(moved)))
         terms.append((coeff, tuple(new)))
     return TensorElement(a.shape, tuple(terms), _canonical=True)
-
-
-def _moved(x: Fraction, dr: Fraction, dc: Fraction) -> Fraction:
-    """x * dc / dr in lowest terms, by one reduced over the integer ratios,
-    the sign moved so that the denominator is positive."""
-    n = x.numerator * dc.numerator * dr.denominator
-    den = x.denominator * dc.denominator * dr.numerator
-    return scalars.reduced(-n, -den) if den < 0 else scalars.reduced(n, den)
 
 
 def block_nilpotent(shape: FactorShape, i: int, coeff=1) -> TensorElement:
     """coeff * [[0, I_k], [0, 0]] at factor i (k = m / 2), identity
     elsewhere; the zero element for coeff 0."""
-    one, k = scalars.one(shape.domain), shape.size // 2
+    one, k, i = scalars.one(shape.domain), shape.size // 2, _index(i)
     coeff = scalars.coerce(shape.domain, coeff)
     f = tuple([((r, r + k), one) for r in range(k)])
-    return TensorElement(shape, ((coeff, ((int(i), f),)),) if coeff else (),
+    return TensorElement(shape, ((coeff, ((i, f),)),) if coeff else (),
                          _canonical=True)
 
 
@@ -336,7 +366,7 @@ def witness_sequence(n_max: int, shape: FactorShape | None = None):
     phi = LocalAutomorphism.index_scaling(shape)
     out = []
     for n in range(1, n_max + 1):
-        b = block_nilpotent(shape, n, scalars.reduced(1, n))
+        b = block_nilpotent(shape, n, reduced(1, n))
         out.append((tp_norm(b), tp_norm(limit_automorphism_apply(phi, b))))
     return out
 

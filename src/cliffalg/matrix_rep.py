@@ -11,17 +11,19 @@ The certificates read words only, `rep_verify` walking blades depth first: the
 normalized trace of a word is i^p when x == z == 0 and 0 otherwise, and
 faithfulness is GF(2) independence.  `represent` and `MatrixRep.identity`
 write dense 2**k x 2**k matrices, the oracle the tests check the words
-against, through `_dense` alone.
+against, through `_dense` alone, which sums each entry as an (re, im) integer
+numerator over one denominator and builds values for nonzero entries only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import scalars
-from .core import Multivector, _xor_rank
+from .core import Multivector, _ratios, _xor_rank
 from .errors import SupportRangeError
-from .scalars import Domain, GaussianRational
+from .scalars import Domain, GaussianRational, reduced
 from .trace_norm import trace
 
 _ZERO = GaussianRational.of(0)
@@ -52,7 +54,7 @@ class MatrixRep:
                                compare=False)
 
     def identity(self):
-        return _dense(self.dim, [((0, 0, 0), _ONE)])
+        return _dense(self.dim, [((0, 0, 0), (1, 1, 0, 1))])
 
     def blade_word(self, bits: int) -> tuple:
         """Word of the ordered product of the generators in blade `bits`."""
@@ -79,15 +81,18 @@ def build_rep(k: int) -> MatrixRep:
 
 
 def _dense(dim: int, terms):
-    """Sum of coeff * word over (word, coeff) pairs, one entry per column."""
-    rows = [[_ZERO] * dim for _ in range(dim)]
-    for (p, x, z), coeff in terms:
-        units = tuple(coeff * phase for phase in _PHASES)
+    """Sum of (rn / rd + i jn / jd) * word over (word, (rn, rd, jn, jd)) pairs,
+    one entry per column, as (re, im) integers over the lcm of the rd and jd."""
+    den = math.lcm(*[t[1] for _, t in terms], *[t[3] for _, t in terms])
+    rows = [[(0, 0)] * dim for _ in range(dim)]
+    for (p, x, z), (rn, rd, jn, jd) in terms:
+        re, im = rn * (den // rd), jn * (den // jd)
+        units = (re, im), (-im, re), (-re, -im), (im, -re)  # times i^0..i^3
         for c in range(dim):
-            row = rows[c ^ x]
-            value = units[(p + 2 * (z & c).bit_count()) % 4]
-            row[c] = value if row[c] is _ZERO else row[c] + value
-    return tuple(map(tuple, rows))
+            row, (ur, ui) = rows[c ^ x], units[(p + 2 * (z & c).bit_count()) % 4]
+            row[c] = row[c][0] + ur, row[c][1] + ui
+    return tuple(tuple(reduced(re, den, im) if re or im else _ZERO for re, im in row)
+                 for row in rows)
 
 
 def _check_representable(a: Multivector) -> None:
@@ -102,9 +107,8 @@ def represent(rep: MatrixRep, a: Multivector):
         raise SupportRangeError(
             f"support reaches index {a.max_index()}, representation covers {2 * rep.k}")
     _check_representable(a)
-    return _dense(rep.dim, [(rep.blade_word(blade),
-                             scalars.coerce(Domain.GAUSSIAN, coeff))
-                            for blade, coeff in a.terms.items()])
+    return _dense(rep.dim, [(rep.blade_word(b), p if len(p) == 4 else (*p, 0, 1))
+                            for b, p in _ratios(a)])
 
 
 def normalized_trace(m):

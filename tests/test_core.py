@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffalg import scalars
-from cliffalg.core import (Blade, Context, Multivector, _prefix_parity, _rows,
-                           _size, _weight, blade_product, linear_combine, mv_product,
-                           parity_project, reverse)
+from cliffalg.core import (Blade, Context, Multivector, _linear_image, _prefix_parity,
+                           _rows, _size, _weight, blade_product, linear_combine,
+                           mv_product, parity_project, reverse)
 from cliffalg.derivations import AdFamily, family_apply
 from cliffalg.errors import DegenerateFormError, DomainMismatchError, ParseError
 from cliffalg.expr import MAX_COEFF_BITS, parse
@@ -137,6 +137,32 @@ class TestLinearCombine:
                 want = want + scaled_terms(m, value)
             got = linear_combine(pairs)
             assert list(got.terms.items()) == list(want.terms.items())
+
+    @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
+    def test_linear_image_equals_linear_combine(self, domain):
+        # bogolyubov_apply's sum: a's j-th coefficient weighs images[j]; the
+        # terms come in linear_combine's order, with its float bits and NaN
+        # signs (one NaN per blade, so no sum meets NaNs of both signs)
+        rng = random.Random(f"linear-image-{domain.value}")
+        for ctx in kernel_contexts(domain):
+            c = random_scalar(rng, domain)
+            cancelling = Multivector(ctx, {Blade.of(1): c, Blade.of(2): -c})
+            for a in [cancelling] + [random_dense(rng, ctx, 5, n) for n in (0, 1, 9, 20)]:
+                images = [random_dense(rng, ctx, 5, rng.choice((0, 1, 9)))
+                          for _ in range(len(a.terms))]
+                if a is cancelling:  # c * m - c * m, every sum reaches zero
+                    images[1] = images[0]
+                elif images and not domain.is_exact:
+                    images[0] = Multivector(ctx, {Blade.of(1): math.inf,
+                                                  Blade.of(2): -math.nan})
+                    images[-1] = Multivector(ctx, {Blade.of(1): -math.inf, Blade(0): 2.5})
+                got = _linear_image(a, images)
+                want = linear_combine(zip(a.terms.values(), images), ctx)
+                assert [(x, value_bits(v)) for x, v in got.terms.items()] == \
+                    [(x, value_bits(v)) for x, v in want.terms.items()]
+                if domain.is_exact:
+                    assert (got._den, got._num) == (want._den, want._num)
+                    assert got.is_zero or a is not cancelling
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_scale_equals_per_term_products(self, domain):

@@ -266,7 +266,8 @@ def definitions(source: str, names) -> list:
 # from core, so a second copy fails the scan
 CORE_ONLY = ("_numerators", "_int_weight", "_lowest", "_split", "_ratios",
              "_form", "_size", "_sum", "_combined", "_rev_pairing", "_product",
-             "_commutators", "_rows", "_gaussian_loop", "_anticommuting")
+             "_commutators", "_rows", "_gaussian_loop", "_anticommuting",
+             "_linear_image")
 
 
 def test_numerator_helpers_are_defined_in_core_alone():
@@ -312,9 +313,10 @@ def core_privates(source: str) -> list:
 # each module's private imports from core, the helpers' surface outside it:
 # a module may drop names from its list, and adds none
 CORE_PRIVATES = {
+    "automorphisms": ["_linear_image"],
     "derivations": ["_anticommuting", "_commutators", "_rev_pairing"],
     "expr": ["_form", "_relabel", "_size", "_sum"],
-    "matrix_rep": ["_xor_rank"],
+    "matrix_rep": ["_ratios", "_xor_rank"],
     "render": ["_ratios"],
     "tensor_decomp": ["_prefix_parity", "_split", "_xor_rank"],
     "trace_norm": ["_rev_pairing"],

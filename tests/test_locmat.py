@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from cliffalg.core import Blade, Context, Multivector
 from cliffalg.errors import (InvalidAutomorphismError, ShapeMismatchError,
                              UnsupportedDomainError)
 from cliffalg.locmat import (FactorShape, LocalAutomorphism, TensorElement,
-                             _canonical, _pairing, block_nilpotent,
+                             _canonical, _mul, _pairing, block_nilpotent,
                              limit_automorphism_apply, tp_norm, tp_product,
                              tp_trace, witness_discontinuous, witness_sequence)
 from cliffalg.matrix_rep import build_rep, represent
@@ -100,6 +101,19 @@ def test_factor_shape_refuses_odd_and_small_sizes(size):
         FactorShape(Domain.RATIONAL, size)
 
 
+@pytest.mark.parametrize("index", [0, -3, 2.5, True, "2", Fraction(2)], ids=repr)
+def test_factor_indices_are_integers_from_one(index):
+    # no truncation (2.5 was factor 2), no bool (True was factor 1) and no
+    # index below 1 (block_nilpotent took 0 and -3)
+    message = rf"factor indices must be integers >= 1, got {re.escape(repr(index))}$"
+    for build in (lambda: TensorElement.build(SHAPE, [(1, {index: A1})]),
+                  lambda: TensorElement.single(SHAPE, 1, {index: A1}),
+                  lambda: block_nilpotent(SHAPE, index),
+                  lambda: block_nilpotent(SHAPE, index, 0)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 class TestCanonicalEquality:
     def test_zero_coefficient_term(self):
         a = elem(3, {1: A1})
@@ -120,6 +134,26 @@ class TestCanonicalEquality:
         assert dense_terms(a) == ((Fraction(3, 2), ((1, A1),)),)
         assert TensorElement.build(SHAPE, [(1, {1: A1}), (-1, {1: A1})]) == \
             TensorElement.zero(SHAPE)
+        # equal factors held by distinct Fractions merge, keeping the first
+        # seen factor and order; a sum that reaches zero drops
+        f, g, h, k = (matrix(0, Fraction(2, 3), 0, 0) for _ in range(4))
+        assert f is not g and f[0][1] is not g[0][1] and f == g
+        got = TensorElement.build(SHAPE, [(1, {2: h}), (Fraction(1, 2), {1: f}),
+                                          (3, {3: E11}), (-1, {2: k}),
+                                          (Fraction(1, 3), {1: g}), (-3, {3: E11})])
+        assert dense_terms(got) == ((Fraction(5, 6), ((1, f),)),)
+        (_, ((_, stored),)), = got.terms
+        assert stored[0][1] is f[0][1]
+
+        def at(i, key, x):  # one factor storing one entry
+            return ((i, ((key, x),)),)
+
+        first, other = at(1, (0, 0), Fraction(1, 2)), at(2, (1, 0), Fraction(1, 3))
+        got = _canonical(SHAPE, [(2, at(4, (0, 1), Fraction(1, 2))), (1, first),
+                                 (7, other), (-2, at(4, (0, 1), Fraction(2, 4))),
+                                 (5, at(1, (0, 0), Fraction(3, 6)))])
+        assert got == ((6, first), (7, other))
+        assert got[0][1][0][1] is first[0][1]
 
     def test_distributed_factor_uses_the_expansion(self):
         b, c = matrix(1, 2, 0, 3), matrix(-1, 0, 5, 1)
@@ -213,6 +247,27 @@ class TestStoredEntries:
         assert dense(shape, got) == ((0 * one, one), (-one, one))
         # b's stored zero is dropped when it is built
         assert [k for k, _ in b.terms[0][1][0][1]] == [(0, 0), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_rational_products_match_the_fraction_reference(self, m, rng):
+        def factor():  # entries over unequal denominators
+            return tuple(((r, c), Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3))))
+                         for r in range(m) for c in range(m) if rng.random() < 0.8)
+
+        cancelled = 0
+        for _ in range(300):
+            a, b = factor(), factor()
+            sums = {}
+            for (r, j), x in a:
+                for (i, c), y in b:
+                    if i == j:
+                        sums[r, c] = sums.get((r, c), 0) + x * y
+            want = tuple(sorted((key, v) for key, v in sums.items() if v))
+            got = _mul(a, b, True)
+            assert got == want  # Fraction == compares lowest terms
+            assert all(type(v) is Fraction for _, v in got)
+            cancelled += len(sums) - len(want)
+        assert cancelled > 20
 
 
 class TestProduct:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cliffalg import matrix_rep
@@ -119,6 +121,22 @@ def test_words_match_the_dense_oracle(k):
         got = represent(rep, Multivector.blade(GCTX, Blade(bits)))
         assert got == want
         assert all(type(x) is GaussianRational for row in got for x in row)
+    # sums over unequal denominators in both exact contexts; the only blades
+    # with no X part are 1 and, from k = 2, v1 v2 v3 v4 = -Z Z, so that the
+    # (0, 0) entry of their equal-weight sum cancels
+    zero, dim = GaussianRational.of(0), 2 ** k
+    moving = [bits for bits in blades if rep.blade_word(bits)[1]]
+    for ctx, c in ((Context.make(Domain.RATIONAL), Fraction(-5, 6)),
+                   (GCTX, GaussianRational(Fraction(2, 5), Fraction(-1, 7)))):
+        terms = {bits: c * Fraction(1 + bits % 5, 1 + bits % 7) for bits in moving}
+        terms.update({0: Fraction(1, 4), 15: Fraction(1, 4)} if k > 1 else {0: 1})
+        want = zeros(dim, zero)
+        for bits, value in terms.items():
+            want = mat_add(want, mat_scale(blades[bits], GaussianRational.of(0) + value))
+        got = represent(rep, Multivector(ctx, {Blade(b): x for b, x in terms.items()}))
+        assert got == want
+        assert all(type(x) is GaussianRational for row in got for x in row)
+        assert (got[0][0] == 0) == (k > 1)
 
 
 def test_word_product_matches_matrix_product(rng):

@@ -129,7 +129,13 @@ def test_kind_times_lists_every_certify_kind():
                            "--workload", "certify", "--passes", "1", "--rounds", "1"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0] for line in proc.stdout.splitlines()[1:]}
+    header, *lines = proc.stdout.splitlines()
+    assert header.split() == ["kind", "parent", "ms", "q1", "q3",
+                              "change", "ms", "q1", "q3", "ratio"]
+    rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines}
     source = (ROOT / "cliffbench" / "workloads.py").read_text(encoding="utf-8")
     kinds = set(re.findall(r'Op\("(certify\.\w+)"', source))
-    assert len(kinds) == 14 and rows == {"pass"} | kinds
+    assert len(kinds) == 14 and set(rows) == {"pass"} | kinds
+    for parent, p1, p3, change, c1, c3, _ in rows.values():
+        # one round: each side's quartiles are its one reading
+        assert p1 == parent == p3 and c1 == change == c3

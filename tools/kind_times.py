@@ -7,7 +7,10 @@ DIR is a checkout (its own src/ and cliffbench/).  Each round runs both in
 fresh interpreters, the parent first in even rounds.  An interpreter builds
 W's pool for the seed, makes one warm pass and P timed passes, and reports
 its best pass and each op kind's best-of-passes milliseconds.  Printed: per
-kind, the median over the rounds on each side and the change/parent ratio.
+kind, the median over the rounds on each side with its quartiles q1 and q3
+(statistics.quantiles, n=4, inclusive, as bench_pairs reads them; one round
+is its own quartiles), and the change/parent ratio of the medians, to be read
+against the parent's spread.
 """
 
 import argparse
@@ -43,6 +46,13 @@ def emit(checkout: Path, workload: str, seed: int, passes: int) -> None:
     print(json.dumps(best))
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """[q1, median, q3] of the values."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -63,10 +73,13 @@ def main(argv=None) -> int:
                                   "--emit", str(checkout), *argv],
                                  cwd=checkout, capture_output=True, text=True, check=True)
             runs[side].append(json.loads(out.stdout.splitlines()[-1]))
-    print(f"{'kind':<24} {'parent ms':>10} {'change ms':>10} {'ratio':>7}")
+    print(f"{'kind':<24} {'parent ms':>10} {'q1':>8} {'q3':>8} "
+          f"{'change ms':>10} {'q1':>8} {'q3':>8} {'ratio':>7}")
     for kind in runs["parent"][0]:
-        before, after = (statistics.median(run[kind] for run in runs[side]) for side in runs)
-        print(f"{kind:<24} {before:10.3f} {after:10.3f} {after / before:7.3f}")
+        (p1, before, p3), (c1, after, c3) = (
+            quartiles([run[kind] for run in runs[side]]) for side in runs)
+        print(f"{kind:<24} {before:10.3f} {p1:8.3f} {p3:8.3f} "
+              f"{after:10.3f} {c1:8.3f} {c3:8.3f} {after / before:7.3f}")
     return 0
 
 
