@@ -154,6 +154,10 @@ class TestCanonicalEquality:
                                  (5, at(1, (0, 0), Fraction(3, 6)))])
         assert got == ((6, first), (7, other))
         assert got[0][1][0][1] is first[0][1]
+        # an equal numerator over another denominator is another factor
+        fifths = matrix(0, Fraction(2, 5), 0, 0)
+        assert len(TensorElement.build(SHAPE, [(1, {1: f}), (1, {1: fifths})]).terms) == 2
+        assert elem(1, {1: f}) != elem(1, {1: fifths})
 
     def test_distributed_factor_uses_the_expansion(self):
         b, c = matrix(1, 2, 0, 3), matrix(-1, 0, 5, 1)
