@@ -478,74 +478,54 @@ def _bits(n, den: int) -> int:
     return (n // g).bit_length() + (den // g).bit_length()
 
 
-def _accumulate(terms: dict, items: Iterable[tuple[Blade, object]]) -> None:
-    """Add (blade, value) pairs into `terms` in order; a sum that reaches zero
-    is dropped (and re-enters at the end if a later value revives it)."""
-    for blade, value in items:
-        s = terms.get(blade)
-        s = value if s is None else s + value
-        if not s:
-            terms.pop(blade, None)
-        else:
-            terms[blade] = s
-
-
 def _sum(context: Context, mvs) -> Multivector:
     """The sum of the multivectors, added term by term in order."""
-    if context.domain.is_exact:
-        return _combined(context, [(context._unit, mv._den, mv._num) for mv in mvs])
-    terms = {}
-    for mv in mvs:
-        _accumulate(terms, mv._num.items())
-    return Multivector(context, terms, _den=0)
+    return _combined(context, [(None, mv._den, mv._num) for mv in mvs])
 
 
 def linear_combine(pairs: Iterable[tuple[object, Multivector]],
                    context: Context | None = None) -> Multivector:
     """Sum of scalar multiples; operands must share one context.
 
-    Exact values are summed as integers over one common denominator.
+    The terms are added in order by `_combined`.  In the exact domains a
+    zero scalar adds nothing; in f64 and c64 every scalar multiplies, so
+    0 * inf adds nan.  (`Multivector.scale(0)` is zero.)
     """
     pairs = list(pairs)
     if context is None:
         if not pairs:
             raise ValueError("empty combination needs an explicit context")
         context = pairs[0][1].context
-    checked = []
+    parts = []
     for value, mv in pairs:
         check_context(mv.context, context)
-        checked.append((scalars.coerce(context.domain, value), mv))
-    if not context.domain.is_exact:
-        terms: dict[Blade, object] = {}
-        for value, mv in checked:
-            _accumulate(terms, ((blade, c * value) for blade, c in mv._num.items()))
-        return Multivector(context, terms, _den=0)
-    parts = []
-    for value, mv in checked:
-        dv, f = _numerators(((None, value),), context.domain is Domain.GAUSSIAN)
-        if f:  # a zero scalar adds nothing
+        value = scalars.coerce(context.domain, value)
+        dv, f = (_numerators(((None, value),), context.domain is Domain.GAUSSIAN)
+                 if mv._den else (0, [(None, value)]))
+        if f:  # a zero exact scalar adds nothing
             parts.append((f[0][1], dv * mv._den, mv._num))
     return _combined(context, parts)
 
 
 def _linear_image(a: Multivector, images: list) -> Multivector:
     """The sum of c_S * images[j] over a's j-th term (S, c_S), c_S as stored."""
-    if not a._den:
-        return linear_combine(zip(a._num.values(), images), a.context)
     return _combined(a.context, [(n, a._den * img._den, img._num)
                                  for n, img in zip(a._num.values(), images)])
 
 
 def _combined(context: Context, parts) -> Multivector:
-    """The exact sum of f * num / d over the (f, d, num) parts, f an int or
-    (re, im) numerator: the terms are added in order, as ints over the lcm
-    of the d, and a sum that reaches zero is dropped."""
+    """The sum of f * num / d over the (f, d, num) parts: f an int or (re, im)
+    numerator over d, a float value with d = 0, or None to add num as it is
+    stored.  The terms are added in order, exact ones as ints over the lcm of
+    the d (floats keep den 0: an empty lcm is 1), float ones as n * f; a sum
+    that reaches zero is dropped, and re-enters at the end if revived."""
     gaussian = context.domain is Domain.GAUSSIAN
-    den = math.lcm(*(d for _, d, _ in parts))
+    den = math.lcm(*(d for _, d, _ in parts)) if context.domain.is_exact else 0
     acc = {}
     for f, d, num in parts:
-        k = den // d  # f * n / d == f * k * n / den
-        f = (f[0] * k, f[1] * k) if gaussian else f * k
+        if d:  # f * n / d == f * k * n / den
+            k, f = den // d, context._unit if f is None else f
+            f = (f[0] * k, f[1] * k) if gaussian else f * k
         for blade, n in num.items():
             s = acc.get(blade)
             if gaussian:
@@ -554,7 +534,9 @@ def _combined(context: Context, parts) -> Multivector:
                     t = s[0] + t[0], s[1] + t[1]
                 nonzero = t[0] or t[1]
             else:
-                t = n * f if s is None else s + n * f
+                t = n if f is None else n * f
+                if s is not None:
+                    t = s + t
                 nonzero = t
             if nonzero:
                 acc[blade] = t
@@ -786,10 +768,12 @@ def _rev_pairing(a: Multivector, b: Multivector):
     width = max((c.bit_count() for c in classes), default=0)
     q = {c: _int_weight(ctx, c, 0, width) if exact else _weight(ctx, c, 0)
          for c in classes}
-    if not exact:
-        total = {}
-        _accumulate(total, ((0, m * n * q[S & mask]) for S, m, n in pairs))
-        return total.get(0, scalars.zero(ctx.domain))
+    if not exact:  # a sum that reaches zero restarts
+        total = None
+        for S, m, n in pairs:
+            v = m * n * q[S & mask]
+            total = (v if total is None else total + v) or None
+        return total or scalars.zero(ctx.domain)
     den = a._den * b._den * ctx._qden ** width
     if ctx.domain is not Domain.GAUSSIAN:
         return reduced(sum(m * n * q[S & mask] for S, m, n in pairs), den)

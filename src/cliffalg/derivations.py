@@ -201,9 +201,10 @@ class SkewMap:
     entries: Mapping[tuple[int, int], object]
 
     @staticmethod
-    def from_pairs(context: Context, pairs: Mapping[tuple[int, int], object]) -> "SkewMap":
+    def from_pairs(context: Context, pairs) -> "SkewMap":
+        """From {(i, j): value} or ((i, j), value) items; repeats must agree."""
         entries: dict[tuple[int, int], object] = {}
-        for (i, j), value in pairs.items():
+        for (i, j), value in pairs.items() if isinstance(pairs, Mapping) else pairs:
             value = scalars.coerce(context.domain, value)
             if i == j:
                 if value:

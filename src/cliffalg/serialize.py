@@ -29,6 +29,16 @@ def integer(what: str, value, low: int, high: int) -> int:
     return value
 
 
+def _indices(obj: dict) -> list[int]:
+    """obj's keys as generator indices, refusing two read as one ("7", "007")."""
+    keys, seen = [integer("generator index", k, 1, MAX_GENERATOR) for k in obj.keys()], set()
+    for k in keys:
+        if k in seen:
+            raise ValueError(f"generator index {k} appears twice")
+        seen.add(k)
+    return keys
+
+
 def _index(k) -> int:
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"generator index must be an integer, got {k!r}")
@@ -73,10 +83,9 @@ def context_from_json(obj: dict) -> Context:
     domain = Domain(obj.get("domain", "rational"))
     sig = obj.get("signature", {})
     default = scalars.parse_scalar(domain, sig.get("default", 1))
-    overrides = {integer("generator index", k, 1, MAX_GENERATOR):
-                 scalars.parse_scalar(domain, v)
-                 for k, v in sig.get("overrides", {}).items()}
-    return Context.make(domain, default, overrides)
+    overrides = sig.get("overrides", {})
+    return Context.make(domain, default, dict(zip(_indices(overrides), [
+        scalars.parse_scalar(domain, v) for v in overrides.values()])))
 
 
 def _terms_to_json(domain: Domain, terms) -> list:
@@ -115,10 +124,9 @@ def family_from_json(obj: dict, context: Context):
 
 @_reader
 def skew_from_json(obj: dict, context: Context):
-    pairs = {(_index(item["i"]), _index(item["j"])):
-             scalars.parse_scalar(context.domain, item["value"])
-             for item in obj.get("entries", [])}
-    return SkewMap.from_pairs(context, pairs)
+    return SkewMap.from_pairs(context, [((_index(e["i"]), _index(e["j"])),
+                                         scalars.parse_scalar(context.domain, e["value"]))
+                                        for e in obj.get("entries", [])])
 
 
 @_reader
@@ -134,8 +142,7 @@ def table_from_json(obj: dict, context: Context) -> dict:
     """The `deriv extract` table {"actions": {"k": "expr"}}: k -> D(v_k), the
     keys read first and the actions parsed against one budget."""
     actions = obj["actions"]
-    return dict(zip([integer("generator index", k, 1, MAX_GENERATOR) for k in actions],
-                    parse_all(actions.values(), context)))
+    return dict(zip(_indices(actions), parse_all(actions.values(), context)))
 
 
 def chain_to_json(chain) -> dict:

@@ -115,6 +115,21 @@ def value_bits(c):
     return repr(c)
 
 
+def ordered_sum(pairs) -> dict:
+    """Independent oracle for a sum's order: add the (blade, value) pairs in
+    order; a sum that reaches zero is dropped, and a later value revives it
+    at the end."""
+    out = {}
+    for blade, value in pairs:
+        s = out.get(blade)
+        s = value if s is None else s + value
+        if s:
+            out[blade] = s
+        else:
+            out.pop(blade, None)
+    return out
+
+
 def kernel_path(ctx, a_blades, b_blades) -> str:
     """The loop the product kernel runs for operands with these blades (a's
     listed once per term): "rows" when a's blades fall into at most 8 weight

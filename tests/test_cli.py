@@ -587,6 +587,44 @@ class TestJsonInputs:
             {"actions": {str(MAX_GENERATOR): "e1"}}, CTX)
         assert list(table) == [MAX_GENERATOR]
 
+    @pytest.mark.parametrize("reader", ["signature", "table"])
+    def test_two_keys_that_read_as_one_index_are_refused(self, reader, capsys):
+        # a JSON object keeps both "7" and "007"; neither may silently win
+        if reader == "signature":
+            doc = {"overrides": {"7": "2", "1": "-1", "007": "3"}}
+            read = lambda: serialize.context_from_json({"signature": doc})
+            argv = ["--signature", json.dumps(doc), "eval", "e7*e7"]
+        else:
+            doc = {"actions": {"7": "e1", "1": "-2*e2", "007": "0"}}
+            read = lambda: serialize.table_from_json(doc, CTX)
+            argv = ["deriv", "extract", "--parity", "even", "--bound", "2",
+                    "--table", json.dumps(doc)]
+        with pytest.raises(ValueError, match="^generator index 7 appears twice$"):
+            read()
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: generator index 7 appears twice\n")
+
+    @pytest.mark.parametrize("reader", ["context", "table"])
+    def test_a_list_of_keys_is_a_wrong_shape(self, reader):
+        # the shape is checked before any key is read as an index
+        read = {"context": lambda doc: serialize.context_from_json(
+                    {"signature": {"overrides": doc}}),
+                "table": lambda doc: serialize.table_from_json({"actions": doc}, CTX)}
+        with pytest.raises(ValueError, match=f"^malformed {reader} JSON"):
+            read[reader](["0"])
+
+    @pytest.mark.parametrize("second, code", [
+        ({"i": 1, "j": 2, "value": "5"}, 1), ({"i": 2, "j": 1, "value": "1"}, 1),
+        ({"i": 1, "j": 2, "value": "1"}, 0), ({"i": 2, "j": 1, "value": "-1"}, 0),
+    ], ids=["repeat", "transposed", "equal-repeat", "equal-transposed"])
+    def test_a_repeated_skew_entry_must_agree(self, second, code, capsys):
+        # every entry reaches the skew-symmetry check, a repeat as its transpose
+        doc = {"entries": [{"i": 1, "j": 2, "value": "1"}, second]}
+        assert run(["deriv", "inner-witness", "--skew", json.dumps(doc)]) == code
+        assert capsys.readouterr() == (
+            ("", "error: entries at (1, 2) contradict skew-symmetry\n") if code
+            else ("1/2*e1*e2\n", ""))
+
     @pytest.mark.parametrize("argv", [
         ["deriv", "apply", "--family",
          '{"parity":"even","terms":[{"blade":[1,"2"],"coeff":"1"}]}', "e2"],

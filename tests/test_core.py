@@ -12,15 +12,16 @@ from cliffalg import scalars
 from cliffalg.core import (Blade, Context, Multivector, _linear_image, _prefix_parity,
                            _rows, _size, _weight, blade_product, linear_combine,
                            mv_product, parity_project, reverse)
-from cliffalg.derivations import AdFamily, family_apply
+from cliffalg.automorphisms import bogolyubov_apply
+from cliffalg.derivations import AdFamily, OrthogonalMap, family_apply
 from cliffalg.errors import DegenerateFormError, DomainMismatchError, ParseError
 from cliffalg.expr import MAX_COEFF_BITS, parse
 from cliffalg.render import render
 from cliffalg.scalars import Domain, GaussianRational
 
 from conftest import (kernel_contexts, kernel_path, naive_blade_product,
-                      naive_reverse_sign, random_dense, random_multivector,
-                      random_scalar, value_bits)
+                      naive_reverse_sign, ordered_sum, random_dense,
+                      random_multivector, random_scalar, value_bits)
 
 CTX = Context.make()
 
@@ -132,17 +133,21 @@ class TestLinearCombine:
             # cancel the first operand, then revive some of its blades
             pairs = list(zip(values, mvs)) + [(-values[0], mvs[0]), (0, mvs[1]),
                                               (values[2], mvs[0])]
-            want = Multivector.zero(ctx)
-            for value, m in pairs:
-                want = want + scaled_terms(m, value)
+            if not domain.is_exact:  # a float zero multiplies too: 0 * inf is nan
+                pairs.append((0, Multivector(ctx, {Blade.of(1): math.inf})))
+            want = ordered_sum((b, c * scalars.coerce(domain, value))
+                               for value, m in pairs for b, c in m.terms.items())
             got = linear_combine(pairs)
-            assert list(got.terms.items()) == list(want.terms.items())
+            assert [(x, value_bits(v)) for x, v in got.terms.items()] == \
+                [(x, value_bits(v)) for x, v in want.items()]
+            if domain.is_exact:  # and in lowest terms
+                assert got == Multivector(ctx, want)
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_linear_image_equals_linear_combine(self, domain):
         # bogolyubov_apply's sum: a's j-th coefficient weighs images[j]; the
-        # terms come in linear_combine's order, with its float bits and NaN
-        # signs (one NaN per blade, so no sum meets NaNs of both signs)
+        # terms come in order, with the ordered sum's float bits and NaN signs
+        # (each blade's NaNs have one sign: nan + -nan has no fixed sign)
         rng = random.Random(f"linear-image-{domain.value}")
         for ctx in kernel_contexts(domain):
             c = random_scalar(rng, domain)
@@ -157,11 +162,14 @@ class TestLinearCombine:
                                                   Blade.of(2): -math.nan})
                     images[-1] = Multivector(ctx, {Blade.of(1): -math.inf, Blade(0): 2.5})
                 got = _linear_image(a, images)
-                want = linear_combine(zip(a.terms.values(), images), ctx)
+                want = ordered_sum((x, v * c) for c, img in zip(a.terms.values(), images)
+                                   for x, v in img.terms.items())
+                combined = linear_combine(zip(a.terms.values(), images), ctx)
                 assert [(x, value_bits(v)) for x, v in got.terms.items()] == \
-                    [(x, value_bits(v)) for x, v in want.terms.items()]
+                    [(x, value_bits(v)) for x, v in want.items()] == \
+                    [(x, value_bits(v)) for x, v in combined.terms.items()]
                 if domain.is_exact:
-                    assert (got._den, got._num) == (want._den, want._num)
+                    assert (got._den, got._num) == (combined._den, combined._num)
                     assert got.is_zero or a is not cancelling
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
@@ -431,6 +439,20 @@ class TestCanonicalForm:
                          mv_product(a, Multivector.zero(ctx)), a.scale(0),
                          parity_project(Multivector.generator(ctx, 1), "even")):
                 assert (zero._den, zero._num) == (1, {})
+
+    @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64], ids=lambda d: d.value)
+    def test_float_results_keep_the_float_form(self, domain):
+        # an empty sum's lcm is 1, which must not mark a float result exact
+        rng = random.Random(f"float-form-{domain.value}")
+        for ctx in kernel_contexts(domain):
+            a, c, zero = random_dense(rng, ctx, 5, 9), random_scalar(rng, domain), \
+                Multivector.zero(ctx)
+            identity = OrthogonalMap.identity(ctx)
+            for got in (linear_combine([], ctx), zero + zero, a - a,
+                        linear_combine([(c, a), (-c, a)]), bogolyubov_apply(identity, a),
+                        bogolyubov_apply(identity, zero), a.scale(0)):
+                assert got._den == 0
+                assert got == Multivector(ctx, dict(got.terms))
 
     @pytest.mark.parametrize("domain", list(Domain), ids=lambda d: d.value)
     def test_every_path_gives_blade_keys(self, domain):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffalg.core import (Blade, Context, Multivector, _accumulate, blade_product,
+from cliffalg.core import (Blade, Context, Multivector, blade_product,
                            mv_product, parity_project)
 from cliffalg.derivations import (AdFamily, AdStream, OrthogonalMap, SkewMap,
                                   ad_apply, bogolyubov_derivation,
@@ -13,9 +13,9 @@ from cliffalg.errors import (ContractViolationError, NotAdSumError,
                              NotBogolyubovError, NotSkewError, ParityError)
 from cliffalg.scalars import Domain
 
-from conftest import (kernel_contexts, kernel_path, random_blade, random_dense,
-                      random_multivector, random_rational, random_scalar,
-                      value_bits)
+from conftest import (kernel_contexts, kernel_path, ordered_sum, random_blade,
+                      random_dense, random_multivector, random_rational,
+                      random_scalar, value_bits)
 
 CTX = Context.make()
 
@@ -147,9 +147,8 @@ class TestFamilyApply:
 
         def check(source, x):
             pairs = source.terms if isinstance(source, AdFamily) else source.prefix(10)
-            want = {}
-            for blade, coeff in pairs:
-                _accumulate(want, ad_blade(blade, coeff, x))
+            want = ordered_sum(term for blade, coeff in pairs
+                               for term in ad_blade(blade, coeff, x))
             acting = (source.terms if isinstance(source, AdFamily)
                       else source.prefix(source.cutoff(x.max_index())))
             if any(c for _, c in acting):

@@ -210,6 +210,8 @@ GUARDS = {
     # every integer from outside: flags, --cuts pieces, JSON keys and indices
     "must be between": ("serialize", "integer"),
     "must be decimal digits": ("serialize", "integer"),
+    # JSON object keys that read as one generator index
+    r"generator index \{\} appears twice": ("serialize", "_indices"),
 }
 
 

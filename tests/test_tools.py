@@ -130,12 +130,14 @@ def test_kind_times_lists_every_certify_kind():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     header, *lines = proc.stdout.splitlines()
-    assert header.split() == ["kind", "parent", "ms", "q1", "q3",
-                              "change", "ms", "q1", "q3", "ratio"]
+    assert header.split() == ["kind", *(x for unit in ("ms", "ref") for x in (
+        "parent", unit, "q1", "q3", "change", unit, "q1", "q3", "ratio"))]
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines}
     source = (ROOT / "cliffbench" / "workloads.py").read_text(encoding="utf-8")
     kinds = set(re.findall(r'Op\("(certify\.\w+)"', source))
     assert len(kinds) == 14 and set(rows) == {"pass"} | kinds
-    for parent, p1, p3, change, c1, c3, _ in rows.values():
-        # one round: each side's quartiles are its one reading
-        assert p1 == parent == p3 and c1 == change == c3
+    for row in rows.values():
+        assert len(row) == 14
+        for parent, p1, p3, change, c1, c3, _ in (row[:7], row[7:]):
+            # one round: each side's quartiles are its one reading
+            assert p1 == parent == p3 and c1 == change == c3

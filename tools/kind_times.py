@@ -6,8 +6,12 @@
 DIR is a checkout (its own src/ and cliffbench/).  Each round runs both in
 fresh interpreters, the parent first in even rounds.  An interpreter builds
 W's pool for the seed, makes one warm pass and P timed passes, and reports
-its best pass and each op kind's best-of-passes milliseconds.  Printed: per
-kind, the median over the rounds on each side with its quartiles q1 and q3
+its best pass and each op kind's best-of-passes milliseconds, and the best
+of REFERENCE_CALLS calls of cliffbench's oracle.reference before the passes
+and as many after them.  Printed: per kind, in milliseconds and then in
+reference units (each interpreter's times over its own reference time, so
+that a host running faster or slower for a while moves both sides alike),
+the median over the rounds on each side with its quartiles q1 and q3
 (statistics.quantiles, n=4, inclusive, as bench_pairs reads them; one round
 is its own quartiles), and the change/parent ratio of the medians, to be read
 against the parent's spread.
@@ -22,14 +26,26 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+REFERENCE_CALLS = 10
+
 
 def emit(checkout: Path, workload: str, seed: int, passes: int) -> None:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(checkout / "src"), str(checkout / "cliffbench")]
+    import oracle
     import spans
     import workloads
 
+    def reference_ms() -> float:
+        times = []
+        for _ in range(REFERENCE_CALLS):
+            t0 = perf_counter()
+            oracle.reference()
+            times.append((perf_counter() - t0) * 1e3)
+        return min(times)
+
     lib, pool, best = spans.plain_lib(), workloads.generate(workload, seed), {}
+    reference = reference_ms()
     for p in range(passes + 1):  # pass 0 warms up
         times = {"pass": 0.0}
         for op in pool:
@@ -43,7 +59,7 @@ def emit(checkout: Path, workload: str, seed: int, passes: int) -> None:
             times["pass"] += ms
         if p:
             best = {k: min(v, best.get(k, v)) for k, v in times.items()}
-    print(json.dumps(best))
+    print(json.dumps({"reference_ms": min(reference, reference_ms()), "kinds": best}))
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -73,13 +89,19 @@ def main(argv=None) -> int:
                                   "--emit", str(checkout), *argv],
                                  cwd=checkout, capture_output=True, text=True, check=True)
             runs[side].append(json.loads(out.stdout.splitlines()[-1]))
-    print(f"{'kind':<24} {'parent ms':>10} {'q1':>8} {'q3':>8} "
-          f"{'change ms':>10} {'q1':>8} {'q3':>8} {'ratio':>7}")
-    for kind in runs["parent"][0]:
-        (p1, before, p3), (c1, after, c3) = (
-            quartiles([run[kind] for run in runs[side]]) for side in runs)
-        print(f"{kind:<24} {before:10.3f} {p1:8.3f} {p3:8.3f} "
-              f"{after:10.3f} {c1:8.3f} {c3:8.3f} {after / before:7.3f}")
+    units = {"ms": lambda run, kind: run["kinds"][kind],
+             "ref": lambda run, kind: run["kinds"][kind] / run["reference_ms"]}
+    print(f"{'kind':<24}" + "".join(f" {'parent ' + unit:>10} {'q1':>8} {'q3':>8} "
+                                    f"{'change ' + unit:>10} {'q1':>8} {'q3':>8} {'ratio':>7}"
+                                    for unit in units))
+    for kind in runs["parent"][0]["kinds"]:
+        cells = []
+        for read in units.values():
+            (p1, before, p3), (c1, after, c3) = (
+                quartiles([read(run, kind) for run in runs[side]]) for side in runs)
+            cells.append(f" {before:10.3f} {p1:8.3f} {p3:8.3f} "
+                         f"{after:10.3f} {c1:8.3f} {c3:8.3f} {after / before:7.3f}")
+        print(f"{kind:<24}" + "".join(cells))
     return 0
 
 
