@@ -37,10 +37,10 @@ BROKEN_PIPE = 141
 # reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
 # from its Pauli words in two representations (0.7 s at k = 10), and
 # `witness --n n --m m` writes n nilpotents' m/2 entries, reads n diagonals of
-# m entries and computes n pairs of exact norms, about 13 us per n plus 1.4 us
-# per unit of n * m, which may be at most WITNESS_MAX_NM (0.19 s at n = 5000,
-# m = 16, the slowest allowed; both witness limits predate these timings and
-# are kept, far inside the 2 s).
+# m entries and computes n pairs of exact norms, about 11 us per n plus 0.8 us
+# per unit of n * m, which may be at most WITNESS_MAX_NM (0.14 s in-process and
+# 0.35 s as a process at n = 5000, m = 16, the slowest allowed; both witness
+# limits predate these timings and are kept, far inside the 2 s).
 # `decomp check` multiplies the words of 4**w blade pairs for a block of w
 # generators (0.3 s at w = 10, 16 times that at w = 12); `--cuts 10,20,30` is
 # the slowest allowed (1.4 s), and the bound holds for every `decomp` command.

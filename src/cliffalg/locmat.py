@@ -16,7 +16,8 @@ value per result, and terms merge by their entries' integer parts.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
+from fractions import Fraction
 from operator import methodcaller, truediv
 from typing import Callable, Mapping
 
@@ -83,22 +84,29 @@ def _key(shape: FactorShape, factors) -> tuple:
                   for i, f in factors])
 
 
+class _Canonicalizing(type):
+    """TensorElement(shape, terms) stores _canonical(shape, terms)."""
+
+    def __call__(cls, shape, terms=()):
+        return super().__call__(shape, _canonical(shape, terms))
+
+
 @dataclass(frozen=True)
-class TensorElement:
+class TensorElement(metaclass=_Canonicalizing):
     """Finite sum of (coefficient, ((factor index, factor), ...)) terms.
 
     Terms are kept canonical (see _canonical), so structurally equal elements
-    compare equal without expanding them.  _canonical=True skips the pass for
-    terms that are canonical by construction.
+    compare equal without expanding them.  Terms that are canonical by
+    construction skip that pass through _of_canonical.
     """
 
     shape: FactorShape
     terms: tuple = ()
-    _canonical: InitVar[bool] = False
 
-    def __post_init__(self, canonical):
-        if not canonical:
-            object.__setattr__(self, "terms", _canonical(self.shape, self.terms))
+    @staticmethod
+    def _of_canonical(shape: FactorShape, terms: tuple) -> "TensorElement":
+        """An element over canonical terms, stored as they are by __init__."""
+        return type.__call__(TensorElement, shape, terms)
 
     @staticmethod
     def build(shape: FactorShape, terms) -> "TensorElement":
@@ -147,8 +155,8 @@ class TensorElement:
     def scale(self, value) -> "TensorElement":
         """Factors are unchanged: only coefficients that become zero drop."""
         value = scalars.coerce(self.shape.domain, value)
-        return TensorElement(self.shape, tuple(
-            (p, f) for c, f in self.terms if (p := c * value)), _canonical=True)
+        return TensorElement._of_canonical(self.shape, tuple(
+            (p, f) for c, f in self.terms if (p := c * value)))
 
     def adjoint(self) -> "TensorElement":
         """Conjugate coefficients, conjugate-transpose every factor."""
@@ -199,7 +207,9 @@ def tp_product(a: TensorElement, b: TensorElement) -> TensorElement:
             for i, mb in fb:
                 ma = merged.get(i)
                 merged[i] = mb if ma is None else _mul(ma, mb, rational)
-            terms.append((ca * cb, tuple(sorted(merged.items()))))
+            c = ca * cb if not rational else reduced(
+                ca._numerator * cb._numerator, ca._denominator * cb._denominator)
+            terms.append((c, tuple(sorted(merged.items()))))
     return TensorElement(a.shape, tuple(terms))
 
 
@@ -214,8 +224,12 @@ def _operand(a: TensorElement, conjugate: bool):
     element's values are integers over their common denominator; a Gaussian
     element's are its own values over d = 1, conjugated if `conjugate`."""
     if a.shape.domain is Domain.RATIONAL:
-        d = math.lcm(*[c._denominator for c, _ in a.terms],
-                     *[x._denominator for _, fs in a.terms for _, f in fs for _, x in f])
+        d = 1
+        for c, fs in a.terms:  # d, the lcm of every denominator, in one pass
+            d = math.lcm(d, c._denominator) if d % c._denominator else d
+            for _, f in fs:
+                for _, x in f:
+                    d = math.lcm(d, x._denominator) if d % x._denominator else d
         return d, [(c._numerator * (d // c._denominator),
                     {i: {k: x._numerator * (d // x._denominator) for k, x in f}
                      for i, f in fs}) for c, fs in a.terms]
@@ -241,7 +255,7 @@ def _pairing(a: TensorElement, b: TensorElement):
     total, top = 0 if rational else scalars.zero(domain), 0  # over da * db * base**top
     for cs, fs in left:
         for ct, ft in right:
-            v, u = cs * ct, fs.keys() | ft.keys()
+            v, u = cs * ct, fs.keys() if fs is ft else fs.keys() | ft.keys()
             for i in u:
                 f, g = fs.get(i), ft.get(i)
                 if f is None:
@@ -256,7 +270,7 @@ def _pairing(a: TensorElement, b: TensorElement):
                     v *= p
             if len(u) > top:
                 total, top = total * base ** (len(u) - top), len(u)
-            total += v * base ** (top - len(u))
+            total += v if len(u) == top else v * base ** (top - len(u))
     return (reduced if rational else truediv)(total, da * db * base ** top)
 
 
@@ -271,7 +285,7 @@ class LocalAutomorphism:
     element's support.
 
     The rule gives the diagonal of x_i, m scalars, for any factor index.  It
-    is checked when the automorphism is applied: a wrong length raises
+    is checked when the automorphism is applied (_read): a wrong length raises
     ShapeMismatchError and a zero entry InvalidAutomorphismError.
     """
 
@@ -296,14 +310,20 @@ class LocalAutomorphism:
 
     def diagonal(self, i: int) -> tuple:
         """The rule's diagonal at factor i, coerced and checked."""
-        d = tuple([scalars.coerce(self.shape.domain, x) for x in self.rule(i)])
+        return tuple(self._read(i, False))
+
+    def _read(self, i: int, ratios: bool) -> list:
+        """The rule's diagonal at factor i, coerced and checked; if `ratios`, as
+        integer ratios (n, d), with an int or Fraction read as it is."""
+        d = [x if ratios and isinstance(x, (int, Fraction))
+             else scalars.coerce(self.shape.domain, x) for x in self.rule(i)]
         if len(d) != self.shape.size:
             raise ShapeMismatchError(
                 f"factor {i} expects diagonals of length {self.shape.size}")
         if not all(d):
             raise InvalidAutomorphismError(
                 f"conjugating matrix at factor {i} is singular")
-        return d
+        return [x.as_integer_ratio() for x in d] if ratios else d
 
     def inverted(self) -> "LocalAutomorphism":
         return LocalAutomorphism(
@@ -319,7 +339,8 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
     the identity rule.  This orientation scales the upper block nilpotent at
     factor i by the index-scaling rule's lower diagonal entry.  Conjugation is
     injective and keeps entries nonzero, so terms stay canonical.  The rule
-    is read once per factor index per call.
+    is read once per factor index per call, in rational as integer ratios
+    (_read), checked as diagonal() checks it.
     """
     _check_shape(phi, a)
     rational, diagonals, terms = a.shape.domain is Domain.RATIONAL, {}, []
@@ -327,9 +348,8 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
         new = []
         for i, f in factors:
             d = diagonals.get(i)
-            if d is None:  # a rational diagonal as integer ratios (n, d)
-                d = diagonals[i] = [(x._numerator, x._denominator) if rational else x
-                                    for x in phi.diagonal(i)]
+            if d is None:
+                d = diagonals[i] = phi._read(i, rational)
             moved = []
             for (r, c), x in f:
                 dr, dc = d[r], d[c]
@@ -341,7 +361,7 @@ def limit_automorphism_apply(phi: LocalAutomorphism,
                 moved.append(((r, c), x))
             new.append((i, tuple(moved)))
         terms.append((coeff, tuple(new)))
-    return TensorElement(a.shape, tuple(terms), _canonical=True)
+    return TensorElement._of_canonical(a.shape, tuple(terms))
 
 
 def block_nilpotent(shape: FactorShape, i: int, coeff=1) -> TensorElement:
@@ -350,8 +370,7 @@ def block_nilpotent(shape: FactorShape, i: int, coeff=1) -> TensorElement:
     one, k, i = scalars.one(shape.domain), shape.size // 2, _index(i)
     coeff = scalars.coerce(shape.domain, coeff)
     f = tuple([((r, r + k), one) for r in range(k)])
-    return TensorElement(shape, ((coeff, ((i, f),)),) if coeff else (),
-                         _canonical=True)
+    return TensorElement._of_canonical(shape, ((coeff, ((i, f),)),) if coeff else ())
 
 
 def witness_sequence(n_max: int, shape: FactorShape | None = None):

@@ -6,8 +6,8 @@ import pytest
 
 from cliffalg import scalars
 from cliffalg.core import Blade, Context, Multivector
-from cliffalg.errors import (InvalidAutomorphismError, ShapeMismatchError,
-                             UnsupportedDomainError)
+from cliffalg.errors import (DomainMismatchError, InvalidAutomorphismError,
+                             ShapeMismatchError, UnsupportedDomainError)
 from cliffalg.locmat import (FactorShape, LocalAutomorphism, TensorElement,
                              _canonical, _mul, _pairing, block_nilpotent,
                              limit_automorphism_apply, tp_norm, tp_product,
@@ -258,9 +258,16 @@ class TestStoredEntries:
             return tuple(((r, c), Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3))))
                          for r in range(m) for c in range(m) if rng.random() < 0.8)
 
-        cancelled = 0
+        def coeff():  # products that reduce, and signs on both sides
+            return Fraction(rng.choice((-4, -2, -1, 1, 3, 6)), rng.choice((1, 2, 3, 4, 9)))
+
+        shape, e11, cancelled = FactorShape(size=m), (((0, 0), Fraction(1)),), 0
         for _ in range(300):
             a, b = factor(), factor()
+            ca, cb = coeff(), coeff()
+            (c, _), = tp_product(TensorElement(shape, ((ca, ((1, e11),)),)),
+                                 TensorElement(shape, ((cb, ((1, e11),)),))).terms
+            assert repr(c) == repr(ca * cb)  # lowest terms, positive denominator
             sums = {}
             for (r, j), x in a:
                 for (i, c), y in b:
@@ -388,7 +395,7 @@ def raw_element(rng, shape, max_terms=3):
             factors.append((i, f))
         coeff = 0 * one if rng.random() < 0.15 else value()
         terms.append((coeff, tuple(factors)))
-    return TensorElement(shape, tuple(terms), _canonical=True)
+    return TensorElement._of_canonical(shape, tuple(terms))
 
 
 class TestIntegerPairing:
@@ -403,7 +410,7 @@ class TestIntegerPairing:
         zero_type = type(scalars.zero(domain))
         for _ in range(150):
             a, b = raw_element(rng, shape), raw_element(rng, shape)
-            copy = TensorElement(shape, a.terms, _canonical=True)
+            copy = TensorElement._of_canonical(shape, a.terms)
             for left, right in ((a, b), (b, a), (a, a), (a, copy)):
                 got = _pairing(left, right)
                 assert got == pairing_oracle(left, right)
@@ -419,13 +426,23 @@ class TestIntegerPairing:
             assert got == 0 and type(got) is type(scalars.zero(domain))
 
     def test_witness_norms_match_the_oracle(self):
-        for m in (2, 6):
+        for m in (2, 4, 6, 8):
             shape = FactorShape(size=m)
             phi = LocalAutomorphism.index_scaling(shape)
             for n in (1, 2, 7):
                 b = block_nilpotent(shape, n).scale(Fraction(1, n))
                 for x in (b, limit_automorphism_apply(phi, b)):
                     assert tp_norm(x) == pairing_oracle(x, x)
+            # the sequence's own pairs: b_n = (1/n) N at factor n, and phi
+            # scales N's entries by n, built here from dense rows
+            k, pairs = m // 2, witness_sequence(12, shape)
+            rows = [[int(c == r + k) for c in range(m)] for r in range(m)]
+            for n, (before, after) in enumerate(pairs, 1):
+                b = TensorElement.build(shape, [(Fraction(1, n), {n: rows})])
+                image = TensorElement.build(shape, [(1, {n: rows})])
+                assert (before, after) == (pairing_oracle(b, b),
+                                           pairing_oracle(image, image))
+            assert len(pairs) == 12
 
 
 class TestLimitAutomorphism:
@@ -464,15 +481,40 @@ class TestLimitAutomorphism:
             assert limit_automorphism_apply(
                 inv, limit_automorphism_apply(phi, a)) == a
 
-    def test_singular_rule_rejected(self):
-        phi = LocalAutomorphism.from_factors(SHAPE, {1: (Fraction(1), Fraction(0))})
-        with pytest.raises(InvalidAutomorphismError):
+    @staticmethod
+    def rejects(diagonal, error):
+        """The rule's diagonal at factor 1 raises `error` when applied, on
+        rational's integer-ratio read, and through diagonal(), with the same
+        message."""
+        phi = LocalAutomorphism.from_factors(SHAPE, {1: diagonal})
+        with pytest.raises(error) as applied:
             limit_automorphism_apply(phi, elem(1, {1: A1}))
+        with pytest.raises(error) as read:
+            phi.diagonal(1)
+        assert str(applied.value) == str(read.value)
 
-    def test_wrong_length_diagonal_rejected(self):
-        phi = LocalAutomorphism.from_factors(SHAPE, {1: (1, 2, 3)})
-        with pytest.raises(ShapeMismatchError):
-            limit_automorphism_apply(phi, elem(1, {1: A1}))
+    # a zero entry, or a value outside the domain: a float has an integer
+    # ratio too, and is refused all the same
+    @pytest.mark.parametrize("diagonal, error", [
+        ((Fraction(1), Fraction(0)), InvalidAutomorphismError),
+        ((0, 2), InvalidAutomorphismError),
+        ((1, GaussianRational.of(0)), InvalidAutomorphismError),
+        ((1, 0.5), DomainMismatchError),
+        (("2", 1), DomainMismatchError),
+        ((1, GaussianRational.of(1, 1)), DomainMismatchError),
+        ((0.5, 0), DomainMismatchError)],
+        ids=["zero-fraction", "zero-int", "zero-gaussian", "float", "str",
+             "gaussian", "float-before-zero"])
+    def test_singular_rule_rejected(self, diagonal, error):
+        self.rejects(diagonal, error)
+
+    @pytest.mark.parametrize("diagonal, error", [
+        ((1, 2, 3), ShapeMismatchError), ((Fraction(1, 2),), ShapeMismatchError),
+        ((), ShapeMismatchError), ((0, 0, 0), ShapeMismatchError),
+        ((1, 0.5, 3), DomainMismatchError)],
+        ids=["long", "short", "empty", "long-zeros", "long-float"])
+    def test_wrong_length_diagonal_rejected(self, diagonal, error):
+        self.rejects(diagonal, error)
 
     def test_rule_is_read_once_per_factor(self):
         calls = {}

@@ -1,5 +1,6 @@
 """The repository's comparison and benchmark tools (tools/)."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -141,3 +142,14 @@ def test_kind_times_lists_every_certify_kind():
         for parent, p1, p3, change, c1, c3, _ in (row[:7], row[7:]):
             # one round: each side's quartiles are its one reading
             assert p1 == parent == p3 and c1 == change == c3
+    # an interpreter times the reference before each timed pass, one sample
+    # per pass, and reports each pass's kinds next to it
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "kind_times.py"),
+                           "--parent", str(ROOT), "--change", str(ROOT),
+                           "--workload", "certify", "--passes", "3", "--emit", str(ROOT)],
+                          capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    passes = json.loads(proc.stdout.splitlines()[-1])["passes"]
+    assert len(passes) == 3
+    for run in passes:
+        assert run["reference_ms"] > 0 and set(run["kinds"]) == {"pass"} | kinds

@@ -6,12 +6,13 @@
 DIR is a checkout (its own src/ and cliffbench/).  Each round runs both in
 fresh interpreters, the parent first in even rounds.  An interpreter builds
 W's pool for the seed, makes one warm pass and P timed passes, and reports
-its best pass and each op kind's best-of-passes milliseconds, and the best
-of REFERENCE_CALLS calls of cliffbench's oracle.reference before the passes
-and as many after them.  Printed: per kind, in milliseconds and then in
-reference units (each interpreter's times over its own reference time, so
-that a host running faster or slower for a while moves both sides alike),
-the median over the rounds on each side with its quartiles q1 and q3
+for each timed pass the best of REFERENCE_CALLS calls of cliffbench's
+oracle.reference, made just before that pass, and the pass's milliseconds
+per op kind.  Printed: per kind, its best-of-passes milliseconds and then
+its best-of-passes time in reference units (each pass's time over the
+reference timed next to it, so that a host running faster or slower for a
+while, even during the passes, moves both columns alike), as the median
+over the rounds on each side with its quartiles q1 and q3
 (statistics.quantiles, n=4, inclusive, as bench_pairs reads them; one round
 is its own quartiles), and the change/parent ratio of the medians, to be read
 against the parent's spread.
@@ -44,10 +45,9 @@ def emit(checkout: Path, workload: str, seed: int, passes: int) -> None:
             times.append((perf_counter() - t0) * 1e3)
         return min(times)
 
-    lib, pool, best = spans.plain_lib(), workloads.generate(workload, seed), {}
-    reference = reference_ms()
+    lib, pool, out = spans.plain_lib(), workloads.generate(workload, seed), []
     for p in range(passes + 1):  # pass 0 warms up
-        times = {"pass": 0.0}
+        reference, times = reference_ms() if p else None, {"pass": 0.0}
         for op in pool:
             t0 = perf_counter()
             try:
@@ -58,8 +58,8 @@ def emit(checkout: Path, workload: str, seed: int, passes: int) -> None:
             times[op.kind] = times.get(op.kind, 0.0) + ms
             times["pass"] += ms
         if p:
-            best = {k: min(v, best.get(k, v)) for k, v in times.items()}
-    print(json.dumps({"reference_ms": min(reference, reference_ms()), "kinds": best}))
+            out.append({"reference_ms": reference, "kinds": times})
+    print(json.dumps({"passes": out}))
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -89,12 +89,13 @@ def main(argv=None) -> int:
                                   "--emit", str(checkout), *argv],
                                  cwd=checkout, capture_output=True, text=True, check=True)
             runs[side].append(json.loads(out.stdout.splitlines()[-1]))
-    units = {"ms": lambda run, kind: run["kinds"][kind],
-             "ref": lambda run, kind: run["kinds"][kind] / run["reference_ms"]}
+    units = {"ms": lambda run, kind: min(p["kinds"][kind] for p in run["passes"]),
+             "ref": lambda run, kind: min(p["kinds"][kind] / p["reference_ms"]
+                                          for p in run["passes"])}
     print(f"{'kind':<24}" + "".join(f" {'parent ' + unit:>10} {'q1':>8} {'q3':>8} "
                                     f"{'change ' + unit:>10} {'q1':>8} {'q3':>8} {'ratio':>7}"
                                     for unit in units))
-    for kind in runs["parent"][0]["kinds"]:
+    for kind in runs["parent"][0]["passes"][0]["kinds"]:
         cells = []
         for read in units.values():
             (p1, before, p3), (c1, after, c3) = (
