@@ -265,9 +265,9 @@ class TestStoredEntries:
         for _ in range(300):
             a, b = factor(), factor()
             ca, cb = coeff(), coeff()
-            (c, _), = tp_product(TensorElement(shape, ((ca, ((1, e11),)),)),
-                                 TensorElement(shape, ((cb, ((1, e11),)),))).terms
-            assert repr(c) == repr(ca * cb)  # lowest terms, positive denominator
+            (coeff_ab, _), = tp_product(TensorElement(shape, ((ca, ((1, e11),)),)),
+                                        TensorElement(shape, ((cb, ((1, e11),)),))).terms
+            assert repr(coeff_ab) == repr(ca * cb)  # lowest terms, positive denominator
             sums = {}
             for (r, j), x in a:
                 for (i, c), y in b:
