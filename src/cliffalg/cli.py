@@ -33,22 +33,16 @@ USAGE_ERROR = 2
 BROKEN_PIPE = 141
 
 # Size limits for the checks whose work grows fast with their argument: each
-# takes at most about 2 s at its limit on a 2-vCPU VM.  `rep check --max-k k`
-# reads the trace of each of the 4**(k-1) blades on up to 2k - 2 generators
-# from its Pauli words in two representations (0.7 s at k = 10), and
-# `witness --n n --m m` writes n nilpotents' m/2 entries, reads n diagonals of
-# m entries and computes n pairs of exact norms, about 11 us per n plus 0.8 us
-# per unit of n * m, which may be at most WITNESS_MAX_NM (0.14 s in-process and
-# 0.35 s as a process at n = 5000, m = 16, the slowest allowed; both witness
-# limits predate these timings and are kept, far inside the 2 s).
-# `decomp check` multiplies the words of 4**w blade pairs for a block of w
-# generators (0.3 s at w = 10, 16 times that at w = 12); `--cuts 10,20,30` is
-# the slowest allowed (1.4 s), and the bound holds for every `decomp` command.
-# An @file JSON argument is read up to JSON_MAX_BYTES: at 1 MiB the slowest
-# reader, a `gaussian` `deriv extract --table` whose actions are flat sums such
-# as `i*e1+i*e1+...`, takes 1.9 s, and the literal readers (family, skew, map,
-# signature) at most 0.8 s.  An action's powers and products cost more per
-# byte, and all of a table's actions share one parse budget (about 2 s).
+# holds its check under about 2 s on a 2-vCPU VM (README's "Size limits" has
+# the measured times).  `rep check --max-k k` reads the trace of each of the
+# 4**(k-1) blades on up to 2k - 2 generators from its Pauli words in two
+# representations.  `witness --n n --m m` writes n nilpotents' m/2 entries,
+# reads n diagonals of m entries and computes n pairs of exact norms, so its
+# work grows with n and with n * m.  `decomp check` multiplies the words of
+# 4**w blade pairs for a block of w generators, and the bound holds for every
+# `decomp` command.  An @file JSON argument is read up to JSON_MAX_BYTES; the
+# slowest reader is a `gaussian` `deriv extract --table` of flat sums such as
+# `i*e1+i*e1+...`, and all of a table's actions share one parse budget.
 REP_CHECK_MAX_K = 10
 WITNESS_MAX_N = 5000
 WITNESS_MAX_NM = 80_000
@@ -123,56 +117,17 @@ def _emit(args, ctx: Context, out) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each reads its inputs and returns what `_emit` prints
+# subcommands whose flags depend on each other or that print their own lines
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args, ctx):
-    return parse(args.expr, ctx)
-
-
-def cmd_trace(args, ctx):
-    return trace(parse(args.expr, ctx))
-
-
-def cmd_norm(args, ctx):
-    return norm(parse(args.expr, ctx))
-
-
-def cmd_deriv_apply(args, ctx):
-    family = serialize.family_from_json(_load_json(args.family), ctx)
-    return family_apply(family, parse(args.expr, ctx))
-
-
 def cmd_deriv_extract(args, ctx):
+    # odd extraction also probes k = bound + 1, a table key <= MAX_GENERATOR;
+    # the bound is checked before the table, which may take seconds to read
+    odd = args.parity == "odd"
+    bound = serialize.integer("--bound", args.bound, 0, MAX_GENERATOR - odd)
     table = serialize.table_from_json(_load_json(args.table), ctx)
-    # odd extraction also probes k = bound + 1, a table key <= MAX_GENERATOR
-    if args.parity == "even":
-        extract, high = extract_even, MAX_GENERATOR
-    else:
-        extract, high = extract_odd, MAX_GENERATOR - 1
-    bound = serialize.integer("--bound", args.bound, 0, high)
+    extract = extract_odd if odd else extract_even
     return AdFamily(ctx, args.parity, tuple(extract(table, bound, ctx)))
-
-
-def cmd_deriv_bogolyubov(args, ctx):
-    psi = serialize.skew_from_json(_load_json(args.skew), ctx)
-    return bogolyubov_derivation(psi)
-
-
-def cmd_deriv_inner_witness(args, ctx):
-    psi = serialize.skew_from_json(_load_json(args.skew), ctx)
-    return inner_witness(psi)
-
-
-def cmd_auto_bogolyubov(args, ctx):
-    omap = serialize.orthogonal_from_json(_load_json(args.map), ctx)
-    return bogolyubov_apply(omap, parse(args.expr, ctx))
-
-
-def cmd_auto_conjugate(args, ctx):
-    u = parse(args.u, ctx)
-    u_inv = parse(args.u_inv, ctx)
-    return conjugation_apply(u, u_inv, parse(args.expr, ctx))
 
 
 def _cuts(text: str) -> tuple[int, ...]:
@@ -192,8 +147,12 @@ def _cuts(text: str) -> tuple[int, ...]:
     return cuts
 
 
+def _chain(text: str, ctx: Context):
+    return chain_build(_cuts(text), ctx)
+
+
 def cmd_decomp_build(args, ctx):
-    chain = chain_build(_cuts(args.cuts), ctx)
+    chain = _chain(args.cuts, ctx)
     if args.json:
         print(json.dumps(serialize.chain_to_json(chain)))
     else:
@@ -202,10 +161,6 @@ def cmd_decomp_build(args, ctx):
             note = " (rescaled by i)" if adj else ""
             print(f"c_{i} = {render(c)}{note}")
     return 0
-
-
-def cmd_decomp_check(args, ctx):
-    return chain_verify(chain_build(_cuts(args.cuts), ctx))
 
 
 def cmd_decomp_rewrite(args, ctx):
@@ -242,6 +197,78 @@ def cmd_witness(args, ctx):
 
 
 # ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+def _arg(reader, flag, **options):
+    return reader, flag, options
+
+
+def _json(from_json):
+    """The reader of a JSON argument, given literally or as @file."""
+    return lambda text, ctx: from_json(_load_json(text), ctx)
+
+
+def _call(function, reads, args, ctx):
+    return function(*[read(getattr(args, dest), ctx) for read, dest in reads])
+
+
+_GROUPS = {"deriv": "derivation operations", "auto": "automorphism operations",
+           "decomp": "tensor factor chains", "rep": "matrix representation checks"}
+
+
+def _commands() -> tuple:
+    """One row per command, built with the parser rather than at import.
+
+    A row is the command's path, its help (None: it has none), a function
+    and its arguments, each `_arg(reader, flag, **add_argument options)`, in
+    usage order, which is also the order they are read in.  Where every
+    argument has a reader (`reader(text, ctx)`), the function is a library
+    call on what they read and `_emit` prints its result; where none has
+    (None), the function is a handler `(args, ctx)` that reads its own
+    flags, because they depend on each other, or prints its own lines."""
+    expr = _arg(parse, "expr")
+    skew = _arg(_json(serialize.skew_from_json), "--skew", required=True,
+                help="skew-map JSON or @file")
+    cuts = _arg(None, "--cuts", required=True)
+    return (
+        ("eval", "print the canonical form of EXPR", lambda mv: mv, expr),
+        ("trace", "normalized trace of EXPR", trace, expr),
+        ("norm", "tr(a * rev(a)) of EXPR", norm, expr),
+        ("deriv apply", None, family_apply,
+         _arg(_json(serialize.family_from_json), "--family", required=True,
+              help="family JSON or @file"), expr),
+        ("deriv extract", None, cmd_deriv_extract,
+         _arg(None, "--parity", choices=["even", "odd"], required=True),
+         _arg(None, "--bound", required=True,
+              help=f"largest generator index of the blades, "
+                   f"0..{MAX_GENERATOR} even, 0..{MAX_GENERATOR - 1} odd "
+                   f"(odd probes k = 1..bound+1)"),
+         _arg(None, "--table", required=True,
+              help='JSON {"actions": {"k": "expr", ...}} or @file')),
+        ("deriv bogolyubov", None, bogolyubov_derivation, skew),
+        ("deriv inner-witness", None, inner_witness, skew),
+        ("auto bogolyubov", None, bogolyubov_apply,
+         _arg(_json(serialize.orthogonal_from_json), "--map", required=True,
+              help="orthogonal-map JSON or @file"), expr),
+        ("auto conjugate", None, conjugation_apply,
+         _arg(parse, "--u", required=True),
+         _arg(parse, "--u-inv", required=True), expr),
+        ("decomp build", None, cmd_decomp_build, cuts),
+        ("decomp check", None, chain_verify,
+         _arg(_chain, "--cuts", required=True)),
+        ("decomp rewrite", None, cmd_decomp_rewrite,
+         cuts, _arg(None, "--k", required=True)),
+        ("rep check", None, cmd_rep_check,
+         _arg(None, "--max-k", default="3",
+              help=f"largest k checked, 1..{REP_CHECK_MAX_K}")),
+        ("witness", "non-continuity witness table", cmd_witness,
+         _arg(None, "--n", default="10",
+              help=f"table length, 1..{WITNESS_MAX_N}"),
+         _arg(None, "--m", default="2",
+              help=f"factor size, even, with n * m <= {WITNESS_MAX_NM}")),
+    )
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -259,72 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output where applicable")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, func, text in (
-            ("eval", cmd_eval, "print the canonical form of EXPR"),
-            ("trace", cmd_trace, "normalized trace of EXPR"),
-            ("norm", cmd_norm, "tr(a * rev(a)) of EXPR")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("expr")
-        p.set_defaults(func=func)
-
-    deriv = sub.add_parser("deriv", help="derivation operations")
-    dsub = deriv.add_subparsers(dest="deriv_command", required=True)
-    p = dsub.add_parser("apply")
-    p.add_argument("--family", required=True, help="family JSON or @file")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_deriv_apply)
-    p = dsub.add_parser("extract")
-    p.add_argument("--parity", choices=["even", "odd"], required=True)
-    p.add_argument("--bound", required=True,
-                   help=f"largest generator index of the blades, "
-                        f"0..{MAX_GENERATOR} even, 0..{MAX_GENERATOR - 1} odd "
-                        f"(odd probes k = 1..bound+1)")
-    p.add_argument("--table", required=True,
-                   help='JSON {"actions": {"k": "expr", ...}} or @file')
-    p.set_defaults(func=cmd_deriv_extract)
-    for name, func in (("bogolyubov", cmd_deriv_bogolyubov),
-                       ("inner-witness", cmd_deriv_inner_witness)):
-        p = dsub.add_parser(name)
-        p.add_argument("--skew", required=True, help="skew-map JSON or @file")
-        p.set_defaults(func=func)
-
-    auto = sub.add_parser("auto", help="automorphism operations")
-    asub = auto.add_subparsers(dest="auto_command", required=True)
-    p = asub.add_parser("bogolyubov")
-    p.add_argument("--map", required=True, help="orthogonal-map JSON or @file")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_auto_bogolyubov)
-    p = asub.add_parser("conjugate")
-    p.add_argument("--u", required=True)
-    p.add_argument("--u-inv", required=True, dest="u_inv")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_auto_conjugate)
-
-    decomp = sub.add_parser("decomp", help="tensor factor chains")
-    csub = decomp.add_subparsers(dest="decomp_command", required=True)
-    for name, func in (("build", cmd_decomp_build), ("check", cmd_decomp_check),
-                       ("rewrite", cmd_decomp_rewrite)):
-        p = csub.add_parser(name)
-        p.add_argument("--cuts", required=True)
-        p.set_defaults(func=func)
-    p.add_argument("--k", required=True)  # rewrite only
-
-    rep = sub.add_parser("rep", help="matrix representation checks")
-    rsub = rep.add_subparsers(dest="rep_command", required=True)
-    p = rsub.add_parser("check")
-    p.add_argument("--max-k", default="3", dest="max_k",
-                   help=f"largest k checked, 1..{REP_CHECK_MAX_K}")
-    p.set_defaults(func=cmd_rep_check)
-
-    p = sub.add_parser("witness", help="non-continuity witness table")
-    p.add_argument("--n", default="10",
-                   help=f"table length, 1..{WITNESS_MAX_N}")
-    p.add_argument("--m", default="2",
-                   help=f"factor size, even, with n * m <= {WITNESS_MAX_NM}")
-    p.set_defaults(func=cmd_witness)
-
+    subs = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, text, function, *arguments in _commands():
+        group, _, name = path.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, help=_GROUPS[group]).add_subparsers(
+                    dest=f"{group}_command", required=True)
+        p = subs[group].add_parser(name, **({"help": text} if text else {}))
+        reads = tuple((reader, p.add_argument(flag, **options).dest)
+                      for reader, flag, options in arguments)
+        p.set_defaults(func=functools.partial(_call, function, reads)
+                       if reads[0][0] else function)
     return parser
 
 

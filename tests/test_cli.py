@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import cliffalg
 from cliffalg import serialize
 from cliffalg.cli import (BROKEN_PIPE, DECOMP_MAX_BLOCK, DECOMP_MAX_CUT,
                           JSON_MAX_BYTES, REP_CHECK_MAX_K, WITNESS_MAX_N,
-                          WITNESS_MAX_NM, _context, build_parser, run)
+                          WITNESS_MAX_NM, _commands, _context, build_parser,
+                          run)
 from cliffalg.core import Blade, Context, Multivector, mv_product
 from cliffalg.errors import DigitLimitError, ParseError
 from cliffalg.expr import (MAX_EXPONENT, MAX_GENERATOR, MAX_PRODUCT_PAIRS,
@@ -65,6 +67,19 @@ def test_golden_output(golden_name, capsys):
     assert run(GOLDEN_CASES[golden_name]) == 0
     expected = (GOLDEN / golden_name).read_text()
     assert capsys.readouterr().out == expected
+
+
+def _command_path(argv):
+    """The subcommand path of a golden argv, past its global flags."""
+    groups = {path.split()[0] for path, *_ in _commands() if " " in path}
+    while argv[0].startswith("--"):
+        argv = argv[1 if argv[0] == "--json" else 2:]
+    return " ".join(argv[:2 if argv[0] in groups else 1])
+
+
+def test_every_command_has_a_golden():
+    assert sorted(_command_path(argv) for argv in GOLDEN_CASES.values()) == \
+        sorted(path for path, *_ in _commands())
 
 
 def _strict_json(text: str):
@@ -216,14 +231,18 @@ class TestLimits:
 
     @pytest.mark.parametrize("above", [True, False],
                              ids=["limit-plus-one", "negative"])
-    def test_extract_bound_out_of_range(self, above, capsys):
+    def test_extract_bound_out_of_range(self, above, tmp_path, capsys):
+        # the bound is refused before the table is read, even one that is
+        # not JSON or names no file
+        tables = ['{"actions":{}}', "{oops", f"@{tmp_path / 'missing.json'}"]
         for parity, high in self.EXTRACT_LIMITS.items():
             bound = high + 1 if above else -1
-            assert run(["deriv", "extract", "--parity", parity, "--bound",
-                        str(bound), "--table", '{"actions":{}}']) == 2
-            assert capsys.readouterr() == (
-                "", f"error: --bound must be between 0 and {high}, "
-                    f"got {bound}\n")
+            for table in tables:
+                assert run(["deriv", "extract", "--parity", parity, "--bound",
+                            str(bound), "--table", table]) == 2
+                assert capsys.readouterr() == (
+                    "", f"error: --bound must be between 0 and {high}, "
+                        f"got {bound}\n")
 
     @pytest.mark.parametrize("text, column", [("1" * 5000, 0),
                                               ("1/" + "1" * 5000, 2)],
@@ -979,31 +998,64 @@ class TestConfig:
             assert capsys.readouterr().out.strip() == q
 
 
+# Each command's usage after `cliffalg PATH`, and each argument's help string
+# (None where it has none), as --help prints them when nothing wraps.
+COMMAND_HELP = {
+    "eval": ("[-h] expr", {"expr": None}),
+    "trace": ("[-h] expr", {"expr": None}),
+    "norm": ("[-h] expr", {"expr": None}),
+    "deriv apply": ("[-h] --family FAMILY expr",
+                    {"--family FAMILY": "family JSON or @file", "expr": None}),
+    "deriv extract": (
+        "[-h] --parity {even,odd} --bound BOUND --table TABLE",
+        {"--parity {even,odd}": None,
+         "--bound BOUND": f"largest generator index of the blades, "
+                          f"0..{MAX_GENERATOR} even, 0..{MAX_GENERATOR - 1} "
+                          f"odd (odd probes k = 1..bound+1)",
+         "--table TABLE": 'JSON {"actions": {"k": "expr", ...}} or @file'}),
+    "deriv bogolyubov": ("[-h] --skew SKEW",
+                         {"--skew SKEW": "skew-map JSON or @file"}),
+    "deriv inner-witness": ("[-h] --skew SKEW",
+                            {"--skew SKEW": "skew-map JSON or @file"}),
+    "auto bogolyubov": ("[-h] --map MAP expr",
+                        {"--map MAP": "orthogonal-map JSON or @file",
+                         "expr": None}),
+    "auto conjugate": ("[-h] --u U --u-inv U_INV expr",
+                       {"--u U": None, "--u-inv U_INV": None, "expr": None}),
+    "decomp build": ("[-h] --cuts CUTS", {"--cuts CUTS": None}),
+    "decomp check": ("[-h] --cuts CUTS", {"--cuts CUTS": None}),
+    "decomp rewrite": ("[-h] --cuts CUTS --k K",
+                       {"--cuts CUTS": None, "--k K": None}),
+    "rep check": ("[-h] [--max-k MAX_K]",
+                  {"--max-k MAX_K": f"largest k checked, 1..{REP_CHECK_MAX_K}"}),
+    "witness": ("[-h] [--n N] [--m M]",
+                {"--n N": f"table length, 1..{WITNESS_MAX_N}",
+                 "--m M": f"factor size, even, with n * m <= {WITNESS_MAX_NM}"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+def test_command_help(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    usage, helps = COMMAND_HELP[command]
+    assert run(command.split() + ["--help"]) == 0
+    first, *rest = capsys.readouterr().out.splitlines()
+    assert first == f"usage: cliffalg {command} {usage}"
+    listed = {}
+    for line in rest:
+        if line.startswith("  ") and not line.startswith("  -h"):
+            name, text = (re.split(r" {2,}", line.strip(), 1) + [None])[:2]
+            listed[name] = text
+    assert listed == helps
+
+
 class TestParserReuse:
     """`run` shares one parser per process; no call may leave state in it."""
 
     @staticmethod
     def _argvs(config):
         expr = "(1 + e1*e2)^2"
-        family = '{"parity":"even","terms":[{"blade":[1,2],"coeff":"1"}]}'
-        skew = '{"entries":[{"i":1,"j":2,"value":"-2"}]}'
-        omap = '{"active":[1,2],"matrix":[["0","-1"],["1","0"]]}'
-        table = '{"actions":{"1":"-2*e2","2":"2*e1"}}'
-        every_subcommand = [
-            ["eval", expr], ["trace", expr], ["norm", expr],
-            ["deriv", "apply", "--family", family, "e2"],
-            ["deriv", "extract", "--parity", "even", "--bound", "2",
-             "--table", table],
-            ["deriv", "bogolyubov", "--skew", skew],
-            ["deriv", "inner-witness", "--skew", skew],
-            ["auto", "bogolyubov", "--map", omap, "e1*e2 + e1"],
-            ["auto", "conjugate", "--u", "e1", "--u-inv", "e1", "e2"],
-            ["decomp", "build", "--cuts", "2,6"],
-            ["decomp", "check", "--cuts", "2,6"],
-            ["decomp", "rewrite", "--cuts", "2,6", "--k", "3"],
-            ["rep", "check", "--max-k", "2"],
-            ["witness", "--n", "3"],
-        ]
+        every_subcommand = list(GOLDEN_CASES.values())
         # each global flag, then the same command without it
         carry_over = [
             ["--json", "eval", expr], ["eval", expr],

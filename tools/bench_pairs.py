@@ -6,10 +6,11 @@ DIR is a checkout of the repository (its own src/ and cliffbench/).  Both
 checkouts are first compiled with `python3 -m compileall -q src cliffbench
 tools`, so `setup_s` times warm imports on both sides whatever ran in them
 before (compileall writes the caches even under PYTHONDONTWRITEBYTECODE).
-The protocol is fixed: for every workload, pair p = 0..9 runs `python3
-cliffbench/run.py --workload W --seed S --seconds 20 --trace 0` in both
-checkouts, one after the other, with seed S = 101 + p; the parent runs first
-in even pairs and the change first in odd ones.  BENCH_<tag>.json is written
+The protocol is fixed: for every workload that the change's BENCHMARK.json
+names, pair p = 0..9 runs `python3 cliffbench/run.py --workload W --seed S
+--seconds 20 --trace 0` in both checkouts, one after the other, with seed
+S = 101 + p; the parent runs first in even pairs and the change first in
+odd ones.  BENCH_<tag>.json is written
 to the current directory.  The file keeps every run's final JSON line and, per side and
 end-to-end metric of BENCHMARK.json, the median and quartiles
 (statistics.quantiles, n=4, inclusive), the change/parent ratio of the
@@ -31,7 +32,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("dense_kernel", "certify", "cli_mix")
 PAIRS = 10
 SECONDS = 20
 FIRST_SEED = 101
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     }
     for checkout in (args.parent, args.change):
         _compile(checkout)
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
         for pair, seed in enumerate(seeds):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")

@@ -4,8 +4,9 @@
 
 DIR is a checkout of the repository (its own src/ and cliffbench/).  For each
 checkout a subprocess puts that checkout's src/ and cliffbench/ first on the
-path, generates the pool of every workload (dense_kernel, certify, cli_mix)
-for every seed, runs each operation once and prints one line per operation:
+path, generates the pool of every workload its cliffbench/workloads.py
+names for every seed, runs each operation once and prints one line per
+operation:
 
     WORKLOAD SEED INDEX KIND VERDICT HASH
 
@@ -30,8 +31,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-WORKLOADS = ("dense_kernel", "certify", "cli_mix")
 
 
 def _seeds(spec: str) -> range:
@@ -84,7 +83,7 @@ def emit(checkout: Path, seeds: str) -> int:
         print(f"error: imported cliffalg from {cliffalg.__file__}", file=sys.stderr)
         return 2
     lib = spans.plain_lib()
-    for workload in WORKLOADS:
+    for workload in workloads.WORKLOADS:
         for seed in _seeds(seeds):
             for index, op in enumerate(workloads.generate(workload, seed)):
                 try:
