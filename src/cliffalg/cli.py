@@ -24,8 +24,8 @@ from .locmat import FactorShape, witness_discontinuous, witness_sequence
 from .matrix_rep import rep_verify
 from .render import render
 from .scalars import Domain
-from .tensor_decomp import (chain_build, chain_verify, ordered_product,
-                            rewrite_generator)
+from .tensor_decomp import (FactorChain, chain_build, chain_verify,
+                            ordered_product, rewrite_generator)
 from .trace_norm import norm, trace
 
 VERIFICATION_FAILURE = 1
@@ -82,9 +82,9 @@ def _context(args) -> Context:
     cfg = _load_json("@" + args.config) if args.config else {}
     if args.domain:
         cfg["domain"] = args.domain
-    if args.signature:
-        cfg["signature"] = {**cfg.get("signature", {}),
-                            **_load_json(args.signature)}
+    if args.signature:  # a file's signature that is not an object is refused below
+        base, signature = cfg.get("signature", {}), _load_json(args.signature)
+        cfg["signature"] = {**base, **signature} if isinstance(base, dict) else base
     return serialize.context_from_json(cfg)
 
 
@@ -105,6 +105,13 @@ def _emit(args, ctx: Context, out) -> int:
               else render(out))
     elif isinstance(out, AdFamily):
         print(json.dumps(serialize.family_to_json(out)))
+    elif isinstance(out, FactorChain):
+        if args.json:
+            print(json.dumps(serialize.chain_to_json(out)))
+        else:
+            print(f"cuts: {','.join(map(str, out.cuts))}")
+            for i, (c, adj) in enumerate(zip(out.c, out.adjusted), start=1):
+                print(f"c_{i} = {render(c)}{' (rescaled by i)' if adj else ''}")
     elif isinstance(out, list):
         # (name, ok) checks have no JSON form yet: text under --json too
         for name, ok in out:
@@ -117,7 +124,7 @@ def _emit(args, ctx: Context, out) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands whose flags depend on each other or that print their own lines
+# subcommands where one flag's range depends on another
 # ---------------------------------------------------------------------------
 
 def cmd_deriv_extract(args, ctx):
@@ -151,16 +158,10 @@ def _chain(text: str, ctx: Context):
     return chain_build(_cuts(text), ctx)
 
 
-def cmd_decomp_build(args, ctx):
-    chain = _chain(args.cuts, ctx)
-    if args.json:
-        print(json.dumps(serialize.chain_to_json(chain)))
-    else:
-        print(f"cuts: {','.join(map(str, chain.cuts))}")
-        for i, (c, adj) in enumerate(zip(chain.c, chain.adjusted), start=1):
-            note = " (rescaled by i)" if adj else ""
-            print(f"c_{i} = {render(c)}{note}")
-    return 0
+def _max_k(text: str, ctx: Context) -> int:
+    max_k = serialize.integer("--max-k", text, 1, REP_CHECK_MAX_K)
+    ctx.require_unit(range(1, 2 * max_k + 1), "rep check")
+    return max_k
 
 
 def cmd_decomp_rewrite(args, ctx):
@@ -173,12 +174,6 @@ def cmd_decomp_rewrite(args, ctx):
         print(f"factor {pos}: {render(f)}")
     ok = prod == Multivector.generator(ctx, k)
     return [(f"product = {render(prod)}", ok)]
-
-
-def cmd_rep_check(args, ctx):
-    max_k = serialize.integer("--max-k", args.max_k, 1, REP_CHECK_MAX_K)
-    ctx.require_unit(range(1, 2 * max_k + 1), "rep check")
-    return rep_verify(max_k)
 
 
 def cmd_witness(args, ctx):
@@ -226,11 +221,12 @@ def _commands() -> tuple:
     argument has a reader (`reader(text, ctx)`), the function is a library
     call on what they read and `_emit` prints its result; where none has
     (None), the function is a handler `(args, ctx)` that reads its own
-    flags, because they depend on each other, or prints its own lines."""
+    flags, because one's range depends on another's value."""
     expr = _arg(parse, "expr")
     skew = _arg(_json(serialize.skew_from_json), "--skew", required=True,
                 help="skew-map JSON or @file")
     cuts = _arg(None, "--cuts", required=True)
+    chain = _arg(_chain, "--cuts", required=True)
     return (
         ("eval", "print the canonical form of EXPR", lambda mv: mv, expr),
         ("trace", "normalized trace of EXPR", trace, expr),
@@ -254,13 +250,12 @@ def _commands() -> tuple:
         ("auto conjugate", None, conjugation_apply,
          _arg(parse, "--u", required=True),
          _arg(parse, "--u-inv", required=True), expr),
-        ("decomp build", None, cmd_decomp_build, cuts),
-        ("decomp check", None, chain_verify,
-         _arg(_chain, "--cuts", required=True)),
+        ("decomp build", None, lambda chain: chain, chain),
+        ("decomp check", None, chain_verify, chain),
         ("decomp rewrite", None, cmd_decomp_rewrite,
          cuts, _arg(None, "--k", required=True)),
-        ("rep check", None, cmd_rep_check,
-         _arg(None, "--max-k", default="3",
+        ("rep check", None, rep_verify,
+         _arg(_max_k, "--max-k", default="3",
               help=f"largest k checked, 1..{REP_CHECK_MAX_K}")),
         ("witness", "non-continuity witness table", cmd_witness,
          _arg(None, "--n", default="10",

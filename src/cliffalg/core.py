@@ -313,9 +313,7 @@ class Multivector:
 
     @staticmethod
     def generator(context: Context, k: int) -> "Multivector":
-        if k < 1:
-            raise ValueError(f"generator index must be >= 1, got {k}")
-        return Multivector(context, {Blade(1 << (k - 1)): context._unit},
+        return Multivector(context, {Blade.from_indices((k,)): context._unit},
                            _den=int(context.domain.is_exact))
 
     @staticmethod

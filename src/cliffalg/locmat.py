@@ -35,8 +35,9 @@ class FactorShape:
 
     def __post_init__(self):
         self.domain.require_exact("tensor elements")
-        if self.size < 2 or self.size % 2:
-            raise ValueError(f"factor sizes must be even and >= 2, got {self.size}")
+        size = self.size
+        if isinstance(size, bool) or not isinstance(size, int) or size < 2 or size % 2:
+            raise ValueError(f"factor sizes must be integers, even and >= 2, got {size!r}")
 
 
 def _factor(shape: FactorShape, i: int, rows) -> tuple:

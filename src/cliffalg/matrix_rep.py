@@ -12,7 +12,8 @@ normalized trace of a word is i^p when x == z == 0 and 0 otherwise, and
 faithfulness is GF(2) independence.  `represent` and `MatrixRep.identity`
 write dense 2**k x 2**k matrices, the oracle the tests check the words
 against, through `_dense` alone, which sums each entry as an (re, im) integer
-numerator over one denominator and builds values for nonzero entries only.
+numerator over one denominator and builds values for nonzero entries only;
+a word trace is the one entry of `_dense` at dimension 1.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import scalars
 from .core import Multivector, _ratios, _xor_rank
 from .errors import SupportRangeError
-from .scalars import Domain, GaussianRational, reduced
+from .scalars import GaussianRational, reduced
 from .trace_norm import trace
 
 _ZERO = GaussianRational.of(0)
 _ONE = GaussianRational.of(1)
 _I = GaussianRational.of(0, 1)
-_PHASES = (_ONE, _I, -_ONE, -_I)
 
 PAULI_X = ((_ZERO, _ONE), (_ONE, _ZERO))
 PAULI_Y = ((_ZERO, -_I), (_I, _ZERO))
@@ -54,7 +53,7 @@ class MatrixRep:
                                compare=False)
 
     def identity(self):
-        return _dense(self.dim, [((0, 0, 0), (1, 1, 0, 1))])
+        return _dense(self.dim, [((0, 0, 0), (1, 1))])
 
     def blade_word(self, bits: int) -> tuple:
         """Word of the ordered product of the generators in blade `bits`."""
@@ -81,12 +80,13 @@ def build_rep(k: int) -> MatrixRep:
 
 
 def _dense(dim: int, terms):
-    """Sum of (rn / rd + i jn / jd) * word over (word, (rn, rd, jn, jd)) pairs,
-    one entry per column, as (re, im) integers over the lcm of the rd and jd."""
-    den = math.lcm(*[t[1] for _, t in terms], *[t[3] for _, t in terms])
+    """Sum of value * word over (word, value) pairs, a value being a `_ratios`
+    part, n / d as (n, d) or rn / rd + i jn / jd as (rn, rd, jn, jd): one
+    entry per column, as (re, im) integers over the lcm of the denominators."""
+    den = math.lcm(*[d for _, t in terms for d in t[1::2]])
     rows = [[(0, 0)] * dim for _ in range(dim)]
-    for (p, x, z), (rn, rd, jn, jd) in terms:
-        re, im = rn * (den // rd), jn * (den // jd)
+    for (p, x, z), (rn, rd, *j) in terms:
+        re, im = rn * (den // rd), j[0] * (den // j[1]) if j else 0
         units = (re, im), (-im, re), (-re, -im), (im, -re)  # times i^0..i^3
         for c in range(dim):
             row, (ur, ui) = rows[c ^ x], units[(p + 2 * (z & c).bit_count()) % 4]
@@ -107,8 +107,7 @@ def represent(rep: MatrixRep, a: Multivector):
         raise SupportRangeError(
             f"support reaches index {a.max_index()}, representation covers {2 * rep.k}")
     _check_representable(a)
-    return _dense(rep.dim, [(rep.blade_word(b), p if len(p) == 4 else (*p, 0, 1))
-                            for b, p in _ratios(a)])
+    return _dense(rep.dim, [(rep.blade_word(b), p) for b, p in _ratios(a)])
 
 
 def normalized_trace(m):
@@ -123,10 +122,10 @@ def _trace_phase(word: tuple) -> int | None:
 
 
 def _word_trace(rep: MatrixRep, a: Multivector):
-    """normalized_trace(represent(rep, a)) from the words; the caller checks a."""
-    phases = ((_trace_phase(rep.blade_word(b)), c) for b, c in a.terms.items())
-    return sum((scalars.coerce(Domain.GAUSSIAN, c) * _PHASES[p]
-                for p, c in phases if p is not None), _ZERO)
+    """normalized_trace(represent(rep, a)) from the words, the one entry of the
+    traced words i^p as (p, 0, 0) at dimension 1; the caller checks a."""
+    return _dense(1, [((p, 0, 0), t) for b, t in _ratios(a)
+                      for p in (_trace_phase(rep.blade_word(b)),) if p is not None])[0][0]
 
 
 def verify_trace_coherence(a: Multivector, k_small: int, k_large: int) -> bool:
@@ -138,7 +137,7 @@ def verify_trace_coherence(a: Multivector, k_small: int, k_large: int) -> bool:
             f"{a.max_index()}, {2 * k_small}, {2 * k_large}")
     _check_representable(a)
     return _word_trace(build_rep(k_small), a) == _word_trace(build_rep(k_large), a) \
-        == scalars.coerce(Domain.GAUSSIAN, trace(a))
+        == trace(a)
 
 
 def blade_images_independent(rep: MatrixRep) -> bool:

@@ -45,7 +45,9 @@ class FactorChain:
 
 
 def chain_build(cuts, context: Context) -> FactorChain:
-    cuts = tuple(int(n) for n in cuts)
+    cuts = tuple(cuts)
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in cuts):
+        raise InvalidChainError(f"cuts must be integers, got {cuts!r}")
     if not cuts or any(n % 2 for n in cuts) or any(
             b <= a for a, b in zip(cuts, cuts[1:])) or cuts[0] < 2:
         raise InvalidChainError(

@@ -900,6 +900,15 @@ class TestExitCodes:
         assert err == f"error: rep check requires q == 1 on the support " \
                       f"(q_{q} != 1)\n"
 
+    @pytest.mark.parametrize("max_k, code, err", [
+        ("x", 2, "error: --max-k must be decimal digits, got 'x'\n"),
+        ("2", 1, "error: rep check requires q == 1 on the support (q_1 != 1)\n"),
+    ], ids=["not-an-integer", "nonunit"])
+    def test_rep_check_reads_max_k_before_the_form(self, max_k, code, err, capsys):
+        assert run(["--signature", '{"overrides":{"1":"-1"}}', "rep", "check",
+                    "--max-k", max_k]) == code
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("signature", [
         '{"default":"1"}', '{"overrides":{"5":"2"}}'], ids=["unit", "beyond"])
     def test_rep_check_accepts_a_form_unit_on_its_generators(self, signature,
@@ -969,6 +978,20 @@ class TestConfig:
         assert run(["--config", str(cfg), "--signature", '{"default":"7"}',
                     "eval", "e1*e1 + e2*e2"]) == 0
         assert capsys.readouterr().out.strip() == "10"
+
+    @pytest.mark.parametrize("signature", ["x", [1], 3],
+                             ids=["string", "list", "number"])
+    def test_config_signature_that_is_not_an_object(self, signature, tmp_path,
+                                                    capsys):
+        # with --signature too, the file's signature is refused, not merged
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"signature": signature}))
+        assert run(["--config", str(cfg), "eval", "e1"]) == 2
+        alone = capsys.readouterr()
+        assert alone.err.startswith("error: malformed context JSON: ")
+        assert run(["--config", str(cfg), "--signature", '{"default":"2"}',
+                    "eval", "e1"]) == 2
+        assert capsys.readouterr() == alone
 
     def test_signature_flag(self, capsys):
         assert run(["--signature", '{"overrides":{"3":"5"}}',

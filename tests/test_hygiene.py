@@ -212,6 +212,7 @@ GUARDS = {
     "must be decimal digits": ("serialize", "integer"),
     # JSON object keys that read as one generator index
     r"generator index \{\} appears twice": ("serialize", "_indices"),
+    "generator index must be >= 1": ("core", "from_indices"),
 }
 
 

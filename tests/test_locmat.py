@@ -95,9 +95,13 @@ def test_factor_shape_refuses_the_float_domains(domain):
         FactorShape(domain)
 
 
-@pytest.mark.parametrize("size", [3, 0, -2, 1])
+@pytest.mark.parametrize("size", [3, 0, -2, 1, 4.0, True, "4", Fraction(4)],
+                         ids=repr)
 def test_factor_shape_refuses_odd_and_small_sizes(size):
-    with pytest.raises(ValueError, match=rf"even and >= 2, got {size}$"):
+    # no size that is not an int: 4.0 and Fraction(4) were accepted and then
+    # failed inside block_nilpotent
+    with pytest.raises(ValueError,
+                       match=rf"even and >= 2, got {re.escape(repr(size))}$"):
         FactorShape(Domain.RATIONAL, size)
 
 

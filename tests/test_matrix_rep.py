@@ -6,7 +6,7 @@ from cliffalg import matrix_rep
 from cliffalg.cli import REP_CHECK_MAX_K
 from cliffalg.core import Blade, Context, Multivector, mv_product, reverse
 from cliffalg.errors import SupportRangeError, UnsupportedDomainError
-from cliffalg.matrix_rep import (_PHASES, _ZERO, PAULI_X, PAULI_Y, PAULI_Z,
+from cliffalg.matrix_rep import (_ZERO, PAULI_X, PAULI_Y, PAULI_Z,
                                  MatrixRep, _check_representable,
                                  _trace_phase, _word_trace,
                                  blade_images_independent,
@@ -21,6 +21,7 @@ from conftest import (conj_transpose, identity, kron, mat_add, mat_mul,
 
 GCTX = Context.make(Domain.GAUSSIAN)
 I_UNIT = GaussianRational.of(0, 1)
+PHASES = (GaussianRational.of(1), I_UNIT, GaussianRational.of(-1), -I_UNIT)
 
 
 def _gens(rep):
@@ -264,6 +265,22 @@ class TestTraceCoherence:
         with pytest.raises(UnsupportedDomainError, match="q == 1"):
             verify_trace_coherence(Multivector.blade(scaled, Blade.of(1, 2)), 1, 2)
 
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
+                             ids=lambda d: d.value)
+    def test_does_no_gaussian_arithmetic(self, domain, monkeypatch, rng):
+        # the word traces sum integer numerators in _dense, and the comparison
+        # with trace(a) reads its value as it is
+        ctx = Context.make(domain)
+        elements = [random_dense(rng, ctx, 4, rng.randint(0, 8)) + Multivector.unit(ctx)
+                    for _ in range(20)]
+
+        def refuse(*args):
+            raise AssertionError("GaussianRational arithmetic")
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__",
+                     "__truediv__"):
+            monkeypatch.setattr(GaussianRational, name, refuse)
+        assert all(verify_trace_coherence(a, 2, 3) for a in elements)
+
     @pytest.mark.parametrize("domain", [Domain.F64, Domain.C64],
                              ids=lambda d: d.value)
     def test_needs_an_exact_domain(self, domain):
@@ -285,7 +302,7 @@ class TestWordTrace:
             want = normalized_trace(represent(rep, a))
             assert _word_trace(rep, a) == want
             p = _trace_phase(rep.blade_word(bits))
-            assert (_ZERO if p is None else _PHASES[p]) == want
+            assert (_ZERO if p is None else PHASES[p]) == want
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.GAUSSIAN],
                              ids=lambda d: d.value)
@@ -304,8 +321,7 @@ class TestWordTrace:
     def test_phases_of_identity_words(self):
         # every blade word of a ladder rep but the unit's is traceless, so
         # only hand-built words reach the phases i, -1 and -i
-        one = GaussianRational.of(1)
-        for p, want in enumerate((one, I_UNIT, -one, -I_UNIT)):
+        for p, want in enumerate(PHASES):
             rep = MatrixRep(k=1, words=((p, 0, 0),), dim=2)
             a = Multivector.generator(GCTX, 1)
             assert _word_trace(rep, a) == want == \

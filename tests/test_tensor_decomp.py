@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,14 @@ class TestChainBuild:
     def test_odd_cut_rejected(self):
         with pytest.raises(InvalidChainError):
             chain_build((3, 6), CTX)
+
+    @pytest.mark.parametrize("cuts", [(2, 6.9), (2.0, 6), ("2", "6"),
+                                      (2, Fraction(6))], ids=repr)
+    def test_cuts_that_are_not_ints_are_refused(self, cuts):
+        # no truncation: (2, 6.9) was the chain (2, 6)
+        with pytest.raises(InvalidChainError,
+                           match=rf"^cuts must be integers, got {re.escape(repr(cuts))}$"):
+            chain_build(cuts, CTX)
 
     def test_multiple_of_four_needs_i(self):
         with pytest.raises(UnsupportedDomainError):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cliffalg.cli import _commands
 from cliffalg.core import Blade, Context, Multivector
 from cliffalg.scalars import Domain
 
@@ -70,6 +71,17 @@ class TestCompareResults:
         proc = _compare(ROOT, ROOT)
         assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
         assert proc.stdout.splitlines()[-1].startswith("identical: ")
+        # one help screen and one bare run for the top level, each group and
+        # each command
+        commands = ["-".join(path.split()) for path, *_ in _commands()]
+        paths = ["cliffalg", *{c.split("-")[0]: None for c in commands if "-" in c},
+                 *commands]
+        assert len(paths) == 19
+        text = [line.split() for line in proc.stdout.splitlines()
+                if line.startswith(("help ", "bare "))]
+        assert [(mode, index, path) for mode, _, index, path, *_ in text] == \
+            [(mode, str(i), path) for mode in ("help", "bare")
+             for i, path in enumerate(paths)]
 
 
 class TestBenchPairsCommit:

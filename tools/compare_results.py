@@ -13,7 +13,12 @@ operation:
 VERDICT is `ok` or `FAIL` from the operation's own check, or `raised` when
 it raised; HASH is a SHA-256 prefix of the result's text (`_text`: its repr,
 with each float part written by float.hex and a NaN's sign, which repr
-drops), or of the exception's type and message.  The change's lines are
+drops), or of the exception's type and message.  Then come the CLI's help
+and usage text, as lines `help 80 INDEX PATH ok HASH` and `bare 80 INDEX PATH
+ok HASH`: for the top level, each command group and each command of
+`cli._commands()`, PATH its words joined by `-` (`cliffalg` for the top
+level), `cli.run` with `--help` and with no further arguments at COLUMNS=80,
+HASH over the exit code, stdout and stderr.  The change's lines are
 printed, and the tool exits 1 at the first operation whose line differs
 from the parent's or whose verdict is not `ok`, naming it; it exits 0 when
 all lines agree and pass.  SEEDS is a range `A-B` or one seed `A`.  The
@@ -25,7 +30,9 @@ It only reads cliffbench/ and writes no bytecode into either checkout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -94,7 +101,25 @@ def emit(checkout: Path, seeds: str) -> int:
                     verdict = "ok" if op.check(result) else "FAIL"
                     text = _text(result)
                 print(workload, seed, index, op.kind, verdict, _digest(text))
+    _cli_lines()
     return 0
+
+
+def _cli_lines() -> None:
+    """Print the help and bare-run lines of the imported `cliffalg.cli`."""
+    from cliffalg import cli
+
+    os.environ["COLUMNS"] = "80"
+    commands = [path for path, *_ in cli._commands()]
+    paths = ["", *dict.fromkeys(p.rpartition(" ")[0] for p in commands if " " in p),
+             *commands]
+    for mode, extra in (("help", ["--help"]), ("bare", [])):
+        for index, path in enumerate(paths):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run([*path.split(), *extra])
+            print(mode, 80, index, "-".join(path.split()) or "cliffalg", "ok",
+                  _digest(f"{code}\n{out.getvalue()}\n{err.getvalue()}"))
 
 
 def _lines(checkout: Path, seeds: str, hash_seed: int) -> list[str]:
