@@ -1,5 +1,8 @@
 """Command-line front end.
 
+`run` reads a well-formed request from the table `build_parser` keeps and
+hands every other to argparse, the one writer of help and usage errors.
+
 Exit codes: 0 success, 1 verification failure, 2 usage, syntax or size-limit
 error, 141 (128 + SIGPIPE) when stdout is closed early, as by `| head`.
 All failures go to stderr with an `error:` prefix.
@@ -272,16 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     `add_argument` or attribute writes): `run` reuses it for every request.
     Reuse is safe because `parse_args` fills a fresh namespace each call,
     every default is immutable, and help and usage text read `sys.stdout`,
-    `sys.stderr` and `COLUMNS` when they are written."""
+    `sys.stderr` and `COLUMNS` when they are written.  `command_table` holds
+    the global flags' `Action`s and, per command path, its namespace defaults
+    (`func` included), its flags' `Action`s and its positionals' dests."""
     parser = argparse.ArgumentParser(
         prog="cliffalg",
         description="Exact Clifford algebra calculator and verifier.")
-    parser.add_argument("--domain", choices=[d.value for d in Domain])
-    parser.add_argument("--signature", help="JSON signature or @file")
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output where applicable")
+    shared = {a.option_strings[0]: a for a in (
+        parser.add_argument("--domain", choices=[d.value for d in Domain]),
+        parser.add_argument("--signature", help="JSON signature or @file"),
+        parser.add_argument("--config", help="JSON config file"),
+        parser.add_argument("--json", action="store_true",
+                            help="machine-readable output where applicable"))}
     subs = {"": parser.add_subparsers(dest="command", required=True)}
+    commands = {}
     for path, text, function, *arguments in _commands():
         group, _, name = path.rpartition(" ")
         if group not in subs:
@@ -289,17 +296,57 @@ def build_parser() -> argparse.ArgumentParser:
                 group, help=_GROUPS[group]).add_subparsers(
                     dest=f"{group}_command", required=True)
         p = subs[group].add_parser(name, **({"help": text} if text else {}))
-        reads = tuple((reader, p.add_argument(flag, **options).dest)
-                      for reader, flag, options in arguments)
-        p.set_defaults(func=functools.partial(_call, function, reads)
-                       if reads[0][0] else function)
+        actions = [p.add_argument(flag, **options) for _, flag, options in arguments]
+        reads = tuple((reader, a.dest) for (reader, _, _), a in zip(arguments, actions))
+        func = functools.partial(_call, function, reads) if reads[0][0] else function
+        p.set_defaults(func=func)
+        commands[tuple(path.split())] = (
+            {**dict(zip(("command", f"{group}_command"), path.split())),
+             "func": func, **{a.dest: a.default for a in (*shared.values(), *actions)}},
+            {a.option_strings[0]: a for a in actions if a.option_strings},
+            [a.dest for a in actions if not a.option_strings])
+    parser.command_table = shared, commands
     return parser
 
 
+def _read(argv, shared, commands):
+    """The namespace `parse_args(argv)` returns, for exact global flags, a
+    command path, then its exact flags and positionals in any order; None,
+    for argparse to parse, on help, a usage error, an abbreviation, `--`,
+    `--flag=value`, a repeated flag or a value that starts with '-'."""
+    values, rest, flags, base, i = {}, [], shared, None, 0
+    while i < len(argv):
+        arg, action = argv[i], flags.get(argv[i])
+        if base is None and action is None:  # the command path
+            path = (arg,) if (arg,) in commands else tuple(argv[i:i + 2])
+            if path not in commands:
+                return None
+            base, flags, names = commands[path]
+            i += len(path)
+        elif action is None and not arg.startswith("-"):  # a positional
+            rest.append(arg)
+            i += 1
+        elif action is None or action.dest in values:
+            return None
+        elif action.nargs == 0:  # --json
+            values[action.dest], i = action.const, i + 1
+        else:
+            value = argv[i + 1] if i + 1 < len(argv) else "-"
+            if value.startswith("-") or action.choices and value not in action.choices:
+                return None
+            values[action.dest], i = value, i + 2
+    if base is None or len(rest) != len(names) or any(
+            a.required and a.dest not in values for a in flags.values()):
+        return None
+    return argparse.Namespace(**{**base, **values, **dict(zip(names, rest))})
+
+
 def run(argv=None) -> int:
+    """Run one request (argv None: `sys.argv[1:]`) and give its exit code."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _read(argv, *parser.command_table) or parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:

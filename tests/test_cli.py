@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,17 +8,18 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cliffalg
-from cliffalg import serialize
+from cliffalg import cli, serialize
 from cliffalg.cli import (BROKEN_PIPE, DECOMP_MAX_BLOCK, DECOMP_MAX_CUT,
                           JSON_MAX_BYTES, REP_CHECK_MAX_K, WITNESS_MAX_N,
-                          WITNESS_MAX_NM, _commands, _context, build_parser,
-                          run)
+                          WITNESS_MAX_NM, _commands, _context, _read,
+                          build_parser, run)
 from cliffalg.core import Blade, Context, Multivector, mv_product
 from cliffalg.errors import DigitLimitError, ParseError
 from cliffalg.expr import (MAX_EXPONENT, MAX_GENERATOR, MAX_PRODUCT_PAIRS,
@@ -1123,3 +1127,140 @@ class TestParserReuse:
         build_parser.cache_clear()
         run(["--help"])
         assert capsys.readouterr().out == narrow != wide
+
+
+# ---------------------------------------------------------------------------
+# The request reader: `run` reads a well-formed request from the command
+# table and hands every other to argparse
+# ---------------------------------------------------------------------------
+
+def _pool_argvs(seeds=(101, 102)):
+    """The argv of every request in the benchmark's cli_mix pool."""
+    bench = str(Path(__file__).resolve().parent.parent / "cliffbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+    argvs = []
+    lib = SimpleNamespace(cli=SimpleNamespace(run=argvs.append))
+    for seed in seeds:
+        for op in workloads.generate("cli_mix", seed):
+            op.run(lib)
+    return argvs
+
+
+def _parsed(argv):
+    """`build_parser().parse_args(argv)`, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def _read_argv(argv):
+    return _read(argv, *build_parser().command_table)
+
+
+FAMILY = '{"parity":"even","terms":[{"blade":[1,2],"coeff":"1"}]}'
+TABLE = '{"actions":{"1":"-2*e2","2":"2*e1"}}'
+
+# Forms only argparse takes: the reader declines each, and argparse parses
+# it or writes its help or usage error
+ARGPARSE_ONLY = {
+    "short-help": ["-h"],
+    "help": ["--help"],
+    "command-help": ["deriv", "extract", "--help"],
+    "abbreviation": ["--dom", "rational", "eval", "e1"],
+    "flag-abbreviation": ["deriv", "apply", "--fam", FAMILY, "e2"],
+    "equals": ["--domain=f64", "eval", "e1"],
+    "double-dash": ["eval", "--", "-e1"],
+    "repeated-flag": ["--json", "--json", "eval", "e1"],
+    "repeated-value": ["decomp", "build", "--cuts", "2", "--cuts", "2,4"],
+    "global-after-command": ["eval", "e1", "--json"],
+    "negative-value": ["deriv", "extract", "--parity", "even", "--bound", "-1",
+                       "--table", TABLE],
+    "dash-positional": ["eval", "-e1"],
+    "dash-space-positional": ["eval", "- e1"],
+    "unknown-choice": ["deriv", "extract", "--parity", "both", "--bound", "2",
+                       "--table", TABLE],
+    "unknown-domain": ["--domain", "quaternion", "eval", "e1"],
+    "missing-required": ["decomp", "rewrite", "--cuts", "2,6"],
+    "missing-value": ["decomp", "check", "--cuts"],
+    "missing-positional": ["eval"],
+    "extra-positional": ["eval", "e1", "e2"],
+    "bare-group": ["deriv"],
+    "unknown-command": ["deriv", "nope"],
+    "no-command": ["--json"],
+    "empty": [],
+}
+
+# Well-formed forms the reader takes, beyond the goldens and the pool
+READER_FORMS = [
+    ["deriv", "apply", "e2", "--family", FAMILY],
+    ["auto", "conjugate", "--u-inv", "e1", "e2", "--u", "e1"],
+    ["deriv", "extract", "--table", TABLE, "--bound", "2", "--parity", "odd"],
+    ["--json", "--config", "c.json", "--signature", "{}", "--domain", "c64",
+     "witness"],
+    ["rep", "check"],
+    ["witness", "--m", "4"],
+    ["eval", "deriv"],
+    ["--signature", "eval", "eval", "e1"],
+    ["eval", ""],
+    ["decomp", "build", "--cuts", ""],
+]
+
+
+def test_the_reader_agrees_with_argparse(tmp_path):
+    argvs = [*GOLDEN_CASES.values(), *READER_FORMS, *ARGPARSE_ONLY.values(),
+             *TestParserReuse._argvs(str(tmp_path / "c.json"))]
+    for argv in argvs:
+        read = _read_argv(argv)
+        assert read is None or read == _parsed(argv), argv
+    for argv in [*GOLDEN_CASES.values(), *READER_FORMS]:
+        assert _read_argv(argv) is not None, argv
+    # the pool's requests: the reader takes each one argparse accepts, and
+    # builds the very `func` of the command's row
+    pool = _pool_argvs()
+    assert len(pool) == 2 * 24 * len(_commands())
+    for argv in pool:
+        read, parsed = _read_argv(argv), _parsed(argv)
+        assert read == parsed, argv
+        assert read is None or read.func is parsed.func
+
+
+TOKENS = ["--domain", "--json", "--signature", "--config", "--dom",
+          "--domain=f64", "-h", "--", "eval", "deriv", "apply", "extract",
+          "decomp", "build", "rep", "check", "witness", "--family", "--parity",
+          "--bound", "--table", "--cuts", "--k", "--max-k", "--n", "--m",
+          "--u", "--u-inv", "even", "odd", "f64", "e1", "-e1", "- e1", "-1",
+          "2,4", "3", "", "{}"]
+
+
+@given(st.lists(st.sampled_from(TOKENS), max_size=9))
+def test_the_reader_declines_or_agrees_on_any_tokens(argv):
+    read = _read_argv(argv)
+    assert read is None or read == _parsed(argv)
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ONLY.values(), ids=ARGPARSE_ONLY.keys())
+def test_argparse_answers_what_the_reader_declines(argv, monkeypatch, capsys):
+    assert _read_argv(argv) is None
+    code = run(argv)
+    got = (code, *capsys.readouterr())
+    monkeypatch.setattr(cli, "_read", lambda *args: None)
+    assert got == (run(argv), *capsys.readouterr())
+
+
+def test_well_formed_requests_never_reach_argparse(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed request")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    for name, argv in GOLDEN_CASES.items():  # one per row of _commands()
+        assert run(argv) == 0
+        assert capsys.readouterr() == ((GOLDEN / name).read_text(), "")
+    # `main()`'s path: no argv, so sys.argv[1:]
+    monkeypatch.setattr(sys, "argv", ["cliffalg", "--json", "trace", "3 + 5*e1"])
+    assert run() == 0
+    assert capsys.readouterr() == ('{"value": "3"}\n', "")

@@ -121,6 +121,30 @@ class TestBenchPairsCommit:
             assert name == bench_pairs._commit(plain)
 
 
+def test_bench_pairs_keeps_each_sides_attempted_operations():
+    # two pairs of synthetic runs: the summary keeps each side's summed and
+    # median operation counts, and each progress line its count and memory
+    def final(ops, attempted, rss):
+        return {"attempted": attempted, "failed": 0, "metrics": {
+            "ops_per_ref": {"value": ops}, "peak_rss_mb": {"value": rss}}}
+
+    runs = [{"pair": p, "side": side, "final": final(ops, n, rss)}
+            for p, side, ops, n, rss in ((0, "parent", 1.0, 100, 28.0),
+                                         (0, "change", 1.3, 130, 29.5),
+                                         (1, "change", 1.2, 120, 29.0),
+                                         (1, "parent", 1.1, 110, 28.5))]
+    metrics = [{"name": "ops_per_ref", "better": "higher", "bound": 0.15},
+               {"name": "peak_rss_mb", "better": "lower", "bound": 0.10}]
+    summary = bench_pairs._summary(runs, metrics)
+    assert summary["attempted"] == {"parent": 210, "change": 250}
+    assert summary["attempted_median"] == {"parent": 105, "change": 125}
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["metrics"]["ops_per_ref"]["change_wins"] == "2/2"
+    assert summary["metrics"]["peak_rss_mb"]["change_wins"] == "0/2"
+    assert bench_pairs._progress("cli_mix", 1, "change", runs[2]["final"]) == \
+        "cli_mix pair 1 change: ops_per_ref 1.2000 attempted 120 peak_rss_mb 29.00"
+
+
 @pytest.mark.parametrize("tool, args", [
     ("kind_times.py", ["--workload", "dense_kernel", "--passes", "1", "--rounds", "1"]),
     ("compare_results.py", ["--seeds", "101"])])

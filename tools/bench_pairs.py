@@ -15,7 +15,11 @@ to the current directory.  The file keeps every run's final JSON line and, per s
 end-to-end metric of BENCHMARK.json, the median and quartiles
 (statistics.quantiles, n=4, inclusive), the change/parent ratio of the
 medians, the parent's spread (q3 - q1) / median and how many pairs the
-change won (ties count for neither side).  Each side's code is named by
+change won (ties count for neither side), and per side the failed and
+attempted operations summed over its runs and its median attempted count
+per run; each run's progress line prints that count next to its
+`peak_rss_mb`, since the timed loop keeps a sample per completed
+operation.  Each side's code is named by
 its git commit or, for a checkout outside git or one whose src/ or
 cliffbench/ differs from that commit, by "sha256:" and a digest over the
 sorted paths and bytes of its src/ and cliffbench/ files.
@@ -108,9 +112,20 @@ def _summary(runs: list[dict], metrics: list[dict]) -> dict:
         side[name]["bound"] = m["bound"]
     failed = {s: sum(r["final"]["failed"] for r in runs if r["side"] == s)
               for s in ("parent", "change")}
-    attempted = {s: sum(r["final"]["attempted"] for r in runs if r["side"] == s)
+    attempted = {s: [r["final"]["attempted"] for r in runs if r["side"] == s]
                  for s in ("parent", "change")}
-    return {"metrics": side, "failed": failed, "attempted": attempted}
+    return {"metrics": side, "failed": failed,
+            "attempted": {s: sum(n) for s, n in attempted.items()},
+            "attempted_median": {s: statistics.median(n) for s, n in attempted.items()}}
+
+
+def _progress(workload: str, pair: int, side: str, final: dict) -> str:
+    """One run's progress line: its throughput, and its operation count next
+    to its peak RSS, which grows with the samples the timed loop keeps."""
+    metrics = final["metrics"]
+    return (f"{workload} pair {pair} {side}: ops_per_ref "
+            f"{metrics['ops_per_ref']['value']:.4f} attempted {final['attempted']} "
+            f"peak_rss_mb {metrics['peak_rss_mb']['value']:.2f}")
 
 
 def main(argv=None) -> int:
@@ -140,8 +155,7 @@ def main(argv=None) -> int:
                 checkout = args.parent if side == "parent" else args.change
                 final = _run(checkout, workload, seed)
                 runs.append({"pair": pair, "seed": seed, "side": side, "final": final})
-                print(f"{workload} pair {pair} {side}: ops_per_ref "
-                      f"{final['metrics']['ops_per_ref']['value']:.4f}", flush=True)
+                print(_progress(workload, pair, side, final), flush=True)
         result["workloads"][workload] = {"summary": _summary(runs, metrics),
                                          "runs": runs}
     path = Path(f"BENCH_{args.tag}.json")
